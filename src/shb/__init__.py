@@ -47,6 +47,7 @@ from shb.solver import (
     SolverParams,
     run,
     run_ensemble,
+    run_pairs,
     shb_step,
 )
 from shb.theory import (

@@ -17,7 +17,6 @@ import numpy as np
 
 from shb.errors import (
     InsufficientReplications,
-    NonFinite,
     NotAdmissible,
     OutOfRange,
 )
@@ -38,8 +37,8 @@ from shb.solver import (
     METRIC_SNAPSHOT,
     RunTrace,
     SolverParams,
-    run,
     run_ensemble,
+    run_pairs,
 )
 from shb.theory import (
     L2Rate,
@@ -353,17 +352,16 @@ def sweep(
     """Run every (omega, beta) pair on the same problem and stream.
 
     All pairs replay the identical draw sequence (the distribution does
-    not depend on the pair), giving a paired comparison.  Returns long
-    rows (pair_id, omega, beta, k, metric, value) and per-pair summary
-    dicts with iterations to reach the relative-error thresholds;
-    divergent pairs are marked, never fatal.
+    not depend on the pair), giving a paired comparison; the pairs run
+    together as one block of the solver kernel.  Returns long rows
+    (pair_id, omega, beta, k, metric, value) and per-pair summary dicts
+    with iterations to reach the relative-error thresholds; divergent
+    pairs are marked, never fatal.
     """
     if len(pairs) < 2:
         raise OutOfRange("a sweep needs at least 2 (omega, beta) pairs")
-    long_rows: list[list] = []
-    summaries: list[dict] = []
-    for pair_id, (omega, beta) in enumerate(pairs):
-        params = SolverParams(
+    runs = [
+        SolverParams(
             omega=omega,
             beta=beta,
             max_iter=max_iter,
@@ -371,14 +369,17 @@ def sweep(
             record_every=record_every,
             metrics=frozenset({METRIC_L2, METRIC_F, METRIC_CESARO}),
         )
+        for omega, beta in pairs
+    ]
+    long_rows: list[list] = []
+    summaries: list[dict] = []
+    for pair_id, ((omega, beta), trace) in enumerate(zip(pairs, run_pairs(problem, dist, runs, x0))):
         summary = {"pair_id": pair_id, "omega": omega, "beta": beta, "status": "ok"}
         for thr in SWEEP_THRESHOLDS:
             summary[f"iters_to_{thr:g}"] = None
-        try:
-            trace = run(problem, dist, params, x0)
-        except NonFinite as exc:
+        if trace.diverged_at is not None:
             summary["status"] = "diverged"
-            summary["diverged_at"] = exc.iteration
+            summary["diverged_at"] = trace.diverged_at
             summaries.append(summary)
             continue
         init_sq = trace.l2_error[0]
@@ -508,8 +509,11 @@ def verify(
             "parameters meet no bound hypothesis: nothing to verify"
         )
 
-    ens = run_ensemble(problem, dist, params, x0, replications=replications)
     xstar = project_onto_solutions(x0, a, b)
+    ens = run_ensemble(
+        problem, dist, params, x0, replications=replications,
+        expected_h_matrix=spectrum.expected_h, xstar=xstar,
+    )
     init_sq = float(np.sum((x0 - xstar) ** 2))
     f0 = f_value(a, b, x0, spectrum.expected_h)
     slack = 1.0 + 3.0 / math.sqrt(replications)

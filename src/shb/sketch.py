@@ -61,6 +61,10 @@ class UnitCoordinate:
             raise OutOfRange(f"probabilities sum to {float(p.sum())!r}, expected 1")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "_cumulative", np.cumsum(p))
+        # draw()'s tail rule as a table: the last row at or before i with
+        # positive probability, or row 0 when there is none
+        positive_at = np.where(p > 0.0, np.arange(p.size), 0)
+        object.__setattr__(self, "_row_of", np.maximum.accumulate(positive_at))
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,18 @@ def draw(dist: SketchDistribution, rng: np.random.Generator, m: int | None = Non
             raise OutOfRange(f"sketch width {dist.width} exceeds row count {m}")
         return GaussianSample(rng.standard_normal((m, dist.width)))
     raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+
+
+def row_indices(dist: UnitCoordinate, u) -> np.ndarray:
+    """The rows draw() picks for the uniforms u, elementwise.
+
+    One inverse-CDF lookup for the whole array, with draw()'s rules: an
+    index past the end is clamped to the last row, and a zero-probability
+    row steps back to the nearest earlier row of positive probability.
+    """
+    i = np.searchsorted(dist._cumulative, u, side="right")
+    np.minimum(i, dist.probabilities.size - 1, out=i)
+    return dist._row_of[i]
 
 
 def stoch_grad(a, b, x, sample: SketchSample) -> np.ndarray:

@@ -1,23 +1,34 @@
-"""Heavy ball iteration loop with seeded, reproducible execution.
+"""Heavy ball iteration kernel with seeded, reproducible execution.
 
-One run is strictly sequential.  Ensembles replay the same problem under
-independent streams derived from (seed, replication index) and aggregate
-in replication order, so results never depend on execution order.
+Single runs, ensembles and sweeps share one kernel that advances an
+(R, d) block of iterates.  Each member's arithmetic is elementwise that
+of the draw -> stoch_grad -> shb_step pipeline on its own stream, so
+member r is bit-identical to a plain run on that stream.  Ensembles give
+replication r the stream derived from (seed, r) and aggregate in
+replication order; sweeps share one stream, so every (omega, beta) pair
+replays the same draws.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from shb.errors import DimensionMismatch, NonFinite, OutOfRange, ShbError
+from shb.errors import DimensionMismatch, NonFinite, OutOfRange, ZeroRow
 from shb.linalg import as_vector, project_onto_solutions
 from shb.problems import Problem
-from shb.sketch import SketchDistribution, derive_stream, draw, expected_h, f_value, stoch_grad
+from shb.sketch import (
+    SketchDistribution,
+    UnitCoordinate,
+    derive_stream,
+    draw,
+    expected_h,
+    row_indices,
+    stoch_grad,
+)
 
 METRIC_L2 = "l2_error"
 METRIC_F = "f_value"
@@ -28,6 +39,9 @@ DEFAULT_METRICS = frozenset({METRIC_L2, METRIC_F, METRIC_CESARO})
 
 # iterates beyond this magnitude (or non-finite) abort the run
 DIVERGENCE_LIMIT = 1e30
+# row sampling draws its uniforms ahead in chunks of about this many
+# numbers over all members, so pre-draw memory does not grow with max_iter
+PREDRAW_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -60,29 +74,15 @@ class SolverParams:
 
 
 @dataclass
-class CesaroState:
-    """Running sum of iterates x_1 + ... + x_k; the average is sum/count."""
-
-    running_sum: np.ndarray
-    count: int = 0
-
-    def add(self, x: np.ndarray) -> None:
-        self.running_sum += x
-        self.count += 1
-
-    def average(self) -> np.ndarray:
-        if self.count == 0:
-            raise OutOfRange("Cesaro average undefined before the first step")
-        return self.running_sum / self.count
-
-
-@dataclass
 class RunTrace:
     """Recorded metrics of one run, aligned by recorded iteration index.
 
     l2_error holds the raw squared distance ||x_k - x*||^2 so that any
     relative-error convention can be derived from it downstream.
     cesaro_f is None at k = 0, where the running average is undefined.
+    A trace from run_pairs whose iterate diverged stops before the
+    diverging iteration diverged_at, and final_iterate is the last finite
+    iterate; run() raises NonFinite instead.
     """
 
     ks: list[int]
@@ -93,6 +93,7 @@ class RunTrace:
     snapshots: list[np.ndarray] | None
     final_iterate: np.ndarray
     params: SolverParams
+    diverged_at: int | None = None
 
 
 @dataclass
@@ -129,6 +130,196 @@ def shb_step(x_k, x_prev, grad, omega: float, beta: float) -> np.ndarray:
     return x_k - omega * grad + beta * (x_k - x_prev)
 
 
+@dataclass
+class _Block:
+    """What the kernel recorded for its members, member-major.
+
+    Rows of l2/f/cesaro are members, columns the recorded indices ks;
+    the cesaro column at k = 0 is undefined (NaN).  snapshots holds one
+    (members, d) block per record.  diverged_at is 0 for a member that
+    never diverged; its records are NaN from that iteration on and its
+    final iterate is the last finite one.
+    """
+
+    ks: list[int]
+    l2: np.ndarray | None
+    f: np.ndarray | None
+    cesaro: np.ndarray | None
+    snapshots: list[np.ndarray] | None
+    elapsed: list[float]
+    final: np.ndarray
+    diverged_at: np.ndarray
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[r] @ v[r] for every row r.
+
+    A stacked (1, d) @ (d, 1) matmul does each product as the same BLAS
+    dot as the 1-D u[r] @ v[r], so the result is bit-identical to it
+    (einsum is not).
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _objective_rows(a: np.ndarray, b: np.ndarray, xs: np.ndarray, eh: np.ndarray) -> np.ndarray:
+    """f_value(a, b, x, eh) for every row x of xs, with f_value's arithmetic."""
+    resid = np.matmul(a, xs[:, :, None])[:, :, 0] - b
+    vals = 0.5 * _row_dots(resid, np.matmul(eh, resid[:, :, None])[:, :, 0])
+    return np.where(0.0 > vals, 0.0, vals)
+
+
+def _iterate(
+    problem: Problem,
+    dist: SketchDistribution,
+    params: SolverParams,
+    x0: np.ndarray,
+    streams: list[np.random.Generator],
+    omega: np.ndarray,
+    beta: np.ndarray,
+    eh: np.ndarray | None,
+    xstar: np.ndarray | None,
+) -> _Block:
+    """Advance one heavy ball iterate per (omega[r], beta[r]) member together.
+
+    Member r draws from streams[r]; a single stream is shared by all
+    members, which then replay the same draws.  params gives the budget,
+    recording schedule and metrics (its omega and beta are not used).
+    Row sampling pre-draws each stream's uniforms in chunks, maps them
+    to rows with one lookup, and does each step as a few (members, d)
+    array operations; other sketches call draw/stoch_grad per member,
+    or once per step when the stream is shared.  A member whose iterate
+    leaves the finite range is dropped from the block; the others go on
+    unchanged.
+    """
+    a, b = problem.a, problem.b
+    m, d = a.shape
+    n = omega.size
+    shared = len(streams) == 1
+    metrics = params.metrics
+    if METRIC_L2 in metrics and xstar is None:
+        xstar = project_onto_solutions(x0, a, b)
+    if (METRIC_F in metrics or METRIC_CESARO in metrics) and eh is None:
+        eh = expected_h(dist, a).matrix
+
+    by_row = isinstance(dist, UnitCoordinate)
+    if by_row:
+        if dist.probabilities.size != m:
+            raise DimensionMismatch(f"distribution has {dist.probabilities.size} weights for {m} rows")
+        norms_sq = _row_dots(a, a)
+        bad = (dist.probabilities > 0.0) & (norms_sq == 0.0)
+        if np.any(bad):
+            raise ZeroRow(f"row {int(np.argmax(bad))} is zero but has positive probability")
+        chunk = max(1, PREDRAW_ELEMENTS // n)
+
+    ks = list(range(0, params.max_iter + 1, params.record_every))
+    if ks[-1] != params.max_iter:
+        ks.append(params.max_iter)
+    l2 = np.full((n, len(ks)), np.nan) if METRIC_L2 in metrics else None
+    f = np.full((n, len(ks)), np.nan) if METRIC_F in metrics else None
+    cesaro = np.full((n, len(ks)), np.nan) if METRIC_CESARO in metrics else None
+    snapshots: list[np.ndarray] | None = [] if METRIC_SNAPSHOT in metrics else None
+    elapsed: list[float] = []
+    diverged_at = np.zeros(n, dtype=np.int64)
+    final = np.empty((n, d))
+
+    live = np.arange(n)
+    omega = omega[:, None]
+    beta = beta[:, None]
+    x = np.tile(x0, (n, 1))
+    x_prev = x.copy()
+    running_sum = np.zeros((n, d))  # x_1 + ... + x_k for the Cesaro average
+
+    def record(j: int, k: int) -> None:
+        if l2 is not None:
+            diff = x - xstar
+            l2[live, j] = _row_dots(diff, diff)
+        if f is not None:
+            f[live, j] = _objective_rows(a, b, x, eh)
+        if cesaro is not None and k > 0:
+            cesaro[live, j] = _objective_rows(a, b, running_sum / k, eh)
+        if snapshots is not None:
+            snap = np.full((n, d), np.nan)
+            snap[live] = x
+            snapshots.append(snap)
+        elapsed.append(time.perf_counter() - t0)
+
+    t0 = time.perf_counter()
+    record(0, 0)
+    j = 1
+    k = 0
+    while k < params.max_iter and live.size:
+        steps = min(chunk, params.max_iter - k) if by_row else params.max_iter - k
+        if by_row:
+            if shared:
+                u = np.broadcast_to(streams[0].random(steps)[:, None], (steps, live.size))
+            else:
+                u = np.stack([s.random(steps) for s in streams], axis=1)
+            picked = row_indices(dist, u)
+            b_picked = b[picked]
+            norms_picked = norms_sq[picked]
+        for t in range(steps):
+            k += 1
+            if by_row:
+                rows = a[picked[t]]
+                grad = ((_row_dots(rows, x) - b_picked[t]) / norms_picked[t])[:, None] * rows
+            elif shared:
+                sample = draw(dist, streams[0], m)
+                grad = np.array([stoch_grad(a, b, xr, sample) for xr in x])
+            else:
+                grad = np.array([stoch_grad(a, b, xr, draw(dist, s, m)) for xr, s in zip(x, streams)])
+            x_new = x - omega * grad + beta * (x - x_prev)
+            if not (np.abs(x_new).max() <= DIVERGENCE_LIMIT):
+                ok = np.abs(x_new).max(axis=1) <= DIVERGENCE_LIMIT
+                diverged_at[live[~ok]] = k
+                final[live[~ok]] = x[~ok]
+                live, x, x_prev, x_new = live[ok], x[ok], x_prev[ok], x_new[ok]
+                omega, beta, running_sum = omega[ok], beta[ok], running_sum[ok]
+                if by_row:
+                    picked, b_picked, norms_picked = picked[:, ok], b_picked[:, ok], norms_picked[:, ok]
+                if not shared:
+                    streams = [s for s, keep in zip(streams, ok) if keep]
+                if not live.size:
+                    break
+            x_prev, x = x, x_new
+            if cesaro is not None:
+                running_sum += x
+            if k == ks[j]:
+                record(j, k)
+                j += 1
+
+    final[live] = x
+    return _Block(ks, l2, f, cesaro, snapshots, elapsed, final, diverged_at)
+
+
+def _start(x0, d: int) -> np.ndarray:
+    return np.zeros(d) if x0 is None else as_vector(x0, length=d, name="x0")
+
+
+def _member_trace(block: _Block, r: int, params: SolverParams) -> RunTrace:
+    """Member r of a block as a plain run's trace, cut before any divergence."""
+    diverged_at = int(block.diverged_at[r]) or None
+    n_rec = len(block.ks) if diverged_at is None else bisect_left(block.ks, diverged_at)
+
+    def series(values):
+        return None if values is None else values[r, :n_rec].tolist()
+
+    return RunTrace(
+        ks=block.ks[:n_rec],
+        l2_error=series(block.l2),
+        f_value=series(block.f),
+        cesaro_f=None if block.cesaro is None else [None] + block.cesaro[r, 1:n_rec].tolist(),
+        elapsed_seconds=block.elapsed[:n_rec],
+        snapshots=None if block.snapshots is None else [s[r] for s in block.snapshots[:n_rec]],
+        final_iterate=block.final[r],
+        params=params,
+        diverged_at=diverged_at,
+    )
+
+
+def _diverged(k: int) -> NonFinite:
+    return NonFinite(f"iterate diverged at iteration {k}", iteration=k)
+
+
 def run(
     problem: Problem,
     dist: SketchDistribution,
@@ -146,84 +337,49 @@ def run(
     the iterate at index k has consumed exactly k draws.  Metrics are
     recorded at k = 0, every record_every steps and at k = max_iter.
     Identical (problem, dist, params, x0) yield bit-identical traces.
+    Raises NonFinite with the first diverging iteration.
     """
-    a, b = problem.a, problem.b
-    m, d = a.shape
-    x0 = np.zeros(d) if x0 is None else as_vector(x0, length=d, name="x0")
-
-    want_l2 = METRIC_L2 in params.metrics
-    want_f = METRIC_F in params.metrics
-    want_cesaro = METRIC_CESARO in params.metrics
-    want_snap = METRIC_SNAPSHOT in params.metrics
-
-    if want_l2 and xstar is None:
-        xstar = project_onto_solutions(x0, a, b)
-    eh = expected_h_matrix
-    if (want_f or want_cesaro) and eh is None:
-        eh = expected_h(dist, a).matrix
-
-    rng = derive_stream(params.seed, 0, stream_index)
-    omega, beta = params.omega, params.beta
-
-    ks: list[int] = []
-    l2_list: list[float] | None = [] if want_l2 else None
-    f_list: list[float] | None = [] if want_f else None
-    cesaro_list: list[float | None] | None = [] if want_cesaro else None
-    snap_list: list[np.ndarray] | None = [] if want_snap else None
-    elapsed: list[float] = []
-
-    cesaro = CesaroState(np.zeros(d))
-    t0 = time.perf_counter()
-
-    def record(k: int, x: np.ndarray) -> None:
-        ks.append(k)
-        if l2_list is not None:
-            diff = x - xstar
-            l2_list.append(float(diff @ diff))
-        if f_list is not None:
-            f_list.append(f_value(a, b, x, eh))
-        if cesaro_list is not None:
-            cesaro_list.append(None if cesaro.count == 0 else f_value(a, b, cesaro.average(), eh))
-        if snap_list is not None:
-            snap_list.append(x.copy())
-        elapsed.append(time.perf_counter() - t0)
-
-    x_prev = x0.copy()
-    x = x0.copy()
-    record(0, x)
-    schedule = params.record_every
-    for k in range(1, params.max_iter + 1):
-        sample = draw(dist, rng, m)
-        grad = stoch_grad(a, b, x, sample)
-        x_new = shb_step(x, x_prev, grad, omega, beta)
-        if not (float(np.max(np.abs(x_new))) <= DIVERGENCE_LIMIT):
-            raise NonFinite(f"iterate diverged at iteration {k}", iteration=k)
-        x_prev = x
-        x = x_new
-        cesaro.add(x)
-        if k % schedule == 0 or k == params.max_iter:
-            record(k, x)
-
-    return RunTrace(
-        ks=ks,
-        l2_error=l2_list,
-        f_value=f_list,
-        cesaro_f=cesaro_list,
-        elapsed_seconds=elapsed,
-        snapshots=snap_list,
-        final_iterate=x,
-        params=params,
+    x0 = _start(x0, problem.a.shape[1])
+    block = _iterate(
+        problem, dist, params, x0,
+        [derive_stream(params.seed, 0, stream_index)],
+        np.array([params.omega]), np.array([params.beta]),
+        expected_h_matrix, xstar,
     )
+    trace = _member_trace(block, 0, params)
+    if trace.diverged_at is not None:
+        raise _diverged(trace.diverged_at)
+    return trace
 
 
-def _thread_budget() -> int:
-    # replication loops are numpy micro-ops that hold the GIL, so threads
-    # only pay off for large per-replication work; default to sequential
-    # and treat SHB_THREADS as an explicit opt-in cap
-    env = os.environ.get("SHB_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
+def run_pairs(
+    problem: Problem,
+    dist: SketchDistribution,
+    runs: list[SolverParams],
+    x0=None,
+) -> list[RunTrace]:
+    """Run several (omega, beta) settings in one block on one stream.
+
+    Every setting replays the draws of a plain run (stream index 0), so
+    each trace is bit-identical to run() with its params, and E[H] and
+    x* are computed once for all of them.  The settings must share seed,
+    budget, schedule and metrics.  A diverged setting does not stop the
+    others: its trace ends before the diverging iteration and carries
+    diverged_at.
+    """
+    if not runs:
+        raise OutOfRange("at least one setting is required")
+    first = runs[0]
+    shared = (first.seed, first.max_iter, first.record_every, first.metrics)
+    if any((p.seed, p.max_iter, p.record_every, p.metrics) != shared for p in runs):
+        raise OutOfRange("settings of one block must share seed, max_iter, record_every and metrics")
+    block = _iterate(
+        problem, dist, first, _start(x0, problem.a.shape[1]),
+        [derive_stream(first.seed, 0, 0)],
+        np.array([p.omega for p in runs]), np.array([p.beta for p in runs]),
+        None, None,
+    )
+    return [_member_trace(block, r, p) for r, p in enumerate(runs)]
 
 
 def run_ensemble(
@@ -232,69 +388,51 @@ def run_ensemble(
     params: SolverParams,
     x0=None,
     replications: int = 1,
+    *,
+    expected_h_matrix: np.ndarray | None = None,
+    xstar: np.ndarray | None = None,
 ) -> EnsembleStats:
     """Replicate a run under independent streams and average the metrics.
 
-    Replication r uses the stream derived from (seed, r), so replication
-    0 of an ensemble is bit-identical to a plain run with the same
-    params.  SHB_THREADS caps how many replications run concurrently;
-    aggregation happens in replication order after all runs complete.
+    Replication r uses the stream derived from (seed, r) and is
+    bit-identical to run() with stream_index r, so replication 0 equals
+    a plain run with the same params.  Averages are taken in replication
+    order.  If any replication diverges, NonFinite is raised for the
+    lowest-index one, with its iteration.
     """
     if replications < 1:
         raise OutOfRange("replications must be >= 1")
     a, b = problem.a, problem.b
-    d = a.shape[1]
-    x0 = np.zeros(d) if x0 is None else as_vector(x0, length=d, name="x0")
-
-    want_l2 = METRIC_L2 in params.metrics
+    x0 = _start(x0, a.shape[1])
     want_snap = METRIC_SNAPSHOT in params.metrics
-    xstar = project_onto_solutions(x0, a, b) if (want_l2 or want_snap) else None
-    eh = None
-    if METRIC_F in params.metrics or METRIC_CESARO in params.metrics:
-        eh = expected_h(dist, a).matrix
+    if xstar is None and (METRIC_L2 in params.metrics or want_snap):
+        xstar = project_onto_solutions(x0, a, b)
 
-    def one(r: int) -> RunTrace:
-        return run(
-            problem, dist, params, x0,
-            expected_h_matrix=eh, xstar=xstar, stream_index=r,
-        )
+    block = _iterate(
+        problem, dist, params, x0,
+        [derive_stream(params.seed, 0, r) for r in range(replications)],
+        np.full(replications, params.omega), np.full(replications, params.beta),
+        expected_h_matrix, xstar,
+    )
+    diverged = np.flatnonzero(block.diverged_at)
+    if diverged.size:
+        raise _diverged(int(block.diverged_at[diverged[0]]))
 
-    budget = min(_thread_budget(), replications)
-    if budget <= 1:
-        traces = [one(r) for r in range(replications)]
-    else:
-        with ThreadPoolExecutor(max_workers=budget) as pool:
-            traces = list(pool.map(one, range(replications)))
-
-    ks = traces[0].ks
-    for t in traces[1:]:
-        if t.ks != ks:
-            raise ShbError("replications recorded different schedules")
-
-    def mean_over(values_per_trace):
-        stacked = np.asarray(values_per_trace, dtype=np.float64)
-        return [float(v) for v in stacked.mean(axis=0)]
-
-    l2_mean = mean_over([t.l2_error for t in traces]) if want_l2 else None
-    f_mean = mean_over([t.f_value for t in traces]) if traces[0].f_value is not None else None
-    cesaro_mean: list[float | None] | None = None
-    if traces[0].cesaro_f is not None:
-        cesaro_mean = []
-        for j in range(len(ks)):
-            vals = [t.cesaro_f[j] for t in traces]
-            cesaro_mean.append(None if vals[0] is None else float(np.mean(vals)))
+    cesaro_mean = None
+    if block.cesaro is not None:
+        by_record = np.ascontiguousarray(block.cesaro.T)
+        cesaro_mean = [None] + [float(np.mean(vals)) for vals in by_record[1:]]
     l1_sq = None
     if want_snap:
         l1_sq = []
-        for j in range(len(ks)):
-            mean_iterate = np.mean([t.snapshots[j] for t in traces], axis=0)
-            diff = mean_iterate - xstar
+        for snap in block.snapshots:
+            diff = np.mean(snap, axis=0) - xstar
             l1_sq.append(float(diff @ diff))
 
     return EnsembleStats(
-        ks=list(ks),
-        l2_mean=l2_mean,
-        f_mean=f_mean,
+        ks=block.ks,
+        l2_mean=None if block.l2 is None else block.l2.mean(axis=0).tolist(),
+        f_mean=None if block.f is None else block.f.mean(axis=0).tolist(),
         cesaro_f_mean=cesaro_mean,
         l1_sq=l1_sq,
         replications=replications,

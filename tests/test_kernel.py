@@ -1,0 +1,291 @@
+"""The batched iteration kernel against the draw/stoch_grad/shb_step oracle.
+
+Runs, ensembles and sweeps advance an (R, d) block of iterates in one
+kernel.  These tests check, bit for bit, that every member of a block
+equals a plain loop over the public oracle on its own stream, that
+ensemble averages equal aggregates of per-stream runs, that sweep pairs
+equal solo runs, and that divergence is reported as a plain run would.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import shb.solver as solver
+from shb.errors import NonFinite
+from shb.experiments import sweep
+from shb.linalg import project_onto_solutions
+from shb.problems import Problem, gen_problem
+from shb.sketch import (
+    BlockRow,
+    GaussianSketch,
+    UnitCoordinate,
+    derive_stream,
+    draw,
+    expected_h,
+    f_value,
+    row_indices,
+    row_sampling,
+    stoch_grad,
+)
+from shb.solver import (
+    ALL_METRICS,
+    DEFAULT_METRICS,
+    DIVERGENCE_LIMIT,
+    SolverParams,
+    run,
+    run_ensemble,
+    shb_step,
+)
+
+
+@st.composite
+def problems(draw_from):
+    """Small consistent systems; some rows are zero, so row sampling
+    gives them probability zero and exercises the tail rule."""
+    m = draw_from(st.integers(2, 7))
+    d = draw_from(st.integers(1, 5))
+    seed = draw_from(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, d))
+    zero = np.asarray(draw_from(st.lists(st.booleans(), min_size=m, max_size=m)))
+    zero[draw_from(st.integers(0, m - 1))] = False  # keep one nonzero row
+    a[zero] = 0.0
+    b = a @ rng.standard_normal(d)
+    x0 = rng.standard_normal(d) if draw_from(st.booleans()) else np.zeros(d)
+    return Problem(a=a, b=b, source="hypothesis"), x0
+
+
+def schedules():
+    """(omega, beta, max_iter, record_every, pre-draw elements, seed).
+
+    Pre-draw chunks of 1 to 9 numbers make most runs cross several
+    chunk boundaries."""
+    return st.tuples(
+        st.floats(0.2, 1.8),
+        st.floats(0.0, 0.6),
+        st.integers(1, 40),
+        st.integers(1, 7),
+        st.integers(1, 9),
+        st.integers(0, 1000),
+    )
+
+
+def oracle_iterates(problem, dist, omega, beta, max_iter, rng, x0):
+    """x_0 .. x_max_iter from the public draw/stoch_grad/shb_step pipeline."""
+    a, b = problem.a, problem.b
+    x_prev = x0.copy()
+    x = x0.copy()
+    iterates = [x]
+    for _ in range(max_iter):
+        sample = draw(dist, rng, a.shape[0])
+        x_new = shb_step(x, x_prev, stoch_grad(a, b, x, sample), omega, beta)
+        x_prev, x = x, x_new
+        iterates.append(x)
+    return iterates
+
+
+def distribution(problem, kind):
+    m = problem.a.shape[0]
+    return {"row": row_sampling(problem.a), "block": BlockRow(2), "gaussian": GaussianSketch(min(2, m))}[kind]
+
+
+class FixedUniform:
+    """Stands in for a generator whose next uniform is known."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@given(st.data())
+def test_row_lookup_matches_draw(data):
+    """row_indices gives the row draw() picks for every uniform, including
+    those on the cumulative boundaries and past the cumulative mass, where
+    the tail rule steps back over zero-probability rows."""
+    weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=8))
+    if not any(weights):
+        weights[0] = 1.0
+    p = np.asarray(weights) / sum(weights)
+    p[np.flatnonzero(p)[-1]] *= 1.0 - 1e-13  # leave a float tail past the cumulative mass
+    dist = UnitCoordinate(p)
+    cum = np.cumsum(p)
+    candidates = [0.0, float(np.nextafter(1.0, 0.0))]
+    for c in cum:
+        candidates += [float(c), float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0))]
+    u = np.asarray(data.draw(st.lists(st.sampled_from(candidates) | st.floats(0.0, 1.0, exclude_max=True), min_size=1)))
+    u = u[u < 1.0]
+    expected = [draw(dist, FixedUniform(float(v))).index for v in u]
+    assert row_indices(dist, u).tolist() == expected
+
+
+@given(problems(), schedules(), st.integers(1, 5), st.sampled_from(["row", "row", "block", "gaussian"]))
+def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
+    """Every member's iterates and recorded metrics equal those of a plain
+    loop over the oracle on its own stream."""
+    problem, x0 = instance
+    a, b = problem.a, problem.b
+    omega, beta, max_iter, every, predraw, seed = schedule
+    dist = distribution(problem, kind)
+    eh = expected_h(dist, a, mc_samples=50).matrix
+    xstar = project_onto_solutions(x0, a, b)
+    params = SolverParams(
+        omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
+        metrics=ALL_METRICS,
+    )
+    streams = [derive_stream(seed, 0, r) for r in range(replications)]
+    with mock.patch.object(solver, "PREDRAW_ELEMENTS", predraw):
+        block = solver._iterate(
+            problem, dist, params, x0, streams,
+            np.full(replications, omega), np.full(replications, beta), eh, None,
+        )
+    assert not block.diverged_at.any()
+    for r in range(replications):
+        ref = oracle_iterates(problem, dist, omega, beta, max_iter, derive_stream(seed, 0, r), x0)
+        running_sum = np.zeros_like(x0)
+        sums = [running_sum.copy()]
+        for x in ref[1:]:
+            running_sum += x
+            sums.append(running_sum.copy())
+        for j, k in enumerate(block.ks):
+            np.testing.assert_array_equal(block.snapshots[j][r], ref[k])
+            diff = ref[k] - xstar
+            assert block.l2[r, j] == float(diff @ diff)
+            assert block.f[r, j] == f_value(a, b, ref[k], eh)
+            if k > 0:
+                assert block.cesaro[r, j] == f_value(a, b, sums[k] / k, eh)
+        np.testing.assert_array_equal(block.final[r], ref[-1])
+
+
+@given(problems(), schedules(), st.integers(1, 5), st.sampled_from(["row", "block"]))
+def test_ensemble_equals_aggregated_runs(instance, schedule, replications, kind):
+    problem, x0 = instance
+    omega, beta, max_iter, every, predraw, seed = schedule
+    dist = distribution(problem, kind)
+    params = SolverParams(
+        omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
+        metrics=ALL_METRICS,
+    )
+    with mock.patch.object(solver, "PREDRAW_ELEMENTS", predraw):
+        stats = run_ensemble(problem, dist, params, x0, replications=replications)
+        traces = [run(problem, dist, params, x0, stream_index=r) for r in range(replications)]
+    xstar = project_onto_solutions(x0, problem.a, problem.b)
+
+    # the aggregation of independent runs, in replication order
+    assert stats.ks == traces[0].ks
+    assert stats.l2_mean == [float(v) for v in np.asarray([t.l2_error for t in traces]).mean(axis=0)]
+    assert stats.f_mean == [float(v) for v in np.asarray([t.f_value for t in traces]).mean(axis=0)]
+    cesaro = []
+    for j in range(len(stats.ks)):
+        vals = [t.cesaro_f[j] for t in traces]
+        cesaro.append(None if vals[0] is None else float(np.mean(vals)))
+    assert stats.cesaro_f_mean == cesaro
+    l1_sq = []
+    for j in range(len(stats.ks)):
+        diff = np.mean([t.snapshots[j] for t in traces], axis=0) - xstar
+        l1_sq.append(float(diff @ diff))
+    assert stats.l1_sq == l1_sq
+
+
+def pair_rows(pair_id, omega, beta, trace):
+    init_sq = trace.l2_error[0]
+    rows = []
+    for j, k in enumerate(trace.ks):
+        rel = trace.l2_error[j] / init_sq if init_sq > 0.0 else 0.0
+        rows.append([pair_id, omega, beta, k, "l2_error_raw", trace.l2_error[j]])
+        rows.append([pair_id, omega, beta, k, "rel_error_x0", rel])
+        rows.append([pair_id, omega, beta, k, "f_value", trace.f_value[j]])
+        if trace.cesaro_f[j] is not None:
+            rows.append([pair_id, omega, beta, k, "cesaro_f", trace.cesaro_f[j]])
+    return rows
+
+
+@given(
+    problems(),
+    schedules(),
+    st.lists(st.floats(0.0, 0.6), min_size=1, max_size=4),
+    st.sampled_from(["row", "block"]),
+)
+def test_sweep_pairs_equal_solo_runs(instance, schedule, extra_betas, kind):
+    problem, x0 = instance
+    omega, beta, max_iter, every, predraw, seed = schedule
+    dist = distribution(problem, kind)
+    pairs = tuple((omega, b) for b in [beta, *extra_betas])
+    with mock.patch.object(solver, "PREDRAW_ELEMENTS", predraw):
+        long_rows, summaries = sweep(problem, dist, pairs, max_iter, every, seed, x0)
+        solo = [
+            run(problem, dist, SolverParams(
+                omega=w, beta=b, max_iter=max_iter, seed=seed, record_every=every,
+                metrics=DEFAULT_METRICS,
+            ), x0)
+            for w, b in pairs
+        ]
+    assert all(s["status"] == "ok" for s in summaries)
+    for pair_id, ((w, b), trace) in enumerate(zip(pairs, solo)):
+        assert [row for row in long_rows if row[0] == pair_id] == pair_rows(pair_id, w, b, trace)
+
+
+def first_oracle_divergence(problem, dist, omega, beta, max_iter, rng):
+    for k, x in enumerate(oracle_iterates(problem, dist, omega, beta, max_iter, rng, np.zeros(problem.a.shape[1]))):
+        if not (float(np.max(np.abs(x))) <= DIVERGENCE_LIMIT):
+            return k
+    return None
+
+
+def test_run_reports_the_first_diverging_iteration():
+    problem = gen_problem(6, 3, seed=0)
+    dist = row_sampling(problem.a)
+    params = SolverParams(omega=1.0, beta=1.0, max_iter=3000, seed=3, record_every=100)
+    expected = first_oracle_divergence(problem, dist, 1.0, 1.0, 3000, derive_stream(3, 0, 0))
+    assert expected is not None
+    with pytest.raises(NonFinite) as exc:
+        run(problem, dist, params)
+    assert exc.value.iteration == expected
+
+
+def test_ensemble_reports_the_lowest_diverging_replica():
+    """With 770 iterations replica 0 survives, replica 1 diverges, and
+    later replicas diverge before it; the error names replica 1's
+    iteration, as the replicas run one after another would."""
+    problem = gen_problem(6, 3, seed=0)
+    dist = row_sampling(problem.a)
+    params = SolverParams(
+        omega=1.0, beta=1.0, max_iter=770, seed=3, record_every=100,
+        metrics=frozenset({"l2_error"}),
+    )
+    per_replica = []
+    for r in range(6):
+        try:
+            run(problem, dist, params, stream_index=r)
+            per_replica.append(None)
+        except NonFinite as exc:
+            per_replica.append(exc.iteration)
+    assert per_replica[0] is None and per_replica[1] is not None
+    assert min(k for k in per_replica[2:] if k is not None) < per_replica[1]
+    with pytest.raises(NonFinite) as exc:
+        run_ensemble(problem, dist, params, replications=6)
+    assert exc.value.iteration == per_replica[1]
+
+
+def test_sweep_drops_a_diverged_pair_and_keeps_the_others():
+    problem = gen_problem(6, 3, seed=0)
+    dist = row_sampling(problem.a)
+    pairs = ((1.0, 0.0), (1.0, 1.0), (1.0, 0.3))
+    long_rows, summaries = sweep(problem, dist, pairs, 3000, 100, 3)
+    with pytest.raises(NonFinite) as exc:
+        run(problem, dist, SolverParams(omega=1.0, beta=1.0, max_iter=3000, seed=3, record_every=100))
+    assert summaries[1]["status"] == "diverged"
+    assert summaries[1]["diverged_at"] == exc.value.iteration
+    assert not [row for row in long_rows if row[0] == 1]
+    for pair_id in (0, 2):
+        w, b = pairs[pair_id]
+        trace = run(problem, dist, SolverParams(
+            omega=w, beta=b, max_iter=3000, seed=3, record_every=100, metrics=DEFAULT_METRICS,
+        ))
+        assert summaries[pair_id]["status"] == "ok"
+        assert [row for row in long_rows if row[0] == pair_id] == pair_rows(pair_id, w, b, trace)

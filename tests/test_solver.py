@@ -256,15 +256,29 @@ class TestEnsemble:
         for l1, l2 in zip(stats.l1_sq, stats.l2_mean):
             assert l1 <= l2 * (1.0 + 1e-12)
 
-    def test_thread_cap_respected(self, monkeypatch):
+    def test_replicas_equal_plain_runs(self):
+        """Each replica of a 6-replica ensemble is a plain run on its own
+        stream: the averages equal those of 6 separate runs bit for bit."""
         problem = gen_problem(5, 3, seed=53)
         dist = row_sampling(problem.a)
-        params = SolverParams(omega=1.0, beta=0.0, max_iter=20, seed=8, record_every=5)
-        monkeypatch.setenv("SHB_THREADS", "2")
-        threaded = run_ensemble(problem, dist, params, replications=6)
-        monkeypatch.setenv("SHB_THREADS", "1")
-        sequential = run_ensemble(problem, dist, params, replications=6)
-        assert threaded.l2_mean == sequential.l2_mean
+        params = SolverParams(
+            omega=1.0, beta=0.0, max_iter=20, seed=8, record_every=5,
+            metrics=DEFAULT_METRICS | {METRIC_SNAPSHOT},
+        )
+        stats = run_ensemble(problem, dist, params, replications=6)
+        traces = [run(problem, dist, params, stream_index=r) for r in range(6)]
+        assert stats.ks == traces[0].ks
+        assert stats.l2_mean == [float(v) for v in np.mean([t.l2_error for t in traces], axis=0)]
+        assert stats.f_mean == [float(v) for v in np.mean([t.f_value for t in traces], axis=0)]
+        assert stats.cesaro_f_mean == [None] + [
+            float(np.mean([t.cesaro_f[j] for t in traces])) for j in range(1, len(stats.ks))
+        ]
+        xstar = project_onto_solutions(np.zeros(3), problem.a, problem.b)
+        l1_sq = []
+        for j in range(len(stats.ks)):
+            diff = np.mean([t.snapshots[j] for t in traces], axis=0) - xstar
+            l1_sq.append(float(diff @ diff))
+        assert stats.l1_sq == l1_sq
 
     def test_replications_validated(self):
         problem = toy_problem()
