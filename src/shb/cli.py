@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 import click
 
@@ -16,7 +15,7 @@ import shb.experiments as ex
 import shb.io as shio
 from shb.errors import NonFinite, ShbError
 from shb.problems import Problem, gen_problem, plant_solution
-from shb.solver import DEFAULT_METRICS, METRIC_SNAPSHOT, SolverParams, run
+from shb.solver import DEFAULT_METRICS, METRIC_SNAPSHOT, SolverParams
 
 INPUT_FORMATS = ("libsvm", "csv", "bundle")
 
@@ -71,12 +70,11 @@ def analyze(input_path, fmt, sketch, omega, beta, seed, mc_samples, out_path):
     dist = ex.make_distribution(sketch, problem.a)
     report = ex.analyze(problem, dist, omegas=tuple(omega), beta=beta, mc_samples=mc_samples)
     payload = ex.report_to_dict(report, omegas=tuple(omega))
-    text = json.dumps(payload, indent=2)
     if out_path:
-        Path(out_path).write_text(text + "\n")
+        shio.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")
     else:
-        click.echo(text)
+        click.echo(json.dumps(payload, indent=2))
 
 
 @cli.command()
@@ -113,8 +111,7 @@ def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, metri
         record_every=spec.record_every,
         metrics=spec.metrics,
     )
-    trace = run(problem, dist, params)
-    table = ex.build_trace_table(problem, dist, trace)
+    table = ex.solve(problem, dist, params)
     if spec.output_format == "json":
         ex.write_trace_json(table, out_path)
     else:
@@ -199,7 +196,7 @@ def verify(input_path, fmt, sketch, omega, beta, iters, record_every, reps, seed
     )
     report = ex.verify(problem, dist, params, replications=spec.replications)
     if out_path:
-        Path(out_path).write_text(json.dumps(report, indent=2) + "\n")
+        shio.write_json(report, out_path)
         click.echo(f"wrote {out_path}")
     for name in ("l2", "cesaro", "l1", "l1_le_l2"):
         section = report[name]

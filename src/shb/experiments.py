@@ -7,9 +7,8 @@ ready for CSV/JSON serialization, and never print.
 
 from __future__ import annotations
 
-import json
+import csv
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,12 +19,14 @@ from shb.errors import (
     NotAdmissible,
     OutOfRange,
 )
+from shb.io import atomic_write, write_json
 from shb.linalg import project_onto_solutions
 from shb.problems import Problem
 from shb.sketch import (
     BlockRow,
     GaussianSketch,
     SketchDistribution,
+    SpectrumInfo,
     f_value,
     hessian_spectrum,
     row_sampling,
@@ -37,6 +38,7 @@ from shb.solver import (
     METRIC_SNAPSHOT,
     RunTrace,
     SolverParams,
+    run,
     run_ensemble,
     run_pairs,
 )
@@ -224,14 +226,21 @@ class TraceTable:
 
 
 def build_trace_table(
-    problem: Problem, dist: SketchDistribution, trace: RunTrace, x0=None
+    problem: Problem,
+    dist: SketchDistribution,
+    trace: RunTrace,
+    x0=None,
+    *,
+    spectrum: SpectrumInfo | None = None,
+    xstar: np.ndarray | None = None,
 ) -> TraceTable:
     """Derive the reporting columns for one finished run.
 
     Both relative-error conventions are emitted (normalized by the
     initial distance and by the solution norm); theory columns are
     filled only where the corresponding bound applies.  x0 must match
-    the starting point of the run (zeros by default).
+    the starting point of the run (zeros by default).  The spectrum and
+    x* the run used may be passed in; each is computed when None.
     """
     a, b = problem.a, problem.b
     params = trace.params
@@ -240,7 +249,8 @@ def build_trace_table(
 
     xstar_sq = None
     if trace.l2_error is not None:
-        xstar = project_onto_solutions(x0, a, b)
+        if xstar is None:
+            xstar = project_onto_solutions(x0, a, b)
         xstar_sq = float(xstar @ xstar)
 
     rate = None
@@ -248,7 +258,8 @@ def build_trace_table(
     cesaro_ok = params.omega + 2.0 * params.beta < 2.0 and 0.0 <= params.beta < 1.0
     f0 = trace.f_value[0] if trace.f_value is not None else None
     if trace.l2_error is not None or cesaro_ok:
-        spectrum = hessian_spectrum(a, dist)
+        if spectrum is None:
+            spectrum = hessian_spectrum(a, dist)
         lmax = spectrum.lambda_max
         if 0.0 < params.omega < 2.0:
             candidate = l2_rate(params.omega, params.beta, spectrum.lambda_min_plus, lmax)
@@ -283,6 +294,20 @@ def build_trace_table(
     )
 
 
+def solve(problem: Problem, dist: SketchDistribution, params: SolverParams, x0=None) -> TraceTable:
+    """Run one configuration and tabulate its trace.
+
+    The spectrum (with E[H]) and x* are computed once and shared by the
+    run and its table.
+    """
+    a, b = problem.a, problem.b
+    x0 = np.zeros(a.shape[1]) if x0 is None else np.asarray(x0, dtype=np.float64)
+    spectrum = hessian_spectrum(a, dist)
+    xstar = project_onto_solutions(x0, a, b) if METRIC_L2 in params.metrics else None
+    trace = run(problem, dist, params, x0, eh=spectrum.expected_h, xstar=xstar)
+    return build_trace_table(problem, dist, trace, x0, spectrum=spectrum, xstar=xstar)
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -292,20 +317,11 @@ def _cell(value) -> str:
 
 
 def write_trace_csv(table: TraceTable, path) -> None:
-    import csv
-
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(table.header)
-            for row in table.rows:
-                writer.writerow([_cell(v) for v in row])
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.header)
+        for row in table.rows:
+            writer.writerow([_cell(v) for v in row])
 
 
 def write_trace_json(table: TraceTable, path) -> None:
@@ -319,14 +335,7 @@ def write_trace_json(table: TraceTable, path) -> None:
             for row in table.rows
         ],
     }
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_json(payload, path)
 
 
 def params_to_dict(params: SolverParams) -> dict:
@@ -439,19 +448,17 @@ def summarize_long_rows(long_rows: list[list]) -> list[dict]:
 
 
 def write_sweep_outputs(long_rows, summaries, out_dir) -> tuple[Path, Path]:
-    import csv
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     long_path = out_dir / "sweep_long.csv"
-    with open(long_path, "w", newline="") as fh:
+    with atomic_write(long_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_id", "omega", "beta", "k", "metric", "value"])
         for row in long_rows:
             writer.writerow([_cell(v) if isinstance(v, float) else v for v in row])
     summary_path = out_dir / "sweep_summary.csv"
     keys = ["pair_id", "omega", "beta", "status"] + [f"iters_to_{t:g}" for t in SWEEP_THRESHOLDS]
-    with open(summary_path, "w", newline="") as fh:
+    with atomic_write(summary_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(keys)
         for s in summaries:
@@ -512,7 +519,7 @@ def verify(
     xstar = project_onto_solutions(x0, a, b)
     ens = run_ensemble(
         problem, dist, params, x0, replications=replications,
-        expected_h_matrix=spectrum.expected_h, xstar=xstar,
+        eh=spectrum.expected_h, xstar=xstar,
     )
     init_sq = float(np.sum((x0 - xstar) ** 2))
     f0 = f_value(a, b, x0, spectrum.expected_h)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,30 @@ from shb.problems import Problem
 
 BUNDLE_KIND = "shb-problem"
 BUNDLE_VERSION = 1
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", newline: str | None = None):
+    """Open path for writing through a temporary sibling file.
+
+    The temporary file replaces path only when the block completes; on
+    any error it is removed and path is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(payload, path) -> None:
+    """payload as indented JSON, written atomically."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def parse_libsvm(path) -> np.ndarray:
@@ -93,7 +119,7 @@ def parse_libsvm(path) -> np.ndarray:
 def write_csv_matrix(a, path) -> None:
     """Dense matrix to CSV with a generated header row."""
     a = as_matrix(a, "a")
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"c{j + 1}" for j in range(a.shape[1])])
         for row in a:
@@ -154,31 +180,52 @@ def write_bundle(problem: Problem, path) -> Path:
         "payload": payload_path.name,
         "checksum_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    payload_path.write_bytes(payload)
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    with atomic_write(payload_path, "wb") as fh:
+        fh.write(payload)
+    write_json(manifest, manifest_path)
     return manifest_path
 
 
+def _manifest_field(manifest: dict, key: str, kind: type, where: Path):
+    value = manifest.get(key)
+    # bool is an int subclass; a count must not be true/false
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise BundleError(f"{where}: field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def read_bundle(path) -> Problem:
-    """Read a problem bundle back, verifying the payload checksum."""
+    """Read a problem bundle back, verifying the payload checksum.
+
+    Every manifest field is type-checked, and the payload must be a file
+    in the manifest's own directory; a bad manifest raises BundleError.
+    """
     manifest_path, _ = _bundle_paths(path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleError(f"{manifest_path}: cannot read manifest: {exc}") from exc
-    if manifest.get("kind") != BUNDLE_KIND:
+    if not isinstance(manifest, dict) or manifest.get("kind") != BUNDLE_KIND:
         raise BundleError(f"{manifest_path}: not a problem bundle")
     if manifest.get("version") != BUNDLE_VERSION:
         raise BundleError(f"{manifest_path}: unsupported version {manifest.get('version')!r}")
-    payload_path = manifest_path.parent / manifest["payload"]
+    payload_name = _manifest_field(manifest, "payload", str, manifest_path)
+    if payload_name in ("", ".", "..") or Path(payload_name).name != payload_name:
+        raise BundleError(f"{manifest_path}: payload {payload_name!r} is not a file name in the manifest's directory")
+    checksum = _manifest_field(manifest, "checksum_sha256", str, manifest_path)
+    rows = _manifest_field(manifest, "rows", int, manifest_path)
+    cols = _manifest_field(manifest, "cols", int, manifest_path)
+    has_planted = _manifest_field(manifest, "has_planted", bool, manifest_path)
+    source = _manifest_field(manifest, "source", str, manifest_path)
+    if rows < 1 or cols < 1:
+        raise BundleError(f"{manifest_path}: shape {rows}x{cols} is not positive")
+    payload_path = manifest_path.parent / payload_name
     try:
         payload = payload_path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise BundleError(f"{payload_path}: cannot read payload: {exc}") from exc
-    if hashlib.sha256(payload).hexdigest() != manifest["checksum_sha256"]:
+    if hashlib.sha256(payload).hexdigest() != checksum:
         raise BundleError(f"{payload_path}: checksum mismatch")
-    rows, cols = int(manifest["rows"]), int(manifest["cols"])
-    has_planted = bool(manifest["has_planted"])
     expected = 8 * (rows * cols + rows + (cols if has_planted else 0))
     if len(payload) != expected:
         raise BundleError(
@@ -188,4 +235,4 @@ def read_bundle(path) -> Problem:
     a = flat[: rows * cols].reshape(rows, cols).copy()
     b = flat[rows * cols : rows * cols + rows].copy()
     planted = flat[rows * cols + rows :].copy() if has_planted else None
-    return Problem(a=a, b=b, planted_solution=planted, source=str(manifest["source"]))
+    return Problem(a=a, b=b, planted_solution=planted, source=source)

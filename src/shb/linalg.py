@@ -54,29 +54,29 @@ class SymEig:
 
 
 def sym_eig(w, *, asym_tol: float = 1e-12, clamp_tol: float = DEFAULT_REL_TOL) -> SymEig:
-    """Eigendecomposition of a symmetric PSD matrix.
+    """Eigendecomposition of a symmetric PSD matrix, or of a stack of them.
 
-    Eigenvalues come back sorted descending.  Tiny negative eigenvalues
-    (rounding dust, |lam| <= clamp_tol * max(1, |lam|_max)) are clamped
-    to zero so PSD inputs always yield a nonnegative spectrum.
+    Eigenvalues come back sorted descending along the last axis.  Tiny
+    negative eigenvalues (rounding dust, |lam| <= clamp_tol *
+    max(1, |lam|_max)) are clamped to zero so PSD inputs always yield a
+    nonnegative spectrum.  A stack (..., n, n) is checked and
+    decomposed matrix by matrix, with the same results as one call each.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise NonSquare(f"expected a square matrix, got shape {w.shape}")
-    fro = float(np.linalg.norm(w))
-    asym = float(np.linalg.norm(w - w.T))
-    if asym > asym_tol * max(1.0, fro):
-        raise AsymmetryExceedsTolerance(
-            f"relative asymmetry {asym / max(1.0, fro):.3e} exceeds {asym_tol:.0e}"
-        )
+    fro = np.linalg.norm(w, axis=(-2, -1))
+    rel_asym = (np.linalg.norm(w - w.swapaxes(-1, -2), axis=(-2, -1)) / np.maximum(1.0, fro)).max()
+    if rel_asym > asym_tol:
+        raise AsymmetryExceedsTolerance(f"relative asymmetry {rel_asym:.3e} exceeds {asym_tol:.0e}")
     try:
         vals, vecs = np.linalg.eigh(w)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    tol = clamp_tol * max(1.0, top)
+    vals = vals[..., ::-1].copy()
+    vecs = vecs[..., ::-1].copy()
+    top = np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
+    tol = clamp_tol * np.maximum(1.0, top)
     vals[(vals < 0.0) & (vals >= -tol)] = 0.0
     return SymEig(vals, vecs)
 
@@ -93,28 +93,35 @@ def pinv_apply(m, y, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     return _apply_pinv_eig(eig, y, rel_tol)
 
 
+def pinv_eigenvalues(vals, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+    """The pseudoinverse's eigenvalues for descending spectra vals.
+
+    The cutoff shared by every pseudoinverse in the package: an
+    eigenvalue counts as zero when it is <= rel_tol * lambda_max, and a
+    spectrum with lambda_max <= 0 inverts to zero.  vals may be a stack
+    of spectra along its last axis.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    lmax = vals[..., :1]
+    keep = (vals > rel_tol * lmax) & (lmax > 0.0)
+    return np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+
+
 def _apply_pinv_eig(eig: SymEig, y: np.ndarray, rel_tol: float) -> np.ndarray:
-    vals = eig.eigenvalues
-    lmax = float(vals[0]) if vals.size else 0.0
-    if lmax <= 0.0:
+    inv = pinv_eigenvalues(eig.eigenvalues, rel_tol)
+    if not inv.any():
         return np.zeros_like(y)
-    keep = vals > rel_tol * lmax
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
     return eig.eigenvectors @ (inv * (eig.eigenvectors.T @ y))
 
 
 def pinv_psd(m, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """Dense pseudoinverse of a symmetric PSD matrix (same cutoff as pinv_apply)."""
-    eig = sym_eig(np.asarray(m, dtype=np.float64))
-    vals = eig.eigenvalues
-    lmax = float(vals[0]) if vals.size else 0.0
-    if lmax <= 0.0:
-        return np.zeros((m.shape[0], m.shape[0]))
-    keep = vals > rel_tol * lmax
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
-    return (eig.eigenvectors * inv) @ eig.eigenvectors.T
+    """Dense pseudoinverse of a symmetric PSD matrix (same cutoff as
+    pinv_apply), or of each matrix of a stack (..., n, n)."""
+    eig = sym_eig(m)
+    inv = pinv_eigenvalues(eig.eigenvalues, rel_tol)
+    if not inv.any():
+        return np.zeros(eig.eigenvectors.shape)
+    return (eig.eigenvectors * inv[..., None, :]) @ eig.eigenvectors.swapaxes(-1, -2)
 
 
 def project_onto_solutions(x0, a, b, *, residual_rtol: float = 1e-8) -> np.ndarray:

@@ -31,6 +31,9 @@ from shb.linalg import DEFAULT_REL_TOL, as_matrix, as_vector, nonzero_min, pinv_
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 10_000
+# the E[H] estimate stacks its draws in chunks whose largest array holds
+# about this many numbers
+BATCH_ELEMENTS = 1 << 17
 
 
 def derive_stream(seed: int, *key: int) -> np.random.Generator:
@@ -202,16 +205,32 @@ def stoch_grad(a, b, x, sample: SketchSample) -> np.ndarray:
 
 
 class ExpectedH(NamedTuple):
-    matrix: np.ndarray
-    mc_samples: int | None  # None when the value is exact
+    """E[H] by its structure, and the Monte Carlo sample count.
+
+    value is the diagonal h of E[H] = diag(h) for row sampling and the
+    dense m x m matrix for the other sketches; matrix is always dense.
+    mc_samples is None when the value is exact.
+    """
+
+    value: np.ndarray
+    mc_samples: int | None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.diag(self.value) if self.value.ndim == 1 else self.value
 
 
-def _h_for_block(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    m = a.shape[0]
+def _add_block_pinvs(acc: np.ndarray, a: np.ndarray, idx: np.ndarray) -> None:
+    """acc[S, S] += pinv(A_S A_S^T) for each row block S = idx[n], in order."""
     sub = a[idx]
-    h = np.zeros((m, m))
-    h[np.ix_(idx, idx)] = pinv_psd(sub @ sub.T)
-    return h
+    pinvs = pinv_psd(sub @ sub.swapaxes(1, 2))
+    flat = idx[:, :, None] * acc.shape[0] + idx[:, None, :]
+    np.add.at(acc.reshape(-1), flat.ravel(), pinvs.ravel())
+
+
+def _mean_h(acc: np.ndarray, n: int, mc_samples: int | None) -> ExpectedH:
+    h = acc / n
+    return ExpectedH((h + h.T) / 2.0, mc_samples)
 
 
 def expected_h(
@@ -223,14 +242,19 @@ def expected_h(
 ) -> ExpectedH:
     """E[H] for the distribution, exact where a closed form exists.
 
-    UnitCoordinate is assembled exactly as a diagonal matrix.  BlockRow
-    is enumerated exactly when C(m, tau) <= 10000, otherwise estimated
-    by Monte Carlo, like GaussianSketch always is.  Estimates carry the
-    sample count; exact values carry None.  The default estimator rng is
-    seeded so repeat calls agree.
+    UnitCoordinate is exact and kept as the weights h_i = p_i/||A_i||^2
+    of its diagonal.  BlockRow is enumerated exactly when C(m, tau) <=
+    10000, otherwise estimated by Monte Carlo, like GaussianSketch
+    always is.  Estimates carry the sample count; exact values carry
+    None.  The default estimator rng is seeded so repeat calls agree.
+    Draws are made one by one in a fixed order; their pseudoinverses
+    are taken in stacked chunks of about BATCH_ELEMENTS numbers, so
+    memory does not grow with mc_samples.
     """
     a = as_matrix(a, "a")
-    m = a.shape[0]
+    m, d = a.shape
+    if mc_samples < 1:
+        raise OutOfRange(f"mc_samples must be >= 1, got {mc_samples}")
     if isinstance(dist, UnitCoordinate):
         p = dist.probabilities
         if p.size != m:
@@ -242,42 +266,46 @@ def expected_h(
         h = np.zeros(m)
         pos = p > 0.0
         h[pos] = p[pos] / norms_sq[pos]
-        return ExpectedH(np.diag(h), None)
+        return ExpectedH(h, None)
+    acc = np.zeros((m, m))
     if isinstance(dist, BlockRow):
         tau = dist.block_size
         if tau > m:
             raise OutOfRange(f"block_size {tau} exceeds row count {m}")
+        chunk = max(1, BATCH_ELEMENTS // (tau * max(d, tau)))
         n_subsets = math.comb(m, tau)
         if n_subsets <= DEFAULT_MC_SAMPLES:
-            acc = np.zeros((m, m))
-            for idx in combinations(range(m), tau):
-                acc += _h_for_block(a, np.asarray(idx))
-            h = acc / n_subsets
-            return ExpectedH((h + h.T) / 2.0, None)
+            subsets = np.array(list(combinations(range(m), tau)))
+            for start in range(0, n_subsets, chunk):
+                _add_block_pinvs(acc, a, subsets[start : start + chunk])
+            return _mean_h(acc, n_subsets, None)
         rng = rng if rng is not None else np.random.default_rng(0)
-        acc = np.zeros((m, m))
-        for _ in range(mc_samples):
-            idx = np.sort(rng.choice(m, size=tau, replace=False))
-            acc += _h_for_block(a, idx)
-        h = acc / mc_samples
-        return ExpectedH((h + h.T) / 2.0, mc_samples)
+        for start in range(0, mc_samples, chunk):
+            idx = [rng.choice(m, size=tau, replace=False) for _ in range(min(chunk, mc_samples - start))]
+            _add_block_pinvs(acc, a, np.sort(idx, axis=1))
+        return _mean_h(acc, mc_samples, mc_samples)
     if isinstance(dist, GaussianSketch):
-        if dist.width > m:
-            raise OutOfRange(f"sketch width {dist.width} exceeds row count {m}")
+        tau = dist.width
+        if tau > m:
+            raise OutOfRange(f"sketch width {tau} exceeds row count {m}")
         rng = rng if rng is not None else np.random.default_rng(0)
-        acc = np.zeros((m, m))
-        for _ in range(mc_samples):
-            s = rng.standard_normal((m, dist.width))
-            g = s.T @ a
-            acc += s @ pinv_psd(g @ g.T) @ s.T
-        h = acc / mc_samples
-        return ExpectedH((h + h.T) / 2.0, mc_samples)
+        chunk = max(1, BATCH_ELEMENTS // (tau * max(m, d)))
+        for start in range(0, mc_samples, chunk):
+            s = rng.standard_normal((min(chunk, mc_samples - start), m, tau))
+            g = s.swapaxes(1, 2) @ a
+            u = s @ pinv_psd(g @ g.swapaxes(1, 2))
+            acc += np.tensordot(u, s, axes=((0, 2), (0, 2)))
+        return _mean_h(acc, mc_samples, mc_samples)
     raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
 
 
 @dataclass(frozen=True)
 class SpectrumInfo:
-    """Spectrum of W = A^T E[H] A plus the exactness flag of E[H]."""
+    """Spectrum of W = A^T E[H] A plus the exactness flag of E[H].
+
+    expected_h is E[H] as ExpectedH.value: the diagonal weights for row
+    sampling, the dense matrix otherwise.
+    """
 
     eigenvalues: np.ndarray
     lambda_max: float
@@ -307,25 +335,32 @@ def hessian_spectrum(
 
     lambda_min_plus is the smallest eigenvalue above rel_tol*lambda_max;
     the exact flag is true iff the smallest eigenvalue of E[H] exceeds
-    rel_tol, i.e. E[H] is (numerically) positive definite.
+    rel_tol, i.e. E[H] is (numerically) positive definite.  For row
+    sampling that eigenvalue is min(h), and W costs O(m d^2).
     """
     a = as_matrix(a, "a")
     eh = expected_h(dist, a, mc_samples=mc_samples, rng=rng)
-    w = a.T @ eh.matrix @ a
+    h = eh.value
+    if h.ndim == 1:
+        # the contiguous copy makes the product the same gemm as A^T diag(h) A
+        w = np.ascontiguousarray((a * h[:, None]).T) @ a
+        eh_min = float(h.min())
+    else:
+        w = a.T @ h @ a
+        eh_min = float(np.linalg.eigvalsh(h)[0])
     w = (w + w.T) / 2.0
     eig = sym_eig(w)
     vals = eig.eigenvalues
     lam_max = float(vals[0])
     lam_min_plus = nonzero_min(vals, rel_tol)
     rank = int(np.count_nonzero(vals > rel_tol * lam_max))
-    eh_min = float(np.linalg.eigvalsh(eh.matrix)[0])
     return SpectrumInfo(
         eigenvalues=vals,
         lambda_max=lam_max,
         lambda_min_plus=lam_min_plus,
         rank=rank,
         exact=bool(eh_min > rel_tol),
-        expected_h=eh.matrix,
+        expected_h=h,
         mc_samples=eh.mc_samples,
     )
 
@@ -333,15 +368,21 @@ def hessian_spectrum(
 def f_value(a, b, x, eh) -> float:
     """Objective value (1/2) (Ax-b)^T E[H] (Ax-b).
 
-    With the default row-sampling weights this equals
+    eh is E[H] as its diagonal weights (length m) or as a dense m x m
+    matrix.  With the default row-sampling weights this equals
     ||Ax - b||^2 / (2 ||A||_F^2).  Rounding dust below zero is clamped.
     """
     a = np.asarray(a, dtype=np.float64)
-    b = as_vector(b, length=a.shape[0], name="b")
+    m = a.shape[0]
+    b = as_vector(b, length=m, name="b")
     x = as_vector(x, length=a.shape[1], name="x")
     eh = np.asarray(eh, dtype=np.float64)
-    if eh.shape != (a.shape[0], a.shape[0]):
-        raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected square of dim {a.shape[0]}")
     r = a @ x - b
-    val = 0.5 * float(r @ (eh @ r))
+    if eh.shape == (m,):
+        weighted = eh * r
+    elif eh.shape == (m, m):
+        weighted = eh @ r
+    else:
+        raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({m}, {m})")
+    val = 0.5 * float(r @ weighted)
     return max(val, 0.0)

@@ -164,7 +164,8 @@ def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _objective_rows(a: np.ndarray, b: np.ndarray, xs: np.ndarray, eh: np.ndarray) -> np.ndarray:
     """f_value(a, b, x, eh) for every row x of xs, with f_value's arithmetic."""
     resid = np.matmul(a, xs[:, :, None])[:, :, 0] - b
-    vals = 0.5 * _row_dots(resid, np.matmul(eh, resid[:, :, None])[:, :, 0])
+    weighted = eh * resid if eh.ndim == 1 else np.matmul(eh, resid[:, :, None])[:, :, 0]
+    vals = 0.5 * _row_dots(resid, weighted)
     return np.where(0.0 > vals, 0.0, vals)
 
 
@@ -198,8 +199,11 @@ def _iterate(
     metrics = params.metrics
     if METRIC_L2 in metrics and xstar is None:
         xstar = project_onto_solutions(x0, a, b)
-    if (METRIC_F in metrics or METRIC_CESARO in metrics) and eh is None:
-        eh = expected_h(dist, a).matrix
+    if METRIC_F in metrics or METRIC_CESARO in metrics:
+        if eh is None:
+            eh = expected_h(dist, a).value
+        elif eh.shape not in ((m,), (m, m)):
+            raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({m}, {m})")
 
     by_row = isinstance(dist, UnitCoordinate)
     if by_row:
@@ -326,7 +330,7 @@ def run(
     params: SolverParams,
     x0=None,
     *,
-    expected_h_matrix: np.ndarray | None = None,
+    eh: np.ndarray | None = None,
     xstar: np.ndarray | None = None,
     stream_index: int = 0,
 ) -> RunTrace:
@@ -337,14 +341,16 @@ def run(
     the iterate at index k has consumed exactly k draws.  Metrics are
     recorded at k = 0, every record_every steps and at k = max_iter.
     Identical (problem, dist, params, x0) yield bit-identical traces.
-    Raises NonFinite with the first diverging iteration.
+    eh (E[H] as its row-sampling weights or a dense matrix) and xstar,
+    when given, replace computing them.  Raises NonFinite with the first
+    diverging iteration.
     """
     x0 = _start(x0, problem.a.shape[1])
     block = _iterate(
         problem, dist, params, x0,
         [derive_stream(params.seed, 0, stream_index)],
         np.array([params.omega]), np.array([params.beta]),
-        expected_h_matrix, xstar,
+        eh, xstar,
     )
     trace = _member_trace(block, 0, params)
     if trace.diverged_at is not None:
@@ -389,7 +395,7 @@ def run_ensemble(
     x0=None,
     replications: int = 1,
     *,
-    expected_h_matrix: np.ndarray | None = None,
+    eh: np.ndarray | None = None,
     xstar: np.ndarray | None = None,
 ) -> EnsembleStats:
     """Replicate a run under independent streams and average the metrics.
@@ -397,8 +403,8 @@ def run_ensemble(
     Replication r uses the stream derived from (seed, r) and is
     bit-identical to run() with stream_index r, so replication 0 equals
     a plain run with the same params.  Averages are taken in replication
-    order.  If any replication diverges, NonFinite is raised for the
-    lowest-index one, with its iteration.
+    order.  eh and xstar are as for run().  If any replication diverges,
+    NonFinite is raised for the lowest-index one, with its iteration.
     """
     if replications < 1:
         raise OutOfRange("replications must be >= 1")
@@ -412,7 +418,7 @@ def run_ensemble(
         problem, dist, params, x0,
         [derive_stream(params.seed, 0, r) for r in range(replications)],
         np.full(replications, params.omega), np.full(replications, params.beta),
-        expected_h_matrix, xstar,
+        eh, xstar,
     )
     diverged = np.flatnonzero(block.diverged_at)
     if diverged.size:

@@ -1,8 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 
+import shb
+import shb.experiments
+import shb.sketch
+import shb.solver
 from shb.cli import main
 from shb.io import read_bundle
 
@@ -39,6 +49,40 @@ class TestAnalyze:
         assert rc == 0
 
 
+class TestBadManifest:
+    @pytest.mark.parametrize("key,value", [
+        ("payload", None), ("payload", "../prob.bin"), ("checksum_sha256", 3),
+        ("rows", "6"), ("cols", None), ("has_planted", "no"),
+    ])
+    def test_exit_one_without_traceback(self, tmp_path, capsys, key, value):
+        bundle = gen_bundle(tmp_path)
+        meta = json.loads(bundle.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        bundle.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(bundle)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_entry_point_exit_code(self, tmp_path):
+        bundle = gen_bundle(tmp_path)
+        meta = json.loads(bundle.read_text())
+        del meta["payload"]
+        bundle.write_text(json.dumps(meta))
+        src = str(Path(shb.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "shb.cli", "analyze", "--input", str(bundle)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "payload" in proc.stderr
+
+
 class TestSolve:
     def test_csv_trace(self, tmp_path):
         bundle = gen_bundle(tmp_path)
@@ -52,6 +96,28 @@ class TestSolve:
             rows = list(csv.reader(fh, strict=True))
         assert rows[0][0] == "k"
         assert rows[1][2] == "1.0"  # normalized error starts at one
+
+    @pytest.mark.parametrize("sketch", ["row", "block:2"])
+    def test_one_off_quantities_built_once(self, tmp_path, sketch):
+        bundle = gen_bundle(tmp_path, rows=12, cols=4)
+        out = tmp_path / "trace.csv"
+        eh_calls = mock.Mock(wraps=shb.sketch.expected_h)
+        spectrum_calls = mock.Mock(wraps=shb.sketch.hessian_spectrum)
+        xstar_calls = mock.Mock(wraps=shb.solver.project_onto_solutions)
+        with mock.patch.object(shb.sketch, "expected_h", eh_calls), \
+                mock.patch.object(shb.solver, "expected_h", eh_calls), \
+                mock.patch.object(shb.experiments, "hessian_spectrum", spectrum_calls), \
+                mock.patch.object(shb.solver, "project_onto_solutions", xstar_calls), \
+                mock.patch.object(shb.experiments, "project_onto_solutions", xstar_calls):
+            rc = main([
+                "solve", "--input", str(bundle), "--sketch", sketch, "--iters", "40",
+                "--record-every", "10", "--out", str(out),
+            ])
+        assert rc == 0
+        assert eh_calls.call_count == 1
+        assert spectrum_calls.call_count == 1
+        assert xstar_calls.call_count == 1
+        assert out.exists()
 
     def test_divergence_exit_code(self, tmp_path):
         bundle = gen_bundle(tmp_path)

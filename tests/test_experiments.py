@@ -189,6 +189,18 @@ class TestSweep:
         ]
         assert summarize_long_rows(parsed)[0]["iters_to_0.01"] == summaries[0]["iters_to_0.01"]
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot format")
+
+        long_rows = [[0, 1.0, 0.0, k, "l2_error_raw", 1.0] for k in range(2000)]
+        long_rows.append([0, 1.0, 0.0, 2000, "l2_error_raw", Unprintable()])
+        out_dir = tmp_path / "sw"
+        with pytest.raises(RuntimeError):
+            write_sweep_outputs(long_rows, [], out_dir)
+        assert list(out_dir.iterdir()) == []
+
     def test_first_crossing(self):
         assert first_crossing([0, 5, 10], [4.0, 0.4, 0.04], 4.0, 1e-1) == 5
         assert first_crossing([0, 5], [4.0, 2.0], 4.0, 1e-6) is None

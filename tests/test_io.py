@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from shb.errors import BundleError, EmptyFile, Inconsistent, MalformedLine, NonMonotoneIndices
-from shb.io import parse_libsvm, read_bundle, read_csv_matrix, write_bundle, write_csv_matrix
+from shb.io import (
+    atomic_write,
+    parse_libsvm,
+    read_bundle,
+    read_csv_matrix,
+    write_bundle,
+    write_csv_matrix,
+)
 from shb.problems import Problem, gen_problem
 
 
@@ -168,6 +175,93 @@ class TestBundle:
         manifest.write_text(json.dumps(meta))
         with pytest.raises(BundleError):
             read_bundle(manifest)
+
+
+MANIFEST_FAULTS = [
+    ("payload", None),
+    ("payload", 7),
+    ("payload", "../p.bin"),
+    ("payload", "sub/p.bin"),
+    ("payload", ".."),
+    ("payload", "p\0.bin"),
+    ("checksum_sha256", None),
+    ("checksum_sha256", 12),
+    ("rows", None),
+    ("rows", "3"),
+    ("rows", True),
+    ("rows", -3),
+    ("cols", None),
+    ("cols", 2.0),
+    ("cols", -2),
+    ("has_planted", None),
+    ("has_planted", "yes"),
+    ("source", None),
+]
+
+
+def faulty_manifest(tmp_path, key, value):
+    """A valid bundle whose manifest has key removed (None) or set to value."""
+    manifest = write_bundle(gen_problem(3, 2, seed=4), tmp_path / "p.json")
+    meta = json.loads(manifest.read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    manifest.write_text(json.dumps(meta))
+    return manifest
+
+
+class TestBundleManifest:
+    @pytest.mark.parametrize("key,value", MANIFEST_FAULTS)
+    def test_bad_field_rejected(self, tmp_path, key, value):
+        with pytest.raises(BundleError):
+            read_bundle(faulty_manifest(tmp_path, key, value))
+
+    def test_payload_outside_directory_never_read(self, tmp_path):
+        inner = tmp_path / "inner"
+        inner.mkdir()
+        manifest = write_bundle(gen_problem(3, 2, seed=4), inner / "p.json")
+        outside = write_bundle(gen_problem(3, 2, seed=4), tmp_path / "q.json")
+        meta = json.loads(manifest.read_text())
+        meta["payload"] = "../" + outside.with_suffix(".bin").name  # same bytes, valid checksum
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(BundleError, match="manifest's directory"):
+            read_bundle(manifest)
+
+    @pytest.mark.parametrize("text", ["[]", '"shb-problem"', "\xff"])
+    def test_manifest_not_an_object(self, tmp_path, text):
+        p = tmp_path / "x.json"
+        p.write_bytes(text.encode("latin-1"))
+        with pytest.raises(BundleError):
+            read_bundle(p)
+
+
+class TestAtomicWrite:
+    def test_failure_midway_leaves_nothing(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            with atomic_write(target) as fh:
+                fh.write("partial\n")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_midway_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(target) as fh:
+                fh.write("new\n")
+                raise RuntimeError("interrupted")
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_success_replaces(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        with atomic_write(target, "wb") as fh:
+            fh.write(b"new")
+        assert target.read_bytes() == b"new"
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestProblem:

@@ -162,6 +162,41 @@ def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
         np.testing.assert_array_equal(block.final[r], ref[-1])
 
 
+@given(problems(), schedules(), st.integers(1, 5), st.booleans())
+def test_row_weights_match_the_oracle_loop(instance, schedule, replications, given_eh):
+    """Row sampling records f and Cesaro f from the weights h of E[H] =
+    diag(h), passed in or computed; they equal the oracle's f_value on
+    the dense diag(h) bit for bit."""
+    problem, x0 = instance
+    a, b = problem.a, problem.b
+    omega, beta, max_iter, every, predraw, seed = schedule
+    dist = row_sampling(a)
+    weights = expected_h(dist, a).value
+    dense = np.diag(weights)
+    params = SolverParams(
+        omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
+        metrics=DEFAULT_METRICS,
+    )
+    streams = [derive_stream(seed, 0, r) for r in range(replications)]
+    with mock.patch.object(solver, "PREDRAW_ELEMENTS", predraw):
+        block = solver._iterate(
+            problem, dist, params, x0, streams,
+            np.full(replications, omega), np.full(replications, beta),
+            weights if given_eh else None, None,
+        )
+    for r in range(replications):
+        ref = oracle_iterates(problem, dist, omega, beta, max_iter, derive_stream(seed, 0, r), x0)
+        running_sum = np.zeros_like(x0)
+        sums = [running_sum.copy()]
+        for x in ref[1:]:
+            running_sum += x
+            sums.append(running_sum.copy())
+        for j, k in enumerate(block.ks):
+            assert block.f[r, j] == f_value(a, b, ref[k], dense)
+            if k > 0:
+                assert block.cesaro[r, j] == f_value(a, b, sums[k] / k, dense)
+
+
 @given(problems(), schedules(), st.integers(1, 5), st.sampled_from(["row", "block"]))
 def test_ensemble_equals_aggregated_runs(instance, schedule, replications, kind):
     problem, x0 = instance

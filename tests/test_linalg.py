@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shb.errors import AllZero, AsymmetryExceedsTolerance, DimensionMismatch, Inconsistent, NonSquare
-from shb.linalg import nonzero_min, pinv_apply, pinv_psd, project_onto_solutions, sym_eig
+from shb.linalg import (
+    nonzero_min,
+    pinv_apply,
+    pinv_eigenvalues,
+    pinv_psd,
+    project_onto_solutions,
+    sym_eig,
+)
 
 
 @st.composite
@@ -110,6 +117,36 @@ class TestPinvApply:
     def test_pinv_psd_matches_numpy(self, w):
         expected = np.linalg.pinv(w, rcond=1e-10, hermitian=True)
         np.testing.assert_allclose(pinv_psd(w), expected, atol=1e-8)
+
+
+    @given(ws=st.lists(psd_matrices(max_dim=4), min_size=1, max_size=5), n=st.integers(1, 4))
+    def test_stack_equals_one_call_each(self, ws, n):
+        """A stack is decomposed and inverted matrix by matrix, with the
+        results of one call each (zero matrices included)."""
+        ws = [w[:n, :n] if w.shape[0] >= n else np.zeros((n, n)) for w in ws]
+        stack = np.stack(ws)
+        eig = sym_eig(stack)
+        pinvs = pinv_psd(stack)
+        for i, w in enumerate(ws):
+            one = sym_eig(w)
+            np.testing.assert_array_equal(eig.eigenvalues[i], one.eigenvalues)
+            np.testing.assert_array_equal(eig.eigenvectors[i], one.eigenvectors)
+            np.testing.assert_allclose(pinvs[i], pinv_psd(w), rtol=0, atol=1e-12 * max(1.0, np.abs(pinv_psd(w)).max()))
+
+    def test_stack_asymmetry_rejected(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
+        with pytest.raises(AsymmetryExceedsTolerance):
+            sym_eig(stack)
+
+    def test_cutoff_rule(self):
+        vals = np.array([[4.0, 2.0, 1e-12, 0.0], [0.0, 0.0, 0.0, 0.0], [-1.0, -2.0, -3.0, -4.0]])
+        np.testing.assert_array_equal(
+            pinv_eigenvalues(vals),
+            [[0.25, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+        )
+        # strictly above rel_tol * lambda_max is kept; the boundary itself is zero
+        assert pinv_eigenvalues(np.array([4.0, 5e-10]), rel_tol=1e-10).tolist() == [0.25, 1 / 5e-10]
+        assert pinv_eigenvalues(np.array([4.0, 4e-10]), rel_tol=1e-10).tolist() == [0.25, 0.0]
 
 
 class TestProjection:
