@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: gen, analyze, solve, sweep, verify.  Exit codes: 0 on
-success, 1 on input error, 2 when a solve run diverges.
+success, 1 on input error, 2 when a solve run diverges, 3 when verify
+finds an applicable bound check failing.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import shb.experiments as ex
 import shb.io as shio
 from shb.errors import NonFinite, ShbError
 from shb.problems import Problem, gen_problem, plant_solution
-from shb.solver import DEFAULT_METRICS, METRIC_SNAPSHOT, SolverParams
+from shb.solver import DEFAULT_METRICS, SolverParams
 
 INPUT_FORMATS = ("libsvm", "csv", "bundle")
 
@@ -24,12 +25,7 @@ def load_problem(path: str, fmt: str, seed: int) -> Problem:
     """Load a problem; non-bundle inputs get a planted right-hand side."""
     if fmt == "bundle":
         return shio.read_bundle(path)
-    if fmt == "libsvm":
-        a = shio.parse_libsvm(path)
-    elif fmt == "csv":
-        a = shio.read_csv_matrix(path)
-    else:
-        raise ShbError(f"unknown input format {fmt!r}")
+    a = shio.parse_libsvm(path) if fmt == "libsvm" else shio.read_csv_matrix(path)
     return plant_solution(a, seed, source=f"{fmt}:{path}")
 
 
@@ -90,29 +86,14 @@ def analyze(input_path, fmt, sketch, omega, beta, seed, mc_samples, out_path):
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Trace path (.csv or .json).")
 def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, metrics, out_path):
     """Run one (omega, beta) configuration and write its trace."""
-    spec = ex.ExperimentSpec(
-        problem_source=input_path,
-        sketch=sketch,
-        pairs=((omega, beta),),
-        max_iter=iters,
-        record_every=record_every,
-        seed=seed,
-        metrics=_parse_metrics(metrics),
-        output_format="json" if str(out_path).endswith(".json") else "csv",
-        output_path=str(out_path),
-    )
-    problem = load_problem(input_path, fmt, spec.seed)
-    dist = ex.make_distribution(spec.sketch, problem.a)
+    problem = load_problem(input_path, fmt, seed)
+    dist = ex.make_distribution(sketch, problem.a)
     params = SolverParams(
-        omega=spec.pairs[0][0],
-        beta=spec.pairs[0][1],
-        max_iter=spec.max_iter,
-        seed=spec.seed,
-        record_every=spec.record_every,
-        metrics=spec.metrics,
+        omega=omega, beta=beta, max_iter=iters, seed=seed,
+        record_every=record_every, metrics=_parse_metrics(metrics),
     )
     table = ex.solve(problem, dist, params)
-    if spec.output_format == "json":
+    if str(out_path).endswith(".json"):
         ex.write_trace_json(table, out_path)
     else:
         ex.write_trace_csv(table, out_path)
@@ -135,20 +116,10 @@ def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_
         beta_values = [float(t) for t in betas.split(",") if t.strip()]
     except ValueError:
         raise ShbError(f"cannot parse --betas {betas!r}") from None
-    spec = ex.ExperimentSpec(
-        problem_source=input_path,
-        sketch=sketch,
-        pairs=tuple((omega, b) for b in beta_values),
-        max_iter=iters,
-        record_every=record_every,
-        seed=seed,
-        output_path=str(out_dir),
-    )
-    problem = load_problem(input_path, fmt, spec.seed)
-    dist = ex.make_distribution(spec.sketch, problem.a)
-    long_rows, summaries = ex.sweep(
-        problem, dist, spec.pairs, spec.max_iter, spec.record_every, spec.seed
-    )
+    problem = load_problem(input_path, fmt, seed)
+    dist = ex.make_distribution(sketch, problem.a)
+    pairs = tuple((omega, b) for b in beta_values)
+    long_rows, summaries = ex.sweep(problem, dist, pairs, iters, record_every, seed)
     long_path, summary_path = ex.write_sweep_outputs(long_rows, summaries, out_dir)
     click.echo(f"wrote {long_path} and {summary_path}")
     for s in summaries:
@@ -170,31 +141,17 @@ def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_
 @click.option("--reps", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-def verify(input_path, fmt, sketch, omega, beta, iters, record_every, reps, seed, out_path):
-    """Monte Carlo verification of the convergence bounds."""
-    spec = ex.ExperimentSpec(
-        problem_source=input_path,
-        sketch=sketch,
-        pairs=((omega, beta),),
-        max_iter=iters,
-        record_every=record_every,
-        replications=reps,
-        seed=seed,
-        metrics=DEFAULT_METRICS | {METRIC_SNAPSHOT},
-        output_format="json",
-        output_path=out_path,
-    )
-    problem = load_problem(input_path, fmt, spec.seed)
-    dist = ex.make_distribution(spec.sketch, problem.a)
-    params = SolverParams(
-        omega=omega,
-        beta=beta,
-        max_iter=spec.max_iter,
-        seed=spec.seed,
-        record_every=spec.record_every,
-        metrics=spec.metrics,
-    )
-    report = ex.verify(problem, dist, params, replications=spec.replications)
+@click.pass_context
+def verify(ctx, input_path, fmt, sketch, omega, beta, iters, record_every, reps, seed, out_path):
+    """Monte Carlo verification of the convergence bounds.
+
+    Exits 3 when an applicable bound check fails; the report is still
+    written.
+    """
+    problem = load_problem(input_path, fmt, seed)
+    dist = ex.make_distribution(sketch, problem.a)
+    params = SolverParams(omega=omega, beta=beta, max_iter=iters, seed=seed, record_every=record_every)
+    report = ex.verify(problem, dist, params, replications=reps)
     if out_path:
         shio.write_json(report, out_path)
         click.echo(f"wrote {out_path}")
@@ -203,14 +160,15 @@ def verify(input_path, fmt, sketch, omega, beta, iters, record_every, reps, seed
         status = "n/a" if not section.get("applicable") else ("PASS" if section.get("pass") else "FAIL")
         click.echo(f"  {name}: {status}")
     click.echo(f"overall: {'PASS' if report['pass'] else 'FAIL'}")
+    if not report["pass"]:
+        ctx.exit(3)
 
 
 def main(argv=None) -> int:
     """Run the CLI, mapping errors onto the documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False, prog_name="shb")
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
+        # without standalone mode click returns the code of ctx.exit (and --help)
+        return cli.main(args=argv, standalone_mode=False, prog_name="shb") or 0
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
@@ -220,7 +178,6 @@ def main(argv=None) -> int:
     except (ShbError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    return 0
 
 
 def entry() -> None:

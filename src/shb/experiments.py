@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +32,9 @@ from shb.sketch import (
     row_sampling,
 )
 from shb.solver import (
-    METRIC_CESARO,
-    METRIC_F,
+    ALL_METRICS,
+    DEFAULT_METRICS,
     METRIC_L2,
-    METRIC_SNAPSHOT,
     RunTrace,
     SolverParams,
     run,
@@ -71,28 +70,6 @@ MIN_VERIFY_REPLICATIONS = 100
 L1_SLOPE_SLACK = 0.05
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything one CLI invocation needs to reproduce an experiment."""
-
-    problem_source: str
-    sketch: str = "row"
-    pairs: tuple = ((1.0, 0.0),)
-    max_iter: int = 1000
-    record_every: int = 1
-    replications: int = 1
-    seed: int = 0
-    metrics: frozenset = frozenset({METRIC_L2, METRIC_F, METRIC_CESARO})
-    output_format: str = "csv"
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if len(self.pairs) == 0:
-            raise OutOfRange("at least one (omega, beta) pair is required")
-        if self.output_format not in ("csv", "json"):
-            raise OutOfRange(f"output format must be csv or json, got {self.output_format!r}")
-
-
 def make_distribution(spec: str, a) -> SketchDistribution:
     """Parse a sketch spec string: row | block:<tau> | gaussian:<tau>."""
     name, _, arg = spec.partition(":")
@@ -118,15 +95,15 @@ def analyze(
     dist: SketchDistribution,
     omegas: tuple[float, ...] = (1.0,),
     beta: float = 0.0,
-    x0=None,
     *,
     mc_samples: int = 10_000,
 ) -> TheoryReport:
     """Spectrum plus every closed-form constant for the given stepsizes.
 
     The contraction data and Cesaro-bound parameters are evaluated at
-    (omegas[0], beta); the momentum upper bound is reported for every
-    requested stepsize; both accelerated parameter pairings are included.
+    (omegas[0], beta) from the origin; the momentum upper bound is
+    reported for every requested stepsize; both accelerated parameter
+    pairings are included.
     """
     a, b = problem.a, problem.b
     spectrum = hessian_spectrum(a, dist, mc_samples=mc_samples)
@@ -139,7 +116,7 @@ def analyze(
     except OutOfRange:
         l2 = None
 
-    x0 = np.zeros(a.shape[1]) if x0 is None else np.asarray(x0, dtype=np.float64)
+    x0 = np.zeros(a.shape[1])
     xstar = project_onto_solutions(x0, a, b)
     init_sq = float(np.sum((x0 - xstar) ** 2))
     f0 = f_value(a, b, x0, spectrum.expected_h)
@@ -173,7 +150,7 @@ def analyze(
     )
 
 
-def report_to_dict(report: TheoryReport, omegas: tuple[float, ...] = (1.0,)) -> dict:
+def report_to_dict(report: TheoryReport, omegas: tuple[float, ...]) -> dict:
     """JSON-ready dict for a theory report."""
     s = report.spectrum
     out = {
@@ -227,43 +204,30 @@ class TraceTable:
 
 def build_trace_table(
     problem: Problem,
-    dist: SketchDistribution,
     trace: RunTrace,
-    x0=None,
     *,
-    spectrum: SpectrumInfo | None = None,
-    xstar: np.ndarray | None = None,
+    spectrum: SpectrumInfo,
+    xstar: np.ndarray | None,
 ) -> TraceTable:
     """Derive the reporting columns for one finished run.
 
     Both relative-error conventions are emitted (normalized by the
     initial distance and by the solution norm); theory columns are
-    filled only where the corresponding bound applies.  x0 must match
-    the starting point of the run (zeros by default).  The spectrum and
-    x* the run used may be passed in; each is computed when None.
+    filled only where the corresponding bound applies.  spectrum and
+    xstar are those the run used; xstar may be None when the run did
+    not record the l2 error.
     """
-    a, b = problem.a, problem.b
     params = trace.params
-    x0 = np.zeros(a.shape[1]) if x0 is None else np.asarray(x0, dtype=np.float64)
     init_sq = trace.l2_error[0] if trace.l2_error is not None else None
-
-    xstar_sq = None
-    if trace.l2_error is not None:
-        if xstar is None:
-            xstar = project_onto_solutions(x0, a, b)
-        xstar_sq = float(xstar @ xstar)
+    xstar_sq = float(xstar @ xstar) if init_sq is not None else None
 
     rate = None
-    lmax = None
+    lmax = spectrum.lambda_max
     cesaro_ok = params.omega + 2.0 * params.beta < 2.0 and 0.0 <= params.beta < 1.0
     f0 = trace.f_value[0] if trace.f_value is not None else None
-    if trace.l2_error is not None or cesaro_ok:
-        if spectrum is None:
-            spectrum = hessian_spectrum(a, dist)
-        lmax = spectrum.lambda_max
-        if 0.0 < params.omega < 2.0:
-            candidate = l2_rate(params.omega, params.beta, spectrum.lambda_min_plus, lmax)
-            rate = candidate if candidate.admissible else None
+    if init_sq is not None and 0.0 < params.omega < 2.0:
+        candidate = l2_rate(params.omega, params.beta, spectrum.lambda_min_plus, lmax)
+        rate = candidate if candidate.admissible else None
 
     rows = []
     for j, k in enumerate(trace.ks):
@@ -294,18 +258,19 @@ def build_trace_table(
     )
 
 
-def solve(problem: Problem, dist: SketchDistribution, params: SolverParams, x0=None) -> TraceTable:
-    """Run one configuration and tabulate its trace.
+def solve(problem: Problem, dist: SketchDistribution, params: SolverParams) -> TraceTable:
+    """Run one configuration from the origin and tabulate its trace.
 
     The spectrum (with E[H]) and x* are computed once and shared by the
     run and its table.
     """
     a, b = problem.a, problem.b
-    x0 = np.zeros(a.shape[1]) if x0 is None else np.asarray(x0, dtype=np.float64)
     spectrum = hessian_spectrum(a, dist)
-    xstar = project_onto_solutions(x0, a, b) if METRIC_L2 in params.metrics else None
-    trace = run(problem, dist, params, x0, eh=spectrum.expected_h, xstar=xstar)
-    return build_trace_table(problem, dist, trace, x0, spectrum=spectrum, xstar=xstar)
+    xstar = None
+    if METRIC_L2 in params.metrics:
+        xstar = project_onto_solutions(np.zeros(a.shape[1]), a, b)
+    trace = run(problem, dist, params, eh=spectrum.expected_h, xstar=xstar)
+    return build_trace_table(problem, trace, spectrum=spectrum, xstar=xstar)
 
 
 def _cell(value) -> str:
@@ -356,9 +321,8 @@ def sweep(
     max_iter: int,
     record_every: int,
     seed: int,
-    x0=None,
 ) -> tuple[list[list], list[dict]]:
-    """Run every (omega, beta) pair on the same problem and stream.
+    """Run every (omega, beta) pair from the origin on one problem and stream.
 
     All pairs replay the identical draw sequence (the distribution does
     not depend on the pair), giving a paired comparison; the pairs run
@@ -376,13 +340,13 @@ def sweep(
             max_iter=max_iter,
             seed=seed,
             record_every=record_every,
-            metrics=frozenset({METRIC_L2, METRIC_F, METRIC_CESARO}),
+            metrics=DEFAULT_METRICS,
         )
         for omega, beta in pairs
     ]
     long_rows: list[list] = []
     summaries: list[dict] = []
-    for pair_id, ((omega, beta), trace) in enumerate(zip(pairs, run_pairs(problem, dist, runs, x0))):
+    for pair_id, ((omega, beta), trace) in enumerate(zip(pairs, run_pairs(problem, dist, runs))):
         summary = {"pair_id": pair_id, "omega": omega, "beta": beta, "status": "ok"}
         for thr in SWEEP_THRESHOLDS:
             summary[f"iters_to_{thr:g}"] = None
@@ -471,31 +435,23 @@ def verify(
     dist: SketchDistribution,
     params: SolverParams,
     replications: int,
-    x0=None,
 ) -> dict:
     """Monte Carlo check of every bound whose hypotheses the params meet.
 
-    Sections: mean-squared distance vs its geometric envelope, Cesaro
-    objective vs its O(1/k) bound (both with multiplicative slack
-    1 + 3/sqrt(R)), and the expected-iterate decay slope versus
-    log(beta) + 0.05 after the first 10% of iterations.  Raises
-    NotAdmissible when no section applies.
+    The runs start at the origin and record every metric.  Sections:
+    mean-squared distance vs its geometric envelope, Cesaro objective vs
+    its O(1/k) bound (both with multiplicative slack 1 + 3/sqrt(R)), and
+    the expected-iterate decay slope versus log(beta) + 0.05 after the
+    first 10% of iterations.  Raises NotAdmissible when no section
+    applies.
     """
     if replications < MIN_VERIFY_REPLICATIONS:
         raise InsufficientReplications(
             f"need >= {MIN_VERIFY_REPLICATIONS} replications, got {replications}"
         )
     a, b = problem.a, problem.b
-    metrics = params.metrics | {METRIC_L2, METRIC_F, METRIC_CESARO, METRIC_SNAPSHOT}
-    params = SolverParams(
-        omega=params.omega,
-        beta=params.beta,
-        max_iter=params.max_iter,
-        seed=params.seed,
-        record_every=params.record_every,
-        metrics=metrics,
-    )
-    x0 = np.zeros(a.shape[1]) if x0 is None else np.asarray(x0, dtype=np.float64)
+    params = replace(params, metrics=ALL_METRICS)
+    x0 = np.zeros(a.shape[1])
 
     spectrum = hessian_spectrum(a, dist)
     lmin, lmax = spectrum.lambda_min_plus, spectrum.lambda_max
@@ -518,7 +474,7 @@ def verify(
 
     xstar = project_onto_solutions(x0, a, b)
     ens = run_ensemble(
-        problem, dist, params, x0, replications=replications,
+        problem, dist, params, replications=replications,
         eh=spectrum.expected_h, xstar=xstar,
     )
     init_sq = float(np.sum((x0 - xstar) ** 2))

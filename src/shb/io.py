@@ -22,6 +22,9 @@ from shb.problems import Problem
 
 BUNDLE_KIND = "shb-problem"
 BUNDLE_VERSION = 1
+# largest dense matrix (rows x largest index) a LIBSVM file may ask for:
+# 2^27 float64 entries, 1 GiB
+LIBSVM_MAX_ELEMENTS = 1 << 27
 
 
 @contextmanager
@@ -55,7 +58,8 @@ def parse_libsvm(path) -> np.ndarray:
     increasing indices.  Labels are parsed for validity and discarded;
     only the feature matrix is kept.  Column count is the largest index
     seen anywhere; absent entries are zero.  Trailing blank lines are
-    tolerated, interior ones are not.
+    tolerated, interior ones are not.  A file whose dense matrix would
+    exceed LIBSVM_MAX_ELEMENTS entries is rejected before allocating.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -66,6 +70,7 @@ def parse_libsvm(path) -> np.ndarray:
 
     rows: list[list[tuple[int, float]]] = []
     max_index = 0
+    widest_line = 0
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -107,8 +112,15 @@ def parse_libsvm(path) -> np.ndarray:
             feats.append((idx, val))
             if idx > max_index:
                 max_index = idx
+                widest_line = line_no
         rows.append(feats)
 
+    if len(rows) * max_index > LIBSVM_MAX_ELEMENTS:
+        raise MalformedLine(
+            f"{path}:{widest_line}: index {max_index} makes a {len(rows)}x{max_index} matrix,"
+            f" over the limit of {LIBSVM_MAX_ELEMENTS} entries",
+            line_no=widest_line,
+        )
     mat = np.zeros((len(rows), max_index))
     for i, feats in enumerate(rows):
         for idx, val in feats:

@@ -22,7 +22,12 @@ from shb.errors import (
 
 # Eigenvalues below REL_TOL * lambda_max are treated as zero everywhere
 # (pseudoinverse cutoff, rank counting, smallest-nonzero detection).
-DEFAULT_REL_TOL = 1e-10
+REL_TOL = 1e-10
+# largest relative asymmetry ||W - W^T||_F / max(1, ||W||_F) sym_eig accepts
+ASYM_TOL = 1e-12
+# largest residual of a projection, relative to 1 + ||b||, before the
+# system counts as inconsistent
+RESIDUAL_RTOL = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -53,11 +58,11 @@ class SymEig:
     eigenvectors: np.ndarray
 
 
-def sym_eig(w, *, asym_tol: float = 1e-12, clamp_tol: float = DEFAULT_REL_TOL) -> SymEig:
+def sym_eig(w) -> SymEig:
     """Eigendecomposition of a symmetric PSD matrix, or of a stack of them.
 
     Eigenvalues come back sorted descending along the last axis.  Tiny
-    negative eigenvalues (rounding dust, |lam| <= clamp_tol *
+    negative eigenvalues (rounding dust, |lam| <= REL_TOL *
     max(1, |lam|_max)) are clamped to zero so PSD inputs always yield a
     nonnegative spectrum.  A stack (..., n, n) is checked and
     decomposed matrix by matrix, with the same results as one call each.
@@ -67,8 +72,8 @@ def sym_eig(w, *, asym_tol: float = 1e-12, clamp_tol: float = DEFAULT_REL_TOL) -
         raise NonSquare(f"expected a square matrix, got shape {w.shape}")
     fro = np.linalg.norm(w, axis=(-2, -1))
     rel_asym = (np.linalg.norm(w - w.swapaxes(-1, -2), axis=(-2, -1)) / np.maximum(1.0, fro)).max()
-    if rel_asym > asym_tol:
-        raise AsymmetryExceedsTolerance(f"relative asymmetry {rel_asym:.3e} exceeds {asym_tol:.0e}")
+    if rel_asym > ASYM_TOL:
+        raise AsymmetryExceedsTolerance(f"relative asymmetry {rel_asym:.3e} exceeds {ASYM_TOL:.0e}")
     try:
         vals, vecs = np.linalg.eigh(w)
     except np.linalg.LinAlgError as exc:
@@ -76,55 +81,51 @@ def sym_eig(w, *, asym_tol: float = 1e-12, clamp_tol: float = DEFAULT_REL_TOL) -
     vals = vals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()
     top = np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
-    tol = clamp_tol * np.maximum(1.0, top)
+    tol = REL_TOL * np.maximum(1.0, top)
     vals[(vals < 0.0) & (vals >= -tol)] = 0.0
     return SymEig(vals, vecs)
 
 
-def pinv_apply(m, y, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+def pinv_apply(m, y) -> np.ndarray:
     """Apply the Moore-Penrose pseudoinverse of a symmetric PSD matrix to y.
 
-    Eigenvalues <= rel_tol * lambda_max count as zero, so components of y
+    Eigenvalues <= REL_TOL * lambda_max count as zero, so components of y
     in the (numerical) null space of m are annihilated.
     """
     m = np.asarray(m, dtype=np.float64)
     eig = sym_eig(m)
     y = as_vector(y, length=m.shape[0], name="y")
-    return _apply_pinv_eig(eig, y, rel_tol)
-
-
-def pinv_eigenvalues(vals, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """The pseudoinverse's eigenvalues for descending spectra vals.
-
-    The cutoff shared by every pseudoinverse in the package: an
-    eigenvalue counts as zero when it is <= rel_tol * lambda_max, and a
-    spectrum with lambda_max <= 0 inverts to zero.  vals may be a stack
-    of spectra along its last axis.
-    """
-    vals = np.asarray(vals, dtype=np.float64)
-    lmax = vals[..., :1]
-    keep = (vals > rel_tol * lmax) & (lmax > 0.0)
-    return np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
-
-
-def _apply_pinv_eig(eig: SymEig, y: np.ndarray, rel_tol: float) -> np.ndarray:
-    inv = pinv_eigenvalues(eig.eigenvalues, rel_tol)
+    inv = pinv_eigenvalues(eig.eigenvalues)
     if not inv.any():
         return np.zeros_like(y)
     return eig.eigenvectors @ (inv * (eig.eigenvectors.T @ y))
 
 
-def pinv_psd(m, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+def pinv_eigenvalues(vals) -> np.ndarray:
+    """The pseudoinverse's eigenvalues for descending spectra vals.
+
+    The cutoff shared by every pseudoinverse in the package: an
+    eigenvalue counts as zero when it is <= REL_TOL * lambda_max, and a
+    spectrum with lambda_max <= 0 inverts to zero.  vals may be a stack
+    of spectra along its last axis.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    lmax = vals[..., :1]
+    keep = (vals > REL_TOL * lmax) & (lmax > 0.0)
+    return np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+
+
+def pinv_psd(m) -> np.ndarray:
     """Dense pseudoinverse of a symmetric PSD matrix (same cutoff as
     pinv_apply), or of each matrix of a stack (..., n, n)."""
     eig = sym_eig(m)
-    inv = pinv_eigenvalues(eig.eigenvalues, rel_tol)
+    inv = pinv_eigenvalues(eig.eigenvalues)
     if not inv.any():
         return np.zeros(eig.eigenvectors.shape)
     return (eig.eigenvectors * inv[..., None, :]) @ eig.eigenvectors.swapaxes(-1, -2)
 
 
-def project_onto_solutions(x0, a, b, *, residual_rtol: float = 1e-8) -> np.ndarray:
+def project_onto_solutions(x0, a, b) -> np.ndarray:
     """Closest point to x0 on the solution set of a consistent system Ax = b.
 
     Returns x0 - A^+ (A x0 - b), routed through the smaller Gram matrix.
@@ -143,15 +144,15 @@ def project_onto_solutions(x0, a, b, *, residual_rtol: float = 1e-8) -> np.ndarr
         w = pinv_apply(a.T @ a, a.T @ r)
     xs = x0 - w
     resid = float(np.linalg.norm(a @ xs - b))
-    if resid > residual_rtol * (1.0 + float(np.linalg.norm(b))):
+    if resid > RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b))):
         raise Inconsistent(
             f"projection residual {resid:.3e} too large: system has no solution"
         )
     return xs
 
 
-def nonzero_min(eigenvalues, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Smallest eigenvalue strictly above rel_tol * lambda_max.
+def nonzero_min(eigenvalues) -> float:
+    """Smallest eigenvalue strictly above REL_TOL * lambda_max.
 
     Expects a descending, nonnegative spectrum.  Raises AllZero when the
     matrix is zero and no such eigenvalue exists.
@@ -159,7 +160,7 @@ def nonzero_min(eigenvalues, rel_tol: float = DEFAULT_REL_TOL) -> float:
     vals = np.asarray(eigenvalues, dtype=np.float64)
     if vals.size == 0 or float(vals[0]) <= 0.0:
         raise AllZero("spectrum has no nonzero eigenvalue")
-    threshold = rel_tol * float(vals[0])
+    threshold = REL_TOL * float(vals[0])
     above = vals[vals > threshold]
     if above.size == 0:
         raise AllZero("spectrum has no eigenvalue above the cutoff")

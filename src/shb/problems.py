@@ -69,7 +69,7 @@ class Problem:
         )
 
 
-def gen_problem(rows: int, cols: int, seed: int, kind: str = "gaussian") -> Problem:
+def gen_problem(rows: int, cols: int, seed: int) -> Problem:
     """Synthetic consistent system: Gaussian matrix with a planted solution.
 
     Entries of A and of the planted solution are i.i.d. standard normal
@@ -79,8 +79,6 @@ def gen_problem(rows: int, cols: int, seed: int, kind: str = "gaussian") -> Prob
     """
     if rows < 1 or cols < 1:
         raise OutOfRange("rows and cols must be >= 1")
-    if kind != "gaussian":
-        raise OutOfRange(f"unknown generator kind {kind!r}")
     rng = derive_stream(seed)
     a = rng.standard_normal((rows, cols))
     planted = rng.standard_normal(cols)
@@ -89,11 +87,11 @@ def gen_problem(rows: int, cols: int, seed: int, kind: str = "gaussian") -> Prob
         a=a,
         b=b,
         planted_solution=planted,
-        source=f"gen:{kind}:{rows}x{cols}:seed={seed}",
+        source=f"gen:gaussian:{rows}x{cols}:seed={seed}",
     )
 
 
-def plant_solution(a, seed: int, source: str = "") -> Problem:
+def plant_solution(a, seed: int, source: str) -> Problem:
     """Wrap an ingested matrix into a consistent system with planted b.
 
     The planted solution is i.i.d. standard normal from a stream keyed
@@ -105,4 +103,4 @@ def plant_solution(a, seed: int, source: str = "") -> Problem:
     rng = derive_stream(seed, PLANT_STREAM_KEY)
     planted = rng.standard_normal(a.shape[1])
     b = a @ planted
-    return Problem(a=a, b=b, planted_solution=planted, source=source or "planted")
+    return Problem(a=a, b=b, planted_solution=planted, source=source)

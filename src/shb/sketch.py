@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from shb.errors import DimensionMismatch, OutOfRange, ShbError, ZeroRow
-from shb.linalg import DEFAULT_REL_TOL, as_matrix, as_vector, nonzero_min, pinv_apply, pinv_psd, sym_eig
+from shb.linalg import REL_TOL, as_matrix, as_vector, nonzero_min, pinv_apply, pinv_psd, sym_eig
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 10_000
@@ -329,13 +329,12 @@ def hessian_spectrum(
     *,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     rng: np.random.Generator | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> SpectrumInfo:
     """Assemble W = A^T E[H] A explicitly and report its spectrum.
 
-    lambda_min_plus is the smallest eigenvalue above rel_tol*lambda_max;
+    lambda_min_plus is the smallest eigenvalue above REL_TOL*lambda_max;
     the exact flag is true iff the smallest eigenvalue of E[H] exceeds
-    rel_tol, i.e. E[H] is (numerically) positive definite.  For row
+    REL_TOL, i.e. E[H] is (numerically) positive definite.  For row
     sampling that eigenvalue is min(h), and W costs O(m d^2).
     """
     a = as_matrix(a, "a")
@@ -352,14 +351,14 @@ def hessian_spectrum(
     eig = sym_eig(w)
     vals = eig.eigenvalues
     lam_max = float(vals[0])
-    lam_min_plus = nonzero_min(vals, rel_tol)
-    rank = int(np.count_nonzero(vals > rel_tol * lam_max))
+    lam_min_plus = nonzero_min(vals)
+    rank = int(np.count_nonzero(vals > REL_TOL * lam_max))
     return SpectrumInfo(
         eigenvalues=vals,
         lambda_max=lam_max,
         lambda_min_plus=lam_min_plus,
         rank=rank,
-        exact=bool(eh_min > rel_tol),
+        exact=bool(eh_min > REL_TOL),
         expected_h=h,
         mc_samples=eh.mc_samples,
     )

@@ -14,7 +14,9 @@ import shb.experiments
 import shb.sketch
 import shb.solver
 from shb.cli import main
+from shb.experiments import make_distribution, write_sweep_outputs
 from shb.io import read_bundle
+from shb.problems import gen_problem
 
 
 def gen_bundle(tmp_path, rows=6, cols=4, seed=7):
@@ -47,6 +49,16 @@ class TestAnalyze:
         data.write_text("1 1:1.0 2:0.5\n0 2:2.0\n-1 1:0.25 3:1\n")
         rc = main(["analyze", "--input", str(data), "--format", "libsvm"])
         assert rc == 0
+
+    def test_libsvm_too_wide_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "wide.txt"
+        data.write_text("1 1:1 1000000000000:1\n")
+        rc = main(["analyze", "--input", str(data), "--format", "libsvm"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "1000000000000" in err
+        assert "Traceback" not in err
 
 
 class TestBadManifest:
@@ -96,6 +108,35 @@ class TestSolve:
             rows = list(csv.reader(fh, strict=True))
         assert rows[0][0] == "k"
         assert rows[1][2] == "1.0"  # normalized error starts at one
+
+    def test_other_suffix_selects_csv(self, tmp_path):
+        """Any --out suffix but .json gives the CSV trace."""
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "trace.out"
+        rc = main([
+            "solve", "--input", str(bundle), "--iters", "50", "--record-every", "10",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh, strict=True))
+        assert rows[0][0] == "k"
+        assert rows[1][2] == "1.0"
+
+    def test_json_suffix_selects_json(self, tmp_path):
+        """A .json --out gives the JSON trace, with the CSV trace's rows."""
+        bundle = gen_bundle(tmp_path)
+        args = ["solve", "--input", str(bundle), "--iters", "50", "--record-every", "10"]
+        assert main(args + ["--out", str(tmp_path / "trace.csv")]) == 0
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh, strict=True))
+        out = tmp_path / "trace.json"
+        assert main(args + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["schema"] == "shb-trace-v1"
+        assert payload["columns"][0] == "k"
+        assert payload["rows"][0]["rel_error_x0"] == 1.0
+        assert [r["k"] for r in payload["rows"]] == [int(r[0]) for r in rows[1:]]
 
     @pytest.mark.parametrize("sketch", ["row", "block:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
@@ -164,6 +205,16 @@ class TestSweep:
             "--out", str(tmp_path / "sw"),
         ])
         assert rc == 1
+        assert not (tmp_path / "sw").exists()
+
+    def test_empty_betas_rejected(self, tmp_path):
+        bundle = gen_bundle(tmp_path)
+        rc = main([
+            "sweep", "--input", str(bundle), "--betas", ",", "--iters", "10",
+            "--out", str(tmp_path / "sw"),
+        ])
+        assert rc == 1
+        assert not (tmp_path / "sw").exists()
 
 
 class TestVerify:
@@ -178,11 +229,75 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["schema"] == "shb-verify-v1"
         assert report["replications"] == 150
+        # verify records every metric, the iterate snapshots included
+        assert report["params"]["metrics"] == sorted(shb.solver.ALL_METRICS)
+        assert report["l1_le_l2"]["applicable"] is True
 
     def test_too_few_reps(self, tmp_path):
         bundle = gen_bundle(tmp_path)
         rc = main(["verify", "--input", str(bundle), "--reps", "10"])
         assert rc == 1
+
+    def test_failed_check_exits_three(self, tmp_path, capsys):
+        bundle = gen_bundle(tmp_path, rows=8, cols=3, seed=11)
+        out = tmp_path / "verify.json"
+        real = shb.experiments.verify
+
+        def failing(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report["l2"]["pass"] = False
+            report["pass"] = False
+            return report
+
+        with mock.patch.object(shb.experiments, "verify", failing):
+            rc = main([
+                "verify", "--input", str(bundle), "--beta", "0.01", "--iters", "30",
+                "--record-every", "5", "--reps", "150", "--out", str(out),
+            ])
+        assert rc == 3
+        assert json.loads(out.read_text())["pass"] is False
+        assert "overall: FAIL" in capsys.readouterr().out
+
+
+class TestReadmeRecipes:
+    """The two experiment recipes of the README, run through the CLI."""
+
+    def test_momentum_sweep(self, tmp_path):
+        bundle = tmp_path / "prob.json"
+        assert main(["gen", "--rows", "60", "--cols", "20", "--seed", "0", "--out", str(bundle)]) == 0
+        out = tmp_path / "sweep_out"
+        rc = main([
+            "sweep", "--input", str(bundle), "--omega", "1.0", "--betas", "0,0.2,0.3,0.4,0.5",
+            "--iters", "1200", "--record-every", "25", "--seed", "0", "--out", str(out),
+        ])
+        assert rc == 0
+        problem = gen_problem(60, 20, seed=0)
+        pairs = tuple((1.0, b) for b in (0.0, 0.2, 0.3, 0.4, 0.5))
+        long_rows, summaries = shb.experiments.sweep(
+            problem, make_distribution("row", problem.a), pairs, 1200, 25, 0
+        )
+        ref = tmp_path / "ref"
+        write_sweep_outputs(long_rows, summaries, ref)
+        for name in ("sweep_summary.csv", "sweep_long.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_verify_at_half_the_momentum_bound(self, tmp_path, capsys):
+        bundle = tmp_path / "small.json"
+        assert main(["gen", "--rows", "50", "--cols", "20", "--seed", "0", "--out", str(bundle)]) == 0
+        analysis = tmp_path / "analyze.json"
+        assert main(["analyze", "--input", str(bundle), "--out", str(analysis)]) == 0
+        beta = json.loads(analysis.read_text())["beta_upper"] / 2
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        rc = main([
+            "verify", "--input", str(bundle), "--beta", str(beta), "--iters", "1000",
+            "--record-every", "50", "--reps", "500", "--out", str(report),
+        ])
+        assert rc == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        assert payload["pass"] is True
+        assert payload["params"]["beta"] == beta
 
 
 class TestHelp:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import shb.sketch as sketch
 from shb.errors import OutOfRange
-from shb.linalg import DEFAULT_REL_TOL, pinv_psd, sym_eig
+from shb.linalg import REL_TOL, pinv_psd, sym_eig
 from shb.sketch import (
     BlockRow,
     GaussianSketch,
@@ -73,8 +73,8 @@ def test_row_sampling_structure_equals_dense(instance):
         return
     spec = hessian_spectrum(a, dist)
     np.testing.assert_array_equal(spec.eigenvalues, vals)
-    assert spec.exact == bool(np.linalg.eigvalsh(dense)[0] > DEFAULT_REL_TOL)
-    assert spec.exact == bool(np.all(eh.value > DEFAULT_REL_TOL))
+    assert spec.exact == bool(np.linalg.eigvalsh(dense)[0] > REL_TOL)
+    assert spec.exact == bool(np.all(eh.value > REL_TOL))
 
 
 def test_mushrooms_shape_row_sampling_memory():

@@ -8,12 +8,11 @@ import pytest
 from shb.errors import InsufficientReplications, NotAdmissible, OutOfRange
 from shb.experiments import (
     TRACE_HEADER,
-    ExperimentSpec,
     analyze,
-    build_trace_table,
     first_crossing,
     make_distribution,
     report_to_dict,
+    solve,
     summarize_long_rows,
     sweep,
     verify,
@@ -23,26 +22,11 @@ from shb.experiments import (
 )
 from shb.problems import Problem, gen_problem
 from shb.sketch import BlockRow, GaussianSketch, UnitCoordinate, row_sampling
-from shb.solver import DEFAULT_METRICS, METRIC_SNAPSHOT, SolverParams, run
+from shb.solver import DEFAULT_METRICS, METRIC_SNAPSHOT, SolverParams
 
 
 def toy_problem() -> Problem:
     return Problem(a=np.eye(2), b=np.array([1.0, 2.0]), source="toy")
-
-
-class TestExperimentSpec:
-    def test_requires_pairs(self):
-        with pytest.raises(OutOfRange):
-            ExperimentSpec(problem_source="x", pairs=())
-
-    def test_output_format_validated(self):
-        with pytest.raises(OutOfRange):
-            ExperimentSpec(problem_source="x", output_format="xml")
-
-    def test_defaults(self):
-        spec = ExperimentSpec(problem_source="x")
-        assert spec.pairs == ((1.0, 0.0),)
-        assert spec.output_format == "csv"
 
 
 class TestMakeDistribution:
@@ -114,8 +98,7 @@ class TestTraceTable:
         problem = toy_problem()
         dist = row_sampling(problem.a)
         params = SolverParams(omega=1.0, beta=0.0, max_iter=30, seed=0, record_every=5)
-        trace = run(problem, dist, params)
-        table = build_trace_table(problem, dist, trace)
+        table = solve(problem, dist, params)
         first = dict(zip(table.header, table.rows[0]))
         assert first["k"] == 0
         assert first["rel_error_x0"] == pytest.approx(1.0)
@@ -140,7 +123,7 @@ class TestTraceTable:
         problem = toy_problem()
         dist = row_sampling(problem.a)
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=5)
-        table = build_trace_table(problem, dist, run(problem, dist, params))
+        table = solve(problem, dist, params)
         path = tmp_path / "t.json"
         write_trace_json(table, path)
         payload = json.loads(path.read_text())

@@ -1,9 +1,11 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import shb.io
 from shb.errors import BundleError, EmptyFile, Inconsistent, MalformedLine, NonMonotoneIndices
 from shb.io import (
     atomic_write,
@@ -89,6 +91,23 @@ class TestParseLibsvm:
     def test_decreasing_index(self, tmp_path):
         with pytest.raises(NonMonotoneIndices) as exc:
             parse_libsvm(write(tmp_path, "a.txt", "1 1:1\n1 3:1 2:1\n"))
+        assert exc.value.line_no == 2
+
+    def test_width_over_budget_rejected_before_allocating(self, tmp_path):
+        text = "1 1:1\n1 1:1 1000000000000:1\n1 2:1\n"
+        with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+            with pytest.raises(MalformedLine) as exc:
+                parse_libsvm(write(tmp_path, "a.txt", text))
+        assert exc.value.line_no == 2  # the line holding the largest index
+        assert "1000000000000" in str(exc.value)
+
+    def test_width_budget_boundary(self, tmp_path):
+        path = write(tmp_path, "a.txt", "1 1:1\n1 4:1\n")  # 2 x 4 = 8 entries
+        with mock.patch.object(shb.io, "LIBSVM_MAX_ELEMENTS", 8):
+            assert parse_libsvm(path).shape == (2, 4)
+        with mock.patch.object(shb.io, "LIBSVM_MAX_ELEMENTS", 7):
+            with pytest.raises(MalformedLine) as exc:
+                parse_libsvm(path)
         assert exc.value.line_no == 2
 
     def test_shuffled_lines_permute_rows(self, tmp_path):

@@ -38,6 +38,7 @@ from shb.solver import (
     SolverParams,
     run,
     run_ensemble,
+    run_pairs,
     shb_step,
 )
 
@@ -251,17 +252,26 @@ def test_sweep_pairs_equal_solo_runs(instance, schedule, extra_betas, kind):
     omega, beta, max_iter, every, predraw, seed = schedule
     dist = distribution(problem, kind)
     pairs = tuple((omega, b) for b in [beta, *extra_betas])
+    settings = [
+        SolverParams(
+            omega=w, beta=b, max_iter=max_iter, seed=seed, record_every=every,
+            metrics=DEFAULT_METRICS,
+        )
+        for w, b in pairs
+    ]
     with mock.patch.object(solver, "PREDRAW_ELEMENTS", predraw):
-        long_rows, summaries = sweep(problem, dist, pairs, max_iter, every, seed, x0)
-        solo = [
-            run(problem, dist, SolverParams(
-                omega=w, beta=b, max_iter=max_iter, seed=seed, record_every=every,
-                metrics=DEFAULT_METRICS,
-            ), x0)
-            for w, b in pairs
-        ]
+        paired = run_pairs(problem, dist, settings, x0)
+        solo = [run(problem, dist, p, x0) for p in settings]
+        long_rows, summaries = sweep(problem, dist, pairs, max_iter, every, seed)
+        from_origin = [run(problem, dist, p) for p in settings]
+    for got, want in zip(paired, solo):
+        assert got.diverged_at is None
+        for field in ("ks", "l2_error", "f_value", "cesaro_f"):
+            assert getattr(got, field) == getattr(want, field)
+        np.testing.assert_array_equal(got.final_iterate, want.final_iterate)
+    # the sweep starts at the origin
     assert all(s["status"] == "ok" for s in summaries)
-    for pair_id, ((w, b), trace) in enumerate(zip(pairs, solo)):
+    for pair_id, ((w, b), trace) in enumerate(zip(pairs, from_origin)):
         assert [row for row in long_rows if row[0] == pair_id] == pair_rows(pair_id, w, b, trace)
 
 

@@ -144,9 +144,9 @@ class TestPinvApply:
             pinv_eigenvalues(vals),
             [[0.25, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
         )
-        # strictly above rel_tol * lambda_max is kept; the boundary itself is zero
-        assert pinv_eigenvalues(np.array([4.0, 5e-10]), rel_tol=1e-10).tolist() == [0.25, 1 / 5e-10]
-        assert pinv_eigenvalues(np.array([4.0, 4e-10]), rel_tol=1e-10).tolist() == [0.25, 0.0]
+        # strictly above REL_TOL * lambda_max is kept; the boundary itself is zero
+        assert pinv_eigenvalues(np.array([4.0, 5e-10])).tolist() == [0.25, 1 / 5e-10]
+        assert pinv_eigenvalues(np.array([4.0, 4e-10])).tolist() == [0.25, 0.0]
 
 
 class TestProjection:
@@ -217,7 +217,7 @@ class TestNonzeroMin:
         assert nonzero_min(np.array([0.5, 0.5])) == 0.5
 
     def test_below_threshold_ignored(self):
-        assert nonzero_min(np.array([1.0, 1e-15]), rel_tol=1e-10) == 1.0
+        assert nonzero_min(np.array([1.0, 1e-15])) == 1.0
 
     def test_all_zero(self):
         with pytest.raises(AllZero):
