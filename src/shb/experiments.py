@@ -2,7 +2,8 @@
 
 These functions sit between the solver/theory layers and the CLI.  They
 take in-memory problems and distributions, produce plain dicts and rows
-ready for CSV/JSON serialization, and never print.
+ready for CSV/JSON serialization, and never print.  Each command builds
+the spectrum of W (with E[H] and exactness) and x* once, passing them down.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from shb.sketch import (
 from shb.solver import (
     ALL_METRICS,
     DEFAULT_METRICS,
-    METRIC_L2,
     RunTrace,
     SolverParams,
     run,
@@ -119,7 +119,7 @@ def analyze(
     x0 = np.zeros(a.shape[1])
     xstar = project_onto_solutions(x0, a, b)
     init_sq = float(np.sum((x0 - xstar) ** 2))
-    f0 = f_value(a, b, x0, spectrum.expected_h)
+    f0 = f_value(a, b, x0, spectrum.expected_h, xstar)
 
     cesaro_applicable = 0.0 <= beta < 1.0 and omega0 > 0.0 and omega0 + 2.0 * beta < 2.0
     cesaro_params = {
@@ -266,9 +266,7 @@ def solve(problem: Problem, dist: SketchDistribution, params: SolverParams) -> T
     """
     a, b = problem.a, problem.b
     spectrum = hessian_spectrum(a, dist)
-    xstar = None
-    if METRIC_L2 in params.metrics:
-        xstar = project_onto_solutions(np.zeros(a.shape[1]), a, b)
+    xstar = project_onto_solutions(np.zeros(a.shape[1]), a, b)
     trace = run(problem, dist, params, eh=spectrum.expected_h, xstar=xstar)
     return build_trace_table(problem, trace, spectrum=spectrum, xstar=xstar)
 
@@ -478,7 +476,7 @@ def verify(
         eh=spectrum.expected_h, xstar=xstar,
     )
     init_sq = float(np.sum((x0 - xstar) ** 2))
-    f0 = f_value(a, b, x0, spectrum.expected_h)
+    f0 = f_value(a, b, x0, spectrum.expected_h, xstar)
     slack = 1.0 + 3.0 / math.sqrt(replications)
 
     report: dict = {

@@ -16,15 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+import shb.linalg as linalg
 from shb.errors import BundleError, EmptyFile, MalformedLine, NonMonotoneIndices
-from shb.linalg import as_matrix
 from shb.problems import Problem
 
 BUNDLE_KIND = "shb-problem"
 BUNDLE_VERSION = 1
-# largest dense matrix (rows x largest index) a LIBSVM file may ask for:
-# 2^27 float64 entries, 1 GiB
-LIBSVM_MAX_ELEMENTS = 1 << 27
 
 
 @contextmanager
@@ -59,7 +56,7 @@ def parse_libsvm(path) -> np.ndarray:
     only the feature matrix is kept.  Column count is the largest index
     seen anywhere; absent entries are zero.  Trailing blank lines are
     tolerated, interior ones are not.  A file whose dense matrix would
-    exceed LIBSVM_MAX_ELEMENTS entries is rejected before allocating.
+    exceed linalg.MAX_DENSE_ELEMENTS entries is rejected before allocating.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -115,10 +112,10 @@ def parse_libsvm(path) -> np.ndarray:
                 widest_line = line_no
         rows.append(feats)
 
-    if len(rows) * max_index > LIBSVM_MAX_ELEMENTS:
+    if len(rows) * max_index > linalg.MAX_DENSE_ELEMENTS:
         raise MalformedLine(
             f"{path}:{widest_line}: index {max_index} makes a {len(rows)}x{max_index} matrix,"
-            f" over the limit of {LIBSVM_MAX_ELEMENTS} entries",
+            f" over the limit of {linalg.MAX_DENSE_ELEMENTS} entries",
             line_no=widest_line,
         )
     mat = np.zeros((len(rows), max_index))
@@ -130,7 +127,7 @@ def parse_libsvm(path) -> np.ndarray:
 
 def write_csv_matrix(a, path) -> None:
     """Dense matrix to CSV with a generated header row."""
-    a = as_matrix(a, "a")
+    a = linalg.as_matrix(a, "a")
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"c{j + 1}" for j in range(a.shape[1])])

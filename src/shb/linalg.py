@@ -28,6 +28,8 @@ ASYM_TOL = 1e-12
 # largest residual of a projection, relative to 1 + ||b||, before the
 # system counts as inconsistent
 RESIDUAL_RTOL = 1e-8
+# largest dense array an input may make the package allocate (1 GiB)
+MAX_DENSE_ELEMENTS = 1 << 27
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -1,13 +1,13 @@
 """Sketching distributions and the stochastic objective they induce.
 
-A draw produces a random matrix S with one column per sketch dimension.
-The per-draw weighting matrix is
-
-    H = S (S^T A A^T S)^+ S^T,
-
-which is PSD and makes A^T H A an orthogonal projector, so the Hessian
-of the expected objective, W = A^T E[H] A, always has its spectrum
-inside [0, 1].  Three families are supported:
+A draw produces a random matrix S with one column per sketch dimension
+and the weighting matrix H = S (S^T A A^T S)^+ S^T, which is PSD and
+makes A^T H A an orthogonal projector; the Hessian W = A^T E[H] A of
+the expected objective so has its spectrum inside [0, 1].  No sketch
+forms the m x m E[H]: row sampling keeps its diagonal, block and
+Gaussian sketches sum W in d x d (refused when d^2 is over the
+dense-array budget) and take f(x) = (1/2) (x-x*)^T W (x-x*).  A sketch
+is exact, Null(W) = Null(A), when rank(W) = rank(A).  The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -26,12 +26,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+import shb.linalg as linalg
 from shb.errors import DimensionMismatch, OutOfRange, ShbError, ZeroRow
-from shb.linalg import REL_TOL, as_matrix, as_vector, nonzero_min, pinv_apply, pinv_psd, sym_eig
+from shb.linalg import REL_TOL, as_matrix, as_vector, nonzero_min, pinv_apply, pinv_eigenvalues, sym_eig
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 10_000
-# the E[H] estimate stacks its draws in chunks whose largest array holds
+# the W estimate stacks its draws in chunks whose largest array holds
 # about this many numbers
 BATCH_ELEMENTS = 1 << 17
 
@@ -205,32 +206,32 @@ def stoch_grad(a, b, x, sample: SketchSample) -> np.ndarray:
 
 
 class ExpectedH(NamedTuple):
-    """E[H] by its structure, and the Monte Carlo sample count.
+    """E[H] as the objective and the spectrum use it, and the sample count.
 
     value is the diagonal h of E[H] = diag(h) for row sampling and the
-    dense m x m matrix for the other sketches; matrix is always dense.
-    mc_samples is None when the value is exact.
+    Hessian W = A^T E[H] A (d x d) for the other sketches.  mc_samples
+    is None when the value is exact.
     """
 
     value: np.ndarray
     mc_samples: int | None
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.value) if self.value.ndim == 1 else self.value
+
+def _check_w_fits(d: int) -> None:
+    if d * d > linalg.MAX_DENSE_ELEMENTS:
+        raise OutOfRange(f"a {d}x{d} Hessian W is over the limit of {linalg.MAX_DENSE_ELEMENTS} entries")
 
 
-def _add_block_pinvs(acc: np.ndarray, a: np.ndarray, idx: np.ndarray) -> None:
-    """acc[S, S] += pinv(A_S A_S^T) for each row block S = idx[n], in order."""
-    sub = a[idx]
-    pinvs = pinv_psd(sub @ sub.swapaxes(1, 2))
-    flat = idx[:, :, None] * acc.shape[0] + idx[:, None, :]
-    np.add.at(acc.reshape(-1), flat.ravel(), pinvs.ravel())
+def _add_projections(acc: np.ndarray, g: np.ndarray) -> None:
+    """acc += g_n^T pinv(g_n g_n^T) g_n for each sketched matrix g_n = g[n].
 
-
-def _mean_h(acc: np.ndarray, n: int, mc_samples: int | None) -> ExpectedH:
-    h = acc / n
-    return ExpectedH((h + h.T) / 2.0, mc_samples)
+    With g_n g_n^T = V diag(lam) V^T, the term is F^T F for
+    F = diag(lam)^{+1/2} V^T g_n, so the whole chunk adds as one product.
+    """
+    eig = sym_eig(g @ g.swapaxes(1, 2))
+    scale = np.sqrt(pinv_eigenvalues(eig.eigenvalues))
+    f = (scale[:, :, None] * (eig.eigenvectors.swapaxes(1, 2) @ g)).reshape(-1, g.shape[2])
+    acc += f.T @ f
 
 
 def expected_h(
@@ -243,13 +244,14 @@ def expected_h(
     """E[H] for the distribution, exact where a closed form exists.
 
     UnitCoordinate is exact and kept as the weights h_i = p_i/||A_i||^2
-    of its diagonal.  BlockRow is enumerated exactly when C(m, tau) <=
-    10000, otherwise estimated by Monte Carlo, like GaussianSketch
-    always is.  Estimates carry the sample count; exact values carry
-    None.  The default estimator rng is seeded so repeat calls agree.
-    Draws are made one by one in a fixed order; their pseudoinverses
-    are taken in stacked chunks of about BATCH_ELEMENTS numbers, so
-    memory does not grow with mc_samples.
+    of its diagonal.  BlockRow and GaussianSketch give W, the mean over
+    draws of g^T pinv(g g^T) g with g = A_S (the sampled rows) or S^T A.
+    BlockRow is enumerated exactly when C(m, tau) <= 10000, otherwise
+    estimated by Monte Carlo, like GaussianSketch always is.  Estimates
+    carry the sample count; exact values carry None.  The default
+    estimator rng is seeded so repeat calls agree.  Draws are made one
+    by one in a fixed order and summed in chunks of about BATCH_ELEMENTS
+    numbers, so memory grows with neither mc_samples nor m.
     """
     a = as_matrix(a, "a")
     m, d = a.shape
@@ -267,45 +269,37 @@ def expected_h(
         pos = p > 0.0
         h[pos] = p[pos] / norms_sq[pos]
         return ExpectedH(h, None)
-    acc = np.zeros((m, m))
-    if isinstance(dist, BlockRow):
-        tau = dist.block_size
-        if tau > m:
-            raise OutOfRange(f"block_size {tau} exceeds row count {m}")
-        chunk = max(1, BATCH_ELEMENTS // (tau * max(d, tau)))
-        n_subsets = math.comb(m, tau)
-        if n_subsets <= DEFAULT_MC_SAMPLES:
-            subsets = np.array(list(combinations(range(m), tau)))
-            for start in range(0, n_subsets, chunk):
-                _add_block_pinvs(acc, a, subsets[start : start + chunk])
-            return _mean_h(acc, n_subsets, None)
-        rng = rng if rng is not None else np.random.default_rng(0)
-        for start in range(0, mc_samples, chunk):
-            idx = [rng.choice(m, size=tau, replace=False) for _ in range(min(chunk, mc_samples - start))]
-            _add_block_pinvs(acc, a, np.sort(idx, axis=1))
-        return _mean_h(acc, mc_samples, mc_samples)
-    if isinstance(dist, GaussianSketch):
-        tau = dist.width
-        if tau > m:
-            raise OutOfRange(f"sketch width {tau} exceeds row count {m}")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        chunk = max(1, BATCH_ELEMENTS // (tau * max(m, d)))
-        for start in range(0, mc_samples, chunk):
-            s = rng.standard_normal((min(chunk, mc_samples - start), m, tau))
-            g = s.swapaxes(1, 2) @ a
-            u = s @ pinv_psd(g @ g.swapaxes(1, 2))
-            acc += np.tensordot(u, s, axes=((0, 2), (0, 2)))
-        return _mean_h(acc, mc_samples, mc_samples)
-    raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+    if not isinstance(dist, (BlockRow, GaussianSketch)):
+        raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+    block = isinstance(dist, BlockRow)
+    tau = dist.block_size if block else dist.width
+    if tau > m:
+        raise OutOfRange(f"sketch size {tau} exceeds row count {m}")
+    _check_w_fits(d)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    n = mc_samples
+    enumerated = block and math.comb(m, tau) <= DEFAULT_MC_SAMPLES
+    if enumerated:
+        subsets = np.array(list(combinations(range(m), tau)))
+        n, mc_samples = len(subsets), None
+    acc = np.zeros((d, d))
+    chunk = max(1, BATCH_ELEMENTS // (tau * max(d, tau if block else m)))
+    for start in range(0, n, chunk):
+        size = min(chunk, n - start)
+        if not block:
+            g = rng.standard_normal((size, m, tau)).swapaxes(1, 2) @ a
+        elif enumerated:
+            g = a[subsets[start : start + size]]
+        else:
+            g = a[np.sort([rng.choice(m, size=tau, replace=False) for _ in range(size)], axis=1)]
+        _add_projections(acc, g)
+    w = acc / n
+    return ExpectedH((w + w.T) / 2.0, mc_samples)
 
 
 @dataclass(frozen=True)
 class SpectrumInfo:
-    """Spectrum of W = A^T E[H] A plus the exactness flag of E[H].
-
-    expected_h is E[H] as ExpectedH.value: the diagonal weights for row
-    sampling, the dense matrix otherwise.
-    """
+    """Spectrum of W = A^T E[H] A, its exactness flag and ExpectedH's fields."""
 
     eigenvalues: np.ndarray
     lambda_max: float
@@ -332,56 +326,57 @@ def hessian_spectrum(
 ) -> SpectrumInfo:
     """Assemble W = A^T E[H] A explicitly and report its spectrum.
 
-    lambda_min_plus is the smallest eigenvalue above REL_TOL*lambda_max;
-    the exact flag is true iff the smallest eigenvalue of E[H] exceeds
-    REL_TOL, i.e. E[H] is (numerically) positive definite.  For row
-    sampling that eigenvalue is min(h), and W costs O(m d^2).
+    Row sampling forms W = (A * h)^T A from its weights in O(m d^2); a
+    W over the dense-array budget is refused before it is allocated.
+    lambda_min_plus is the smallest eigenvalue above REL_TOL*lambda_max,
+    and rank counts the eigenvalues above that cutoff.  exact is the
+    paper's assumption Null(W) = Null(A), tested as rank(W) = rank(A)
+    with rank(A) counted on the smaller Gram matrix of A.
     """
     a = as_matrix(a, "a")
+    _check_w_fits(a.shape[1])
     eh = expected_h(dist, a, mc_samples=mc_samples, rng=rng)
-    h = eh.value
-    if h.ndim == 1:
+    w = eh.value
+    if w.ndim == 1:
         # the contiguous copy makes the product the same gemm as A^T diag(h) A
-        w = np.ascontiguousarray((a * h[:, None]).T) @ a
-        eh_min = float(h.min())
-    else:
-        w = a.T @ h @ a
-        eh_min = float(np.linalg.eigvalsh(h)[0])
-    w = (w + w.T) / 2.0
+        w = np.ascontiguousarray((a * w[:, None]).T) @ a
+        w = (w + w.T) / 2.0
     eig = sym_eig(w)
     vals = eig.eigenvalues
     lam_max = float(vals[0])
     lam_min_plus = nonzero_min(vals)
     rank = int(np.count_nonzero(vals > REL_TOL * lam_max))
+    gram_vals = sym_eig(a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a).eigenvalues
     return SpectrumInfo(
         eigenvalues=vals,
         lambda_max=lam_max,
         lambda_min_plus=lam_min_plus,
         rank=rank,
-        exact=bool(eh_min > REL_TOL),
-        expected_h=h,
+        exact=rank == int(np.count_nonzero(gram_vals > REL_TOL * gram_vals[0])),
+        expected_h=eh.value,
         mc_samples=eh.mc_samples,
     )
 
 
-def f_value(a, b, x, eh) -> float:
-    """Objective value (1/2) (Ax-b)^T E[H] (Ax-b).
+def f_value(a, b, x, eh, xstar=None) -> float:
+    """Objective value f(x) = (1/2) (Ax-b)^T E[H] (Ax-b), clamped at zero.
 
-    eh is E[H] as its diagonal weights (length m) or as a dense m x m
-    matrix.  With the default row-sampling weights this equals
-    ||Ax - b||^2 / (2 ||A||_F^2).  Rounding dust below zero is clamped.
+    eh is ExpectedH.value.  Row sampling's weights h give that residual
+    form, which with the default weights is ||Ax - b||^2 / (2 ||A||_F^2).
+    W gives (1/2) (x-x*)^T W (x-x*) for a solution xstar of the consistent
+    system; since Null(A) lies in Null(W), any solution gives the same f.
     """
     a = np.asarray(a, dtype=np.float64)
-    m = a.shape[0]
+    m, d = a.shape
     b = as_vector(b, length=m, name="b")
-    x = as_vector(x, length=a.shape[1], name="x")
+    x = as_vector(x, length=d, name="x")
     eh = np.asarray(eh, dtype=np.float64)
-    r = a @ x - b
     if eh.shape == (m,):
-        weighted = eh * r
-    elif eh.shape == (m, m):
-        weighted = eh @ r
+        r = a @ x - b
+        val = 0.5 * float(r @ (eh * r))
+    elif eh.shape == (d, d):  # a missing xstar (None) is rejected as not 1-D
+        e = x - as_vector(xstar, length=d, name="xstar")
+        val = 0.5 * float(e @ (eh @ e))
     else:
-        raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({m}, {m})")
-    val = 0.5 * float(r @ weighted)
+        raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({d}, {d})")
     return max(val, 0.0)

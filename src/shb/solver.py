@@ -6,7 +6,8 @@ of the draw -> stoch_grad -> shb_step pipeline on its own stream, so
 member r is bit-identical to a plain run on that stream.  Ensembles give
 replication r the stream derived from (seed, r) and aggregate in
 replication order; sweeps share one stream, so every (omega, beta) pair
-replays the same draws.
+replays the same draws.  x* and E[H] come in once per block; f uses row
+sampling's weights h, or (1/2) (x-x*)^T W (x-x*) with the Hessian W.
 """
 
 from __future__ import annotations
@@ -161,11 +162,14 @@ def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _objective_rows(a: np.ndarray, b: np.ndarray, xs: np.ndarray, eh: np.ndarray) -> np.ndarray:
-    """f_value(a, b, x, eh) for every row x of xs, with f_value's arithmetic."""
-    resid = np.matmul(a, xs[:, :, None])[:, :, 0] - b
-    weighted = eh * resid if eh.ndim == 1 else np.matmul(eh, resid[:, :, None])[:, :, 0]
-    vals = 0.5 * _row_dots(resid, weighted)
+def _objective_rows(a: np.ndarray, b: np.ndarray, xs: np.ndarray, eh: np.ndarray, xstar) -> np.ndarray:
+    """f_value(a, b, x, eh, xstar) for every row x of xs, with f_value's arithmetic."""
+    if eh.ndim == 1:
+        resid = np.matmul(a, xs[:, :, None])[:, :, 0] - b
+        vals = 0.5 * _row_dots(resid, eh * resid)
+    else:
+        err = xs - xstar
+        vals = 0.5 * _row_dots(err, np.matmul(eh, err[:, :, None])[:, :, 0])
     return np.where(0.0 > vals, 0.0, vals)
 
 
@@ -197,13 +201,14 @@ def _iterate(
     n = omega.size
     shared = len(streams) == 1
     metrics = params.metrics
-    if METRIC_L2 in metrics and xstar is None:
-        xstar = project_onto_solutions(x0, a, b)
-    if METRIC_F in metrics or METRIC_CESARO in metrics:
+    want_f = METRIC_F in metrics or METRIC_CESARO in metrics
+    if want_f:
         if eh is None:
             eh = expected_h(dist, a).value
-        elif eh.shape not in ((m,), (m, m)):
-            raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({m}, {m})")
+        elif eh.shape not in ((m,), (d, d)):
+            raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({d}, {d})")
+    if xstar is None and (METRIC_L2 in metrics or (want_f and eh.ndim == 2)):
+        xstar = project_onto_solutions(x0, a, b)
 
     by_row = isinstance(dist, UnitCoordinate)
     if by_row:
@@ -238,9 +243,9 @@ def _iterate(
             diff = x - xstar
             l2[live, j] = _row_dots(diff, diff)
         if f is not None:
-            f[live, j] = _objective_rows(a, b, x, eh)
+            f[live, j] = _objective_rows(a, b, x, eh, xstar)
         if cesaro is not None and k > 0:
-            cesaro[live, j] = _objective_rows(a, b, running_sum / k, eh)
+            cesaro[live, j] = _objective_rows(a, b, running_sum / k, eh, xstar)
         if snapshots is not None:
             snap = np.full((n, d), np.nan)
             snap[live] = x
@@ -341,9 +346,9 @@ def run(
     the iterate at index k has consumed exactly k draws.  Metrics are
     recorded at k = 0, every record_every steps and at k = max_iter.
     Identical (problem, dist, params, x0) yield bit-identical traces.
-    eh (E[H] as its row-sampling weights or a dense matrix) and xstar,
-    when given, replace computing them.  Raises NonFinite with the first
-    diverging iteration.
+    eh (ExpectedH.value: row-sampling weights or the Hessian W) and
+    xstar, when given, replace computing them; the objective of W needs
+    xstar too.  Raises NonFinite with the first diverging iteration.
     """
     x0 = _start(x0, problem.a.shape[1])
     block = _iterate(
@@ -367,8 +372,8 @@ def run_pairs(
     """Run several (omega, beta) settings in one block on one stream.
 
     Every setting replays the draws of a plain run (stream index 0), so
-    each trace is bit-identical to run() with its params, and E[H] and
-    x* are computed once for all of them.  The settings must share seed,
+    each trace is bit-identical to run() with its params, and E[H] (its
+    weights or W) and x* are computed once for all of them.  The settings must share seed,
     budget, schedule and metrics.  A diverged setting does not stop the
     others: its trace ends before the diverging iteration and carries
     diverged_at.

@@ -339,12 +339,12 @@ def test_criterion_8_structural_invariants():
         b = rng.standard_normal(m)
         x = rng.standard_normal(d)
         dist = row_sampling(a)
-        eh = expected_h(dist, a).matrix
+        h = expected_h(dist, a).value  # E[H] = diag(h)
         total = np.zeros(d)
         for i, p in enumerate(dist.probabilities):
             if p > 0:
                 total += p * stoch_grad(a, b, x, RowSample(i))
-        worst_bias = max(worst_bias, float(np.max(np.abs(total - a.T @ (eh @ (a @ x - b))))))
+        worst_bias = max(worst_bias, float(np.max(np.abs(total - a.T @ (h * (a @ x - b))))))
     ok &= worst_bias <= 1e-10
     detail.append(f"bias {worst_bias:.2e}")
 

@@ -26,6 +26,22 @@ def gen_bundle(tmp_path, rows=6, cols=4, seed=7):
     return out
 
 
+def one_off_counts(args):
+    """Run the CLI; how often it built E[H] (weights or W), the spectrum
+    and the solution x*."""
+    eh_calls = mock.Mock(wraps=shb.sketch.expected_h)
+    spectrum_calls = mock.Mock(wraps=shb.sketch.hessian_spectrum)
+    xstar_calls = mock.Mock(wraps=shb.solver.project_onto_solutions)
+    with mock.patch.object(shb.sketch, "expected_h", eh_calls), \
+            mock.patch.object(shb.solver, "expected_h", eh_calls), \
+            mock.patch.object(shb.experiments, "hessian_spectrum", spectrum_calls), \
+            mock.patch.object(shb.solver, "project_onto_solutions", xstar_calls), \
+            mock.patch.object(shb.experiments, "project_onto_solutions", xstar_calls):
+        rc = main(args)
+    assert rc == 0
+    return eh_calls.call_count, spectrum_calls.call_count, xstar_calls.call_count
+
+
 class TestGen:
     def test_writes_readable_bundle(self, tmp_path):
         out = gen_bundle(tmp_path)
@@ -58,6 +74,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "1000000000000" in err
+        assert "Traceback" not in err
+
+    def test_hessian_too_wide_exits_one(self, tmp_path, capsys):
+        """1 x 10^6 parses within budget, but its d x d W would not fit."""
+        data = tmp_path / "wide.txt"
+        data.write_text("1 1:1 1000000:1\n")
+        rc = main(["analyze", "--input", str(data), "--format", "libsvm"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
         assert "Traceback" not in err
 
 
@@ -138,26 +164,14 @@ class TestSolve:
         assert payload["rows"][0]["rel_error_x0"] == 1.0
         assert [r["k"] for r in payload["rows"]] == [int(r[0]) for r in rows[1:]]
 
-    @pytest.mark.parametrize("sketch", ["row", "block:2"])
+    @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
         bundle = gen_bundle(tmp_path, rows=12, cols=4)
         out = tmp_path / "trace.csv"
-        eh_calls = mock.Mock(wraps=shb.sketch.expected_h)
-        spectrum_calls = mock.Mock(wraps=shb.sketch.hessian_spectrum)
-        xstar_calls = mock.Mock(wraps=shb.solver.project_onto_solutions)
-        with mock.patch.object(shb.sketch, "expected_h", eh_calls), \
-                mock.patch.object(shb.solver, "expected_h", eh_calls), \
-                mock.patch.object(shb.experiments, "hessian_spectrum", spectrum_calls), \
-                mock.patch.object(shb.solver, "project_onto_solutions", xstar_calls), \
-                mock.patch.object(shb.experiments, "project_onto_solutions", xstar_calls):
-            rc = main([
-                "solve", "--input", str(bundle), "--sketch", sketch, "--iters", "40",
-                "--record-every", "10", "--out", str(out),
-            ])
-        assert rc == 0
-        assert eh_calls.call_count == 1
-        assert spectrum_calls.call_count == 1
-        assert xstar_calls.call_count == 1
+        assert one_off_counts([
+            "solve", "--input", str(bundle), "--sketch", sketch, "--iters", "40",
+            "--record-every", "10", "--out", str(out),
+        ]) == (1, 1, 1)
         assert out.exists()
 
     def test_divergence_exit_code(self, tmp_path):
@@ -198,6 +212,15 @@ class TestSweep:
         assert rows[0][:4] == ["pair_id", "omega", "beta", "status"]
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
+    def test_one_off_quantities_built_once(self, tmp_path, sketch):
+        """One E[H] and one x* for all pairs, and no spectrum."""
+        bundle = gen_bundle(tmp_path, rows=12, cols=4)
+        assert one_off_counts([
+            "sweep", "--input", str(bundle), "--sketch", sketch, "--betas", "0,0.1",
+            "--iters", "40", "--record-every", "10", "--out", str(tmp_path / "sw"),
+        ]) == (1, 0, 1)
+
     def test_single_pair_rejected(self, tmp_path):
         bundle = gen_bundle(tmp_path)
         rc = main([
@@ -232,6 +255,14 @@ class TestVerify:
         # verify records every metric, the iterate snapshots included
         assert report["params"]["metrics"] == sorted(shb.solver.ALL_METRICS)
         assert report["l1_le_l2"]["applicable"] is True
+
+    @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
+    def test_one_off_quantities_built_once(self, tmp_path, sketch):
+        bundle = gen_bundle(tmp_path, rows=12, cols=4)
+        assert one_off_counts([
+            "verify", "--input", str(bundle), "--sketch", sketch, "--beta", "0.01",
+            "--iters", "20", "--record-every", "5", "--reps", "100",
+        ]) == (1, 1, 1)
 
     def test_too_few_reps(self, tmp_path):
         bundle = gen_bundle(tmp_path)

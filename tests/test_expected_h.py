@@ -1,9 +1,10 @@
-"""E[H] by its structure, and the batched estimates of it.
+"""E[H] by its structure, and the batched estimates of W.
 
 Row sampling keeps E[H] as the weight vector h of diag(h); everything
 derived from it must equal the dense diag(h) computation bit for bit.
-Block and Gaussian E[H] stack their pseudoinverses in chunks; they must
-agree with a per-draw loop over pinv_psd up to rounding.
+Block and Gaussian sketches sum W = A^T E[H] A in stacked chunks; W
+must agree with A^T E[H] A from a per-draw loop over pinv_psd up to
+BATCH_RTOL, and the package must never allocate anything m x m.
 """
 
 import tracemalloc
@@ -12,12 +13,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from dense_eh import BATCH_RTOL, dense_f, per_draw_block, per_draw_gaussian
 from hypothesis import given
 from hypothesis import strategies as st
 
 import shb.sketch as sketch
 from shb.errors import OutOfRange
-from shb.linalg import REL_TOL, pinv_psd, sym_eig
+from shb.linalg import REL_TOL, project_onto_solutions, sym_eig
 from shb.sketch import (
     BlockRow,
     GaussianSketch,
@@ -27,11 +29,6 @@ from shb.sketch import (
     hessian_spectrum,
     row_sampling,
 )
-
-# Batched and per-draw sums add the same terms in different groupings;
-# each term is O(||E[H]||_F) and the sums are O(1) terms deep in double
-# precision, so their difference stays far below 1e-13 ||E[H]||_F.
-BATCH_RTOL = 1e-13
 
 
 @st.composite
@@ -58,14 +55,13 @@ def row_problems(draw_from):
 
 @given(row_problems())
 def test_row_sampling_structure_equals_dense(instance):
-    """f_value, the spectrum and the exact flag from the weights h equal
-    those from the dense diag(h), bit for bit."""
+    """f_value and the spectrum from the weights h equal those from the
+    dense diag(h), bit for bit; the exact flag is rank(W) = rank(A)."""
     a, dist, b, x = instance
     eh = expected_h(dist, a)
     assert eh.value.shape == (a.shape[0],)
     dense = np.diag(eh.value)
-    np.testing.assert_array_equal(eh.matrix, dense)
-    assert f_value(a, b, x, eh.value) == f_value(a, b, x, dense)
+    assert f_value(a, b, x, eh.value) == dense_f(a, b, x, dense)
 
     w = a.T @ dense @ a
     vals = sym_eig((w + w.T) / 2.0).eigenvalues
@@ -73,13 +69,16 @@ def test_row_sampling_structure_equals_dense(instance):
         return
     spec = hessian_spectrum(a, dist)
     np.testing.assert_array_equal(spec.eigenvalues, vals)
-    assert spec.exact == bool(np.linalg.eigvalsh(dense)[0] > REL_TOL)
-    assert spec.exact == bool(np.all(eh.value > REL_TOL))
+    sv = np.linalg.svd(a, compute_uv=False)
+    rank_a = int(np.count_nonzero(sv > np.sqrt(REL_TOL) * sv[0]))
+    assert spec.exact == (int(np.count_nonzero(vals > REL_TOL * vals[0])) == rank_a)
 
 
-def test_mushrooms_shape_row_sampling_memory():
+@pytest.mark.parametrize("kind", ["row", "block:5"])
+def test_mushrooms_shape_row_sampling_memory(kind):
     """Spectrum and objective of an 8124 x 112 one-hot system stay well
-    below the 528 MB of a dense 8124 x 8124 E[H]."""
+    below the 528 MB of a dense 8124 x 8124 E[H], for row and block
+    sketches alike."""
     rng = np.random.default_rng(0)
     cardinalities = (6, 4, 10, 2, 9, 2, 2, 2, 12, 2, 4, 4, 4, 9, 9, 1, 4, 3, 5, 6, 5, 7)
     offsets = np.cumsum((0,) + cardinalities[:-1])
@@ -87,37 +86,37 @@ def test_mushrooms_shape_row_sampling_memory():
     a = np.zeros((8124, sum(cardinalities)))
     np.put_along_axis(a, cols, 1.0, axis=1)
     b = a @ rng.standard_normal(a.shape[1])
+    dist = row_sampling(a) if kind == "row" else BlockRow(5)
     x = np.zeros(a.shape[1])
     tracemalloc.start()
     try:
-        spec = hessian_spectrum(a, row_sampling(a))
-        f0 = f_value(a, b, x, spec.expected_h)
+        spec = hessian_spectrum(a, dist)
+        xstar = project_onto_solutions(x, a, b)
+        f0 = f_value(a, b, x, spec.expected_h, xstar)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert spec.exact
-    assert f0 == pytest.approx(float(b @ b) / (2.0 * float(np.sum(a * a))), rel=1e-12)
+    if kind == "row":
+        assert f0 == pytest.approx(float(b @ b) / (2.0 * float(np.sum(a * a))), rel=1e-12)
+    else:
+        assert spec.expected_h.shape == (a.shape[1], a.shape[1])
+        assert f0 == pytest.approx(0.5 * float(xstar @ spec.expected_h @ xstar), rel=1e-12)
     assert peak < 50 * 2**20
 
 
-def per_draw_block(a, subsets):
-    acc = np.zeros((a.shape[0], a.shape[0]))
-    for idx in subsets:
-        sub = a[idx]
-        acc[np.ix_(idx, idx)] += pinv_psd(sub @ sub.T)
-    h = acc / len(subsets)
-    return (h + h.T) / 2.0
-
-
-def per_draw_gaussian(a, width, mc_samples, rng):
-    m = a.shape[0]
-    acc = np.zeros((m, m))
-    for _ in range(mc_samples):
-        s = rng.standard_normal((m, width))
-        g = s.T @ a
-        acc += s @ pinv_psd(g @ g.T) @ s.T
-    h = acc / mc_samples
-    return (h + h.T) / 2.0
+@pytest.mark.parametrize("dist", [BlockRow(3), GaussianSketch(2)], ids=["block:3", "gaussian:2"])
+def test_no_m_by_m_array(dist):
+    """On 3000 x 10, the spectrum's traced peak stays below an eighth of
+    one 3000 x 3000 array (72 MB): nothing grows as m^2."""
+    a = np.random.default_rng(0).standard_normal((3000, 10))
+    tracemalloc.start()
+    try:
+        hessian_spectrum(a, dist, mc_samples=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 3000 * 8 / 8
 
 
 def rank_deficient(m, d, seed):
@@ -137,8 +136,8 @@ def test_enumerated_block_matches_per_draw_loop(batch, m, tau):
     with mock.patch.object(sketch, "BATCH_ELEMENTS", batch):
         eh = expected_h(BlockRow(tau), a)
     assert eh.mc_samples is None
-    ref = per_draw_block(a, [list(c) for c in combinations(range(m), tau)])
-    assert np.linalg.norm(eh.matrix - ref) <= BATCH_RTOL * np.linalg.norm(ref)
+    ref = a.T @ per_draw_block(a, [list(c) for c in combinations(range(m), tau)]) @ a
+    assert np.linalg.norm(eh.value - ref) <= BATCH_RTOL * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64, sketch.BATCH_ELEMENTS])
@@ -149,8 +148,8 @@ def test_monte_carlo_block_matches_per_draw_loop(batch):
     assert eh.mc_samples == 300
     rng = np.random.default_rng(5)
     subsets = [np.sort(rng.choice(60, size=3, replace=False)) for _ in range(300)]
-    ref = per_draw_block(a, subsets)
-    assert np.linalg.norm(eh.matrix - ref) <= BATCH_RTOL * np.linalg.norm(ref)
+    ref = a.T @ per_draw_block(a, subsets) @ a
+    assert np.linalg.norm(eh.value - ref) <= BATCH_RTOL * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64, sketch.BATCH_ELEMENTS])
@@ -160,15 +159,15 @@ def test_monte_carlo_gaussian_matches_per_draw_loop(batch, m, d, width):
     with mock.patch.object(sketch, "BATCH_ELEMENTS", batch):
         eh = expected_h(GaussianSketch(width), a, mc_samples=200, rng=np.random.default_rng(9))
     assert eh.mc_samples == 200
-    ref = per_draw_gaussian(a, width, 200, np.random.default_rng(9))
-    assert np.linalg.norm(eh.matrix - ref) <= BATCH_RTOL * np.linalg.norm(ref)
+    ref = a.T @ per_draw_gaussian(a, width, 200, np.random.default_rng(9)) @ a
+    assert np.linalg.norm(eh.value - ref) <= BATCH_RTOL * np.linalg.norm(ref)
 
 
 def test_default_estimator_is_repeatable():
     a = rank_deficient(30, 4, seed=2)
     for dist in (BlockRow(4), GaussianSketch(2)):
         first = expected_h(dist, a, mc_samples=50)
-        np.testing.assert_array_equal(first.matrix, expected_h(dist, a, mc_samples=50).matrix)
+        np.testing.assert_array_equal(first.value, expected_h(dist, a, mc_samples=50).value)
 
 
 @pytest.mark.parametrize("dist", [BlockRow(4), GaussianSketch(2)])

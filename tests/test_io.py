@@ -103,9 +103,9 @@ class TestParseLibsvm:
 
     def test_width_budget_boundary(self, tmp_path):
         path = write(tmp_path, "a.txt", "1 1:1\n1 4:1\n")  # 2 x 4 = 8 entries
-        with mock.patch.object(shb.io, "LIBSVM_MAX_ELEMENTS", 8):
+        with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 8):
             assert parse_libsvm(path).shape == (2, 4)
-        with mock.patch.object(shb.io, "LIBSVM_MAX_ELEMENTS", 7):
+        with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 7):
             with pytest.raises(MalformedLine) as exc:
                 parse_libsvm(path)
         assert exc.value.line_no == 2

@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from dense_eh import dense_eh, dense_f, f_close
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -128,13 +129,16 @@ def test_row_lookup_matches_draw(data):
 @given(problems(), schedules(), st.integers(1, 5), st.sampled_from(["row", "row", "block", "gaussian"]))
 def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
     """Every member's iterates and recorded metrics equal those of a plain
-    loop over the oracle on its own stream."""
+    loop over the oracle on its own stream.  f and Cesaro f equal f_value
+    bit for bit, and the dense E[H] residual form within its tolerance."""
     problem, x0 = instance
     a, b = problem.a, problem.b
     omega, beta, max_iter, every, predraw, seed = schedule
     dist = distribution(problem, kind)
-    eh = expected_h(dist, a, mc_samples=50).matrix
+    eh = expected_h(dist, a, mc_samples=50).value
+    dense = dense_eh(dist, a, mc_samples=50)
     xstar = project_onto_solutions(x0, a, b)
+    f0 = dense_f(a, b, x0, dense)
     params = SolverParams(
         omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
         metrics=ALL_METRICS,
@@ -157,17 +161,19 @@ def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
             np.testing.assert_array_equal(block.snapshots[j][r], ref[k])
             diff = ref[k] - xstar
             assert block.l2[r, j] == float(diff @ diff)
-            assert block.f[r, j] == f_value(a, b, ref[k], eh)
+            assert block.f[r, j] == f_value(a, b, ref[k], eh, xstar)
+            assert f_close(block.f[r, j], dense_f(a, b, ref[k], dense), f0)
             if k > 0:
-                assert block.cesaro[r, j] == f_value(a, b, sums[k] / k, eh)
+                assert block.cesaro[r, j] == f_value(a, b, sums[k] / k, eh, xstar)
+                assert f_close(block.cesaro[r, j], dense_f(a, b, sums[k] / k, dense), f0)
         np.testing.assert_array_equal(block.final[r], ref[-1])
 
 
 @given(problems(), schedules(), st.integers(1, 5), st.booleans())
 def test_row_weights_match_the_oracle_loop(instance, schedule, replications, given_eh):
     """Row sampling records f and Cesaro f from the weights h of E[H] =
-    diag(h), passed in or computed; they equal the oracle's f_value on
-    the dense diag(h) bit for bit."""
+    diag(h), passed in or computed; they equal the residual form on the
+    dense diag(h) bit for bit."""
     problem, x0 = instance
     a, b = problem.a, problem.b
     omega, beta, max_iter, every, predraw, seed = schedule
@@ -193,9 +199,9 @@ def test_row_weights_match_the_oracle_loop(instance, schedule, replications, giv
             running_sum += x
             sums.append(running_sum.copy())
         for j, k in enumerate(block.ks):
-            assert block.f[r, j] == f_value(a, b, ref[k], dense)
+            assert block.f[r, j] == dense_f(a, b, ref[k], dense)
             if k > 0:
-                assert block.cesaro[r, j] == f_value(a, b, sums[k] / k, dense)
+                assert block.cesaro[r, j] == dense_f(a, b, sums[k] / k, dense)
 
 
 @given(problems(), schedules(), st.integers(1, 5), st.sampled_from(["row", "block"]))

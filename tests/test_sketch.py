@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from dense_eh import dense_eh, dense_f, f_close
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shb.errors import OutOfRange, ZeroRow
+import shb.linalg as linalg
+from shb.errors import DimensionMismatch, OutOfRange, ZeroRow
+from shb.linalg import project_onto_solutions
 from shb.sketch import (
     BlockRow,
     BlockSample,
@@ -160,12 +165,12 @@ class TestStochGrad:
         """Probability-weighted row gradients equal A^T E[H] (Ax - b)."""
         a, b, x = prob
         dist = row_sampling(a)
-        eh = expected_h(dist, a).matrix
+        h = expected_h(dist, a).value
         total = np.zeros(a.shape[1])
         for i, p in enumerate(dist.probabilities):
             if p > 0:
                 total += p * stoch_grad(a, b, x, RowSample(i))
-        expected = a.T @ (eh @ (a @ x - b))
+        expected = a.T @ (h * (a @ x - b))
         np.testing.assert_allclose(total, expected, atol=1e-10)
 
 
@@ -176,22 +181,23 @@ class TestExpectedH:
         dist = row_sampling(a)
         eh = expected_h(dist, a)
         assert eh.mc_samples is None
-        expected = np.eye(5) / float((a * a).sum())
-        assert np.max(np.abs(eh.matrix - expected)) <= 1e-14
+        expected = np.full(5, 1.0 / float((a * a).sum()))
+        assert eh.value.shape == (5,)
+        assert np.max(np.abs(eh.value - expected)) <= 1e-14
 
     def test_identity_matrix_even_weights(self):
         dist = UnitCoordinate(np.array([0.5, 0.5]))
         eh = expected_h(dist, np.eye(2))
-        np.testing.assert_allclose(eh.matrix, np.diag([0.5, 0.5]))
+        np.testing.assert_allclose(eh.value, [0.5, 0.5])
 
     def test_gaussian_structural(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 4))
         eh = expected_h(GaussianSketch(4), a, mc_samples=300, rng=np.random.default_rng(0))
         assert eh.mc_samples == 300
-        h = eh.matrix
-        np.testing.assert_allclose(h, h.T, atol=1e-12)
-        assert np.linalg.eigvalsh(h).min() >= -1e-10
+        w = eh.value
+        np.testing.assert_allclose(w, w.T, atol=1e-12)
+        assert np.linalg.eigvalsh(w).min() >= -1e-10
 
     def test_block_enumeration_matches_monte_carlo(self):
         rng = np.random.default_rng(3)
@@ -200,7 +206,7 @@ class TestExpectedH:
         assert exact.mc_samples is None  # C(5,2) = 10 subsets, enumerated
         mc = expected_h(BlockRow(2), a, mc_samples=20_000, rng=np.random.default_rng(1))
         assert mc.mc_samples is None or mc.mc_samples == 20_000
-        np.testing.assert_allclose(exact.matrix, mc.matrix, atol=0.05)
+        np.testing.assert_allclose(exact.value, mc.value, atol=0.05)
 
     def test_block_monte_carlo_when_enumeration_infeasible(self):
         rng = np.random.default_rng(4)
@@ -226,7 +232,48 @@ class TestHessianSpectrum:
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         spec = hessian_spectrum(a, row_sampling(a))
         np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.5], atol=1e-14)
-        assert not spec.exact  # E[H] has a zero diagonal entry
+        # E[H] has a zero diagonal entry, but Null(W) = Null(A): exact
+        assert spec.exact
+
+    # Inputs on which the rank test rank(W) = rank(A) differs from the
+    # sufficient condition E[H] > 0 that it replaced.
+
+    def test_zero_row_under_block_sampling_is_exact(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        spec = hessian_spectrum(a, BlockRow(2))
+        assert spec.mc_samples is None and spec.rank == 2
+        assert spec.exact
+
+    def test_full_block_on_tall_matrix_is_exact(self):
+        """block:m on a tall matrix: W is the projector onto the row
+        space, although E[H] = (A A^T)^+ is singular."""
+        a = np.random.default_rng(5).standard_normal((6, 3))
+        spec = hessian_spectrum(a, BlockRow(6))
+        np.testing.assert_allclose(spec.eigenvalues, np.ones(3), atol=1e-12)
+        assert spec.exact
+
+    def test_one_small_block_draw_is_not_exact(self):
+        """One draw of 2 rows spans 2 of 10 directions: rank(W) < rank(A)."""
+        a = np.random.default_rng(6).standard_normal((200, 10))
+        spec = hessian_spectrum(a, BlockRow(2), mc_samples=1)
+        assert spec.mc_samples == 1 and spec.rank == 2
+        assert not spec.exact
+
+    def test_hessian_over_budget_refused_before_allocating(self):
+        """d^2 is checked against the dense-array budget before W exists:
+        3 columns pass a budget of 9 entries and are refused at 8."""
+        a = np.random.default_rng(7).standard_normal((4, 3))
+        dists = (row_sampling(a), BlockRow(2), GaussianSketch(2))
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 9):
+            for dist in dists:
+                assert hessian_spectrum(a, dist, mc_samples=20).eigenvalues.shape == (3,)
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 8), \
+                mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+            for dist in dists:
+                with pytest.raises(OutOfRange, match="over the limit"):
+                    hessian_spectrum(a, dist)
+            with pytest.raises(OutOfRange, match="over the limit"):
+                expected_h(BlockRow(2), a)
 
     def test_rank_deficient(self):
         a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
@@ -256,12 +303,12 @@ class TestFValue:
         a = rng.standard_normal((4, 3))
         x = rng.standard_normal(3)
         b = a @ x
-        eh = expected_h(row_sampling(a), a).matrix
+        eh = expected_h(row_sampling(a), a).value
         assert f_value(a, b, x, eh) == pytest.approx(0.0, abs=1e-20)
 
     def test_identity_hand_value(self):
         a = np.eye(2)
-        eh = expected_h(row_sampling(a), a).matrix
+        eh = expected_h(row_sampling(a), a).value
         assert f_value(a, np.zeros(2), [1.0, 1.0], eh) == pytest.approx(0.5, abs=1e-14)
 
     def test_quadratic_homogeneity(self):
@@ -269,7 +316,7 @@ class TestFValue:
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal(4)
         x = rng.standard_normal(3)
-        eh = expected_h(row_sampling(a), a).matrix
+        eh = expected_h(row_sampling(a), a).value
         f1 = f_value(a, b, x, eh)
         # doubling the residual quadruples the objective
         f_double = f_value(a, a @ x - 2 * (a @ x - b), x, eh)
@@ -280,6 +327,33 @@ class TestFValue:
         a = rng.standard_normal((5, 3))
         b = rng.standard_normal(5)
         x = rng.standard_normal(3)
-        eh = expected_h(row_sampling(a), a).matrix
+        eh = expected_h(row_sampling(a), a).value
         expected = float(np.sum((a @ x - b) ** 2)) / (2 * float((a * a).sum()))
         assert f_value(a, b, x, eh) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dist", [BlockRow(2), BlockRow(3), GaussianSketch(2)], ids=["block:2", "block:3", "gaussian:2"]
+    )
+    def test_hessian_form_matches_dense_residual_form(self, dist):
+        """(1/2)(x-x*)^T W (x-x*) equals (1/2) r^T E[H] r on a consistent
+        system, for any solution x*, within the declared tolerance."""
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((7, 4))
+        a[3] = a[1] + a[2]  # rank 4 still, with a dependent row
+        b = a @ rng.standard_normal(4)
+        w = expected_h(dist, a, mc_samples=200, rng=np.random.default_rng(4)).value
+        dense = dense_eh(dist, a, 200, np.random.default_rng(4))
+        x0 = np.zeros(4)
+        xstar = project_onto_solutions(x0, a, b)
+        f0 = dense_f(a, b, x0, dense)
+        for x in (x0, rng.standard_normal(4), xstar + 1e-9 * rng.standard_normal(4)):
+            got = f_value(a, b, x, w, xstar)
+            assert f_close(got, dense_f(a, b, x, dense), f0)
+            # another solution serves as well: the projection of x itself
+            assert f_close(f_value(a, b, x, w, project_onto_solutions(x, a, b)), got, f0)
+
+    def test_hessian_form_needs_a_solution(self):
+        a = np.random.default_rng(4).standard_normal((5, 3))
+        w = expected_h(BlockRow(2), a).value
+        with pytest.raises(DimensionMismatch):
+            f_value(a, np.zeros(5), np.ones(3), w)

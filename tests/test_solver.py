@@ -189,7 +189,7 @@ class TestRun:
             metrics=ALL_METRICS,
         )
         trace = run(problem, dist, params)
-        eh = expected_h(dist, problem.a).matrix
+        eh = expected_h(dist, problem.a).value
         assert trace.cesaro_f[0] is None
         stacked = np.asarray(trace.snapshots)
         for j, k in enumerate(trace.ks):
