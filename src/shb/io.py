@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,6 +49,56 @@ def write_json(payload, path) -> None:
         fh.write(json.dumps(payload, indent=2) + "\n")
 
 
+# a line the vectorised pass of parse_libsvm takes as it stands: ASCII
+# decimal numbers, one ':' per feature, spaces and tabs; group 1 holds
+# the features.  Every other line goes through _parse_line.
+_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_PLAIN_LINE = re.compile(rf"[ \t]*{_NUMBER}((?:[ \t]+[0-9]{{1,18}}:{_NUMBER})*)[ \t]*")
+
+
+def _parse_line(path, line_no: int, raw: str) -> list[tuple[int, float]]:
+    """The (index, value) features of one line, checked token by token."""
+    line = raw.strip()
+    if not line:
+        raise MalformedLine(f"{path}:{line_no}: blank line", line_no=line_no)
+    tokens = line.split()
+    try:
+        float(tokens[0])
+    except ValueError:
+        raise MalformedLine(
+            f"{path}:{line_no}: label {tokens[0]!r} is not a number",
+            line_no=line_no,
+            token=tokens[0],
+        ) from None
+    feats: list[tuple[int, float]] = []
+    prev = 0
+    for tok in tokens[1:]:
+        idx_s, sep, val_s = tok.partition(":")
+        if not sep:
+            raise MalformedLine(
+                f"{path}:{line_no}: token {tok!r} has no ':'", line_no=line_no, token=tok
+            )
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise MalformedLine(
+                f"{path}:{line_no}: cannot parse token {tok!r}", line_no=line_no, token=tok
+            ) from None
+        if idx < 1:
+            raise MalformedLine(
+                f"{path}:{line_no}: index {idx} is not 1-based", line_no=line_no, token=tok
+            )
+        if idx <= prev:
+            raise NonMonotoneIndices(
+                f"{path}:{line_no}: index {idx} after {prev} is not strictly increasing",
+                line_no=line_no,
+            )
+        prev = idx
+        feats.append((idx, val))
+    return feats
+
+
 def parse_libsvm(path) -> np.ndarray:
     """Dense feature matrix from a LIBSVM-format text file.
 
@@ -57,6 +108,9 @@ def parse_libsvm(path) -> np.ndarray:
     seen anywhere; absent entries are zero.  Trailing blank lines are
     tolerated, interior ones are not.  A file whose dense matrix would
     exceed linalg.MAX_DENSE_ELEMENTS entries is rejected before allocating.
+    Plain lines are converted in one pass with Python's int and float and
+    checked as arrays; other lines, and lines failing a check, are parsed
+    token by token, which words the error of the first bad line.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -65,63 +119,38 @@ def parse_libsvm(path) -> np.ndarray:
     if not lines:
         raise EmptyFile(f"{path}: no data rows")
 
-    rows: list[list[tuple[int, float]]] = []
-    max_index = 0
-    widest_line = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            raise MalformedLine(f"{path}:{line_no}: blank line", line_no=line_no)
-        tokens = line.split()
-        try:
-            float(tokens[0])
-        except ValueError:
-            raise MalformedLine(
-                f"{path}:{line_no}: label {tokens[0]!r} is not a number",
-                line_no=line_no,
-                token=tokens[0],
-            ) from None
-        feats: list[tuple[int, float]] = []
-        prev = 0
-        for tok in tokens[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise MalformedLine(
-                    f"{path}:{line_no}: token {tok!r} has no ':'", line_no=line_no, token=tok
-                )
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise MalformedLine(
-                    f"{path}:{line_no}: cannot parse token {tok!r}", line_no=line_no, token=tok
-                ) from None
-            if idx < 1:
-                raise MalformedLine(
-                    f"{path}:{line_no}: index {idx} is not 1-based", line_no=line_no, token=tok
-                )
-            if idx <= prev:
-                raise NonMonotoneIndices(
-                    f"{path}:{line_no}: index {idx} after {prev} is not strictly increasing",
-                    line_no=line_no,
-                )
-            prev = idx
-            feats.append((idx, val))
-            if idx > max_index:
-                max_index = idx
-                widest_line = line_no
-        rows.append(feats)
+    matches = [_PLAIN_LINE.fullmatch(line) for line in lines]
+    plain = [i for i, match in enumerate(matches) if match]
+    feats = [matches[i].group(1) for i in plain]
+    counts = np.array([f.count(":") for f in feats], dtype=np.int64)
+    words = " ".join(feats).replace(":", " ").split()
+    idx = np.fromiter(map(int, words[0::2]), dtype=np.int64, count=len(words) // 2)
+    vals = np.fromiter(map(float, words[1::2]), dtype=np.float64, count=len(words) // 2)
+    rows = np.repeat(np.array(plain, dtype=np.int64), counts)
+    rising = np.ones(idx.size, dtype=bool)  # within each line
+    rising[1:] = (idx[1:] > idx[:-1]) | (rows[1:] != rows[:-1])
+    flagged = set(rows[(idx < 1) | ~rising].tolist())
+    flagged.update(i for i, match in enumerate(matches) if not match)
 
-    if len(rows) * max_index > linalg.MAX_DENSE_ELEMENTS:
+    # flagged plain lines raise here; the others are valid lines in
+    # another spelling (Unicode digits, other whitespace, inf)
+    others = [(i, f) for i in sorted(flagged) for f in _parse_line(path, i + 1, lines[i])]
+    max_index = int(idx.max(initial=0))
+    widest_line = int(rows[np.argmax(idx)]) + 1 if idx.size else 0
+    for i, (j, _) in others:
+        if j > max_index or (j == max_index and i + 1 < widest_line):
+            max_index, widest_line = j, i + 1
+
+    if len(lines) * max_index > linalg.MAX_DENSE_ELEMENTS:
         raise MalformedLine(
-            f"{path}:{widest_line}: index {max_index} makes a {len(rows)}x{max_index} matrix,"
+            f"{path}:{widest_line}: index {max_index} makes a {len(lines)}x{max_index} matrix,"
             f" over the limit of {linalg.MAX_DENSE_ELEMENTS} entries",
             line_no=widest_line,
         )
-    mat = np.zeros((len(rows), max_index))
-    for i, feats in enumerate(rows):
-        for idx, val in feats:
-            mat[i, idx - 1] = val
+    mat = np.zeros((len(lines), max_index))
+    mat[rows, idx - 1] = vals
+    for i, (j, val) in others:
+        mat[i, j - 1] = val
     return mat
 
 

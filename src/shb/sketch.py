@@ -7,7 +7,11 @@ the expected objective so has its spectrum inside [0, 1].  No sketch
 forms the m x m E[H]: row sampling keeps its diagonal, block and
 Gaussian sketches sum W in d x d (refused when d^2 is over the
 dense-array budget) and take f(x) = (1/2) (x-x*)^T W (x-x*).  A sketch
-is exact, Null(W) = Null(A), when rank(W) = rank(A).  The families:
+is exact, Null(W) = Null(A), when rank(W) = rank(A).  draw and
+stoch_grad take one sample; draw_batch makes many block or Gaussian
+draws in the same rng order, and gram_factors factors their Gram
+matrices with one stacked eigendecomposition, for the W estimate and
+the solver's kernel alike.  The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -148,15 +152,24 @@ def draw(dist: SketchDistribution, rng: np.random.Generator, m: int | None = Non
         return RowSample(i)
     if m is None:
         raise DimensionMismatch("row count m is required for this distribution")
+    drawn = draw_batch(dist, rng, m, 1)[0]
+    return BlockSample(drawn) if isinstance(dist, BlockRow) else GaussianSample(drawn)
+
+
+def draw_batch(dist: SketchDistribution, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """n block or Gaussian draws, consuming rng as n calls of draw() do.
+
+    BlockRow gives the sorted row subsets as an (n, block_size) index
+    array, GaussianSketch the matrices S as an (n, m, width) array.
+    """
     if isinstance(dist, BlockRow):
         if dist.block_size > m:
             raise OutOfRange(f"block_size {dist.block_size} exceeds row count {m}")
-        idx = np.sort(rng.choice(m, size=dist.block_size, replace=False))
-        return BlockSample(idx)
+        return np.sort([rng.choice(m, size=dist.block_size, replace=False) for _ in range(n)], axis=1)
     if isinstance(dist, GaussianSketch):
         if dist.width > m:
             raise OutOfRange(f"sketch width {dist.width} exceeds row count {m}")
-        return GaussianSample(rng.standard_normal((m, dist.width)))
+        return rng.standard_normal((n, m, dist.width))
     raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
 
 
@@ -222,15 +235,24 @@ def _check_w_fits(d: int) -> None:
         raise OutOfRange(f"a {d}x{d} Hessian W is over the limit of {linalg.MAX_DENSE_ELEMENTS} entries")
 
 
+def gram_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V and inv with pinv(g_n g_n^T) = V_n diag(inv_n) V_n^T for a stack g.
+
+    One stacked sym_eig of the Gram matrices of every sketched matrix
+    g_n (..., tau, d); inv holds the pseudoinverse's eigenvalues.
+    """
+    eig = sym_eig(g @ g.swapaxes(-1, -2))
+    return eig.eigenvectors, pinv_eigenvalues(eig.eigenvalues)
+
+
 def _add_projections(acc: np.ndarray, g: np.ndarray) -> None:
     """acc += g_n^T pinv(g_n g_n^T) g_n for each sketched matrix g_n = g[n].
 
     With g_n g_n^T = V diag(lam) V^T, the term is F^T F for
     F = diag(lam)^{+1/2} V^T g_n, so the whole chunk adds as one product.
     """
-    eig = sym_eig(g @ g.swapaxes(1, 2))
-    scale = np.sqrt(pinv_eigenvalues(eig.eigenvalues))
-    f = (scale[:, :, None] * (eig.eigenvectors.swapaxes(1, 2) @ g)).reshape(-1, g.shape[2])
+    vecs, inv = gram_factors(g)
+    f = (np.sqrt(inv)[:, :, None] * (vecs.swapaxes(1, 2) @ g)).reshape(-1, g.shape[2])
     acc += f.T @ f
 
 
@@ -286,12 +308,12 @@ def expected_h(
     chunk = max(1, BATCH_ELEMENTS // (tau * max(d, tau if block else m)))
     for start in range(0, n, chunk):
         size = min(chunk, n - start)
-        if not block:
-            g = rng.standard_normal((size, m, tau)).swapaxes(1, 2) @ a
-        elif enumerated:
+        if enumerated:
             g = a[subsets[start : start + size]]
+        elif block:
+            g = a[draw_batch(dist, rng, m, size)]
         else:
-            g = a[np.sort([rng.choice(m, size=tau, replace=False) for _ in range(size)], axis=1)]
+            g = draw_batch(dist, rng, m, size).swapaxes(1, 2) @ a
         _add_projections(acc, g)
     w = acc / n
     return ExpectedH((w + w.T) / 2.0, mc_samples)

@@ -1,13 +1,18 @@
 """Heavy ball iteration kernel with seeded, reproducible execution.
 
 Single runs, ensembles and sweeps share one kernel that advances an
-(R, d) block of iterates.  Each member's arithmetic is elementwise that
-of the draw -> stoch_grad -> shb_step pipeline on its own stream, so
-member r is bit-identical to a plain run on that stream.  Ensembles give
-replication r the stream derived from (seed, r) and aggregate in
-replication order; sweeps share one stream, so every (omega, beta) pair
-replays the same draws.  x* and E[H] come in once per block; f uses row
-sampling's weights h, or (1/2) (x-x*)^T W (x-x*) with the Hessian W.
+(R, d) block of iterates.  Every sketch's draws are made ahead in
+chunks, in the order of the draw -> stoch_grad -> shb_step pipeline;
+block and Gaussian chunks are factored with one stacked
+eigendecomposition, so a step only does the products that depend on
+the iterate.  For row and block sampling each member's arithmetic is
+that of the pipeline on its own stream, so member r is bit-identical to
+a plain run on that stream; Gaussian sketches take their residual as
+S^T A x - S^T b, which rounds differently.  Ensembles give replication r
+the stream derived from (seed, r) and aggregate in replication order;
+sweeps share one stream, so every (omega, beta) pair replays the same
+draws.  x* and E[H] come in once per block; f uses row sampling's
+weights h, or (1/2) (x-x*)^T W (x-x*) with the Hessian W.
 """
 
 from __future__ import annotations
@@ -22,14 +27,18 @@ from shb.errors import DimensionMismatch, NonFinite, OutOfRange, ZeroRow
 from shb.linalg import as_vector, project_onto_solutions
 from shb.problems import Problem
 from shb.sketch import (
+    BlockRow,
+    GaussianSketch,
     SketchDistribution,
     UnitCoordinate,
     derive_stream,
-    draw,
+    draw_batch,
     expected_h,
+    gram_factors,
     row_indices,
-    stoch_grad,
 )
+# re-exported: perfbench/tests checks that tracing wraps this import site
+from shb.sketch import draw  # noqa: F401
 
 METRIC_L2 = "l2_error"
 METRIC_F = "f_value"
@@ -40,8 +49,8 @@ DEFAULT_METRICS = frozenset({METRIC_L2, METRIC_F, METRIC_CESARO})
 
 # iterates beyond this magnitude (or non-finite) abort the run
 DIVERGENCE_LIMIT = 1e30
-# row sampling draws its uniforms ahead in chunks of about this many
-# numbers over all members, so pre-draw memory does not grow with max_iter
+# the kernel draws ahead in chunks of about this many numbers over all
+# members or streams, so pre-draw memory does not grow with max_iter
 PREDRAW_ELEMENTS = 1 << 17
 
 
@@ -173,6 +182,33 @@ def _objective_rows(a: np.ndarray, b: np.ndarray, xs: np.ndarray, eh: np.ndarray
     return np.where(0.0 > vals, 0.0, vals)
 
 
+def _step_elements(dist: SketchDistribution, m: int, d: int, streams: int, members: int) -> int:
+    """Numbers pre-drawn per step: a uniform per member, or per stream the
+    largest block or Gaussian array (A_S, V, S or S^T A)."""
+    if isinstance(dist, UnitCoordinate):
+        return members
+    if isinstance(dist, BlockRow):
+        return streams * dist.block_size * max(d, dist.block_size)
+    if isinstance(dist, GaussianSketch):
+        return streams * dist.width * max(d, m)
+    raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+
+
+def _sketched_systems(dist: BlockRow | GaussianSketch, a: np.ndarray, b: np.ndarray, streams, steps: int):
+    """Each stream's next steps draws, made as draw() makes them, as
+    sketched systems g x = c: g = A_S or S^T A (steps, streams, tau, d),
+    c = b_S or S^T b (steps, streams, tau, 1)."""
+    if isinstance(dist, BlockRow):
+        picked = np.stack([draw_batch(dist, s, a.shape[0], steps) for s in streams], axis=1)
+        return a[picked], b[picked][..., None]
+    gs, cs = [], []
+    for s in streams:
+        s_t = draw_batch(dist, s, a.shape[0], steps).swapaxes(1, 2)
+        gs.append(s_t @ a)
+        cs.append(s_t @ b)
+    return np.stack(gs, axis=1), np.stack(cs, axis=1)[..., None]
+
+
 def _iterate(
     problem: Problem,
     dist: SketchDistribution,
@@ -189,12 +225,16 @@ def _iterate(
     Member r draws from streams[r]; a single stream is shared by all
     members, which then replay the same draws.  params gives the budget,
     recording schedule and metrics (its omega and beta are not used).
-    Row sampling pre-draws each stream's uniforms in chunks, maps them
-    to rows with one lookup, and does each step as a few (members, d)
-    array operations; other sketches call draw/stoch_grad per member,
-    or once per step when the stream is shared.  A member whose iterate
-    leaves the finite range is dropped from the block; the others go on
-    unchanged.
+    The draws do not depend on the iterates, so each stream's are made
+    ahead in chunks of about PREDRAW_ELEMENTS numbers.  Row sampling maps
+    its uniforms to rows with one lookup.  Block and Gaussian sketches
+    turn a chunk into sketched systems g x = c (A_S x = b_S, or
+    S^T A x = S^T b) and factor all their Gram matrices g g^T =
+    V diag(lam) V^T with one stacked eigendecomposition.  A step is then
+    a few stacked products over the members: the Kaczmarz direction, or
+    g^T V (lam^+ * V^T (g x - c)), each as the same BLAS call the
+    one-sample stoch_grad makes.  A member whose iterate leaves the
+    finite range is dropped from the block; the others go on unchanged.
     """
     a, b = problem.a, problem.b
     m, d = a.shape
@@ -218,7 +258,7 @@ def _iterate(
         bad = (dist.probabilities > 0.0) & (norms_sq == 0.0)
         if np.any(bad):
             raise ZeroRow(f"row {int(np.argmax(bad))} is zero but has positive probability")
-        chunk = max(1, PREDRAW_ELEMENTS // n)
+    chunk = max(1, PREDRAW_ELEMENTS // _step_elements(dist, m, d, len(streams), n))
 
     ks = list(range(0, params.max_iter + 1, params.record_every))
     if ks[-1] != params.max_iter:
@@ -257,7 +297,7 @@ def _iterate(
     j = 1
     k = 0
     while k < params.max_iter and live.size:
-        steps = min(chunk, params.max_iter - k) if by_row else params.max_iter - k
+        steps = min(chunk, params.max_iter - k)
         if by_row:
             if shared:
                 u = np.broadcast_to(streams[0].random(steps)[:, None], (steps, live.size))
@@ -266,16 +306,19 @@ def _iterate(
             picked = row_indices(dist, u)
             b_picked = b[picked]
             norms_picked = norms_sq[picked]
+        else:
+            g, c = _sketched_systems(dist, a, b, streams, steps)
+            vecs, inv = gram_factors(g)
+            inv = inv[..., None]
         for t in range(steps):
             k += 1
             if by_row:
                 rows = a[picked[t]]
                 grad = ((_row_dots(rows, x) - b_picked[t]) / norms_picked[t])[:, None] * rows
-            elif shared:
-                sample = draw(dist, streams[0], m)
-                grad = np.array([stoch_grad(a, b, xr, sample) for xr in x])
             else:
-                grad = np.array([stoch_grad(a, b, xr, draw(dist, s, m)) for xr, s in zip(x, streams)])
+                resid = np.matmul(g[t], x[:, :, None]) - c[t]
+                proj = np.matmul(vecs[t], inv[t] * np.matmul(vecs[t].swapaxes(-1, -2), resid))
+                grad = np.matmul(g[t].swapaxes(-1, -2), proj)[:, :, 0]
             x_new = x - omega * grad + beta * (x - x_prev)
             if not (np.abs(x_new).max() <= DIVERGENCE_LIMIT):
                 ok = np.abs(x_new).max(axis=1) <= DIVERGENCE_LIMIT
@@ -285,6 +328,8 @@ def _iterate(
                 omega, beta, running_sum = omega[ok], beta[ok], running_sum[ok]
                 if by_row:
                     picked, b_picked, norms_picked = picked[:, ok], b_picked[:, ok], norms_picked[:, ok]
+                elif not shared:
+                    g, c, vecs, inv = g[:, ok], c[:, ok], vecs[:, ok], inv[:, ok]
                 if not shared:
                     streams = [s for s, keep in zip(streams, ok) if keep]
                 if not live.size:

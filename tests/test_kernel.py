@@ -5,16 +5,31 @@ kernel.  These tests check, bit for bit, that every member of a block
 equals a plain loop over the public oracle on its own stream, that
 ensemble averages equal aggregates of per-stream runs, that sweep pairs
 equal solo runs, and that divergence is reported as a plain run would.
+Gaussian sketches form their residuals in another order than the oracle
+and match it within the tolerance declared in dense_eh.
 """
 
+import operator
+import tracemalloc
+from contextlib import contextmanager
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from dense_eh import dense_eh, dense_f, f_close
+from dense_eh import (
+    dense_eh,
+    dense_f,
+    f_close,
+    gaussian_iterate_close,
+    gaussian_quadratic_close,
+    iterate_scale,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
+import shb.linalg
+import shb.sketch
 import shb.solver as solver
 from shb.errors import NonFinite
 from shb.experiments import sweep
@@ -62,10 +77,10 @@ def problems(draw_from):
 
 
 def schedules():
-    """(omega, beta, max_iter, record_every, pre-draw elements, seed).
+    """(omega, beta, max_iter, record_every, pre-draw chunk steps, seed).
 
-    Pre-draw chunks of 1 to 9 numbers make most runs cross several
-    chunk boundaries."""
+    Pre-draw chunks of 1 to 9 steps make most runs cross several chunk
+    boundaries."""
     return st.tuples(
         st.floats(0.2, 1.8),
         st.floats(0.0, 0.6),
@@ -88,6 +103,15 @@ def oracle_iterates(problem, dist, omega, beta, max_iter, rng, x0):
         x_prev, x = x, x_new
         iterates.append(x)
     return iterates
+
+
+@contextmanager
+def chunk_steps(problem, dist, steps, streams=1, members=1):
+    """Pre-draw in chunks of `steps` steps for a block of this shape."""
+    m, d = problem.a.shape
+    per_step = solver._step_elements(dist, m, d, streams, members)
+    with mock.patch.object(solver, "PREDRAW_ELEMENTS", steps * per_step):
+        yield
 
 
 def distribution(problem, kind):
@@ -129,11 +153,13 @@ def test_row_lookup_matches_draw(data):
 @given(problems(), schedules(), st.integers(1, 5), st.sampled_from(["row", "row", "block", "gaussian"]))
 def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
     """Every member's iterates and recorded metrics equal those of a plain
-    loop over the oracle on its own stream.  f and Cesaro f equal f_value
-    bit for bit, and the dense E[H] residual form within its tolerance."""
+    loop over the oracle on its own stream: bit for bit for row and block
+    sampling, within GAUSSIAN_X_RTOL for Gaussian sketches.  f and Cesaro
+    f are f_value's, which is within its tolerance of the dense E[H]
+    residual form."""
     problem, x0 = instance
     a, b = problem.a, problem.b
-    omega, beta, max_iter, every, predraw, seed = schedule
+    omega, beta, max_iter, every, steps, seed = schedule
     dist = distribution(problem, kind)
     eh = expected_h(dist, a, mc_samples=50).value
     dense = dense_eh(dist, a, mc_samples=50)
@@ -144,7 +170,7 @@ def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
         metrics=ALL_METRICS,
     )
     streams = [derive_stream(seed, 0, r) for r in range(replications)]
-    with mock.patch.object(solver, "PREDRAW_ELEMENTS", predraw):
+    with chunk_steps(problem, dist, steps, replications, replications):
         block = solver._iterate(
             problem, dist, params, x0, streams,
             np.full(replications, omega), np.full(replications, beta), eh, None,
@@ -152,21 +178,29 @@ def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
     assert not block.diverged_at.any()
     for r in range(replications):
         ref = oracle_iterates(problem, dist, omega, beta, max_iter, derive_stream(seed, 0, r), x0)
+        if kind == "gaussian":
+            scale = iterate_scale(ref, xstar)
+            same_x = partial(gaussian_iterate_close, scale=scale)
+            same = partial(gaussian_quadratic_close, scale=scale)
+        else:
+            same_x, same = np.array_equal, operator.eq
         running_sum = np.zeros_like(x0)
         sums = [running_sum.copy()]
         for x in ref[1:]:
             running_sum += x
             sums.append(running_sum.copy())
         for j, k in enumerate(block.ks):
-            np.testing.assert_array_equal(block.snapshots[j][r], ref[k])
+            assert same_x(block.snapshots[j][r], ref[k])
             diff = ref[k] - xstar
-            assert block.l2[r, j] == float(diff @ diff)
-            assert block.f[r, j] == f_value(a, b, ref[k], eh, xstar)
-            assert f_close(block.f[r, j], dense_f(a, b, ref[k], dense), f0)
+            assert same(block.l2[r, j], float(diff @ diff))
+            want_f = f_value(a, b, ref[k], eh, xstar)
+            assert f_close(want_f, dense_f(a, b, ref[k], dense), f0)
+            assert same(block.f[r, j], want_f)
             if k > 0:
-                assert block.cesaro[r, j] == f_value(a, b, sums[k] / k, eh, xstar)
-                assert f_close(block.cesaro[r, j], dense_f(a, b, sums[k] / k, dense), f0)
-        np.testing.assert_array_equal(block.final[r], ref[-1])
+                want_cesaro = f_value(a, b, sums[k] / k, eh, xstar)
+                assert f_close(want_cesaro, dense_f(a, b, sums[k] / k, dense), f0)
+                assert same(block.cesaro[r, j], want_cesaro)
+        assert same_x(block.final[r], ref[-1])
 
 
 @given(problems(), schedules(), st.integers(1, 5), st.booleans())
@@ -176,7 +210,7 @@ def test_row_weights_match_the_oracle_loop(instance, schedule, replications, giv
     dense diag(h) bit for bit."""
     problem, x0 = instance
     a, b = problem.a, problem.b
-    omega, beta, max_iter, every, predraw, seed = schedule
+    omega, beta, max_iter, every, steps, seed = schedule
     dist = row_sampling(a)
     weights = expected_h(dist, a).value
     dense = np.diag(weights)
@@ -185,7 +219,7 @@ def test_row_weights_match_the_oracle_loop(instance, schedule, replications, giv
         metrics=DEFAULT_METRICS,
     )
     streams = [derive_stream(seed, 0, r) for r in range(replications)]
-    with mock.patch.object(solver, "PREDRAW_ELEMENTS", predraw):
+    with chunk_steps(problem, dist, steps, replications, replications):
         block = solver._iterate(
             problem, dist, params, x0, streams,
             np.full(replications, omega), np.full(replications, beta),
@@ -204,16 +238,16 @@ def test_row_weights_match_the_oracle_loop(instance, schedule, replications, giv
                 assert block.cesaro[r, j] == dense_f(a, b, sums[k] / k, dense)
 
 
-@given(problems(), schedules(), st.integers(1, 5), st.sampled_from(["row", "block"]))
+@given(problems(), schedules(), st.integers(1, 5), st.sampled_from(["row", "block", "gaussian"]))
 def test_ensemble_equals_aggregated_runs(instance, schedule, replications, kind):
     problem, x0 = instance
-    omega, beta, max_iter, every, predraw, seed = schedule
+    omega, beta, max_iter, every, steps, seed = schedule
     dist = distribution(problem, kind)
     params = SolverParams(
         omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
         metrics=ALL_METRICS,
     )
-    with mock.patch.object(solver, "PREDRAW_ELEMENTS", predraw):
+    with chunk_steps(problem, dist, steps, replications, replications):
         stats = run_ensemble(problem, dist, params, x0, replications=replications)
         traces = [run(problem, dist, params, x0, stream_index=r) for r in range(replications)]
     xstar = project_onto_solutions(x0, problem.a, problem.b)
@@ -251,11 +285,11 @@ def pair_rows(pair_id, omega, beta, trace):
     problems(),
     schedules(),
     st.lists(st.floats(0.0, 0.6), min_size=1, max_size=4),
-    st.sampled_from(["row", "block"]),
+    st.sampled_from(["row", "block", "gaussian"]),
 )
 def test_sweep_pairs_equal_solo_runs(instance, schedule, extra_betas, kind):
     problem, x0 = instance
-    omega, beta, max_iter, every, predraw, seed = schedule
+    omega, beta, max_iter, every, steps, seed = schedule
     dist = distribution(problem, kind)
     pairs = tuple((omega, b) for b in [beta, *extra_betas])
     settings = [
@@ -265,7 +299,7 @@ def test_sweep_pairs_equal_solo_runs(instance, schedule, extra_betas, kind):
         )
         for w, b in pairs
     ]
-    with mock.patch.object(solver, "PREDRAW_ELEMENTS", predraw):
+    with chunk_steps(problem, dist, steps, members=len(pairs)):
         paired = run_pairs(problem, dist, settings, x0)
         solo = [run(problem, dist, p, x0) for p in settings]
         long_rows, summaries = sweep(problem, dist, pairs, max_iter, every, seed)
@@ -340,3 +374,106 @@ def test_sweep_drops_a_diverged_pair_and_keeps_the_others():
         ))
         assert summaries[pair_id]["status"] == "ok"
         assert [row for row in long_rows if row[0] == pair_id] == pair_rows(pair_id, w, b, trace)
+
+
+def test_block_sweep_drops_a_pair_diverging_mid_chunk():
+    """A block-sampling pair that diverges inside a pre-drawn chunk stops
+    at the solo run's NonFinite iteration; the other pairs are unchanged."""
+    problem = gen_problem(6, 3, seed=0)
+    dist = BlockRow(2)
+    pairs = ((1.0, 0.0), (1.0, 1.0), (1.0, 0.3))
+    with chunk_steps(problem, dist, 50, members=len(pairs)):
+        long_rows, summaries = sweep(problem, dist, pairs, 3000, 100, 3)
+        with pytest.raises(NonFinite) as exc:
+            run(problem, dist, SolverParams(omega=1.0, beta=1.0, max_iter=3000, seed=3, record_every=100))
+    diverged = exc.value.iteration
+    assert (diverged - 1) % 50 != 0  # not the first step of a chunk
+    assert summaries[1]["status"] == "diverged"
+    assert summaries[1]["diverged_at"] == diverged
+    assert not [row for row in long_rows if row[0] == 1]
+    for pair_id in (0, 2):
+        w, b = pairs[pair_id]
+        trace = run(problem, dist, SolverParams(
+            omega=w, beta=b, max_iter=3000, seed=3, record_every=100, metrics=DEFAULT_METRICS,
+        ))
+        assert summaries[pair_id]["status"] == "ok"
+        assert [row for row in long_rows if row[0] == pair_id] == pair_rows(pair_id, w, b, trace)
+
+
+def test_member_diverging_mid_chunk_leaves_the_others_on_the_oracle():
+    """With a stream per member, dropping a diverged member also drops
+    its pre-drawn draws and factors: the survivors stay bit-identical to
+    the oracle, and the dropped member keeps its last finite iterate."""
+    problem = gen_problem(6, 3, seed=0)
+    dist = BlockRow(2)
+    betas = (0.0, 1.0, 0.3)
+    max_iter, seed = 1500, 5
+    params = SolverParams(
+        omega=1.0, beta=0.0, max_iter=max_iter, seed=seed, record_every=100,
+        metrics=frozenset({"l2_error", "iterate_snapshot"}),
+    )
+    streams = [derive_stream(seed, 0, r) for r in range(len(betas))]
+    with chunk_steps(problem, dist, 64, len(betas), len(betas)):
+        block = solver._iterate(
+            problem, dist, params, np.zeros(3), streams,
+            np.ones(len(betas)), np.array(betas), None, None,
+        )
+    refs = [
+        oracle_iterates(problem, dist, 1.0, b, max_iter, derive_stream(seed, 0, r), np.zeros(3))
+        for r, b in enumerate(betas)
+    ]
+    diverged = first_oracle_divergence(problem, dist, 1.0, 1.0, max_iter, derive_stream(seed, 0, 1))
+    assert diverged is not None and (diverged - 1) % 64 != 0
+    assert block.diverged_at.tolist() == [0, diverged, 0]
+    np.testing.assert_array_equal(block.final[1], refs[1][diverged - 1])
+    for r in (0, 2):
+        for j, k in enumerate(block.ks):
+            np.testing.assert_array_equal(block.snapshots[j][r], refs[r][k])
+        np.testing.assert_array_equal(block.final[r], refs[r][-1])
+    for j, k in enumerate(block.ks):
+        assert np.isnan(block.snapshots[j][1]).all() == (k >= diverged)
+
+
+@pytest.mark.parametrize("shape", ["run", "sweep", "ensemble"])
+@pytest.mark.parametrize("kind", ["block", "gaussian"])
+def test_one_eigendecomposition_per_chunk(kind, shape):
+    """The kernel factors each pre-drawn chunk's Gram matrices with one
+    stacked sym_eig, never one per step or per member."""
+    problem = gen_problem(30, 6, seed=1)
+    dist = BlockRow(3) if kind == "block" else GaussianSketch(3)
+    eh = expected_h(dist, problem.a, mc_samples=50).value
+    xstar = project_onto_solutions(np.zeros(6), problem.a, problem.b)
+    members = {"run": 1, "sweep": 4, "ensemble": 3}[shape]
+    streams = members if shape == "ensemble" else 1
+    params = SolverParams(omega=1.0, beta=0.3, max_iter=50, seed=2, record_every=10, metrics=ALL_METRICS)
+    counter = mock.Mock(wraps=shb.linalg.sym_eig)
+    with (
+        chunk_steps(problem, dist, 7, streams, members),
+        mock.patch.object(shb.linalg, "sym_eig", counter),
+        mock.patch.object(shb.sketch, "sym_eig", counter),
+    ):
+        block = solver._iterate(
+            problem, dist, params, np.zeros(6),
+            [derive_stream(2, 0, r) for r in range(streams)],
+            np.ones(members), np.linspace(0.0, 0.3, members), eh, xstar,
+        )
+    assert not block.diverged_at.any()
+    stacks = [call.args[0].shape for call in counter.call_args_list]
+    assert stacks == [(7, streams, 3, 3)] * 7 + [(1, streams, 3, 3)]
+
+
+def test_gaussian_predraw_memory_is_bounded():
+    """A tall Gaussian run holds one pre-draw chunk of S at a time, about
+    PREDRAW_ELEMENTS numbers, never all max_iter draws (9.6 MB here)."""
+    problem = gen_problem(3000, 10, seed=4)
+    dist = GaussianSketch(2)
+    eh = expected_h(dist, problem.a, mc_samples=20).value
+    xstar = project_onto_solutions(np.zeros(10), problem.a, problem.b)
+    params = SolverParams(omega=1.0, beta=0.3, max_iter=200, seed=1, record_every=50)
+    tracemalloc.start()
+    try:
+        run(problem, dist, params, eh=eh, xstar=xstar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * solver.PREDRAW_ELEMENTS + problem.a.nbytes
