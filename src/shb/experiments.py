@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -70,18 +71,22 @@ MIN_VERIFY_REPLICATIONS = 100
 L1_SLOPE_SLACK = 0.05
 
 
+_SIZED_SKETCH = re.compile(r"(?P<name>block|gaussian):(?P<size>[0-9]+)")
+
+
 def make_distribution(spec: str, a) -> SketchDistribution:
-    """Parse a sketch spec string: row | block:<tau> | gaussian:<tau>."""
-    name, _, arg = spec.partition(":")
-    if name == "row":
+    """Parse a sketch spec string: row | block:<tau> | gaussian:<tau>,
+    with tau in ASCII digits and nothing else around it."""
+    if spec == "row":
         return row_sampling(a)
-    if name in ("block", "gaussian"):
-        try:
-            tau = int(arg)
-        except ValueError:
-            raise OutOfRange(f"sketch {spec!r}: size {arg!r} is not an integer") from None
-        return BlockRow(tau) if name == "block" else GaussianSketch(tau)
-    raise OutOfRange(f"unknown sketch spec {spec!r}")
+    sized = _SIZED_SKETCH.fullmatch(spec)
+    if sized is None:
+        raise OutOfRange(f"unknown sketch spec {spec!r}: expected row, block:<size> or gaussian:<size>")
+    try:
+        tau = int(sized["size"])
+    except ValueError:  # more digits than int() converts
+        raise OutOfRange(f"sketch {spec[:40]!r}...: size is too long") from None
+    return BlockRow(tau) if sized["name"] == "block" else GaussianSketch(tau)
 
 
 def _iters_to_target(factor: float, target: float = REL_ERROR_TARGET) -> int | None:
@@ -105,6 +110,8 @@ def analyze(
     reported for every requested stepsize; both accelerated parameter
     pairings are included.
     """
+    if not all(math.isfinite(v) for v in (*omegas, beta)):
+        raise OutOfRange(f"omega and beta must be finite, got omegas={omegas!r} beta={beta!r}")
     a, b = problem.a, problem.b
     spectrum = hessian_spectrum(a, dist, mc_samples=mc_samples)
     lmin, lmax = spectrum.lambda_min_plus, spectrum.lambda_max

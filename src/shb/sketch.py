@@ -11,7 +11,9 @@ is exact, Null(W) = Null(A), when rank(W) = rank(A).  draw and
 stoch_grad take one sample; draw_batch makes many block or Gaussian
 draws in the same rng order, and gram_factors factors their Gram
 matrices with one stacked eigendecomposition, for the W estimate and
-the solver's kernel alike.  The families:
+the solver's kernel alike.  Block subsets come from Floyd's algorithm,
+vectorised over the whole batch: one rng.integers call per batch and no
+Python loop per draw.  The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -137,9 +139,10 @@ def draw(dist: SketchDistribution, rng: np.random.Generator, m: int | None = Non
     """Draw one sketch sample from the distribution.
 
     UnitCoordinate uses inverse-CDF lookup over the cumulative weights;
-    BlockRow draws a uniform subset without replacement; GaussianSketch
-    fills an m-by-width matrix with standard normals.  BlockRow and
-    GaussianSketch need the row count m.
+    BlockRow draws a uniform subset without replacement by Floyd's
+    algorithm (block_size integers from rng.integers, sorted indices);
+    GaussianSketch fills an m-by-width matrix with standard normals.
+    BlockRow and GaussianSketch need the row count m.
     """
     if isinstance(dist, UnitCoordinate):
         p = dist.probabilities
@@ -165,12 +168,39 @@ def draw_batch(dist: SketchDistribution, rng: np.random.Generator, m: int, n: in
     if isinstance(dist, BlockRow):
         if dist.block_size > m:
             raise OutOfRange(f"block_size {dist.block_size} exceeds row count {m}")
-        return np.sort([rng.choice(m, size=dist.block_size, replace=False) for _ in range(n)], axis=1)
+        return _block_subsets(rng, m, dist.block_size, n)
     if isinstance(dist, GaussianSketch):
         if dist.width > m:
             raise OutOfRange(f"sketch width {dist.width} exceeds row count {m}")
         return rng.standard_normal((n, m, dist.width))
     raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+
+
+def _block_subsets(rng: np.random.Generator, m: int, tau: int, n: int) -> np.ndarray:
+    """n sorted tau-subsets of range(m), uniform, by Floyd's algorithm.
+
+    Sequentially, position c of a draw takes an integer t_c uniform on
+    [0, m-tau+c], or m-tau+c when t_c is already taken.  Here all n*tau
+    integers come from one rng.integers call, which fills row by row, so
+    draw i uses the stream as a draw of its own would.  t_c is taken when
+    it repeats an earlier integer of its row, or when it is m-tau+i for
+    an earlier position i that was itself replaced; that chain of
+    positions is followed by pointer doubling, in ceil(log2 tau) passes.
+    """
+    top = m - tau
+    t = rng.integers(0, np.arange(top + 1, m + 1), size=(n, tau))
+    row = np.arange(0, n * tau, tau)[:, None]  # flat index of each draw's position 0
+    # t * tau + c is unique in a row: sorted, equal integers sit in position order
+    key = np.sort(t * tau + np.arange(tau), axis=1)
+    repeat = np.zeros(n * tau, dtype=bool)
+    repeat[key[:, 1:] % tau + row] = key[:, 1:] // tau == key[:, :-1] // tau
+    earlier = t - top
+    link = np.flatnonzero((earlier >= 0) & (earlier < np.arange(tau)) & ~repeat.reshape(n, tau))
+    root = np.arange(n * tau)
+    root[link] = (earlier + row).ravel()[link]
+    for _ in range((tau - 1).bit_length()):
+        root[link] = root[root[link]]
+    return np.sort(np.where(repeat[root].reshape(n, tau), np.arange(top, m), t), axis=1)
 
 
 def row_indices(dist: UnitCoordinate, u) -> np.ndarray:

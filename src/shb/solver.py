@@ -17,12 +17,14 @@ weights h, or (1/2) (x-x*)^T W (x-x*) with the Hessian W.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
+import shb.linalg as linalg
 from shb.errors import DimensionMismatch, NonFinite, OutOfRange, ZeroRow
 from shb.linalg import as_vector, project_onto_solutions
 from shb.problems import Problem
@@ -66,10 +68,10 @@ class SolverParams:
     metrics: frozenset = DEFAULT_METRICS
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise OutOfRange(f"omega must be > 0, got {self.omega!r}")
-        if self.beta < 0.0:
-            raise OutOfRange(f"beta must be >= 0, got {self.beta!r}")
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise OutOfRange(f"omega must be finite and > 0, got {self.omega!r}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise OutOfRange(f"beta must be finite and >= 0, got {self.beta!r}")
         if self.max_iter < 1:
             raise OutOfRange("max_iter must be >= 1")
         if self.record_every < 1:
@@ -194,6 +196,22 @@ def _step_elements(dist: SketchDistribution, m: int, d: int, streams: int, membe
     raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
 
 
+def _check_records_fit(params: SolverParams, members: int, d: int) -> None:
+    """Refuse a schedule whose records are over the dense-array budget.
+
+    Each record holds k and its time, plus per member one number per
+    scalar metric and d for a snapshot.
+    """
+    records = params.max_iter // params.record_every + 1 + (params.max_iter % params.record_every > 0)
+    scalars = len(params.metrics - {METRIC_SNAPSHOT})
+    per_record = 2 + members * (scalars + (d if METRIC_SNAPSHOT in params.metrics else 0))
+    if records * per_record > linalg.MAX_DENSE_ELEMENTS:
+        raise OutOfRange(
+            f"{records} records of {per_record} numbers each are over the limit of "
+            f"{linalg.MAX_DENSE_ELEMENTS} entries: record less often"
+        )
+
+
 def _sketched_systems(dist: BlockRow | GaussianSketch, a: np.ndarray, b: np.ndarray, streams, steps: int):
     """Each stream's next steps draws, made as draw() makes them, as
     sketched systems g x = c: g = A_S or S^T A (steps, streams, tau, d),
@@ -239,6 +257,7 @@ def _iterate(
     a, b = problem.a, problem.b
     m, d = a.shape
     n = omega.size
+    _check_records_fit(params, n, d)
     shared = len(streams) == 1
     metrics = params.metrics
     want_f = METRIC_F in metrics or METRIC_CESARO in metrics

@@ -41,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from shb.linalg import pinv_psd
-from shb.sketch import DEFAULT_MC_SAMPLES, BlockRow, GaussianSketch, UnitCoordinate, expected_h
+from shb.sketch import DEFAULT_MC_SAMPLES, BlockRow, GaussianSketch, UnitCoordinate, draw, expected_h
 
 BATCH_RTOL = 1e-13
 F_RTOL = 1e-12
@@ -79,7 +79,7 @@ def dense_eh(dist, a, mc_samples=DEFAULT_MC_SAMPLES, rng=None):
         tau = dist.block_size
         if math.comb(m, tau) <= DEFAULT_MC_SAMPLES:
             return per_draw_block(a, [list(c) for c in combinations(range(m), tau)])
-        return per_draw_block(a, [np.sort(rng.choice(m, size=tau, replace=False)) for _ in range(mc_samples)])
+        return per_draw_block(a, [draw(dist, rng, m).indices for _ in range(mc_samples)])
     if isinstance(dist, GaussianSketch):
         return per_draw_gaussian(a, dist.width, mc_samples, rng)
     raise TypeError(type(dist).__name__)

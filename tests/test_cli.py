@@ -87,6 +87,15 @@ class TestAnalyze:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("option,value", [("--beta", "nan"), ("--omega", "inf"), ("--omega", "-inf")])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, option, value):
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--input", str(bundle), option, value, "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBadManifest:
     @pytest.mark.parametrize("key,value", [
         ("payload", None), ("payload", "../prob.bin"), ("checksum_sha256", 3),
@@ -184,6 +193,25 @@ class TestSolve:
         assert rc == 2
         assert not out.exists()  # no partial output on failure
 
+    @pytest.mark.parametrize("option,value", [("--beta", "nan"), ("--beta", "inf"), ("--omega", "inf"), ("--omega", "nan")])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, option, value):
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "trace.csv"
+        assert main(["solve", "--input", str(bundle), option, value, "--iters", "10", "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_record_schedule_over_budget_exits_one(self, tmp_path, capsys):
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "trace.csv"
+        rc = main([
+            "solve", "--input", str(bundle), "--iters", "100000000", "--record-every", "1",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "record less often" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exit_code(self, tmp_path):
         rc = main(["solve", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "t.csv")])
         assert rc == 1
@@ -225,6 +253,16 @@ class TestSweep:
         bundle = gen_bundle(tmp_path)
         rc = main([
             "sweep", "--input", str(bundle), "--betas", "0.1", "--iters", "10",
+            "--out", str(tmp_path / "sw"),
+        ])
+        assert rc == 1
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("betas", ["0,nan", "inf,0"])
+    def test_non_finite_beta_rejected(self, tmp_path, betas):
+        bundle = gen_bundle(tmp_path)
+        rc = main([
+            "sweep", "--input", str(bundle), "--betas", betas, "--iters", "10",
             "--out", str(tmp_path / "sw"),
         ])
         assert rc == 1

@@ -147,7 +147,7 @@ def test_monte_carlo_block_matches_per_draw_loop(batch):
         eh = expected_h(BlockRow(3), a, mc_samples=300, rng=np.random.default_rng(5))
     assert eh.mc_samples == 300
     rng = np.random.default_rng(5)
-    subsets = [np.sort(rng.choice(60, size=3, replace=False)) for _ in range(300)]
+    subsets = [sketch.draw(BlockRow(3), rng, 60).indices for _ in range(300)]
     ref = a.T @ per_draw_block(a, subsets) @ a
     assert np.linalg.norm(eh.value - ref) <= BATCH_RTOL * np.linalg.norm(ref)
 

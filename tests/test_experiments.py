@@ -43,6 +43,19 @@ class TestMakeDistribution:
         with pytest.raises(OutOfRange):
             make_distribution("rows", np.eye(2))
 
+    @pytest.mark.parametrize("spec", [
+        "row:3", "row:", " row", "row\n", "block", "block:", "block:1_0", "block:+5", "block: 5",
+        "block:5 ", "block:5\n", "block:\u0665", "gaussian:\uff15", "gaussian:-1", "gaussian:2:3",
+        "Block:2", "block:2.0", pytest.param("block:" + "9" * 5000, id="block:5000-digits"),
+    ])
+    def test_only_row_or_a_name_and_ascii_digits(self, spec):
+        with pytest.raises(OutOfRange):
+            make_distribution(spec, np.eye(20))
+
+    def test_leading_zeros_are_digits(self):
+        assert make_distribution("block:05", np.eye(6)) == BlockRow(5)
+        assert make_distribution("gaussian:012", np.eye(20)) == GaussianSketch(12)
+
 
 class TestAnalyze:
     def test_toy_reports_worked_constants(self):

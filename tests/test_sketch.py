@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from dense_eh import dense_eh, dense_f, f_close
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shb.linalg as linalg
@@ -18,6 +18,7 @@ from shb.sketch import (
     UnitCoordinate,
     derive_stream,
     draw,
+    draw_batch,
     expected_h,
     f_value,
     hessian_spectrum,
@@ -118,6 +119,91 @@ class TestDraw:
         s = draw(GaussianSketch(2), derive_stream(1), m=5)
         assert isinstance(s, GaussianSample)
         assert s.matrix.shape == (5, 2)
+
+
+def floyd_subset(rng, m, tau):
+    """Floyd's algorithm one position at a time: position c takes an
+    integer t uniform on [0, m-tau+c], or m-tau+c if t is already taken."""
+    taken = []
+    for c in range(tau):
+        top = m - tau + c
+        t = int(rng.integers(0, top + 1))
+        taken.append(top if t in taken else t)
+    return sorted(taken)
+
+
+class FixedIntegers:
+    """Stands in for a Generator whose integers() hands out given values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def integers(self, low, high, size=None):
+        out = np.array(self.values[: int(np.prod(size or ()))]).reshape(size or ())
+        del self.values[: out.size]
+        assert np.all((low <= out) & (out < high))
+        return out if size is not None else int(out)
+
+
+def sizes(max_m):
+    """(m, tau) with 1 <= tau <= m <= max_m."""
+    return st.integers(1, max_m).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m)))
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("m,tau", [(40, 5), (12, 12), (300, 1), (50, 31)])
+    def test_batch_equals_chunks_and_single_draws(self, m, tau):
+        n = 1000
+        whole = draw_batch(BlockRow(tau), derive_stream(5), m, n)
+        rng = derive_stream(5)
+        chunks = np.concatenate([draw_batch(BlockRow(tau), rng, m, size) for size in (1, 7, 300, n - 308)])
+        rng = derive_stream(5)
+        singles = np.stack([draw(BlockRow(tau), rng, m).indices for _ in range(n)])
+        assert whole.shape == (n, tau)
+        np.testing.assert_array_equal(chunks, whole)
+        np.testing.assert_array_equal(singles, whole)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes(60), st.integers(0, 2**32), st.integers(1, 30))
+    @example(sizes=(9, 1), seed=3, n=20)
+    @example(sizes=(9, 9), seed=3, n=20)
+    @example(sizes=(8124, 1000), seed=0, n=3)
+    def test_equals_sequential_floyd(self, sizes, seed, n):
+        m, tau = sizes
+        got = draw_batch(BlockRow(tau), np.random.default_rng(seed), m, n)
+        rng = np.random.default_rng(seed)
+        np.testing.assert_array_equal(got, [floyd_subset(rng, m, tau) for _ in range(n)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes(200), st.integers(0, 2**32))
+    def test_rows_sorted_distinct_in_range(self, sizes, seed):
+        m, tau = sizes
+        got = draw_batch(BlockRow(tau), np.random.default_rng(seed), m, 50)
+        assert got.shape == (50, tau)
+        assert np.all(np.diff(got, axis=1) > 0)
+        assert got.min() >= 0 and got.max() < m
+
+    def test_longest_replacement_chain(self):
+        # m = 10, tau = 8: position 1 repeats position 0's 2 and takes 3;
+        # each later position c draws c + 1, the value position c - 1 took,
+        # so position 7 is replaced through a chain of 6 earlier positions
+        ints = [2, 2, 3, 4, 5, 6, 7, 8]
+        got = draw_batch(BlockRow(8), FixedIntegers(ints), 10, 1)
+        np.testing.assert_array_equal(got, [list(range(2, 10))])
+        assert floyd_subset(FixedIntegers(ints), 10, 8) == list(range(2, 10))
+
+    def test_subsets_are_uniform(self):
+        n = 100_000
+        got = draw_batch(BlockRow(3), derive_stream(11), 6, n)
+        codes, counts = np.unique((1 << got).sum(axis=1), return_counts=True)
+        assert codes.size == 20  # all C(6, 3) subsets appear
+        expected = n / 20
+        chi_sq = float(((counts - expected) ** 2 / expected).sum())
+        # chi-square with 19 degrees of freedom under the uniform law; the
+        # Chernoff bound P(X > x) <= ((x/k) e^(1 - x/k))^(k/2), k = 19,
+        # gives P(X > 80) < 5e-8, while a single subset drawn 20% too
+        # often or too rarely alone adds 0.2^2 * 5000 = 200
+        assert chi_sq < 80.0
 
 
 class TestStochGrad:

@@ -1,6 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import shb.linalg as linalg
 from shb.errors import DimensionMismatch, NonFinite, OutOfRange
 from shb.linalg import project_onto_solutions
 from shb.problems import Problem, gen_problem
@@ -56,6 +60,44 @@ class TestParams:
             SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=0)
         with pytest.raises(OutOfRange):
             SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, metrics=frozenset({"nope"}))
+
+    @pytest.mark.parametrize("omega,beta", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")), (1.0, float("inf")),
+    ])
+    def test_non_finite_rejected(self, omega, beta):
+        with pytest.raises(OutOfRange, match="finite"):
+            SolverParams(omega=omega, beta=beta, max_iter=10, seed=0)
+
+
+class TestRecordBudget:
+    """Records are counted against the dense-array budget before any is built."""
+
+    def test_boundary(self):
+        # records at k = 0, 3, 6, 9, 10; each holds k, its time and 3 metrics
+        params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3)
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 5):
+            assert run(toy_problem(), row_sampling(np.eye(2)), params).ks == [0, 3, 6, 9, 10]
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 5 - 1), pytest.raises(OutOfRange):
+            run(toy_problem(), row_sampling(np.eye(2)), params)
+
+    def test_snapshots_count_every_member_and_coordinate(self):
+        # 3 replications of 3 metrics and a d = 2 snapshot: 2 + 3 * 5 per record
+        params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3, metrics=ALL_METRICS)
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 17):
+            assert run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=3).ks[-1] == 10
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 17 - 1), pytest.raises(OutOfRange):
+            run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=3)
+
+    def test_refused_before_allocating(self):
+        params = SolverParams(omega=1.0, beta=0.0, max_iter=10**8, seed=0, record_every=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange, match="record less often"):
+                run(toy_problem(), row_sampling(np.eye(2)), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRun:
