@@ -16,7 +16,7 @@ import shb.experiments as ex
 import shb.io as shio
 from shb.errors import NonFinite, ShbError
 from shb.problems import Problem, gen_problem, plant_solution
-from shb.solver import DEFAULT_METRICS, SolverParams
+from shb.solver import SolverParams
 
 INPUT_FORMATS = ("libsvm", "csv", "bundle")
 
@@ -27,11 +27,6 @@ def load_problem(path: str, fmt: str, seed: int) -> Problem:
         return shio.read_bundle(path)
     a = shio.parse_libsvm(path) if fmt == "libsvm" else shio.read_csv_matrix(path)
     return plant_solution(a, seed, source=f"{fmt}:{path}")
-
-
-def _parse_metrics(spec: str) -> frozenset:
-    names = [t.strip() for t in spec.split(",") if t.strip()]
-    return frozenset(names) if names else DEFAULT_METRICS
 
 
 @click.group()
@@ -82,16 +77,12 @@ def analyze(input_path, fmt, sketch, omega, beta, seed, mc_samples, out_path):
 @click.option("--iters", type=int, default=1000, show_default=True)
 @click.option("--record-every", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--metrics", default=",".join(sorted(DEFAULT_METRICS)), show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Trace path (.csv or .json).")
-def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, metrics, out_path):
+def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_path):
     """Run one (omega, beta) configuration and write its trace."""
     problem = load_problem(input_path, fmt, seed)
     dist = ex.make_distribution(sketch, problem.a)
-    params = SolverParams(
-        omega=omega, beta=beta, max_iter=iters, seed=seed,
-        record_every=record_every, metrics=_parse_metrics(metrics),
-    )
+    params = SolverParams(omega=omega, beta=beta, max_iter=iters, seed=seed, record_every=record_every)
     table = ex.solve(problem, dist, params)
     if str(out_path).endswith(".json"):
         ex.write_trace_json(table, out_path)

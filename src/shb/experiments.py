@@ -4,6 +4,9 @@ These functions sit between the solver/theory layers and the CLI.  They
 take in-memory problems and distributions, produce plain dicts and rows
 ready for CSV/JSON serialization, and never print.  Each command builds
 the spectrum of W (with E[H] and exactness) and x* once, passing them down.
+Every run records the same series (l2 error, f and Cesaro f, and for an
+ensemble the squared distance of its mean iterate), so every table and
+report has all of its columns.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +36,7 @@ from shb.sketch import (
     hessian_spectrum,
     row_sampling,
 )
-from shb.solver import (
-    ALL_METRICS,
-    DEFAULT_METRICS,
-    RunTrace,
-    SolverParams,
-    run,
-    run_ensemble,
-    run_pairs,
-)
+from shb.solver import RunTrace, SolverParams, run, run_ensemble, run_pairs
 from shb.theory import (
     L2Rate,
     TheoryReport,
@@ -214,49 +209,40 @@ def build_trace_table(
     trace: RunTrace,
     *,
     spectrum: SpectrumInfo,
-    xstar: np.ndarray | None,
+    xstar: np.ndarray,
 ) -> TraceTable:
     """Derive the reporting columns for one finished run.
 
     Both relative-error conventions are emitted (normalized by the
     initial distance and by the solution norm); theory columns are
     filled only where the corresponding bound applies.  spectrum and
-    xstar are those the run used; xstar may be None when the run did
-    not record the l2 error.
+    xstar are those the run used.
     """
     params = trace.params
-    init_sq = trace.l2_error[0] if trace.l2_error is not None else None
-    xstar_sq = float(xstar @ xstar) if init_sq is not None else None
-
-    rate = None
+    init_sq = trace.l2_error[0]
+    xstar_sq = float(xstar @ xstar)
+    f0 = trace.f_value[0]
     lmax = spectrum.lambda_max
     cesaro_ok = params.omega + 2.0 * params.beta < 2.0 and 0.0 <= params.beta < 1.0
-    f0 = trace.f_value[0] if trace.f_value is not None else None
-    if init_sq is not None and 0.0 < params.omega < 2.0:
+    rate = None
+    if 0.0 < params.omega < 2.0:
         candidate = l2_rate(params.omega, params.beta, spectrum.lambda_min_plus, lmax)
         rate = candidate if candidate.admissible else None
 
     rows = []
     for j, k in enumerate(trace.ks):
-        l2 = trace.l2_error[j] if trace.l2_error is not None else None
-        rel_x0 = None
-        rel_xstar = None
-        if l2 is not None:
-            if init_sq and init_sq > 0.0:
-                rel_x0 = l2 / init_sq
-            if xstar_sq and xstar_sq > 0.0:
-                rel_xstar = l2 / xstar_sq
-        fv = trace.f_value[j] if trace.f_value is not None else None
-        cf = trace.cesaro_f[j] if trace.cesaro_f is not None else None
-        theory_l2 = None
-        if rate is not None and init_sq is not None:
-            theory_l2, _ = l2_envelope(rate, k, init_sq, lmax)
-        theory_ces = None
-        if cesaro_ok and k >= 1 and init_sq is not None and f0 is not None:
-            theory_ces = cesaro_bound(params.omega, params.beta, k, init_sq, f0)
-        rows.append(
-            [k, l2, rel_x0, rel_xstar, fv, cf, theory_l2, theory_ces, trace.elapsed_seconds[j]]
-        )
+        l2 = trace.l2_error[j]
+        rows.append([
+            k,
+            l2,
+            l2 / init_sq if init_sq > 0.0 else None,
+            l2 / xstar_sq if xstar_sq > 0.0 else None,
+            trace.f_value[j],
+            trace.cesaro_f[j],
+            l2_envelope(rate, k, init_sq, lmax)[0] if rate is not None else None,
+            cesaro_bound(params.omega, params.beta, k, init_sq, f0) if cesaro_ok and k >= 1 else None,
+            trace.elapsed_seconds[j],
+        ])
     return TraceTable(
         header=list(TRACE_HEADER),
         rows=rows,
@@ -315,7 +301,7 @@ def params_to_dict(params: SolverParams) -> dict:
         "max_iter": params.max_iter,
         "seed": params.seed,
         "record_every": params.record_every,
-        "metrics": sorted(params.metrics),
+        "metrics": ["cesaro_f", "f_value", "l2_error"],  # what every run records
     }
 
 
@@ -339,14 +325,7 @@ def sweep(
     if len(pairs) < 2:
         raise OutOfRange("a sweep needs at least 2 (omega, beta) pairs")
     runs = [
-        SolverParams(
-            omega=omega,
-            beta=beta,
-            max_iter=max_iter,
-            seed=seed,
-            record_every=record_every,
-            metrics=DEFAULT_METRICS,
-        )
+        SolverParams(omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=record_every)
         for omega, beta in pairs
     ]
     long_rows: list[list] = []
@@ -443,7 +422,7 @@ def verify(
 ) -> dict:
     """Monte Carlo check of every bound whose hypotheses the params meet.
 
-    The runs start at the origin and record every metric.  Sections:
+    The runs start at the origin.  Sections:
     mean-squared distance vs its geometric envelope, Cesaro objective vs
     its O(1/k) bound (both with multiplicative slack 1 + 3/sqrt(R)), and
     the expected-iterate decay slope versus log(beta) + 0.05 after the
@@ -455,7 +434,6 @@ def verify(
             f"need >= {MIN_VERIFY_REPLICATIONS} replications, got {replications}"
         )
     a, b = problem.a, problem.b
-    params = replace(params, metrics=ALL_METRICS)
     x0 = np.zeros(a.shape[1])
 
     spectrum = hessian_spectrum(a, dist)
@@ -564,15 +542,12 @@ def verify(
             l1_section.update({"slope": None, "slope_limit": slope_limit, "pass": False})
     report["l1"] = l1_section
 
-    compare = {"applicable": ens.l1_sq is not None and ens.l2_mean is not None}
-    if compare["applicable"]:
-        compare["pass"] = all(
-            l1 <= l2 * (1.0 + 1e-12) + 1e-300
-            for l1, l2 in zip(ens.l1_sq, ens.l2_mean)
-        )
-    report["l1_le_l2"] = compare
+    report["l1_le_l2"] = {
+        "applicable": True,
+        "pass": all(l1 <= l2 * (1.0 + 1e-12) + 1e-300 for l1, l2 in zip(ens.l1_sq, ens.l2_mean)),
+    }
 
-    sections = [l2_section, cesaro_section, l1_section, compare]
+    sections = [l2_section, cesaro_section, l1_section, report["l1_le_l2"]]
     report["pass"] = all(
         s.get("pass") for s in sections if s.get("applicable") and s.get("pass") is not None
     )

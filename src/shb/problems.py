@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import shb.linalg as linalg
 from shb.errors import DimensionMismatch, Inconsistent, OutOfRange, ZeroRow
 from shb.linalg import as_matrix, as_vector
 from shb.sketch import derive_stream
@@ -75,10 +76,13 @@ def gen_problem(rows: int, cols: int, seed: int) -> Problem:
     Entries of A and of the planted solution are i.i.d. standard normal
     from the seeded stream; b = A @ planted, so the system is consistent
     by construction and re-generation with the same arguments is
-    bit-identical.
+    bit-identical.  A matrix over the dense-array budget is refused
+    before anything is drawn.
     """
     if rows < 1 or cols < 1:
         raise OutOfRange("rows and cols must be >= 1")
+    if rows * cols > linalg.MAX_DENSE_ELEMENTS:
+        raise OutOfRange(f"a {rows}x{cols} matrix is over the limit of {linalg.MAX_DENSE_ELEMENTS} entries")
     rng = derive_stream(seed)
     a = rng.standard_normal((rows, cols))
     planted = rng.standard_normal(cols)

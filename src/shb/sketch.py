@@ -11,9 +11,10 @@ is exact, Null(W) = Null(A), when rank(W) = rank(A).  draw and
 stoch_grad take one sample; draw_batch makes many block or Gaussian
 draws in the same rng order, and gram_factors factors their Gram
 matrices with one stacked eigendecomposition, for the W estimate and
-the solver's kernel alike.  Block subsets come from Floyd's algorithm,
-vectorised over the whole batch: one rng.integers call per batch and no
-Python loop per draw.  The families:
+the solver's kernel alike; both stack draws in chunks of about
+BATCH_ELEMENTS numbers, draw_size numbers per draw.  Block subsets come
+from Floyd's algorithm, vectorised over the whole batch: one
+rng.integers call per batch and no Python loop per draw.  The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -38,8 +39,9 @@ from shb.linalg import REL_TOL, as_matrix, as_vector, nonzero_min, pinv_apply, p
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 10_000
-# the W estimate stacks its draws in chunks whose largest array holds
-# about this many numbers
+# the W estimate and the solver's pre-draw stack their draws in chunks
+# of about this many numbers (draw_size per draw), so memory grows with
+# neither mc_samples nor max_iter
 BATCH_ELEMENTS = 1 << 17
 
 
@@ -203,6 +205,31 @@ def _block_subsets(rng: np.random.Generator, m: int, tau: int, n: int) -> np.nda
     return np.sort(np.where(repeat[root].reshape(n, tau), np.arange(top, m), t), axis=1)
 
 
+def draw_size(dist: SketchDistribution, m: int, d: int) -> int:
+    """Numbers one draw holds at most: a uniform for row sampling, or the
+    largest array of a block or Gaussian draw (A_S and its Gram factors,
+    or S and S^T A)."""
+    if isinstance(dist, UnitCoordinate):
+        return 1
+    if isinstance(dist, BlockRow):
+        return dist.block_size * max(d, dist.block_size)
+    if isinstance(dist, GaussianSketch):
+        return dist.width * max(d, m)
+    raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+
+
+def check_row_norms(dist: UnitCoordinate, norms_sq: np.ndarray) -> None:
+    """Refuse row weights that do not fit the matrix whose squared row
+    norms are norms_sq: a weight count other than its row count, or a
+    zero row with positive probability."""
+    p = dist.probabilities
+    if p.size != norms_sq.size:
+        raise DimensionMismatch(f"distribution has {p.size} weights for {norms_sq.size} rows")
+    bad = (p > 0.0) & (norms_sq == 0.0)
+    if np.any(bad):
+        raise ZeroRow(f"row {int(np.argmax(bad))} is zero but has positive probability")
+
+
 def row_indices(dist: UnitCoordinate, u) -> np.ndarray:
     """The rows draw() picks for the uniforms u, elementwise.
 
@@ -311,12 +338,8 @@ def expected_h(
         raise OutOfRange(f"mc_samples must be >= 1, got {mc_samples}")
     if isinstance(dist, UnitCoordinate):
         p = dist.probabilities
-        if p.size != m:
-            raise DimensionMismatch(f"distribution has {p.size} weights for {m} rows")
         norms_sq = np.einsum("ij,ij->i", a, a)
-        bad = (p > 0.0) & (norms_sq == 0.0)
-        if np.any(bad):
-            raise ZeroRow(f"row {int(np.argmax(bad))} is zero but has positive probability")
+        check_row_norms(dist, norms_sq)
         h = np.zeros(m)
         pos = p > 0.0
         h[pos] = p[pos] / norms_sq[pos]
@@ -335,7 +358,7 @@ def expected_h(
         subsets = np.array(list(combinations(range(m), tau)))
         n, mc_samples = len(subsets), None
     acc = np.zeros((d, d))
-    chunk = max(1, BATCH_ELEMENTS // (tau * max(d, tau if block else m)))
+    chunk = max(1, BATCH_ELEMENTS // draw_size(dist, m, d))
     for start in range(0, n, chunk):
         size = min(chunk, n - start)
         if enumerated:

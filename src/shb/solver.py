@@ -11,8 +11,12 @@ a plain run on that stream; Gaussian sketches take their residual as
 S^T A x - S^T b, which rounds differently.  Ensembles give replication r
 the stream derived from (seed, r) and aggregate in replication order;
 sweeps share one stream, so every (omega, beta) pair replays the same
-draws.  x* and E[H] come in once per block; f uses row sampling's
-weights h, or (1/2) (x-x*)^T W (x-x*) with the Hessian W.
+draws.  Every block records per member ||x_k - x*||^2, f and the Cesaro
+f, and per record the squared distance of the members' mean iterate (an
+ensemble's l1_sq), so no iterate is kept to be averaged.  x* and E[H]
+come in once per block; f uses row sampling's weights h, or (1/2)
+(x-x*)^T W (x-x*) with the Hessian W.  Records and iterates are counted
+against the dense-array budget before any stream exists.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 import shb.linalg as linalg
-from shb.errors import DimensionMismatch, NonFinite, OutOfRange, ZeroRow
+import shb.sketch as sketch
+from shb.errors import DimensionMismatch, NonFinite, OutOfRange
 from shb.linalg import as_vector, project_onto_solutions
 from shb.problems import Problem
 from shb.sketch import (
@@ -33,8 +38,10 @@ from shb.sketch import (
     GaussianSketch,
     SketchDistribution,
     UnitCoordinate,
+    check_row_norms,
     derive_stream,
     draw_batch,
+    draw_size,
     expected_h,
     gram_factors,
     row_indices,
@@ -42,30 +49,24 @@ from shb.sketch import (
 # re-exported: perfbench/tests checks that tracing wraps this import site
 from shb.sketch import draw  # noqa: F401
 
-METRIC_L2 = "l2_error"
-METRIC_F = "f_value"
-METRIC_CESARO = "cesaro_f"
-METRIC_SNAPSHOT = "iterate_snapshot"
-ALL_METRICS = frozenset({METRIC_L2, METRIC_F, METRIC_CESARO, METRIC_SNAPSHOT})
-DEFAULT_METRICS = frozenset({METRIC_L2, METRIC_F, METRIC_CESARO})
-
 # iterates beyond this magnitude (or non-finite) abort the run
 DIVERGENCE_LIMIT = 1e30
-# the kernel draws ahead in chunks of about this many numbers over all
-# members or streams, so pre-draw memory does not grow with max_iter
-PREDRAW_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Stepsize, momentum, budget, seed and recording schedule for a run."""
+    """Stepsize, momentum, budget, seed and recording schedule for a run.
+
+    snapshots also keeps a copy of the iterate at every record, for
+    tests that check the iterates themselves.
+    """
 
     omega: float
     beta: float
     max_iter: int
     seed: int
     record_every: int = 1
-    metrics: frozenset = DEFAULT_METRICS
+    snapshots: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega > 0.0):
@@ -78,11 +79,6 @@ class SolverParams:
             raise OutOfRange("record_every must be >= 1")
         if self.seed < 0:
             raise OutOfRange("seed must be a nonnegative integer")
-        metrics = frozenset(self.metrics)
-        unknown = metrics - ALL_METRICS
-        if unknown:
-            raise OutOfRange(f"unknown metrics {sorted(unknown)}")
-        object.__setattr__(self, "metrics", metrics)
 
 
 @dataclass
@@ -91,16 +87,17 @@ class RunTrace:
 
     l2_error holds the raw squared distance ||x_k - x*||^2 so that any
     relative-error convention can be derived from it downstream.
-    cesaro_f is None at k = 0, where the running average is undefined.
-    A trace from run_pairs whose iterate diverged stops before the
-    diverging iteration diverged_at, and final_iterate is the last finite
-    iterate; run() raises NonFinite instead.
+    cesaro_f is None at k = 0, where the running average is undefined;
+    snapshots is None unless params.snapshots is set.  A trace from
+    run_pairs whose iterate diverged stops before the diverging iteration
+    diverged_at, and final_iterate is the last finite iterate; run()
+    raises NonFinite instead.
     """
 
     ks: list[int]
-    l2_error: list[float] | None
-    f_value: list[float] | None
-    cesaro_f: list[float | None] | None
+    l2_error: list[float]
+    f_value: list[float]
+    cesaro_f: list[float | None]
     elapsed_seconds: list[float]
     snapshots: list[np.ndarray] | None
     final_iterate: np.ndarray
@@ -113,15 +110,14 @@ class EnsembleStats:
     """Replication-averaged metrics at each recorded iteration.
 
     l1_sq holds ||mean over replications of (x_k - x*)||^2, the Monte
-    Carlo estimate of the squared distance of the expected iterate; it
-    requires the iterate_snapshot metric.
+    Carlo estimate of the squared distance of the expected iterate.
     """
 
     ks: list[int]
-    l2_mean: list[float] | None
-    f_mean: list[float] | None
-    cesaro_f_mean: list[float | None] | None
-    l1_sq: list[float] | None
+    l2_mean: list[float]
+    f_mean: list[float]
+    cesaro_f_mean: list[float | None]
+    l1_sq: list[float]
     replications: int
     params: SolverParams
 
@@ -147,16 +143,18 @@ class _Block:
     """What the kernel recorded for its members, member-major.
 
     Rows of l2/f/cesaro are members, columns the recorded indices ks;
-    the cesaro column at k = 0 is undefined (NaN).  snapshots holds one
-    (members, d) block per record.  diverged_at is 0 for a member that
+    the cesaro column at k = 0 is undefined (NaN).  l1_sq holds per
+    record ||mean over the live members of x - x*||^2, and snapshots, when
+    asked for, one (members, d) block.  diverged_at is 0 for a member that
     never diverged; its records are NaN from that iteration on and its
     final iterate is the last finite one.
     """
 
     ks: list[int]
-    l2: np.ndarray | None
-    f: np.ndarray | None
-    cesaro: np.ndarray | None
+    l2: np.ndarray
+    f: np.ndarray
+    cesaro: np.ndarray
+    l1_sq: list[float]
     snapshots: list[np.ndarray] | None
     elapsed: list[float]
     final: np.ndarray
@@ -184,31 +182,20 @@ def _objective_rows(a: np.ndarray, b: np.ndarray, xs: np.ndarray, eh: np.ndarray
     return np.where(0.0 > vals, 0.0, vals)
 
 
-def _step_elements(dist: SketchDistribution, m: int, d: int, streams: int, members: int) -> int:
-    """Numbers pre-drawn per step: a uniform per member, or per stream the
-    largest block or Gaussian array (A_S, V, S or S^T A)."""
-    if isinstance(dist, UnitCoordinate):
-        return members
-    if isinstance(dist, BlockRow):
-        return streams * dist.block_size * max(d, dist.block_size)
-    if isinstance(dist, GaussianSketch):
-        return streams * dist.width * max(d, m)
-    raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+def _check_fits(params: SolverParams, members: int, d: int) -> None:
+    """Refuse a block whose records and iterates are over the dense-array budget.
 
-
-def _check_records_fit(params: SolverParams, members: int, d: int) -> None:
-    """Refuse a schedule whose records are over the dense-array budget.
-
-    Each record holds k and its time, plus per member one number per
-    scalar metric and d for a snapshot.
+    Each record holds k, its time and the l1_sq value, plus per member
+    three numbers (l2, f, Cesaro f) and d for a snapshot.  Each member
+    carries x, x_prev, x_new and the Cesaro running sum, d numbers each.
     """
     records = params.max_iter // params.record_every + 1 + (params.max_iter % params.record_every > 0)
-    scalars = len(params.metrics - {METRIC_SNAPSHOT})
-    per_record = 2 + members * (scalars + (d if METRIC_SNAPSHOT in params.metrics else 0))
-    if records * per_record > linalg.MAX_DENSE_ELEMENTS:
+    per_record = 3 + members * (3 + (d if params.snapshots else 0))
+    if records * per_record + members * 4 * d > linalg.MAX_DENSE_ELEMENTS:
         raise OutOfRange(
-            f"{records} records of {per_record} numbers each are over the limit of "
-            f"{linalg.MAX_DENSE_ELEMENTS} entries: record less often"
+            f"{records} records of {per_record} numbers and {members} iterates of 4x{d} numbers "
+            f"are over the limit of {linalg.MAX_DENSE_ELEMENTS} entries: record less often "
+            f"or run fewer replications or pairs"
         )
 
 
@@ -232,7 +219,7 @@ def _iterate(
     dist: SketchDistribution,
     params: SolverParams,
     x0: np.ndarray,
-    streams: list[np.random.Generator],
+    keys: range,
     omega: np.ndarray,
     beta: np.ndarray,
     eh: np.ndarray | None,
@@ -240,71 +227,68 @@ def _iterate(
 ) -> _Block:
     """Advance one heavy ball iterate per (omega[r], beta[r]) member together.
 
-    Member r draws from streams[r]; a single stream is shared by all
-    members, which then replay the same draws.  params gives the budget,
-    recording schedule and metrics (its omega and beta are not used).
-    The draws do not depend on the iterates, so each stream's are made
-    ahead in chunks of about PREDRAW_ELEMENTS numbers.  Row sampling maps
-    its uniforms to rows with one lookup.  Block and Gaussian sketches
-    turn a chunk into sketched systems g x = c (A_S x = b_S, or
-    S^T A x = S^T b) and factor all their Gram matrices g g^T =
-    V diag(lam) V^T with one stacked eigendecomposition.  A step is then
-    a few stacked products over the members: the Kaczmarz direction, or
-    g^T V (lam^+ * V^T (g x - c)), each as the same BLAS call the
-    one-sample stoch_grad makes.  A member whose iterate leaves the
-    finite range is dropped from the block; the others go on unchanged.
+    Member r draws from the stream derived from (params.seed, 0,
+    keys[r]); a single key is shared by all members, which then replay
+    the same draws.  omega and beta hold a value per member, or one for
+    all of them.  params gives the budget and recording schedule (its
+    omega and beta are not used).  The draws do not depend on the
+    iterates, so each stream's are made ahead in chunks of about
+    sketch.BATCH_ELEMENTS numbers.  Row sampling maps its uniforms to
+    rows with one lookup.  Block and Gaussian sketches turn a chunk into
+    sketched systems g x = c (A_S x = b_S, or S^T A x = S^T b) and factor
+    all their Gram matrices g g^T = V diag(lam) V^T with one stacked
+    eigendecomposition.  A step is then a few stacked products over the
+    members: the Kaczmarz direction, or g^T V (lam^+ * V^T (g x - c)),
+    each as the same BLAS call the one-sample stoch_grad makes.  A member
+    whose iterate leaves the finite range is dropped from the block; the
+    others go on unchanged.
     """
     a, b = problem.a, problem.b
     m, d = a.shape
-    n = omega.size
-    _check_records_fit(params, n, d)
-    shared = len(streams) == 1
-    metrics = params.metrics
-    want_f = METRIC_F in metrics or METRIC_CESARO in metrics
-    if want_f:
-        if eh is None:
-            eh = expected_h(dist, a).value
-        elif eh.shape not in ((m,), (d, d)):
-            raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({d}, {d})")
-    if xstar is None and (METRIC_L2 in metrics or (want_f and eh.ndim == 2)):
+    n = max(len(keys), omega.size)
+    _check_fits(params, n, d)
+    if eh is None:
+        eh = expected_h(dist, a).value
+    elif eh.shape not in ((m,), (d, d)):
+        raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({d}, {d})")
+    if xstar is None:
         xstar = project_onto_solutions(x0, a, b)
 
     by_row = isinstance(dist, UnitCoordinate)
     if by_row:
-        if dist.probabilities.size != m:
-            raise DimensionMismatch(f"distribution has {dist.probabilities.size} weights for {m} rows")
         norms_sq = _row_dots(a, a)
-        bad = (dist.probabilities > 0.0) & (norms_sq == 0.0)
-        if np.any(bad):
-            raise ZeroRow(f"row {int(np.argmax(bad))} is zero but has positive probability")
-    chunk = max(1, PREDRAW_ELEMENTS // _step_elements(dist, m, d, len(streams), n))
+        check_row_norms(dist, norms_sq)
+    chunk = max(1, sketch.BATCH_ELEMENTS // ((n if by_row else len(keys)) * draw_size(dist, m, d)))
+    streams = [derive_stream(params.seed, 0, key) for key in keys]
+    shared = len(streams) == 1
 
     ks = list(range(0, params.max_iter + 1, params.record_every))
     if ks[-1] != params.max_iter:
         ks.append(params.max_iter)
-    l2 = np.full((n, len(ks)), np.nan) if METRIC_L2 in metrics else None
-    f = np.full((n, len(ks)), np.nan) if METRIC_F in metrics else None
-    cesaro = np.full((n, len(ks)), np.nan) if METRIC_CESARO in metrics else None
-    snapshots: list[np.ndarray] | None = [] if METRIC_SNAPSHOT in metrics else None
+    l2 = np.full((n, len(ks)), np.nan)
+    f = np.full((n, len(ks)), np.nan)
+    cesaro = np.full((n, len(ks)), np.nan)
+    l1_sq: list[float] = []
+    snapshots: list[np.ndarray] | None = [] if params.snapshots else None
     elapsed: list[float] = []
     diverged_at = np.zeros(n, dtype=np.int64)
     final = np.empty((n, d))
 
     live = np.arange(n)
-    omega = omega[:, None]
-    beta = beta[:, None]
+    omega = np.broadcast_to(omega, n)[:, None]
+    beta = np.broadcast_to(beta, n)[:, None]
     x = np.tile(x0, (n, 1))
     x_prev = x.copy()
     running_sum = np.zeros((n, d))  # x_1 + ... + x_k for the Cesaro average
 
     def record(j: int, k: int) -> None:
-        if l2 is not None:
-            diff = x - xstar
-            l2[live, j] = _row_dots(diff, diff)
-        if f is not None:
-            f[live, j] = _objective_rows(a, b, x, eh, xstar)
-        if cesaro is not None and k > 0:
+        diff = x - xstar
+        l2[live, j] = _row_dots(diff, diff)
+        f[live, j] = _objective_rows(a, b, x, eh, xstar)
+        if k > 0:
             cesaro[live, j] = _objective_rows(a, b, running_sum / k, eh, xstar)
+        mean_diff = np.mean(x, axis=0) - xstar
+        l1_sq.append(float(mean_diff @ mean_diff))
         if snapshots is not None:
             snap = np.full((n, d), np.nan)
             snap[live] = x
@@ -354,14 +338,13 @@ def _iterate(
                 if not live.size:
                     break
             x_prev, x = x, x_new
-            if cesaro is not None:
-                running_sum += x
+            running_sum += x
             if k == ks[j]:
                 record(j, k)
                 j += 1
 
     final[live] = x
-    return _Block(ks, l2, f, cesaro, snapshots, elapsed, final, diverged_at)
+    return _Block(ks, l2, f, cesaro, l1_sq, snapshots, elapsed, final, diverged_at)
 
 
 def _start(x0, d: int) -> np.ndarray:
@@ -372,15 +355,11 @@ def _member_trace(block: _Block, r: int, params: SolverParams) -> RunTrace:
     """Member r of a block as a plain run's trace, cut before any divergence."""
     diverged_at = int(block.diverged_at[r]) or None
     n_rec = len(block.ks) if diverged_at is None else bisect_left(block.ks, diverged_at)
-
-    def series(values):
-        return None if values is None else values[r, :n_rec].tolist()
-
     return RunTrace(
         ks=block.ks[:n_rec],
-        l2_error=series(block.l2),
-        f_value=series(block.f),
-        cesaro_f=None if block.cesaro is None else [None] + block.cesaro[r, 1:n_rec].tolist(),
+        l2_error=block.l2[r, :n_rec].tolist(),
+        f_value=block.f[r, :n_rec].tolist(),
+        cesaro_f=[None] + block.cesaro[r, 1:n_rec].tolist(),
         elapsed_seconds=block.elapsed[:n_rec],
         snapshots=None if block.snapshots is None else [s[r] for s in block.snapshots[:n_rec]],
         final_iterate=block.final[r],
@@ -407,7 +386,7 @@ def run(
 
     The two starting iterates coincide (the first momentum difference is
     zero); recorded index k counts stochastic gradient applications, so
-    the iterate at index k has consumed exactly k draws.  Metrics are
+    the iterate at index k has consumed exactly k draws.  The series are
     recorded at k = 0, every record_every steps and at k = max_iter.
     Identical (problem, dist, params, x0) yield bit-identical traces.
     eh (ExpectedH.value: row-sampling weights or the Hessian W) and
@@ -417,7 +396,7 @@ def run(
     x0 = _start(x0, problem.a.shape[1])
     block = _iterate(
         problem, dist, params, x0,
-        [derive_stream(params.seed, 0, stream_index)],
+        range(stream_index, stream_index + 1),
         np.array([params.omega]), np.array([params.beta]),
         eh, xstar,
     )
@@ -437,20 +416,19 @@ def run_pairs(
 
     Every setting replays the draws of a plain run (stream index 0), so
     each trace is bit-identical to run() with its params, and E[H] (its
-    weights or W) and x* are computed once for all of them.  The settings must share seed,
-    budget, schedule and metrics.  A diverged setting does not stop the
-    others: its trace ends before the diverging iteration and carries
-    diverged_at.
+    weights or W) and x* are computed once for all of them.  The settings
+    must share seed, budget and schedule; snapshots follows the first
+    setting.  A diverged setting does not stop the others: its trace ends
+    before the diverging iteration and carries diverged_at.
     """
     if not runs:
         raise OutOfRange("at least one setting is required")
     first = runs[0]
-    shared = (first.seed, first.max_iter, first.record_every, first.metrics)
-    if any((p.seed, p.max_iter, p.record_every, p.metrics) != shared for p in runs):
-        raise OutOfRange("settings of one block must share seed, max_iter, record_every and metrics")
+    shared = (first.seed, first.max_iter, first.record_every)
+    if any((p.seed, p.max_iter, p.record_every) != shared for p in runs):
+        raise OutOfRange("settings of one block must share seed, max_iter and record_every")
     block = _iterate(
-        problem, dist, first, _start(x0, problem.a.shape[1]),
-        [derive_stream(first.seed, 0, 0)],
+        problem, dist, first, _start(x0, problem.a.shape[1]), range(1),
         np.array([p.omega for p in runs]), np.array([p.beta for p in runs]),
         None, None,
     )
@@ -472,44 +450,27 @@ def run_ensemble(
     Replication r uses the stream derived from (seed, r) and is
     bit-identical to run() with stream_index r, so replication 0 equals
     a plain run with the same params.  Averages are taken in replication
-    order.  eh and xstar are as for run().  If any replication diverges,
+    order; l1_sq comes from the kernel's mean iterate at each record.
+    eh and xstar are as for run().  If any replication diverges,
     NonFinite is raised for the lowest-index one, with its iteration.
     """
     if replications < 1:
         raise OutOfRange("replications must be >= 1")
-    a, b = problem.a, problem.b
-    x0 = _start(x0, a.shape[1])
-    want_snap = METRIC_SNAPSHOT in params.metrics
-    if xstar is None and (METRIC_L2 in params.metrics or want_snap):
-        xstar = project_onto_solutions(x0, a, b)
-
     block = _iterate(
-        problem, dist, params, x0,
-        [derive_stream(params.seed, 0, r) for r in range(replications)],
-        np.full(replications, params.omega), np.full(replications, params.beta),
-        eh, xstar,
+        problem, dist, params, _start(x0, problem.a.shape[1]), range(replications),
+        np.array([params.omega]), np.array([params.beta]), eh, xstar,
     )
     diverged = np.flatnonzero(block.diverged_at)
     if diverged.size:
         raise _diverged(int(block.diverged_at[diverged[0]]))
 
-    cesaro_mean = None
-    if block.cesaro is not None:
-        by_record = np.ascontiguousarray(block.cesaro.T)
-        cesaro_mean = [None] + [float(np.mean(vals)) for vals in by_record[1:]]
-    l1_sq = None
-    if want_snap:
-        l1_sq = []
-        for snap in block.snapshots:
-            diff = np.mean(snap, axis=0) - xstar
-            l1_sq.append(float(diff @ diff))
-
+    by_record = np.ascontiguousarray(block.cesaro.T)
     return EnsembleStats(
         ks=block.ks,
-        l2_mean=None if block.l2 is None else block.l2.mean(axis=0).tolist(),
-        f_mean=None if block.f is None else block.f.mean(axis=0).tolist(),
-        cesaro_f_mean=cesaro_mean,
-        l1_sq=l1_sq,
+        l2_mean=block.l2.mean(axis=0).tolist(),
+        f_mean=block.f.mean(axis=0).tolist(),
+        cesaro_f_mean=[None] + [float(np.mean(vals)) for vals in by_record[1:]],
+        l1_sq=block.l1_sq,
         replications=replications,
         params=params,
     )

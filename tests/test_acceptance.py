@@ -33,14 +33,7 @@ from shb.sketch import (
     row_sampling,
     stoch_grad,
 )
-from shb.solver import (
-    METRIC_L2,
-    METRIC_SNAPSHOT,
-    SolverParams,
-    run,
-    run_ensemble,
-    shb_step,
-)
+from shb.solver import SolverParams, run, run_ensemble, shb_step
 from shb.experiments import first_crossing
 from shb.theory import beta_upper_bound, cesaro_bound, l1_params, l2_rate
 
@@ -127,7 +120,6 @@ def gaussian_ensemble():
         max_iter=2000,
         seed=0,
         record_every=100,
-        metrics=frozenset({"l2_error", "f_value", "cesaro_f"}),
     )
     start = time.perf_counter()
     stats = run_ensemble(problem, dist, params, replications=1000)
@@ -202,7 +194,6 @@ def test_criterion_6_accelerated_expected_iterate_slope():
         max_iter=max_iter,
         seed=0,
         record_every=1,
-        metrics=frozenset({METRIC_L2, METRIC_SNAPSHOT}),
     )
     stats = run_ensemble(problem, dist, params, replications=2000)
     cut = 0.1 * max_iter
@@ -264,7 +255,6 @@ def median_crossing(problem, dist, beta):
             max_iter=8000,
             seed=s,
             record_every=10,
-            metrics=frozenset({METRIC_L2}),
         )
         trace = run(problem, dist, params)
         hit = first_crossing(trace.ks, trace.l2_error, trace.l2_error[0], 1e-6)
@@ -365,8 +355,7 @@ def test_criterion_8_structural_invariants():
     problem = Problem(a=a, b=a @ z, source="wide")
     x0 = rng.standard_normal(7)
     params = SolverParams(
-        omega=1.0, beta=0.3, max_iter=200, seed=1, record_every=10,
-        metrics=frozenset({METRIC_L2, METRIC_SNAPSHOT}),
+        omega=1.0, beta=0.3, max_iter=200, seed=1, record_every=10, snapshots=True,
     )
     trace = run(problem, row_sampling(a), params, x0)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -400,8 +389,7 @@ def test_criterion_8_structural_invariants():
     problem = gen_problem(12, 5, seed=3)
     dist = row_sampling(problem.a)
     params = SolverParams(
-        omega=1.0, beta=0.05, max_iter=60, seed=4, record_every=5,
-        metrics=frozenset({METRIC_L2, METRIC_SNAPSHOT}),
+        omega=1.0, beta=0.05, max_iter=60, seed=4, record_every=5, snapshots=True,
     )
     stats = run_ensemble(problem, dist, params, replications=64)
     compare_ok = all(l1 <= l2 * (1.0 + 1e-12) for l1, l2 in zip(stats.l1_sq, stats.l2_mean))

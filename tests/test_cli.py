@@ -11,6 +11,7 @@ import pytest
 
 import shb
 import shb.experiments
+import shb.linalg
 import shb.sketch
 import shb.solver
 from shb.cli import main
@@ -48,6 +49,14 @@ class TestGen:
         problem = read_bundle(out)
         assert problem.shape == (6, 4)
         assert problem.planted_solution is not None
+
+    def test_over_budget_exits_one(self, tmp_path, capsys):
+        """A 10^5 x 10^5 matrix (74.5 GiB) is refused before it is drawn."""
+        out = tmp_path / "big.json"
+        assert main(["gen", "--rows", "100000", "--cols", "100000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "over the limit" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -216,13 +225,17 @@ class TestSolve:
         rc = main(["solve", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "t.csv")])
         assert rc == 1
 
-    def test_bad_metric_exit_code(self, tmp_path):
+    def test_metrics_option_refused(self, tmp_path, capsys):
+        """Every run records the same series; there is no --metrics."""
         bundle = gen_bundle(tmp_path)
         rc = main([
-            "solve", "--input", str(bundle), "--metrics", "nope",
+            "solve", "--input", str(bundle), "--metrics", "l2_error",
             "--out", str(tmp_path / "t.csv"),
         ])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: No such option") and "--metrics" in err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestSweep:
@@ -248,6 +261,20 @@ class TestSweep:
             "sweep", "--input", str(bundle), "--sketch", sketch, "--betas", "0,0.1",
             "--iters", "40", "--record-every", "10", "--out", str(tmp_path / "sw"),
         ]) == (1, 0, 1)
+
+    def test_iterates_over_budget_exit_one(self, tmp_path, capsys):
+        """3 pairs of 2 records fit 24 numbers of records, but with their
+        iterates (3 x 4 x 4) not 71."""
+        bundle = gen_bundle(tmp_path)
+        with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 71):
+            rc = main([
+                "sweep", "--input", str(bundle), "--betas", "0,0.1,0.2", "--iters", "10",
+                "--record-every", "10", "--out", str(tmp_path / "sw"),
+            ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fewer replications or pairs" in err
+        assert not (tmp_path / "sw").exists()
 
     def test_single_pair_rejected(self, tmp_path):
         bundle = gen_bundle(tmp_path)
@@ -290,8 +317,8 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["schema"] == "shb-verify-v1"
         assert report["replications"] == 150
-        # verify records every metric, the iterate snapshots included
-        assert report["params"]["metrics"] == sorted(shb.solver.ALL_METRICS)
+        # every run records the same three series; no iterate is stored
+        assert report["params"]["metrics"] == ["cesaro_f", "f_value", "l2_error"]
         assert report["l1_le_l2"]["applicable"] is True
 
     @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
@@ -306,6 +333,17 @@ class TestVerify:
         bundle = gen_bundle(tmp_path)
         rc = main(["verify", "--input", str(bundle), "--reps", "10"])
         assert rc == 1
+
+    def test_ensemble_over_budget_exits_one(self, tmp_path, capsys):
+        """10^9 replications of 4 coordinates are refused before a stream
+        or an iterate array exists."""
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "verify.json"
+        rc = main(["verify", "--input", str(bundle), "--reps", "1000000000", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fewer replications or pairs" in err
+        assert not out.exists()
 
     def test_failed_check_exits_three(self, tmp_path, capsys):
         bundle = gen_bundle(tmp_path, rows=8, cols=3, seed=11)

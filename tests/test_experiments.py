@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from shb.experiments import (
 )
 from shb.problems import Problem, gen_problem
 from shb.sketch import BlockRow, GaussianSketch, UnitCoordinate, row_sampling
-from shb.solver import DEFAULT_METRICS, METRIC_SNAPSHOT, SolverParams
+from shb.solver import SolverParams
 
 
 def toy_problem() -> Problem:
@@ -209,6 +210,24 @@ class TestVerify:
         with pytest.raises(InsufficientReplications):
             verify(problem, row_sampling(problem.a), params, replications=50)
 
+    def test_ensemble_memory_does_not_grow_with_records_times_iterates(self):
+        """verify averages its replications inside the kernel: going from 2
+        to 401 records costs scalars per replication, not a copy of every
+        iterate (401 records of 100 x 200 iterates would be 64 MB)."""
+        problem = gen_problem(30, 200, seed=16)
+        dist = row_sampling(problem.a)
+        reps, peaks = 100, []
+        for every in (400, 1):
+            params = SolverParams(omega=1.0, beta=0.01, max_iter=400, seed=0, record_every=every)
+            tracemalloc.start()
+            try:
+                report = verify(problem, dist, params, replications=reps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(report["cesaro"]["rows"]) == 400 // every  # k >= 1
+        assert peaks[1] - peaks[0] <= 401 * reps * 200 * 8 / 16
+
     def test_nothing_applicable(self):
         problem = toy_problem()
         # stepsize beyond every hypothesis: no section applies
@@ -222,7 +241,6 @@ class TestVerify:
         problem = toy_problem()
         params = SolverParams(
             omega=1.0, beta=0.0, max_iter=2, seed=0, record_every=1,
-            metrics=DEFAULT_METRICS | {METRIC_SNAPSHOT},
         )
         report = verify(problem, row_sampling(problem.a), params, replications=1000)
         assert report["l2"]["applicable"] and report["l2"]["pass"]
@@ -235,7 +253,6 @@ class TestVerify:
         problem = toy_problem()
         params = SolverParams(
             omega=1.0, beta=0.06, max_iter=40, seed=0, record_every=5,
-            metrics=DEFAULT_METRICS | {METRIC_SNAPSHOT},
         )
         report = verify(problem, row_sampling(problem.a), params, replications=500)
         assert report["l2"]["pass"] and report["cesaro"]["pass"] and report["pass"]
@@ -254,7 +271,6 @@ class TestVerify:
         p = l1_params("inv_lmax", spec.lambda_min_plus, spec.lambda_max)
         params = SolverParams(
             omega=p.omega, beta=p.beta, max_iter=10, seed=0, record_every=1,
-            metrics=DEFAULT_METRICS | {METRIC_SNAPSHOT},
         )
         report = verify(problem, dist, params, replications=150)
         section = report["l1"]
@@ -271,7 +287,7 @@ class TestVerify:
         dist = BlockRow(6)  # every draw determines the solution exactly
         params = SolverParams(
             omega=1.0, beta=(1 - math.sqrt(0.99)) ** 2, max_iter=6, seed=0,
-            record_every=1, metrics=DEFAULT_METRICS | {METRIC_SNAPSHOT},
+            record_every=1,
         )
         report = verify(problem, dist, params, replications=100)
         assert report["l1"]["applicable"]

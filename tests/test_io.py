@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import shb.io
-from shb.errors import BundleError, EmptyFile, Inconsistent, MalformedLine, NonMonotoneIndices
+import shb.problems
+from shb.errors import BundleError, EmptyFile, Inconsistent, MalformedLine, NonMonotoneIndices, OutOfRange
 from shb.io import (
     atomic_write,
     parse_libsvm,
@@ -298,6 +299,19 @@ class TestProblem:
         assert p1 == p2
         p3 = gen_problem(10, 6, seed=124)
         assert not np.array_equal(p1.a, p3.a)
+
+    def test_generation_budget(self):
+        """rows * cols is checked against the dense-array budget before
+        anything is drawn: 12 entries fit a budget of 12, 13 do not."""
+        with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 12):
+            for rows, cols in ((3, 4), (12, 1), (1, 12)):
+                assert gen_problem(rows, cols, seed=0).shape == (rows, cols)
+            failing = mock.Mock(side_effect=AssertionError("drawn before the budget check"))
+            with mock.patch.object(shb.problems, "derive_stream", failing):
+                for rows, cols in ((13, 1), (1, 13), (2, 7)):
+                    with pytest.raises(OutOfRange, match="over the limit"):
+                        gen_problem(rows, cols, seed=0)
+            failing.assert_not_called()
 
     def test_generated_problem_is_consistent(self):
         p = gen_problem(20, 8, seed=5)

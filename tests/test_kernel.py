@@ -48,8 +48,6 @@ from shb.sketch import (
     stoch_grad,
 )
 from shb.solver import (
-    ALL_METRICS,
-    DEFAULT_METRICS,
     DIVERGENCE_LIMIT,
     SolverParams,
     run,
@@ -107,10 +105,11 @@ def oracle_iterates(problem, dist, omega, beta, max_iter, rng, x0):
 
 @contextmanager
 def chunk_steps(problem, dist, steps, streams=1, members=1):
-    """Pre-draw in chunks of `steps` steps for a block of this shape."""
+    """Pre-draw in chunks of `steps` steps for a block of this shape: a
+    uniform per member, or one block or Gaussian draw per stream."""
     m, d = problem.a.shape
-    per_step = solver._step_elements(dist, m, d, streams, members)
-    with mock.patch.object(solver, "PREDRAW_ELEMENTS", steps * per_step):
+    units = members if isinstance(dist, UnitCoordinate) else streams
+    with mock.patch.object(shb.sketch, "BATCH_ELEMENTS", steps * units * shb.sketch.draw_size(dist, m, d)):
         yield
 
 
@@ -166,13 +165,11 @@ def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
     xstar = project_onto_solutions(x0, a, b)
     f0 = dense_f(a, b, x0, dense)
     params = SolverParams(
-        omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
-        metrics=ALL_METRICS,
+        omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every, snapshots=True,
     )
-    streams = [derive_stream(seed, 0, r) for r in range(replications)]
     with chunk_steps(problem, dist, steps, replications, replications):
         block = solver._iterate(
-            problem, dist, params, x0, streams,
+            problem, dist, params, x0, range(replications),
             np.full(replications, omega), np.full(replications, beta), eh, None,
         )
     assert not block.diverged_at.any()
@@ -216,12 +213,10 @@ def test_row_weights_match_the_oracle_loop(instance, schedule, replications, giv
     dense = np.diag(weights)
     params = SolverParams(
         omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
-        metrics=DEFAULT_METRICS,
     )
-    streams = [derive_stream(seed, 0, r) for r in range(replications)]
     with chunk_steps(problem, dist, steps, replications, replications):
         block = solver._iterate(
-            problem, dist, params, x0, streams,
+            problem, dist, params, x0, range(replications),
             np.full(replications, omega), np.full(replications, beta),
             weights if given_eh else None, None,
         )
@@ -244,8 +239,7 @@ def test_ensemble_equals_aggregated_runs(instance, schedule, replications, kind)
     omega, beta, max_iter, every, steps, seed = schedule
     dist = distribution(problem, kind)
     params = SolverParams(
-        omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
-        metrics=ALL_METRICS,
+        omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every, snapshots=True,
     )
     with chunk_steps(problem, dist, steps, replications, replications):
         stats = run_ensemble(problem, dist, params, x0, replications=replications)
@@ -295,11 +289,15 @@ def test_sweep_pairs_equal_solo_runs(instance, schedule, extra_betas, kind):
     settings = [
         SolverParams(
             omega=w, beta=b, max_iter=max_iter, seed=seed, record_every=every,
-            metrics=DEFAULT_METRICS,
         )
         for w, b in pairs
     ]
-    with chunk_steps(problem, dist, steps, members=len(pairs)):
+    # E[H] is computed once, at the default chunk size: this test is about
+    # the kernel, and at its small chunks a Monte Carlo W would take
+    # thousands of stacked eigendecompositions per call
+    eh = expected_h(dist, problem.a)
+    with chunk_steps(problem, dist, steps, members=len(pairs)), \
+            mock.patch.object(solver, "expected_h", return_value=eh):
         paired = run_pairs(problem, dist, settings, x0)
         solo = [run(problem, dist, p, x0) for p in settings]
         long_rows, summaries = sweep(problem, dist, pairs, max_iter, every, seed)
@@ -339,10 +337,7 @@ def test_ensemble_reports_the_lowest_diverging_replica():
     iteration, as the replicas run one after another would."""
     problem = gen_problem(6, 3, seed=0)
     dist = row_sampling(problem.a)
-    params = SolverParams(
-        omega=1.0, beta=1.0, max_iter=770, seed=3, record_every=100,
-        metrics=frozenset({"l2_error"}),
-    )
+    params = SolverParams(omega=1.0, beta=1.0, max_iter=770, seed=3, record_every=100)
     per_replica = []
     for r in range(6):
         try:
@@ -370,7 +365,7 @@ def test_sweep_drops_a_diverged_pair_and_keeps_the_others():
     for pair_id in (0, 2):
         w, b = pairs[pair_id]
         trace = run(problem, dist, SolverParams(
-            omega=w, beta=b, max_iter=3000, seed=3, record_every=100, metrics=DEFAULT_METRICS,
+            omega=w, beta=b, max_iter=3000, seed=3, record_every=100,
         ))
         assert summaries[pair_id]["status"] == "ok"
         assert [row for row in long_rows if row[0] == pair_id] == pair_rows(pair_id, w, b, trace)
@@ -394,7 +389,7 @@ def test_block_sweep_drops_a_pair_diverging_mid_chunk():
     for pair_id in (0, 2):
         w, b = pairs[pair_id]
         trace = run(problem, dist, SolverParams(
-            omega=w, beta=b, max_iter=3000, seed=3, record_every=100, metrics=DEFAULT_METRICS,
+            omega=w, beta=b, max_iter=3000, seed=3, record_every=100,
         ))
         assert summaries[pair_id]["status"] == "ok"
         assert [row for row in long_rows if row[0] == pair_id] == pair_rows(pair_id, w, b, trace)
@@ -409,13 +404,11 @@ def test_member_diverging_mid_chunk_leaves_the_others_on_the_oracle():
     betas = (0.0, 1.0, 0.3)
     max_iter, seed = 1500, 5
     params = SolverParams(
-        omega=1.0, beta=0.0, max_iter=max_iter, seed=seed, record_every=100,
-        metrics=frozenset({"l2_error", "iterate_snapshot"}),
+        omega=1.0, beta=0.0, max_iter=max_iter, seed=seed, record_every=100, snapshots=True,
     )
-    streams = [derive_stream(seed, 0, r) for r in range(len(betas))]
     with chunk_steps(problem, dist, 64, len(betas), len(betas)):
         block = solver._iterate(
-            problem, dist, params, np.zeros(3), streams,
+            problem, dist, params, np.zeros(3), range(len(betas)),
             np.ones(len(betas)), np.array(betas), None, None,
         )
     refs = [
@@ -445,7 +438,7 @@ def test_one_eigendecomposition_per_chunk(kind, shape):
     xstar = project_onto_solutions(np.zeros(6), problem.a, problem.b)
     members = {"run": 1, "sweep": 4, "ensemble": 3}[shape]
     streams = members if shape == "ensemble" else 1
-    params = SolverParams(omega=1.0, beta=0.3, max_iter=50, seed=2, record_every=10, metrics=ALL_METRICS)
+    params = SolverParams(omega=1.0, beta=0.3, max_iter=50, seed=2, record_every=10, snapshots=True)
     counter = mock.Mock(wraps=shb.linalg.sym_eig)
     with (
         chunk_steps(problem, dist, 7, streams, members),
@@ -453,8 +446,7 @@ def test_one_eigendecomposition_per_chunk(kind, shape):
         mock.patch.object(shb.sketch, "sym_eig", counter),
     ):
         block = solver._iterate(
-            problem, dist, params, np.zeros(6),
-            [derive_stream(2, 0, r) for r in range(streams)],
+            problem, dist, params, np.zeros(6), range(streams),
             np.ones(members), np.linspace(0.0, 0.3, members), eh, xstar,
         )
     assert not block.diverged_at.any()
@@ -464,7 +456,7 @@ def test_one_eigendecomposition_per_chunk(kind, shape):
 
 def test_gaussian_predraw_memory_is_bounded():
     """A tall Gaussian run holds one pre-draw chunk of S at a time, about
-    PREDRAW_ELEMENTS numbers, never all max_iter draws (9.6 MB here)."""
+    BATCH_ELEMENTS numbers, never all max_iter draws (9.6 MB here)."""
     problem = gen_problem(3000, 10, seed=4)
     dist = GaussianSketch(2)
     eh = expected_h(dist, problem.a, mc_samples=20).value
@@ -476,4 +468,4 @@ def test_gaussian_predraw_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * solver.PREDRAW_ELEMENTS + problem.a.nbytes
+    assert peak <= 8 * shb.sketch.BATCH_ELEMENTS + problem.a.nbytes

@@ -9,7 +9,7 @@ from second_moment import expected_crossing, expected_sq_errors
 
 from shb.problems import Problem, gen_problem
 from shb.sketch import row_sampling
-from shb.solver import METRIC_L2, SolverParams, run_ensemble
+from shb.solver import SolverParams, run_ensemble
 from shb.theory import l2_rate
 
 
@@ -26,7 +26,6 @@ def test_matches_monte_carlo_mean(beta):
     problem = gen_problem(12, 5, seed=3)
     params = SolverParams(
         omega=1.0, beta=beta, max_iter=20, seed=0, record_every=1,
-        metrics=frozenset({METRIC_L2}),
     )
     stats = run_ensemble(problem, row_sampling(problem.a), params, replications=4000)
     exact = expected_sq_errors(problem.a, problem.b, 1.0, beta, 20)

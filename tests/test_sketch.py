@@ -19,6 +19,7 @@ from shb.sketch import (
     derive_stream,
     draw,
     draw_batch,
+    draw_size,
     expected_h,
     f_value,
     hessian_spectrum,
@@ -304,6 +305,19 @@ class TestExpectedH:
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ZeroRow):
             expected_h(UnitCoordinate(np.array([0.5, 0.5])), a)
+
+
+class TestDrawSize:
+    def test_numbers_per_draw(self):
+        """A uniform per row draw; the larger of A_S and its tau x tau
+        factors per block draw; the larger of S and S^T A per Gaussian one."""
+        assert draw_size(row_sampling(np.eye(3)), 3, 3) == 1
+        assert draw_size(BlockRow(5), 100, 40) == 5 * 40
+        assert draw_size(BlockRow(5), 100, 3) == 5 * 5
+        assert draw_size(GaussianSketch(3), 100, 40) == 3 * 100
+        assert draw_size(GaussianSketch(3), 10, 40) == 3 * 40
+        with pytest.raises(OutOfRange):
+            draw_size(object(), 10, 40)
 
 
 class TestHessianSpectrum:

@@ -5,22 +5,12 @@ import numpy as np
 import pytest
 
 import shb.linalg as linalg
-from shb.errors import DimensionMismatch, NonFinite, OutOfRange
+from shb.errors import DimensionMismatch, NonFinite, OutOfRange, ZeroRow
 from shb.linalg import project_onto_solutions
 from shb.problems import Problem, gen_problem
-from shb.sketch import derive_stream, expected_h, f_value, row_sampling
-from shb.solver import (
-    ALL_METRICS,
-    DEFAULT_METRICS,
-    METRIC_CESARO,
-    METRIC_F,
-    METRIC_L2,
-    METRIC_SNAPSHOT,
-    SolverParams,
-    run,
-    run_ensemble,
-    shb_step,
-)
+from shb.sketch import UnitCoordinate, derive_stream, expected_h, f_value, row_sampling
+import shb.solver as solver
+from shb.solver import SolverParams, run, run_ensemble, run_pairs, shb_step
 
 
 def toy_problem() -> Problem:
@@ -58,8 +48,6 @@ class TestParams:
             SolverParams(omega=1.0, beta=0.0, max_iter=0, seed=0)
         with pytest.raises(OutOfRange):
             SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=0)
-        with pytest.raises(OutOfRange):
-            SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, metrics=frozenset({"nope"}))
 
     @pytest.mark.parametrize("omega,beta", [
         (float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")), (1.0, float("inf")),
@@ -70,23 +58,59 @@ class TestParams:
 
 
 class TestRecordBudget:
-    """Records are counted against the dense-array budget before any is built."""
+    """Records and iterates are counted against the dense-array budget
+    before any is built."""
 
     def test_boundary(self):
-        # records at k = 0, 3, 6, 9, 10; each holds k, its time and 3 metrics
+        # records at k = 0, 3, 6, 9, 10; each holds k, its time, l1_sq and 3
+        # series, and the one member's x, x_prev, x_new and running sum hold
+        # 4 * 2 numbers
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3)
-        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 5):
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 6 + 8):
             assert run(toy_problem(), row_sampling(np.eye(2)), params).ks == [0, 3, 6, 9, 10]
-        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 5 - 1), pytest.raises(OutOfRange):
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 6 + 8 - 1), pytest.raises(OutOfRange):
             run(toy_problem(), row_sampling(np.eye(2)), params)
 
     def test_snapshots_count_every_member_and_coordinate(self):
-        # 3 replications of 3 metrics and a d = 2 snapshot: 2 + 3 * 5 per record
-        params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3, metrics=ALL_METRICS)
-        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 17):
+        # 3 replications of 3 series and a d = 2 snapshot: 3 + 3 * 5 per record,
+        # and 3 * 4 * 2 numbers of iterates
+        params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3, snapshots=True)
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 18 + 24):
             assert run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=3).ks[-1] == 10
-        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 17 - 1), pytest.raises(OutOfRange):
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 18 + 24 - 1), pytest.raises(OutOfRange):
             run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=3)
+
+    def test_iterates_count_every_member(self):
+        # one record at k = 0 and one at k = 1: 2 * (3 + R * 3), plus R * 4 * 2
+        params = SolverParams(omega=1.0, beta=0.0, max_iter=1, seed=0)
+        for reps in (1, 7, 1000):
+            budget = 2 * (3 + reps * 3) + reps * 8
+            with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
+                assert run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=reps).ks == [0, 1]
+            with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
+                run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=reps)
+
+    @pytest.mark.parametrize("shape", ["ensemble", "pairs"])
+    def test_iterates_refused_before_any_stream(self, shape):
+        """An over-budget block is refused before a stream is derived or an
+        iterate array exists, so a huge replication count costs nothing.
+        The 13 pairs' 2 records fit in 150 numbers; their iterates do not."""
+        params = SolverParams(omega=1.0, beta=0.0, max_iter=1, seed=0)
+        failing = mock.Mock(side_effect=AssertionError("stream derived before the budget check"))
+        tracemalloc.start()
+        try:
+            with mock.patch.object(solver, "derive_stream", failing), \
+                    pytest.raises(OutOfRange, match="fewer replications or pairs"):
+                if shape == "ensemble":
+                    run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=10**12)
+                else:
+                    with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 150):
+                        run_pairs(toy_problem(), row_sampling(np.eye(2)), [params] * 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        failing.assert_not_called()
+        assert peak < 1 << 20
 
     def test_refused_before_allocating(self):
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10**8, seed=0, record_every=1)
@@ -146,8 +170,7 @@ class TestRun:
         a, b = problem.a, problem.b
         dist = row_sampling(a)
         params = SolverParams(
-            omega=0.9, beta=0.0, max_iter=60, seed=17, record_every=1,
-            metrics=frozenset({METRIC_SNAPSHOT}),
+            omega=0.9, beta=0.0, max_iter=60, seed=17, record_every=1, snapshots=True,
         )
         trace = run(problem, dist, params)
 
@@ -173,8 +196,7 @@ class TestRun:
         dist = row_sampling(a)
         omega, beta = 0.8, 0.3
         params = SolverParams(
-            omega=omega, beta=beta, max_iter=80, seed=4, record_every=1,
-            metrics=frozenset({METRIC_SNAPSHOT}),
+            omega=omega, beta=beta, max_iter=80, seed=4, record_every=1, snapshots=True,
         )
         trace = run(problem, dist, params)
 
@@ -194,6 +216,21 @@ class TestRun:
         for snap, ref in zip(trace.snapshots, refs):
             np.testing.assert_array_equal(snap, ref)
 
+    @pytest.mark.parametrize("probabilities,error,message", [
+        ([0.5, 0.25, 0.25], DimensionMismatch, "distribution has 3 weights for 2 rows"),
+        ([0.5, 0.5], ZeroRow, "row 1 is zero but has positive probability"),
+    ])
+    def test_row_weights_checked_as_expected_h_checks_them(self, probabilities, error, message):
+        """With E[H] passed in, the kernel still refuses row weights that do
+        not fit the matrix, with expected_h's errors."""
+        problem = Problem(a=np.array([[1.0, 0.0], [0.0, 0.0]]), b=np.array([1.0, 0.0]), source="zero row")
+        dist = UnitCoordinate(np.array(probabilities))
+        params = SolverParams(omega=1.0, beta=0.0, max_iter=5, seed=0)
+        with pytest.raises(error, match=message):
+            expected_h(dist, problem.a)
+        with pytest.raises(error, match=message):
+            run(problem, dist, params, eh=np.ones(2))
+
     def test_divergence_guard(self):
         problem = toy_problem()
         dist = row_sampling(problem.a)
@@ -211,8 +248,7 @@ class TestRun:
         dist = row_sampling(a)
         x0 = rng.standard_normal(6)
         params = SolverParams(
-            omega=1.0, beta=0.4, max_iter=300, seed=2, record_every=25,
-            metrics=frozenset({METRIC_L2, METRIC_SNAPSHOT}),
+            omega=1.0, beta=0.4, max_iter=300, seed=2, record_every=25, snapshots=True,
         )
         trace = run(problem, dist, params, x0)
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -227,8 +263,7 @@ class TestRun:
         problem = gen_problem(6, 3, seed=30)
         dist = row_sampling(problem.a)
         params = SolverParams(
-            omega=1.0, beta=0.2, max_iter=400, seed=9, record_every=1,
-            metrics=ALL_METRICS,
+            omega=1.0, beta=0.2, max_iter=400, seed=9, record_every=1, snapshots=True,
         )
         trace = run(problem, dist, params)
         eh = expected_h(dist, problem.a).value
@@ -253,15 +288,24 @@ class TestRun:
         assert t1.cesaro_f == t2.cesaro_f
         np.testing.assert_array_equal(t1.final_iterate, t2.final_iterate)
 
-    def test_metrics_can_be_disabled(self):
-        problem = toy_problem()
+    def test_every_trace_and_ensemble_carries_every_series(self):
+        """Runs, sweep pairs and ensembles all record the l2 error, f and
+        Cesaro f at every recorded k; snapshots only when asked for."""
+        problem = gen_problem(6, 3, seed=31)
         dist = row_sampling(problem.a)
-        params = SolverParams(
-            omega=1.0, beta=0.0, max_iter=10, seed=0, metrics=frozenset({METRIC_F})
-        )
-        trace = run(problem, dist, params)
-        assert trace.l2_error is None and trace.cesaro_f is None and trace.snapshots is None
-        assert len(trace.f_value) == len(trace.ks)
+        params = SolverParams(omega=1.0, beta=0.2, max_iter=25, seed=0, record_every=10)
+        traces = [run(problem, dist, params), *run_pairs(problem, dist, [params, params])]
+        for trace in traces:
+            assert trace.ks == [0, 10, 20, 25]
+            for series in (trace.l2_error, trace.f_value):
+                assert len(series) == 4 and all(np.isfinite(series))
+            assert trace.cesaro_f[0] is None and all(np.isfinite(trace.cesaro_f[1:]))
+            assert len(trace.cesaro_f) == 4 and trace.snapshots is None
+        stats = run_ensemble(problem, dist, params, replications=3)
+        for series in (stats.l2_mean, stats.f_mean, stats.l1_sq):
+            assert len(series) == 4 and all(np.isfinite(series))
+        assert stats.cesaro_f_mean[0] is None and all(np.isfinite(stats.cesaro_f_mean[1:]))
+        assert len(stats.cesaro_f_mean) == 4
 
 
 class TestEnsemble:
@@ -280,7 +324,6 @@ class TestEnsemble:
         dist = row_sampling(problem.a)
         params = SolverParams(
             omega=1.0, beta=0.05, max_iter=40, seed=6, record_every=10,
-            metrics=DEFAULT_METRICS | {METRIC_SNAPSHOT},
         )
         s1 = run_ensemble(problem, dist, params, replications=8)
         s2 = run_ensemble(problem, dist, params, replications=8)
@@ -292,7 +335,6 @@ class TestEnsemble:
         dist = row_sampling(problem.a)
         params = SolverParams(
             omega=1.0, beta=0.0, max_iter=60, seed=7, record_every=5,
-            metrics=frozenset({METRIC_L2, METRIC_SNAPSHOT}),
         )
         stats = run_ensemble(problem, dist, params, replications=64)
         for l1, l2 in zip(stats.l1_sq, stats.l2_mean):
@@ -304,8 +346,7 @@ class TestEnsemble:
         problem = gen_problem(5, 3, seed=53)
         dist = row_sampling(problem.a)
         params = SolverParams(
-            omega=1.0, beta=0.0, max_iter=20, seed=8, record_every=5,
-            metrics=DEFAULT_METRICS | {METRIC_SNAPSHOT},
+            omega=1.0, beta=0.0, max_iter=20, seed=8, record_every=5, snapshots=True,
         )
         stats = run_ensemble(problem, dist, params, replications=6)
         traces = [run(problem, dist, params, stream_index=r) for r in range(6)]
