@@ -2,10 +2,19 @@
 
 Single runs, ensembles and sweeps share one kernel that advances an
 (R, d) block of iterates.  Every sketch's draws are made ahead in
-chunks, in the order of the draw -> stoch_grad -> shb_step pipeline;
-block and Gaussian chunks are factored with one stacked
-eigendecomposition, so a step only does the products that depend on
-the iterate.  For row and block sampling each member's arithmetic is
+chunks of about sketch.BATCH_ELEMENTS numbers, in the order of the draw
+-> stoch_grad -> shb_step pipeline.  Row sampling draws a chunk of
+uniforms and gathers the rows they pick, with their b values and squared
+norms, in sub-chunks of at most BATCH_ELEMENTS row numbers; block and
+Gaussian chunks are factored with one stacked eigendecomposition.  A
+step then writes the block's gradients into one buffer with a few
+stacked products, and every sketch shares the rest of the step: the
+momentum update x - omega*grad + beta*(x - x_prev) in that order, into
+three rotating iterate buffers with omega and beta held as (R, d)
+arrays, so a step allocates nothing.  The divergence guard is one dot
+product over the block, ||x||^2 <= GUARD_SQ, which certifies every
+entry within DIVERGENCE_LIMIT; only a block that fails it is checked
+entry by entry.  For row and block sampling each member's arithmetic is
 that of the pipeline on its own stream, so member r is bit-identical to
 a plain run on that stream; Gaussian sketches take their residual as
 S^T A x - S^T b, which rounds differently.  Ensembles give replication r
@@ -15,8 +24,9 @@ draws.  Every block records per member ||x_k - x*||^2, f and the Cesaro
 f, and per record the squared distance of the members' mean iterate (an
 ensemble's l1_sq), so no iterate is kept to be averaged.  x* and E[H]
 come in once per block; f uses row sampling's weights h, or (1/2)
-(x-x*)^T W (x-x*) with the Hessian W.  Records and iterates are counted
-against the dense-array budget before any stream exists.
+(x-x*)^T W (x-x*) with the Hessian W.  Records, iterates, buffers and
+draws are counted against the dense-array budget before any stream
+exists.
 """
 
 from __future__ import annotations
@@ -51,6 +61,8 @@ from shb.sketch import draw  # noqa: F401
 
 # iterates beyond this magnitude (or non-finite) abort the run
 DIVERGENCE_LIMIT = 1e30
+# a block of squared norm at most this has every entry within DIVERGENCE_LIMIT
+GUARD_SQ = 0.99 * DIVERGENCE_LIMIT**2
 
 
 @dataclass(frozen=True)
@@ -182,21 +194,61 @@ def _objective_rows(a: np.ndarray, b: np.ndarray, xs: np.ndarray, eh: np.ndarray
     return np.where(0.0 > vals, 0.0, vals)
 
 
-def _check_fits(params: SolverParams, members: int, d: int) -> None:
-    """Refuse a block whose records and iterates are over the dense-array budget.
+def _chunk_steps(dist: SketchDistribution, m: int, d: int, members: int, streams: int) -> tuple[int, int]:
+    """Steps per pre-drawn chunk, and per sub-chunk whose draws are gathered at once.
+
+    A chunk holds about sketch.BATCH_ELEMENTS numbers of draws: one
+    uniform per member for row sampling, one block or Gaussian draw per
+    stream otherwise.  Row sampling gathers the rows its uniforms pick in
+    sub-chunks of at most BATCH_ELEMENTS row numbers (one step when a
+    step's rows alone are more); a block or Gaussian chunk is gathered
+    whole.
+    """
+    if not isinstance(dist, UnitCoordinate):
+        chunk = max(1, sketch.BATCH_ELEMENTS // (streams * draw_size(dist, m, d)))
+        return chunk, chunk
+    chunk = max(1, sketch.BATCH_ELEMENTS // members)
+    return chunk, max(1, min(chunk, sketch.BATCH_ELEMENTS // (streams * d)))
+
+
+def _check_fits(
+    params: SolverParams, dist: SketchDistribution, m: int, d: int, members: int, streams: int, eh: np.ndarray | None,
+) -> int:
+    """The numbers a block holds at most; OutOfRange when they are over the
+    dense-array budget.
 
     Each record holds k, its time and the l1_sq value, plus per member
     three numbers (l2, f, Cesaro f) and d for a snapshot.  Each member
-    carries x, x_prev, x_new and the Cesaro running sum, d numbers each.
+    holds nine rows of d numbers: three rotating iterates, the gradient
+    and momentum buffers, the Cesaro running sum, omega, beta and the
+    final iterate.  A record's f needs per member the residual Ax - b and
+    its weighted copy (2m numbers), or x - x* and W (x - x*) (2d).  The
+    draws: a chunk of uniforms takes 4 numbers per member and step while
+    it is mapped to rows (the uniforms, their lookup, the rows and the
+    previous chunk's), and row sampling holds two gathered sub-chunks of
+    d + 2 numbers per stream and step (the next is gathered while the
+    last is held); a block or Gaussian chunk takes 4 draw_size numbers per
+    stream and draw (the chunk as it is stacked, the previous one, and S
+    or the Gram factors).
     """
+    by_row = isinstance(dist, UnitCoordinate)
     records = params.max_iter // params.record_every + 1 + (params.max_iter % params.record_every > 0)
     per_record = 3 + members * (3 + (d if params.snapshots else 0))
-    if records * per_record + members * 4 * d > linalg.MAX_DENSE_ELEMENTS:
+    chunk, sub = _chunk_steps(dist, m, d, members, streams)
+    steps = min(chunk, params.max_iter)
+    if by_row:
+        draws = 4 * steps * members + 2 * min(sub, steps) * streams * (d + 2)
+    else:
+        draws = 4 * steps * streams * draw_size(dist, m, d)
+    f_width = m if (by_row if eh is None else eh.ndim == 1) else d
+    held = members * (9 * d + 2 * f_width) + draws
+    if records * per_record + held > linalg.MAX_DENSE_ELEMENTS:
         raise OutOfRange(
-            f"{records} records of {per_record} numbers and {members} iterates of 4x{d} numbers "
+            f"{records} records of {per_record} numbers and {held} numbers of iterates and draws "
             f"are over the limit of {linalg.MAX_DENSE_ELEMENTS} entries: record less often "
             f"or run fewer replications or pairs"
         )
+    return records * per_record + held
 
 
 def _sketched_systems(dist: BlockRow | GaussianSketch, a: np.ndarray, b: np.ndarray, streams, steps: int):
@@ -212,6 +264,23 @@ def _sketched_systems(dist: BlockRow | GaussianSketch, a: np.ndarray, b: np.ndar
         gs.append(s_t @ a)
         cs.append(s_t @ b)
     return np.stack(gs, axis=1), np.stack(cs, axis=1)[..., None]
+
+
+def _finite_rows(x_new: np.ndarray) -> np.ndarray | None:
+    """None when every entry of the block x_new is within DIVERGENCE_LIMIT,
+    else whether each row is.
+
+    One dot product certifies the whole block: the computed ||x||^2 is at
+    least (1 - N u) times the exact one for N numbers and unit roundoff
+    u, and N u is far below the 1% margin of GUARD_SQ for any block within
+    the dense-array budget, so passing bounds every |x_i| by the limit.
+    NaN, inf and a large but finite block fail it; the entrywise test
+    then decides, exactly as it would alone.
+    """
+    flat = x_new.reshape(-1)
+    if flat @ flat <= GUARD_SQ:
+        return None
+    return np.abs(x_new).max(axis=1) <= DIVERGENCE_LIMIT
 
 
 def _iterate(
@@ -232,21 +301,24 @@ def _iterate(
     the same draws.  omega and beta hold a value per member, or one for
     all of them.  params gives the budget and recording schedule (its
     omega and beta are not used).  The draws do not depend on the
-    iterates, so each stream's are made ahead in chunks of about
-    sketch.BATCH_ELEMENTS numbers.  Row sampling maps its uniforms to
-    rows with one lookup.  Block and Gaussian sketches turn a chunk into
-    sketched systems g x = c (A_S x = b_S, or S^T A x = S^T b) and factor
-    all their Gram matrices g g^T = V diag(lam) V^T with one stacked
-    eigendecomposition.  A step is then a few stacked products over the
-    members: the Kaczmarz direction, or g^T V (lam^+ * V^T (g x - c)),
-    each as the same BLAS call the one-sample stoch_grad makes.  A member
-    whose iterate leaves the finite range is dropped from the block; the
-    others go on unchanged.
+    iterates, so each stream's are made ahead in chunks (_chunk_steps).
+    Row sampling maps a chunk's uniforms to rows with one lookup and
+    gathers the rows, b values and squared norms a sub-chunk at a time.
+    Block and Gaussian sketches turn a chunk into sketched systems g x = c
+    (A_S x = b_S, or S^T A x = S^T b) and factor all their Gram matrices
+    g g^T = V diag(lam) V^T with one stacked eigendecomposition.  A step
+    writes the members' gradients into one buffer, the Kaczmarz direction
+    or g^T V (lam^+ * V^T (g x - c)), each as the same BLAS call the
+    one-sample stoch_grad makes; the momentum update, the divergence
+    guard and the records are then the same for every sketch, and
+    allocate nothing: the iterates rotate through three buffers.  A
+    member whose iterate leaves the finite range is dropped from the
+    block; the others go on unchanged.
     """
     a, b = problem.a, problem.b
     m, d = a.shape
     n = max(len(keys), omega.size)
-    _check_fits(params, n, d)
+    _check_fits(params, dist, m, d, n, len(keys), eh)
     if eh is None:
         eh = expected_h(dist, a).value
     elif eh.shape not in ((m,), (d, d)):
@@ -258,9 +330,11 @@ def _iterate(
     if by_row:
         norms_sq = _row_dots(a, a)
         check_row_norms(dist, norms_sq)
-    chunk = max(1, sketch.BATCH_ELEMENTS // ((n if by_row else len(keys)) * draw_size(dist, m, d)))
+    chunk, sub = _chunk_steps(dist, m, d, n, len(keys))
     streams = [derive_stream(params.seed, 0, key) for key in keys]
     shared = len(streams) == 1
+    # rows of a step's products before the gradient: A_i x, or g x - c and V^T (g x - c)
+    tau = 1 if by_row else dist.block_size if isinstance(dist, BlockRow) else dist.width
 
     ks = list(range(0, params.max_iter + 1, params.record_every))
     if ks[-1] != params.max_iter:
@@ -275,18 +349,29 @@ def _iterate(
     final = np.empty((n, d))
 
     live = np.arange(n)
-    omega = np.broadcast_to(omega, n)[:, None]
-    beta = np.broadcast_to(beta, n)[:, None]
+    omega = np.repeat(np.broadcast_to(omega, n), d).reshape(n, d)
+    beta = np.repeat(np.broadcast_to(beta, n), d).reshape(n, d)
     x = np.tile(x0, (n, 1))
     x_prev = x.copy()
+    x_new = np.empty_like(x)
     running_sum = np.zeros((n, d))  # x_1 + ... + x_k for the Cesaro average
 
+    def buffers(rows: int):
+        """The gradient, its shape as the output of a step's last product,
+        the momentum term, and two of the step's products."""
+        grad = np.empty((rows, d))
+        prods = np.empty((2, rows, tau, 1))
+        return grad, grad.reshape((rows, 1, d) if by_row else (rows, d, 1)), np.empty_like(grad), prods[0], prods[1]
+
+    grad, grad_out, mom, prod, coef = buffers(n)
+
     def record(j: int, k: int) -> None:
-        diff = x - xstar
+        # the gradient and momentum buffers are free between steps
+        diff = np.subtract(x, xstar, out=mom)
         l2[live, j] = _row_dots(diff, diff)
         f[live, j] = _objective_rows(a, b, x, eh, xstar)
         if k > 0:
-            cesaro[live, j] = _objective_rows(a, b, running_sum / k, eh, xstar)
+            cesaro[live, j] = _objective_rows(a, b, np.divide(running_sum, k, out=grad), eh, xstar)
         mean_diff = np.mean(x, axis=0) - xstar
         l1_sq.append(float(mean_diff @ mean_diff))
         if snapshots is not None:
@@ -295,50 +380,62 @@ def _iterate(
             snapshots.append(snap)
         elapsed.append(time.perf_counter() - t0)
 
+    matmul, multiply, subtract, add, divide = np.matmul, np.multiply, np.subtract, np.add, np.divide
     t0 = time.perf_counter()
     record(0, 0)
     j = 1
     k = 0
+    picked = np.empty((0, len(streams)), dtype=np.intp)  # row sampling's rows not yet gathered
     while k < params.max_iter and live.size:
-        steps = min(chunk, params.max_iter - k)
         if by_row:
-            if shared:
-                u = np.broadcast_to(streams[0].random(steps)[:, None], (steps, live.size))
-            else:
-                u = np.stack([s.random(steps) for s in streams], axis=1)
-            picked = row_indices(dist, u)
-            b_picked = b[picked]
-            norms_picked = norms_sq[picked]
+            if not picked.size:
+                steps = min(chunk, params.max_iter - k)
+                picked = row_indices(dist, streams[0].random((steps, 1)) if shared else np.stack(
+                    [s.random(steps) for s in streams], axis=1))
+            at, picked = picked[:sub], picked[sub:]
+            draws = (a[at][:, :, None], b[at][:, :, None, None], norms_sq[at][:, :, None, None])
         else:
-            g, c = _sketched_systems(dist, a, b, streams, steps)
+            g, c = _sketched_systems(dist, a, b, streams, min(chunk, params.max_iter - k))
             vecs, inv = gram_factors(g)
-            inv = inv[..., None]
-        for t in range(steps):
+            draws = (g, c, vecs, inv[..., None])
+        for t in range(len(draws[0])):
             k += 1
             if by_row:
-                rows = a[picked[t]]
-                grad = ((_row_dots(rows, x) - b_picked[t]) / norms_picked[t])[:, None] * rows
+                row = draws[0][t]
+                matmul(row, x[:, :, None], out=prod)
+                subtract(prod, draws[1][t], out=prod)
+                divide(prod, draws[2][t], out=prod)
+                multiply(prod, row, out=grad_out)
             else:
-                resid = np.matmul(g[t], x[:, :, None]) - c[t]
-                proj = np.matmul(vecs[t], inv[t] * np.matmul(vecs[t].swapaxes(-1, -2), resid))
-                grad = np.matmul(g[t].swapaxes(-1, -2), proj)[:, :, 0]
-            x_new = x - omega * grad + beta * (x - x_prev)
-            if not (np.abs(x_new).max() <= DIVERGENCE_LIMIT):
-                ok = np.abs(x_new).max(axis=1) <= DIVERGENCE_LIMIT
+                g, c, vecs, inv = draws
+                matmul(g[t], x[:, :, None], out=prod)
+                subtract(prod, c[t], out=prod)
+                matmul(vecs[t].swapaxes(-1, -2), prod, out=coef)
+                multiply(inv[t], coef, out=coef)
+                matmul(vecs[t], coef, out=prod)
+                matmul(g[t].swapaxes(-1, -2), prod, out=grad_out)
+            # x - omega * grad + beta * (x - x_prev), in this order
+            multiply(omega, grad, out=grad)
+            subtract(x, grad, out=x_new)
+            subtract(x, x_prev, out=mom)
+            multiply(beta, mom, out=mom)
+            add(x_new, mom, out=x_new)
+            ok = _finite_rows(x_new)
+            if ok is not None and not ok.all():
                 diverged_at[live[~ok]] = k
                 final[live[~ok]] = x[~ok]
-                live, x, x_prev, x_new = live[ok], x[ok], x_prev[ok], x_new[ok]
-                omega, beta, running_sum = omega[ok], beta[ok], running_sum[ok]
-                if by_row:
-                    picked, b_picked, norms_picked = picked[:, ok], b_picked[:, ok], norms_picked[:, ok]
-                elif not shared:
-                    g, c, vecs, inv = g[:, ok], c[:, ok], vecs[:, ok], inv[:, ok]
-                if not shared:
-                    streams = [s for s, keep in zip(streams, ok) if keep]
+                live = live[ok]
                 if not live.size:
                     break
-            x_prev, x = x, x_new
-            running_sum += x
+                x, x_prev, x_new = x[ok], x_prev[ok], x_new[ok]
+                omega, beta, running_sum = omega[ok], beta[ok], running_sum[ok]
+                grad, grad_out, mom, prod, coef = buffers(live.size)
+                if not shared:
+                    streams = [s for s, keep in zip(streams, ok) if keep]
+                    draws = tuple(v[:, ok] for v in draws)
+                    picked = picked[:, ok]
+            x_prev, x, x_new = x, x_new, x_prev
+            add(running_sum, x, out=running_sum)
             if k == ks[j]:
                 record(j, k)
                 j += 1

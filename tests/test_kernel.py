@@ -49,6 +49,7 @@ from shb.sketch import (
 )
 from shb.solver import (
     DIVERGENCE_LIMIT,
+    GUARD_SQ,
     SolverParams,
     run,
     run_ensemble,
@@ -77,8 +78,8 @@ def problems(draw_from):
 def schedules():
     """(omega, beta, max_iter, record_every, pre-draw chunk steps, seed).
 
-    Pre-draw chunks of 1 to 9 steps make most runs cross several chunk
-    boundaries."""
+    Pre-draw chunks of 1 to 9 steps, gathered in sub-chunks of about half
+    that (chunk_steps), make most runs cross several boundaries of both."""
     return st.tuples(
         st.floats(0.2, 1.8),
         st.floats(0.0, 0.6),
@@ -104,12 +105,11 @@ def oracle_iterates(problem, dist, omega, beta, max_iter, rng, x0):
 
 
 @contextmanager
-def chunk_steps(problem, dist, steps, streams=1, members=1):
-    """Pre-draw in chunks of `steps` steps for a block of this shape: a
-    uniform per member, or one block or Gaussian draw per stream."""
-    m, d = problem.a.shape
-    units = members if isinstance(dist, UnitCoordinate) else streams
-    with mock.patch.object(shb.sketch, "BATCH_ELEMENTS", steps * units * shb.sketch.draw_size(dist, m, d)):
+def chunk_steps(steps):
+    """Pre-draw in chunks of `steps` steps, and gather row sampling's rows
+    in sub-chunks of (steps + 1) // 2, so that an odd chunk ends with a
+    short sub-chunk."""
+    with mock.patch.object(solver, "_chunk_steps", return_value=(steps, (steps + 1) // 2)):
         yield
 
 
@@ -167,7 +167,7 @@ def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
     params = SolverParams(
         omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every, snapshots=True,
     )
-    with chunk_steps(problem, dist, steps, replications, replications):
+    with chunk_steps(steps):
         block = solver._iterate(
             problem, dist, params, x0, range(replications),
             np.full(replications, omega), np.full(replications, beta), eh, None,
@@ -214,7 +214,7 @@ def test_row_weights_match_the_oracle_loop(instance, schedule, replications, giv
     params = SolverParams(
         omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
     )
-    with chunk_steps(problem, dist, steps, replications, replications):
+    with chunk_steps(steps):
         block = solver._iterate(
             problem, dist, params, x0, range(replications),
             np.full(replications, omega), np.full(replications, beta),
@@ -241,7 +241,7 @@ def test_ensemble_equals_aggregated_runs(instance, schedule, replications, kind)
     params = SolverParams(
         omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every, snapshots=True,
     )
-    with chunk_steps(problem, dist, steps, replications, replications):
+    with chunk_steps(steps):
         stats = run_ensemble(problem, dist, params, x0, replications=replications)
         traces = [run(problem, dist, params, x0, stream_index=r) for r in range(replications)]
     xstar = project_onto_solutions(x0, problem.a, problem.b)
@@ -292,11 +292,10 @@ def test_sweep_pairs_equal_solo_runs(instance, schedule, extra_betas, kind):
         )
         for w, b in pairs
     ]
-    # E[H] is computed once, at the default chunk size: this test is about
-    # the kernel, and at its small chunks a Monte Carlo W would take
-    # thousands of stacked eigendecompositions per call
+    # E[H] is computed once: this test is about the kernel, and every run
+    # in it would otherwise estimate its own Monte Carlo W
     eh = expected_h(dist, problem.a)
-    with chunk_steps(problem, dist, steps, members=len(pairs)), \
+    with chunk_steps(steps), \
             mock.patch.object(solver, "expected_h", return_value=eh):
         paired = run_pairs(problem, dist, settings, x0)
         solo = [run(problem, dist, p, x0) for p in settings]
@@ -377,7 +376,7 @@ def test_block_sweep_drops_a_pair_diverging_mid_chunk():
     problem = gen_problem(6, 3, seed=0)
     dist = BlockRow(2)
     pairs = ((1.0, 0.0), (1.0, 1.0), (1.0, 0.3))
-    with chunk_steps(problem, dist, 50, members=len(pairs)):
+    with chunk_steps(50):
         long_rows, summaries = sweep(problem, dist, pairs, 3000, 100, 3)
         with pytest.raises(NonFinite) as exc:
             run(problem, dist, SolverParams(omega=1.0, beta=1.0, max_iter=3000, seed=3, record_every=100))
@@ -395,28 +394,57 @@ def test_block_sweep_drops_a_pair_diverging_mid_chunk():
         assert [row for row in long_rows if row[0] == pair_id] == pair_rows(pair_id, w, b, trace)
 
 
-def test_member_diverging_mid_chunk_leaves_the_others_on_the_oracle():
-    """With a stream per member, dropping a diverged member also drops
-    its pre-drawn draws and factors: the survivors stay bit-identical to
-    the oracle, and the dropped member keeps its last finite iterate."""
+def test_guard_certificate_passes_blocks_within_the_limit():
+    """A block whose squared norm is at most GUARD_SQ passes on the one dot
+    product; large entries that are all within the limit fail it, and the
+    entrywise test then drops nobody."""
+    edge = np.full((2, 2), np.sqrt(GUARD_SQ / 4))
+    assert solver._finite_rows(edge) is None
+    large = np.full((1, 4), 0.9e30)
+    assert large.ravel() @ large.ravel() > GUARD_SQ
+    assert solver._finite_rows(large).tolist() == [True]
+    at_limit = np.array([[DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT], [1.0, 2.0]])
+    assert solver._finite_rows(at_limit).tolist() == [True, True]
+
+
+@pytest.mark.parametrize("bad", [np.nextafter(1e30, np.inf), -np.nextafter(1e30, np.inf), np.inf, np.nan])
+def test_guard_drops_a_row_beyond_the_limit(bad):
+    block = np.ones((3, 4))
+    block[1, 2] = bad
+    assert solver._finite_rows(block).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-streams", "shared-stream"])
+@pytest.mark.parametrize("kind", ["row", "block"])
+def test_member_diverging_mid_chunk_leaves_the_others_on_the_oracle(kind, shared):
+    """A member that diverges inside a pre-drawn chunk, and for row
+    sampling inside the chunk's first gathered sub-chunk, stops at the
+    oracle's first diverging iteration and keeps its last finite iterate.
+    With a stream per member, dropping it also drops its draws (gathered
+    rows, the chunk's rows still to gather, or block factors); the
+    survivors stay bit-identical to the oracle either way."""
     problem = gen_problem(6, 3, seed=0)
-    dist = BlockRow(2)
+    dist = row_sampling(problem.a) if kind == "row" else BlockRow(2)
     betas = (0.0, 1.0, 0.3)
     max_iter, seed = 1500, 5
     params = SolverParams(
         omega=1.0, beta=0.0, max_iter=max_iter, seed=seed, record_every=100, snapshots=True,
     )
-    with chunk_steps(problem, dist, 64, len(betas), len(betas)):
+    keys = range(1) if shared else range(len(betas))
+    with chunk_steps(47):  # sub-chunks of 24 and 23 steps
         block = solver._iterate(
-            problem, dist, params, np.zeros(3), range(len(betas)),
+            problem, dist, params, np.zeros(3), keys,
             np.ones(len(betas)), np.array(betas), None, None,
         )
+    stream = [0] * len(betas) if shared else range(len(betas))
     refs = [
         oracle_iterates(problem, dist, 1.0, b, max_iter, derive_stream(seed, 0, r), np.zeros(3))
-        for r, b in enumerate(betas)
+        for r, b in zip(stream, betas)
     ]
-    diverged = first_oracle_divergence(problem, dist, 1.0, 1.0, max_iter, derive_stream(seed, 0, 1))
-    assert diverged is not None and (diverged - 1) % 64 != 0
+    diverged = first_oracle_divergence(problem, dist, 1.0, 1.0, max_iter, derive_stream(seed, 0, stream[1]))
+    assert diverged is not None
+    step = (diverged - 1) % 47
+    assert step % 24 != 0 and (kind == "block" or step < 24)
     assert block.diverged_at.tolist() == [0, diverged, 0]
     np.testing.assert_array_equal(block.final[1], refs[1][diverged - 1])
     for r in (0, 2):
@@ -441,7 +469,7 @@ def test_one_eigendecomposition_per_chunk(kind, shape):
     params = SolverParams(omega=1.0, beta=0.3, max_iter=50, seed=2, record_every=10, snapshots=True)
     counter = mock.Mock(wraps=shb.linalg.sym_eig)
     with (
-        chunk_steps(problem, dist, 7, streams, members),
+        chunk_steps(7),
         mock.patch.object(shb.linalg, "sym_eig", counter),
         mock.patch.object(shb.sketch, "sym_eig", counter),
     ):
@@ -469,3 +497,52 @@ def test_gaussian_predraw_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * shb.sketch.BATCH_ELEMENTS + problem.a.nbytes
+
+
+def test_row_sweep_at_default_chunks_equals_solo_runs_and_the_oracle():
+    """Unpatched chunk sizes: a 3-pair row sweep on 300x100 over 3000
+    steps, which gathers its shared stream's rows in three sub-chunks,
+    equals three solo runs and the oracle loop, bit for bit."""
+    problem = gen_problem(300, 100, seed=0)
+    dist = row_sampling(problem.a)
+    max_iter = 3000
+    chunk, sub = solver._chunk_steps(dist, 300, 100, 3, 1)
+    assert sub < max_iter <= chunk
+    settings = [
+        SolverParams(omega=1.0, beta=beta, max_iter=max_iter, seed=2, record_every=500, snapshots=True)
+        for beta in (0.0, 0.2, 0.4)
+    ]
+    paired = run_pairs(problem, dist, settings)
+    for params, got in zip(settings, paired):
+        want = run(problem, dist, params)
+        for field in ("ks", "l2_error", "f_value", "cesaro_f", "snapshots"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        np.testing.assert_array_equal(got.final_iterate, want.final_iterate)
+        ref = oracle_iterates(problem, dist, 1.0, params.beta, max_iter, derive_stream(2, 0, 0), np.zeros(100))
+        for k, snap in zip(got.ks, got.snapshots):
+            np.testing.assert_array_equal(snap, ref[k])
+        np.testing.assert_array_equal(got.final_iterate, ref[-1])
+
+
+def test_row_ensemble_at_default_chunks_equals_its_runs():
+    """Unpatched chunk sizes: each member of a 100-replication row
+    ensemble on 50x20, whose rows are gathered in sub-chunks of a few
+    dozen steps, equals the plain run on its stream, bit for bit."""
+    problem = gen_problem(50, 20, seed=4)
+    dist = row_sampling(problem.a)
+    reps, max_iter = 100, 400
+    chunk, sub = solver._chunk_steps(dist, 50, 20, reps, reps)
+    assert sub < max_iter <= chunk
+    params = SolverParams(omega=1.0, beta=0.3, max_iter=max_iter, seed=7, record_every=50, snapshots=True)
+    block = solver._iterate(
+        problem, dist, params, np.zeros(20), range(reps), np.array([1.0]), np.array([0.3]), None, None,
+    )
+    assert not block.diverged_at.any()
+    for r in range(reps):
+        trace = run(problem, dist, params, stream_index=r)
+        assert block.l2[r].tolist() == trace.l2_error
+        assert block.f[r].tolist() == trace.f_value
+        assert block.cesaro[r, 1:].tolist() == trace.cesaro_f[1:]
+        for j in range(len(block.ks)):
+            np.testing.assert_array_equal(block.snapshots[j][r], trace.snapshots[j])
+        np.testing.assert_array_equal(block.final[r], trace.final_iterate)

@@ -63,32 +63,53 @@ class TestRecordBudget:
 
     def test_boundary(self):
         # records at k = 0, 3, 6, 9, 10; each holds k, its time, l1_sq and 3
-        # series, and the one member's x, x_prev, x_new and running sum hold
-        # 4 * 2 numbers
+        # series.  The one member holds 9 rows of d = 2 and a record's 2
+        # rows of m = 2; the 10 steps of draws take 4 numbers each for the
+        # uniforms and 2 * (d + 2) for two gathered sub-chunks
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3)
-        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 6 + 8):
+        budget = 5 * 6 + (9 * 2 + 2 * 2) + 10 * (4 + 2 * 4)
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
             assert run(toy_problem(), row_sampling(np.eye(2)), params).ks == [0, 3, 6, 9, 10]
-        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 6 + 8 - 1), pytest.raises(OutOfRange):
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
             run(toy_problem(), row_sampling(np.eye(2)), params)
 
     def test_snapshots_count_every_member_and_coordinate(self):
-        # 3 replications of 3 series and a d = 2 snapshot: 3 + 3 * 5 per record,
-        # and 3 * 4 * 2 numbers of iterates
+        # 3 replications of 3 series and a d = 2 snapshot: 3 + 3 * 5 per record;
+        # 3 members of 9 * 2 + 2 * 2 numbers, and 10 steps of draws of
+        # 4 numbers per member and 2 * (d + 2) per stream
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3, snapshots=True)
-        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 18 + 24):
+        budget = 5 * 18 + 3 * 22 + 10 * (4 * 3 + 2 * 3 * 4)
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
             assert run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=3).ks[-1] == 10
-        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 5 * 18 + 24 - 1), pytest.raises(OutOfRange):
+        with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
             run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=3)
 
     def test_iterates_count_every_member(self):
-        # one record at k = 0 and one at k = 1: 2 * (3 + R * 3), plus R * 4 * 2
+        # one record at k = 0 and one at k = 1: 2 * (3 + R * 3), plus per member
+        # 22 numbers held and one step of draws, 4 + 2 * (d + 2)
         params = SolverParams(omega=1.0, beta=0.0, max_iter=1, seed=0)
         for reps in (1, 7, 1000):
-            budget = 2 * (3 + reps * 3) + reps * 8
+            budget = 2 * (3 + reps * 3) + reps * 22 + reps * 12
             with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
                 assert run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=reps).ks == [0, 1]
             with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
                 run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=reps)
+
+    @pytest.mark.parametrize("reps", [100, 300])
+    def test_traced_peak_within_the_count(self, reps):
+        """The count is the kernel's real working set: an ensemble traces no
+        more than 8 bytes per counted number, plus A's size for x* and E[H]."""
+        problem = gen_problem(600, 1000, seed=0)
+        dist = row_sampling(problem.a)
+        params = SolverParams(omega=1.0, beta=0.1, max_iter=40, seed=0, record_every=10)
+        counted = solver._check_fits(params, dist, 600, 1000, reps, reps, None)
+        tracemalloc.start()
+        try:
+            run_ensemble(problem, dist, params, replications=reps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * counted + problem.a.nbytes
 
     @pytest.mark.parametrize("shape", ["ensemble", "pairs"])
     def test_iterates_refused_before_any_stream(self, shape):
