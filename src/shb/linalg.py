@@ -60,6 +60,27 @@ class SymEig:
     eigenvectors: np.ndarray
 
 
+def check_symmetric(w: np.ndarray) -> None:
+    """Refuse a matrix, or a stack (..., n, n) of them, whose relative
+    asymmetry ||W - W^T||_F / max(1, ||W||_F) is over ASYM_TOL."""
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
+        raise NonSquare(f"expected a square matrix, got shape {w.shape}")
+    fro = np.linalg.norm(w, axis=(-2, -1))
+    rel_asym = (np.linalg.norm(w - w.swapaxes(-1, -2), axis=(-2, -1)) / np.maximum(1.0, fro)).max()
+    if rel_asym > ASYM_TOL:
+        raise AsymmetryExceedsTolerance(f"relative asymmetry {rel_asym:.3e} exceeds {ASYM_TOL:.0e}")
+
+
+def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[r] @ v[r] for every row r.
+
+    A stacked (1, d) @ (d, 1) matmul does each product as the same BLAS
+    dot as the 1-D u[r] @ v[r], so the result is bit-identical to it
+    (einsum is not).
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
 def sym_eig(w) -> SymEig:
     """Eigendecomposition of a symmetric PSD matrix, or of a stack of them.
 
@@ -70,12 +91,7 @@ def sym_eig(w) -> SymEig:
     decomposed matrix by matrix, with the same results as one call each.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
-        raise NonSquare(f"expected a square matrix, got shape {w.shape}")
-    fro = np.linalg.norm(w, axis=(-2, -1))
-    rel_asym = (np.linalg.norm(w - w.swapaxes(-1, -2), axis=(-2, -1)) / np.maximum(1.0, fro)).max()
-    if rel_asym > ASYM_TOL:
-        raise AsymmetryExceedsTolerance(f"relative asymmetry {rel_asym:.3e} exceeds {ASYM_TOL:.0e}")
+    check_symmetric(w)
     try:
         vals, vecs = np.linalg.eigh(w)
     except np.linalg.LinAlgError as exc:

@@ -4,15 +4,15 @@ A draw produces a random matrix S with one column per sketch dimension
 and the weighting matrix H = S (S^T A A^T S)^+ S^T, which is PSD and
 makes A^T H A an orthogonal projector; the Hessian W = A^T E[H] A of
 the expected objective so has its spectrum inside [0, 1].  No sketch
-forms the m x m E[H]: row sampling keeps its diagonal, block and
-Gaussian sketches sum W in d x d (refused when d^2 is over the
-dense-array budget) and take f(x) = (1/2) (x-x*)^T W (x-x*).  A sketch
-is exact, Null(W) = Null(A), when rank(W) = rank(A).  draw and
+forms the m x m E[H]: every sketch gives W in d x d (refused when d^2 is
+over the dense-array budget), and f(x) = (1/2) (x-x*)^T W (x-x*).  A
+sketch is exact, Null(W) = Null(A), when rank(W) = rank(A).  draw and
 stoch_grad take one sample; draw_batch makes many block or Gaussian
-draws in the same rng order, and gram_factors factors their Gram
-matrices with one stacked eigendecomposition, for the W estimate and
-the solver's kernel alike; both stack draws in chunks of about
-BATCH_ELEMENTS numbers, draw_size numbers per draw.  Block subsets come
+draws in the same rng order.  The W estimate adds the draws whose Gram
+matrices have a Cholesky factor certified to lose no eigenvalue to the
+pseudoinverse cutoff through that factor; gram_factors eigendecomposes
+the others, and the solver kernel's, with one stacked call.  Both stack
+draws in chunks of about BATCH_ELEMENTS numbers, draw_size per draw.  Block subsets come
 from Floyd's algorithm, vectorised over the whole batch: one
 rng.integers call per batch and no Python loop per draw.  The families:
 
@@ -35,7 +35,8 @@ import numpy as np
 
 import shb.linalg as linalg
 from shb.errors import DimensionMismatch, OutOfRange, ShbError, ZeroRow
-from shb.linalg import REL_TOL, as_matrix, as_vector, nonzero_min, pinv_apply, pinv_eigenvalues, sym_eig
+from shb.linalg import REL_TOL, as_matrix, as_vector, check_symmetric, nonzero_min, pinv_apply, pinv_eigenvalues
+from shb.linalg import row_dots, sym_eig
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 10_000
@@ -43,6 +44,7 @@ DEFAULT_MC_SAMPLES = 10_000
 # of about this many numbers (draw_size per draw), so memory grows with
 # neither mc_samples nor max_iter
 BATCH_ELEMENTS = 1 << 17
+CERTIFY_MARGIN = 1e3  # the Cholesky certificate's room for rounding (_add_projections)
 
 
 def derive_stream(seed: int, *key: int) -> np.random.Generator:
@@ -278,39 +280,56 @@ def stoch_grad(a, b, x, sample: SketchSample) -> np.ndarray:
 class ExpectedH(NamedTuple):
     """E[H] as the objective and the spectrum use it, and the sample count.
 
-    value is the diagonal h of E[H] = diag(h) for row sampling and the
-    Hessian W = A^T E[H] A (d x d) for the other sketches.  mc_samples
-    is None when the value is exact.
+    value is the Hessian W = A^T E[H] A (d x d) for every sketch.
+    mc_samples is None when the value is exact.
     """
 
     value: np.ndarray
     mc_samples: int | None
 
 
-def _check_w_fits(d: int) -> None:
+def check_w_fits(d: int) -> None:
+    """Refuse a d x d Hessian W over the dense-array budget."""
     if d * d > linalg.MAX_DENSE_ELEMENTS:
         raise OutOfRange(f"a {d}x{d} Hessian W is over the limit of {linalg.MAX_DENSE_ELEMENTS} entries")
 
 
-def gram_factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V and inv with pinv(g_n g_n^T) = V_n diag(inv_n) V_n^T for a stack g.
+def gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V and inv with pinv(G_n) = V_n diag(inv_n) V_n^T for a stack of
+    Gram matrices G_n = g_n g_n^T (..., tau, tau).
 
-    One stacked sym_eig of the Gram matrices of every sketched matrix
-    g_n (..., tau, d); inv holds the pseudoinverse's eigenvalues.
+    One stacked sym_eig; inv holds the pseudoinverse's eigenvalues.
     """
-    eig = sym_eig(g @ g.swapaxes(-1, -2))
+    eig = sym_eig(gram)
     return eig.eigenvectors, pinv_eigenvalues(eig.eigenvalues)
 
 
 def _add_projections(acc: np.ndarray, g: np.ndarray) -> None:
-    """acc += g_n^T pinv(g_n g_n^T) g_n for each sketched matrix g_n = g[n].
+    """acc += g_n^T pinv(G_n) g_n, G_n = g_n g_n^T, for each sketched
+    matrix g_n = g[n]; each term is F^T F, so draws add as one product.
 
-    With g_n g_n^T = V diag(lam) V^T, the term is F^T F for
-    F = diag(lam)^{+1/2} V^T g_n, so the whole chunk adds as one product.
+    G_n = L L^T is certified when 1/||L^-1||_F^2 (at most lambda_min(G_n))
+    is above CERTIFY_MARGIN * REL_TOL * tr(G_n) (at least that times
+    lambda_max): the pseudoinverse then cuts nothing, and F = L^-1 g_n.
+    Other draws, or the whole chunk when some G_n has no Cholesky factor,
+    take F = diag(lam)^{+1/2} V^T g_n from G_n = V diag(lam) V^T.
     """
-    vecs, inv = gram_factors(g)
-    f = (np.sqrt(inv)[:, :, None] * (vecs.swapaxes(1, 2) @ g)).reshape(-1, g.shape[2])
-    acc += f.T @ f
+    gram = g @ g.swapaxes(1, 2)
+    check_symmetric(gram)
+    try:
+        inv_low = np.linalg.inv(np.linalg.cholesky(gram))
+        bound = 1.0 / np.square(inv_low).sum(axis=(1, 2))
+        ok = np.isfinite(bound) & (bound > CERTIFY_MARGIN * REL_TOL * np.einsum("nii->n", gram))
+    except np.linalg.LinAlgError:
+        ok = np.zeros(len(g), dtype=bool)
+    if ok.any():
+        f = (inv_low @ g if ok.all() else inv_low[ok] @ g[ok]).reshape(-1, g.shape[2])
+        acc += f.T @ f
+    if not ok.all():
+        rest = ~ok if ok.any() else slice(None)  # no copy when no draw is certified
+        vecs, inv = gram_factors(gram[rest])
+        f = (np.sqrt(inv)[:, :, None] * (vecs.swapaxes(1, 2) @ g[rest])).reshape(-1, g.shape[2])
+        acc += f.T @ f
 
 
 def expected_h(
@@ -320,37 +339,38 @@ def expected_h(
     mc_samples: int = DEFAULT_MC_SAMPLES,
     rng: np.random.Generator | None = None,
 ) -> ExpectedH:
-    """E[H] for the distribution, exact where a closed form exists.
+    """The Hessian W = A^T E[H] A, exact where a closed form exists.
 
-    UnitCoordinate is exact and kept as the weights h_i = p_i/||A_i||^2
-    of its diagonal.  BlockRow and GaussianSketch give W, the mean over
-    draws of g^T pinv(g g^T) g with g = A_S (the sampled rows) or S^T A.
-    BlockRow is enumerated exactly when C(m, tau) <= 10000, otherwise
-    estimated by Monte Carlo, like GaussianSketch always is.  Estimates
-    carry the sample count; exact values carry None.  The default
-    estimator rng is seeded so repeat calls agree.  Draws are made one
-    by one in a fixed order and summed in chunks of about BATCH_ELEMENTS
-    numbers, so memory grows with neither mc_samples nor m.
+    UnitCoordinate is exact: W = (A * h)^T A for E[H] = diag(h), h_i =
+    p_i/||A_i||^2 with the kernel's rounding of the norms.  BlockRow and
+    GaussianSketch give W, the mean over draws of g^T pinv(g g^T) g with
+    g = A_S (the sampled rows) or S^T A.  BlockRow is enumerated exactly
+    when C(m, tau) <= 10000, otherwise estimated by Monte Carlo, like
+    GaussianSketch always is.  Estimates carry the sample count; exact
+    values carry None.  The default estimator rng is seeded so repeat
+    calls agree.  Draws are made one by one in a fixed order and summed
+    in chunks of about BATCH_ELEMENTS numbers, so memory grows with
+    neither mc_samples nor m.
     """
     a = as_matrix(a, "a")
     m, d = a.shape
     if mc_samples < 1:
         raise OutOfRange(f"mc_samples must be >= 1, got {mc_samples}")
+    check_w_fits(d)
     if isinstance(dist, UnitCoordinate):
         p = dist.probabilities
-        norms_sq = np.einsum("ij,ij->i", a, a)
+        norms_sq = row_dots(a, a)
         check_row_norms(dist, norms_sq)
-        h = np.zeros(m)
-        pos = p > 0.0
-        h[pos] = p[pos] / norms_sq[pos]
-        return ExpectedH(h, None)
+        h = np.divide(p, norms_sq, out=np.zeros(m), where=p > 0.0)
+        # C order makes the product the same gemm as A^T diag(h) A
+        w = np.multiply(a.T, h, order="C") @ a
+        return ExpectedH(np.add(w, w.T, out=w) / 2.0, None)  # out=: two W at the peak, not three
     if not isinstance(dist, (BlockRow, GaussianSketch)):
         raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
     block = isinstance(dist, BlockRow)
     tau = dist.block_size if block else dist.width
     if tau > m:
         raise OutOfRange(f"sketch size {tau} exceeds row count {m}")
-    _check_w_fits(d)
     rng = rng if rng is not None else np.random.default_rng(0)
     n = mc_samples
     enumerated = block and math.comb(m, tau) <= DEFAULT_MC_SAMPLES
@@ -368,8 +388,8 @@ def expected_h(
         else:
             g = draw_batch(dist, rng, m, size).swapaxes(1, 2) @ a
         _add_projections(acc, g)
-    w = acc / n
-    return ExpectedH((w + w.T) / 2.0, mc_samples)
+    acc /= n
+    return ExpectedH(np.add(acc, acc.T, out=acc) / 2.0, mc_samples)
 
 
 @dataclass(frozen=True)
@@ -399,24 +419,16 @@ def hessian_spectrum(
     mc_samples: int = DEFAULT_MC_SAMPLES,
     rng: np.random.Generator | None = None,
 ) -> SpectrumInfo:
-    """Assemble W = A^T E[H] A explicitly and report its spectrum.
+    """The spectrum of W = A^T E[H] A from expected_h.
 
-    Row sampling forms W = (A * h)^T A from its weights in O(m d^2); a
-    W over the dense-array budget is refused before it is allocated.
     lambda_min_plus is the smallest eigenvalue above REL_TOL*lambda_max,
     and rank counts the eigenvalues above that cutoff.  exact is the
     paper's assumption Null(W) = Null(A), tested as rank(W) = rank(A)
     with rank(A) counted on the smaller Gram matrix of A.
     """
     a = as_matrix(a, "a")
-    _check_w_fits(a.shape[1])
     eh = expected_h(dist, a, mc_samples=mc_samples, rng=rng)
-    w = eh.value
-    if w.ndim == 1:
-        # the contiguous copy makes the product the same gemm as A^T diag(h) A
-        w = np.ascontiguousarray((a * w[:, None]).T) @ a
-        w = (w + w.T) / 2.0
-    eig = sym_eig(w)
+    eig = sym_eig(eh.value)
     vals = eig.eigenvalues
     lam_max = float(vals[0])
     lam_min_plus = nonzero_min(vals)
@@ -433,25 +445,20 @@ def hessian_spectrum(
     )
 
 
-def f_value(a, b, x, eh, xstar=None) -> float:
+def f_value(a, b, x, eh, xstar) -> float:
     """Objective value f(x) = (1/2) (Ax-b)^T E[H] (Ax-b), clamped at zero.
 
-    eh is ExpectedH.value.  Row sampling's weights h give that residual
-    form, which with the default weights is ||Ax - b||^2 / (2 ||A||_F^2).
-    W gives (1/2) (x-x*)^T W (x-x*) for a solution xstar of the consistent
-    system; since Null(A) lies in Null(W), any solution gives the same f.
+    eh is ExpectedH.value, the Hessian W, and xstar a solution of the
+    consistent system Ax = b; f is then (1/2) (x-x*)^T W (x-x*), and
+    since Null(A) lies in Null(W), any solution gives the same f.  With
+    row sampling's default weights f is ||Ax - b||^2 / (2 ||A||_F^2).
     """
     a = np.asarray(a, dtype=np.float64)
     m, d = a.shape
-    b = as_vector(b, length=m, name="b")
+    as_vector(b, length=m, name="b")
     x = as_vector(x, length=d, name="x")
-    eh = np.asarray(eh, dtype=np.float64)
-    if eh.shape == (m,):
-        r = a @ x - b
-        val = 0.5 * float(r @ (eh * r))
-    elif eh.shape == (d, d):  # a missing xstar (None) is rejected as not 1-D
-        e = x - as_vector(xstar, length=d, name="xstar")
-        val = 0.5 * float(e @ (eh @ e))
-    else:
-        raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({d}, {d})")
-    return max(val, 0.0)
+    w = np.asarray(eh, dtype=np.float64)
+    if w.shape != (d, d):
+        raise DimensionMismatch(f"expected_h has shape {w.shape}, expected ({d}, {d})")
+    e = x - as_vector(xstar, length=d, name="xstar")
+    return max(0.5 * float(e @ (w @ e)), 0.0)

@@ -22,11 +22,11 @@ the stream derived from (seed, r) and aggregate in replication order;
 sweeps share one stream, so every (omega, beta) pair replays the same
 draws.  Every block records per member ||x_k - x*||^2, f and the Cesaro
 f, and per record the squared distance of the members' mean iterate (an
-ensemble's l1_sq), so no iterate is kept to be averaged.  x* and E[H]
-come in once per block; f uses row sampling's weights h, or (1/2)
-(x-x*)^T W (x-x*) with the Hessian W.  Records, iterates, buffers and
-draws are counted against the dense-array budget before any stream
-exists.
+ensemble's l1_sq), so no iterate is kept to be averaged.  x* and the
+Hessian W come in once per block, and f = (1/2) (x-x*)^T W (x-x*) and
+the Cesaro f of every member come from one stacked product with W.  W,
+records, iterates, buffers and draws are counted against the
+dense-array budget before any stream exists.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 import shb.linalg as linalg
 import shb.sketch as sketch
 from shb.errors import DimensionMismatch, NonFinite, OutOfRange
-from shb.linalg import as_vector, project_onto_solutions
+from shb.linalg import as_vector, project_onto_solutions, row_dots
 from shb.problems import Problem
 from shb.sketch import (
     BlockRow,
@@ -49,6 +49,7 @@ from shb.sketch import (
     SketchDistribution,
     UnitCoordinate,
     check_row_norms,
+    check_w_fits,
     derive_stream,
     draw_batch,
     draw_size,
@@ -173,27 +174,6 @@ class _Block:
     diverged_at: np.ndarray
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u[r] @ v[r] for every row r.
-
-    A stacked (1, d) @ (d, 1) matmul does each product as the same BLAS
-    dot as the 1-D u[r] @ v[r], so the result is bit-identical to it
-    (einsum is not).
-    """
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
-def _objective_rows(a: np.ndarray, b: np.ndarray, xs: np.ndarray, eh: np.ndarray, xstar) -> np.ndarray:
-    """f_value(a, b, x, eh, xstar) for every row x of xs, with f_value's arithmetic."""
-    if eh.ndim == 1:
-        resid = np.matmul(a, xs[:, :, None])[:, :, 0] - b
-        vals = 0.5 * _row_dots(resid, eh * resid)
-    else:
-        err = xs - xstar
-        vals = 0.5 * _row_dots(err, np.matmul(eh, err[:, :, None])[:, :, 0])
-    return np.where(0.0 > vals, 0.0, vals)
-
-
 def _chunk_steps(dist: SketchDistribution, m: int, d: int, members: int, streams: int) -> tuple[int, int]:
     """Steps per pre-drawn chunk, and per sub-chunk whose draws are gathered at once.
 
@@ -211,26 +191,25 @@ def _chunk_steps(dist: SketchDistribution, m: int, d: int, members: int, streams
     return chunk, max(1, min(chunk, sketch.BATCH_ELEMENTS // (streams * d)))
 
 
-def _check_fits(
-    params: SolverParams, dist: SketchDistribution, m: int, d: int, members: int, streams: int, eh: np.ndarray | None,
-) -> int:
+def _check_fits(params: SolverParams, dist: SketchDistribution, m: int, d: int, members: int, streams: int) -> int:
     """The numbers a block holds at most; OutOfRange when they are over the
     dense-array budget.
 
-    Each record holds k, its time and the l1_sq value, plus per member
-    three numbers (l2, f, Cesaro f) and d for a snapshot.  Each member
-    holds nine rows of d numbers: three rotating iterates, the gradient
-    and momentum buffers, the Cesaro running sum, omega, beta and the
-    final iterate.  A record's f needs per member the residual Ax - b and
-    its weighted copy (2m numbers), or x - x* and W (x - x*) (2d).  The
-    draws: a chunk of uniforms takes 4 numbers per member and step while
-    it is mapped to rows (the uniforms, their lookup, the rows and the
-    previous chunk's), and row sampling holds two gathered sub-chunks of
-    d + 2 numbers per stream and step (the next is gathered while the
-    last is held); a block or Gaussian chunk takes 4 draw_size numbers per
-    stream and draw (the chunk as it is stacked, the previous one, and S
-    or the Gram factors).
+    W alone must fit (sketch.check_w_fits), and the block holds its d^2
+    numbers.  Each record holds k, its time and the l1_sq value, plus per
+    member three numbers (l2, f, Cesaro f) and d for a snapshot.  Each
+    member holds nine rows of d numbers: three rotating iterates, the
+    gradient and momentum buffers, the Cesaro running sum, omega, beta
+    and the final iterate, and a record two more, W (x - x*) and W times
+    the Cesaro mean - x*.  The draws: a chunk of uniforms takes 4 numbers
+    per member and step while it is mapped to rows (the uniforms, their
+    lookup, the rows and the previous chunk's), and row sampling holds two
+    gathered sub-chunks of d + 2 numbers per stream and step (the next is
+    gathered while the last is held); a block or Gaussian chunk takes 4
+    draw_size numbers per stream and draw (the chunk as it is stacked, the
+    previous one, and S or the Gram factors).
     """
+    check_w_fits(d)
     by_row = isinstance(dist, UnitCoordinate)
     records = params.max_iter // params.record_every + 1 + (params.max_iter % params.record_every > 0)
     per_record = 3 + members * (3 + (d if params.snapshots else 0))
@@ -240,11 +219,10 @@ def _check_fits(
         draws = 4 * steps * members + 2 * min(sub, steps) * streams * (d + 2)
     else:
         draws = 4 * steps * streams * draw_size(dist, m, d)
-    f_width = m if (by_row if eh is None else eh.ndim == 1) else d
-    held = members * (9 * d + 2 * f_width) + draws
+    held = d * d + members * 11 * d + draws
     if records * per_record + held > linalg.MAX_DENSE_ELEMENTS:
         raise OutOfRange(
-            f"{records} records of {per_record} numbers and {held} numbers of iterates and draws "
+            f"{records} records of {per_record} numbers and {held} numbers of W, iterates and draws "
             f"are over the limit of {linalg.MAX_DENSE_ELEMENTS} entries: record less often "
             f"or run fewer replications or pairs"
         )
@@ -300,35 +278,28 @@ def _iterate(
     keys[r]); a single key is shared by all members, which then replay
     the same draws.  omega and beta hold a value per member, or one for
     all of them.  params gives the budget and recording schedule (its
-    omega and beta are not used).  The draws do not depend on the
-    iterates, so each stream's are made ahead in chunks (_chunk_steps).
-    Row sampling maps a chunk's uniforms to rows with one lookup and
-    gathers the rows, b values and squared norms a sub-chunk at a time.
-    Block and Gaussian sketches turn a chunk into sketched systems g x = c
-    (A_S x = b_S, or S^T A x = S^T b) and factor all their Gram matrices
-    g g^T = V diag(lam) V^T with one stacked eigendecomposition.  A step
-    writes the members' gradients into one buffer, the Kaczmarz direction
-    or g^T V (lam^+ * V^T (g x - c)), each as the same BLAS call the
-    one-sample stoch_grad makes; the momentum update, the divergence
-    guard and the records are then the same for every sketch, and
-    allocate nothing: the iterates rotate through three buffers.  A
-    member whose iterate leaves the finite range is dropped from the
-    block; the others go on unchanged.
+    omega and beta are not used).  Chunks (_chunk_steps), buffers, the
+    guard and the records are as the module docstring describes.  A block
+    or Gaussian chunk becomes sketched systems g x = c (A_S x = b_S, or
+    S^T A x = S^T b) with g g^T = V diag(lam) V^T, and a step's gradient
+    g^T V (lam^+ * V^T (g x - c)) is made of the same BLAS calls as the
+    one-sample stoch_grad's.  A member whose iterate leaves the finite
+    range is dropped from the block; the others go on unchanged.
     """
     a, b = problem.a, problem.b
     m, d = a.shape
     n = max(len(keys), omega.size)
-    _check_fits(params, dist, m, d, n, len(keys), eh)
+    _check_fits(params, dist, m, d, n, len(keys))
     if eh is None:
         eh = expected_h(dist, a).value
-    elif eh.shape not in ((m,), (d, d)):
-        raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({m},) or ({d}, {d})")
+    elif eh.shape != (d, d):
+        raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({d}, {d})")
     if xstar is None:
         xstar = project_onto_solutions(x0, a, b)
 
     by_row = isinstance(dist, UnitCoordinate)
     if by_row:
-        norms_sq = _row_dots(a, a)
+        norms_sq = row_dots(a, a)
         check_row_norms(dist, norms_sq)
     chunk, sub = _chunk_steps(dist, m, d, n, len(keys))
     streams = [derive_stream(params.seed, 0, key) for key in keys]
@@ -357,21 +328,28 @@ def _iterate(
     running_sum = np.zeros((n, d))  # x_1 + ... + x_k for the Cesaro average
 
     def buffers(rows: int):
-        """The gradient, its shape as the output of a step's last product,
-        the momentum term, and two of the step's products."""
-        grad = np.empty((rows, d))
+        """The gradient and momentum buffers as one block, the gradient, its
+        shape as the output of a step's last product, the momentum term,
+        and two of the step's products."""
+        pair = np.empty((2 * rows, d))
+        grad, mom = pair[:rows], pair[rows:]
         prods = np.empty((2, rows, tau, 1))
-        return grad, grad.reshape((rows, 1, d) if by_row else (rows, d, 1)), np.empty_like(grad), prods[0], prods[1]
+        return pair, grad, grad.reshape((rows, 1, d) if by_row else (rows, d, 1)), mom, prods[0], prods[1]
 
-    grad, grad_out, mom, prod, coef = buffers(n)
+    pair, grad, grad_out, mom, prod, coef = buffers(n)
 
     def record(j: int, k: int) -> None:
-        # the gradient and momentum buffers are free between steps
-        diff = np.subtract(x, xstar, out=mom)
-        l2[live, j] = _row_dots(diff, diff)
-        f[live, j] = _objective_rows(a, b, x, eh, xstar)
-        if k > 0:
-            cesaro[live, j] = _objective_rows(a, b, np.divide(running_sum, k, out=grad), eh, xstar)
+        # the buffer pair is free between steps: x - x* and the Cesaro mean
+        # - x* go in its halves, for one W product with a gemv per row as in f_value
+        diff = np.subtract(x, xstar, out=grad)
+        l2[live, j] = row_dots(diff, diff)
+        errs = pair if k else diff
+        if k:
+            np.subtract(np.divide(running_sum, k, out=mom), xstar, out=mom)
+        vals = 0.5 * row_dots(errs, np.matmul(eh, errs[:, :, None])[:, :, 0])
+        vals = np.where(0.0 > vals, 0.0, vals)
+        f[live, j] = vals[: live.size]
+        cesaro[live, j] = vals[live.size :] if k else np.nan
         mean_diff = np.mean(x, axis=0) - xstar
         l1_sq.append(float(mean_diff @ mean_diff))
         if snapshots is not None:
@@ -396,7 +374,7 @@ def _iterate(
             draws = (a[at][:, :, None], b[at][:, :, None, None], norms_sq[at][:, :, None, None])
         else:
             g, c = _sketched_systems(dist, a, b, streams, min(chunk, params.max_iter - k))
-            vecs, inv = gram_factors(g)
+            vecs, inv = gram_factors(g @ g.swapaxes(-1, -2))
             draws = (g, c, vecs, inv[..., None])
         for t in range(len(draws[0])):
             k += 1
@@ -429,7 +407,7 @@ def _iterate(
                     break
                 x, x_prev, x_new = x[ok], x_prev[ok], x_new[ok]
                 omega, beta, running_sum = omega[ok], beta[ok], running_sum[ok]
-                grad, grad_out, mom, prod, coef = buffers(live.size)
+                pair, grad, grad_out, mom, prod, coef = buffers(live.size)
                 if not shared:
                     streams = [s for s, keep in zip(streams, ok) if keep]
                     draws = tuple(v[:, ok] for v in draws)
@@ -486,9 +464,8 @@ def run(
     the iterate at index k has consumed exactly k draws.  The series are
     recorded at k = 0, every record_every steps and at k = max_iter.
     Identical (problem, dist, params, x0) yield bit-identical traces.
-    eh (ExpectedH.value: row-sampling weights or the Hessian W) and
-    xstar, when given, replace computing them; the objective of W needs
-    xstar too.  Raises NonFinite with the first diverging iteration.
+    eh (ExpectedH.value, the Hessian W) and xstar, when given, replace
+    computing them.  Raises NonFinite with the first diverging iteration.
     """
     x0 = _start(x0, problem.a.shape[1])
     block = _iterate(
@@ -512,8 +489,8 @@ def run_pairs(
     """Run several (omega, beta) settings in one block on one stream.
 
     Every setting replays the draws of a plain run (stream index 0), so
-    each trace is bit-identical to run() with its params, and E[H] (its
-    weights or W) and x* are computed once for all of them.  The settings
+    each trace is bit-identical to run() with its params, and W and x*
+    are computed once for all of them.  The settings
     must share seed, budget and schedule; snapshots follows the first
     setting.  A diverged setting does not stop the others: its trace ends
     before the diverging iteration and carries diverged_at.

@@ -1,9 +1,10 @@
 """The dense m x m E[H] as a per-draw loop: the test oracle for W.
 
-The package never forms E[H] for block and Gaussian sketches; it sums
-W = A^T E[H] A in d x d.  These loops replay expected_h's draws one by
-one, add each draw's S pinv(S^T A A^T S) S^T into an m x m matrix, and
-give the objective in its residual form (1/2) r^T E[H] r.
+The package never forms E[H]; it builds W = A^T E[H] A in d x d.  These
+loops replay expected_h's draws one by one, add each draw's
+S pinv(S^T A A^T S) S^T into an m x m matrix, and give the objective in
+its residual form (1/2) r^T E[H] r.  Row sampling's E[H] is diag(h) with
+the weights h_i = p_i / ||A_i||^2 of row_weights.
 
 Tolerances, fixed from float64 rounding:
 
@@ -41,12 +42,22 @@ from itertools import combinations
 import numpy as np
 
 from shb.linalg import pinv_psd
-from shb.sketch import DEFAULT_MC_SAMPLES, BlockRow, GaussianSketch, UnitCoordinate, draw, expected_h
+from shb.sketch import DEFAULT_MC_SAMPLES, BlockRow, GaussianSketch, UnitCoordinate, draw
 
 BATCH_RTOL = 1e-13
 F_RTOL = 1e-12
 F_ATOL = 1e-13
 GAUSSIAN_X_RTOL = 1e-8
+
+
+def row_weights(dist, a):
+    """h with E[H] = diag(h) for row sampling: h_i = p_i / ||A_i||^2, and 0
+    on rows of probability zero."""
+    p = dist.probabilities
+    h = np.zeros(a.shape[0])
+    pos = p > 0.0
+    h[pos] = p[pos] / np.sum(a[pos] * a[pos], axis=1)
+    return h
 
 
 def per_draw_block(a, subsets):
@@ -74,7 +85,7 @@ def dense_eh(dist, a, mc_samples=DEFAULT_MC_SAMPLES, rng=None):
     m = a.shape[0]
     rng = rng if rng is not None else np.random.default_rng(0)
     if isinstance(dist, UnitCoordinate):
-        return np.diag(expected_h(dist, a).value)
+        return np.diag(row_weights(dist, a))
     if isinstance(dist, BlockRow):
         tau = dist.block_size
         if math.comb(m, tau) <= DEFAULT_MC_SAMPLES:

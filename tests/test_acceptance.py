@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from dense_eh import row_weights
 from second_moment import expected_crossing
 
 from shb.errors import EmptyFile, MalformedLine, NonMonotoneIndices
@@ -27,7 +28,6 @@ from shb.sketch import (
     RowSample,
     derive_stream,
     draw,
-    expected_h,
     f_value,
     hessian_spectrum,
     row_sampling,
@@ -155,7 +155,7 @@ def test_criterion_5_cesaro_bound_statistical(gaussian_ensemble):
     x0 = np.zeros(20)
     xstar = project_onto_solutions(x0, problem.a, problem.b)
     init = float(np.sum((x0 - xstar) ** 2))
-    f0 = f_value(problem.a, problem.b, x0, spec.expected_h)
+    f0 = f_value(problem.a, problem.b, x0, spec.expected_h, xstar)
     slack = 1.0 + 3.0 / math.sqrt(stats.replications)
     ok = True
     worst = 0.0
@@ -329,7 +329,7 @@ def test_criterion_8_structural_invariants():
         b = rng.standard_normal(m)
         x = rng.standard_normal(d)
         dist = row_sampling(a)
-        h = expected_h(dist, a).value  # E[H] = diag(h)
+        h = row_weights(dist, a)  # E[H] = diag(h)
         total = np.zeros(d)
         for i, p in enumerate(dist.probabilities):
             if p > 0:

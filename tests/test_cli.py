@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -28,8 +29,7 @@ def gen_bundle(tmp_path, rows=6, cols=4, seed=7):
 
 
 def one_off_counts(args):
-    """Run the CLI; how often it built E[H] (weights or W), the spectrum
-    and the solution x*."""
+    """Run the CLI; how often it built W, the spectrum and the solution x*."""
     eh_calls = mock.Mock(wraps=shb.sketch.expected_h)
     spectrum_calls = mock.Mock(wraps=shb.sketch.hessian_spectrum)
     xstar_calls = mock.Mock(wraps=shb.solver.project_onto_solutions)
@@ -274,6 +274,32 @@ class TestSweep:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fewer replications or pairs" in err
+        assert not (tmp_path / "sw").exists()
+
+    def test_row_hessian_over_budget_exits_one(self, tmp_path, capsys):
+        """A 2 x 40 row-sampling sweep fits a budget of 1599 numbers in its
+        matrix and its records, but its 40 x 40 W does not: it is refused
+        before a stream, x* or W exists."""
+        bundle = gen_bundle(tmp_path, rows=2, cols=40)
+        failing = mock.Mock(side_effect=AssertionError("built before the budget check"))
+        tracemalloc.start()
+        try:
+            with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 40 * 40 - 1), \
+                    mock.patch.object(shb.solver, "derive_stream", failing), \
+                    mock.patch.object(shb.solver, "project_onto_solutions", failing), \
+                    mock.patch.object(shb.solver, "expected_h", failing):
+                rc = main([
+                    "sweep", "--input", str(bundle), "--betas", "0,0.1", "--iters", "4",
+                    "--record-every", "2", "--out", str(tmp_path / "sw"),
+                ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "40x40 Hessian W is over the limit" in err
+        failing.assert_not_called()
+        assert peak < 1 << 20
         assert not (tmp_path / "sw").exists()
 
     def test_single_pair_rejected(self, tmp_path):

@@ -1,10 +1,11 @@
-"""E[H] by its structure, and the batched estimates of W.
+"""The Hessian W = A^T E[H] A of every sketch, and its batched estimates.
 
-Row sampling keeps E[H] as the weight vector h of diag(h); everything
-derived from it must equal the dense diag(h) computation bit for bit.
-Block and Gaussian sketches sum W = A^T E[H] A in stacked chunks; W
-must agree with A^T E[H] A from a per-draw loop over pinv_psd up to
-BATCH_RTOL, and the package must never allocate anything m x m.
+Row sampling's W must equal A^T diag(h) A bit for bit, with h rounded as
+the kernel rounds the row norms.  Block and Gaussian sketches sum W in
+stacked chunks, certified draws through a Cholesky factor and the others
+through an eigendecomposition; W must agree with A^T E[H] A from a
+per-draw loop over pinv_psd up to BATCH_RTOL, and the package must never
+allocate anything m x m.
 """
 
 import tracemalloc
@@ -13,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from dense_eh import BATCH_RTOL, dense_f, per_draw_block, per_draw_gaussian
+from dense_eh import BATCH_RTOL, dense_f, f_close, per_draw_block, per_draw_gaussian, row_weights
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -48,23 +49,34 @@ def row_problems(draw_from):
         weights = rng.random(m) * (rng.random(m) < 0.7) * ~zero
         weights[np.flatnonzero(~zero)[0]] += 1.0
         dist = UnitCoordinate(weights / weights.sum())
-    b = rng.standard_normal(m)
+    b = a @ rng.standard_normal(d)
     x = rng.standard_normal(d)
     return a, dist, b, x
 
 
 @given(row_problems())
-def test_row_sampling_structure_equals_dense(instance):
-    """f_value and the spectrum from the weights h equal those from the
-    dense diag(h), bit for bit; the exact flag is rank(W) = rank(A)."""
+def test_row_sampling_w_equals_dense(instance):
+    """W and the spectrum equal those of the dense A^T diag(h) A bit for
+    bit, with h_i = p_i / (A_i @ A_i), the kernel's rounding of the row
+    norms; f from W and x* is the residual form on diag(h) within its
+    tolerance; the exact flag is rank(W) = rank(A)."""
     a, dist, b, x = instance
+    p = dist.probabilities
+    h = np.array([p[i] / float(a[i] @ a[i]) if p[i] > 0.0 else 0.0 for i in range(p.size)])
+    w = a.T @ np.diag(h) @ a
+    w = (w + w.T) / 2.0
     eh = expected_h(dist, a)
-    assert eh.value.shape == (a.shape[0],)
-    dense = np.diag(eh.value)
-    assert f_value(a, b, x, eh.value) == dense_f(a, b, x, dense)
+    assert eh.mc_samples is None
+    np.testing.assert_array_equal(eh.value, w)
 
-    w = a.T @ dense @ a
-    vals = sym_eig((w + w.T) / 2.0).eigenvalues
+    dense = np.diag(row_weights(dist, a))
+    x0 = np.zeros(a.shape[1])
+    xstar = project_onto_solutions(x0, a, b)
+    f0 = dense_f(a, b, x0, dense)
+    for point in (x0, xstar + 1e-3 * x):
+        assert f_close(f_value(a, b, point, eh.value, xstar), dense_f(a, b, point, dense), f0)
+
+    vals = sym_eig(w).eigenvalues
     if vals[0] <= 0.0:
         return
     spec = hessian_spectrum(a, dist)
@@ -174,3 +186,80 @@ def test_default_estimator_is_repeatable():
 def test_monte_carlo_needs_a_sample(dist):
     with pytest.raises(OutOfRange):
         expected_h(dist, rank_deficient(30, 4, seed=3), mc_samples=0)
+
+
+def eig_stacks(run):
+    """Run run() counting the sketch module's sym_eig calls; the stack
+    sizes of those calls, and run()'s result."""
+    counter = mock.Mock(wraps=sketch.sym_eig)
+    with mock.patch.object(sketch, "sym_eig", counter):
+        result = run()
+    return [len(call.args[0]) for call in counter.call_args_list], result
+
+
+def test_well_conditioned_block_draws_need_no_eigendecomposition():
+    """Every block:5 Gram of a 100 x 40 Gaussian matrix is certified: the
+    default estimate makes no sym_eig call, and a shorter one matches the
+    per-draw loop."""
+    a = np.random.default_rng(0).standard_normal((100, 40))
+    stacks, eh = eig_stacks(lambda: expected_h(BlockRow(5), a))
+    assert stacks == [] and eh.mc_samples == sketch.DEFAULT_MC_SAMPLES
+    stacks, eh = eig_stacks(lambda: expected_h(BlockRow(5), a, mc_samples=500, rng=np.random.default_rng(2)))
+    assert stacks == []
+    rng = np.random.default_rng(2)
+    ref = a.T @ per_draw_block(a, [sketch.draw(BlockRow(5), rng, 100).indices for _ in range(500)]) @ a
+    assert np.linalg.norm(eh.value - ref) <= BATCH_RTOL * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64, sketch.BATCH_ELEMENTS])
+def test_chunk_mixing_certified_and_uncertified_draws(batch):
+    """Rows 2 and 3 differ by 1e-6 of their norm, so the Grams of the
+    subsets holding both are positive definite but lose an eigenvalue to
+    the pseudoinverse cutoff: those draws, and only those, go through the
+    eigendecomposition, and W matches the per-draw loop."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((7, 3))
+    a[3] = a[2] + 1e-6 * rng.standard_normal(3)
+    subsets = [list(c) for c in combinations(range(7), 2)]
+    with mock.patch.object(sketch, "BATCH_ELEMENTS", batch):
+        stacks, eh = eig_stacks(lambda: expected_h(BlockRow(2), a))
+    assert sum(stacks) == sum(2 in s and 3 in s for s in subsets) == 1
+    ref = a.T @ per_draw_block(a, subsets) @ a
+    assert np.linalg.norm(eh.value - ref) <= BATCH_RTOL * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cond,certified", [(2e7, False), (1e5, True)])
+def test_certificate_threshold(cond, certified):
+    """One draw of two rows u and u + delta v (u, v orthonormal) has a
+    positive definite Gram of condition number about 4 / delta^2.  At 2e7
+    it is above the 1e7 the certificate admits and takes the
+    eigendecomposition path, giving W bit for bit as that path does; at
+    1e5 it is certified."""
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 2)))[0]
+    u, v = q[:, 0], q[:, 1]
+    a = np.stack([u, u + 2.0 / np.sqrt(cond) * v])
+    gram = a @ a.T
+    vals = np.linalg.eigvalsh(gram)
+    assert vals[0] > 0.0 and vals[1] / vals[0] == pytest.approx(cond, rel=1e-3)
+    stacks, eh = eig_stacks(lambda: expected_h(BlockRow(2), a))
+    assert stacks == ([] if certified else [1])
+    if not certified:
+        vecs, inv = sketch.gram_factors(gram[None])
+        f = (np.sqrt(inv)[:, :, None] * (vecs.swapaxes(1, 2) @ a[None]))[0]
+        w = f.T @ f
+        np.testing.assert_array_equal(eh.value, (w + w.T) / 2.0)
+
+
+@pytest.mark.parametrize("batch", [1, 64, sketch.BATCH_ELEMENTS])
+def test_gaussian_wider_than_the_rank_falls_back(batch):
+    """S^T A of a rank-3 matrix under a width-4 Gaussian sketch has a
+    singular Gram: no draw is certified, and W matches the per-draw loop."""
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 5))
+    with mock.patch.object(sketch, "BATCH_ELEMENTS", batch):
+        stacks, eh = eig_stacks(
+            lambda: expected_h(GaussianSketch(4), a, mc_samples=200, rng=np.random.default_rng(8))
+        )
+    assert sum(stacks) == 200
+    ref = a.T @ per_draw_gaussian(a, 4, 200, np.random.default_rng(8)) @ a
+    assert np.linalg.norm(eh.value - ref) <= BATCH_RTOL * np.linalg.norm(ref)

@@ -24,6 +24,7 @@ from dense_eh import (
     gaussian_iterate_close,
     gaussian_quadratic_close,
     iterate_scale,
+    row_weights,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -201,16 +202,18 @@ def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
 
 
 @given(problems(), schedules(), st.integers(1, 5), st.booleans())
-def test_row_weights_match_the_oracle_loop(instance, schedule, replications, given_eh):
-    """Row sampling records f and Cesaro f from the weights h of E[H] =
-    diag(h), passed in or computed; they equal the residual form on the
-    dense diag(h) bit for bit."""
+def test_row_records_match_the_oracle_loop(instance, schedule, replications, given_eh):
+    """Row sampling records f and Cesaro f from W, passed in or computed:
+    they equal f_value(..., W, x*) bit for bit, and the residual form on
+    the dense diag(h) within its tolerance."""
     problem, x0 = instance
     a, b = problem.a, problem.b
     omega, beta, max_iter, every, steps, seed = schedule
     dist = row_sampling(a)
-    weights = expected_h(dist, a).value
-    dense = np.diag(weights)
+    w = expected_h(dist, a).value
+    dense = np.diag(row_weights(dist, a))
+    xstar = project_onto_solutions(x0, a, b)
+    f0 = dense_f(a, b, x0, dense)
     params = SolverParams(
         omega=omega, beta=beta, max_iter=max_iter, seed=seed, record_every=every,
     )
@@ -218,7 +221,7 @@ def test_row_weights_match_the_oracle_loop(instance, schedule, replications, giv
         block = solver._iterate(
             problem, dist, params, x0, range(replications),
             np.full(replications, omega), np.full(replications, beta),
-            weights if given_eh else None, None,
+            w if given_eh else None, None,
         )
     for r in range(replications):
         ref = oracle_iterates(problem, dist, omega, beta, max_iter, derive_stream(seed, 0, r), x0)
@@ -228,9 +231,52 @@ def test_row_weights_match_the_oracle_loop(instance, schedule, replications, giv
             running_sum += x
             sums.append(running_sum.copy())
         for j, k in enumerate(block.ks):
-            assert block.f[r, j] == dense_f(a, b, ref[k], dense)
+            assert block.f[r, j] == f_value(a, b, ref[k], w, xstar)
+            assert f_close(block.f[r, j], dense_f(a, b, ref[k], dense), f0)
             if k > 0:
-                assert block.cesaro[r, j] == dense_f(a, b, sums[k] / k, dense)
+                assert block.cesaro[r, j] == f_value(a, b, sums[k] / k, w, xstar)
+                assert f_close(block.cesaro[r, j], dense_f(a, b, sums[k] / k, dense), f0)
+
+
+@pytest.mark.parametrize("shape", ["run", "sweep", "ensemble"])
+def test_row_records_at_default_chunks_down_to_cancellation(shape):
+    """Unpatched chunk sizes: an R = 1 run, a 3-pair sweep and a
+    100-replication ensemble on 40x5 record f and Cesaro f bit for bit as
+    f_value(..., W, x*) (checked at every fourth step), and within f_close
+    of the dense diag(h) residual form, also after f has fallen below
+    1e-15 f(x0), where the two forms cancel differently."""
+    problem = gen_problem(40, 5, seed=3)
+    a, b = problem.a, problem.b
+    dist = row_sampling(a)
+    w = expected_h(dist, a).value
+    dense = np.diag(row_weights(dist, a))
+    x0 = np.zeros(5)
+    xstar = project_onto_solutions(x0, a, b)
+    f0 = dense_f(a, b, x0, dense)
+    keys, betas = {"run": (1, [0.3]), "sweep": (1, [0.0, 0.2, 0.4]), "ensemble": (100, [0.3])}[shape]
+    params = SolverParams(omega=1.0, beta=0.0, max_iter=320, seed=11, record_every=1, snapshots=True)
+    block = solver._iterate(
+        problem, dist, params, x0, range(keys), np.ones(len(betas)), np.array(betas), None, None,
+    )
+    assert not block.diverged_at.any()
+    snaps = np.asarray(block.snapshots)  # (records, members, d)
+    running_sum = np.zeros(snaps.shape[1:])
+    tiny = 0
+    for k in block.ks:
+        if k > 0:
+            running_sum += snaps[k]
+        if k % 4:
+            continue
+        for r in range(snaps.shape[1]):
+            got = block.f[r, k]
+            assert got == f_value(a, b, snaps[k, r], w, xstar)
+            assert f_close(got, dense_f(a, b, snaps[k, r], dense), f0)
+            tiny += got < 1e-15 * f0
+            if k > 0:
+                mean = running_sum[r] / k
+                assert block.cesaro[r, k] == f_value(a, b, mean, w, xstar)
+                assert f_close(block.cesaro[r, k], dense_f(a, b, mean, dense), f0)
+    assert tiny > 0
 
 
 @given(problems(), schedules(), st.integers(1, 5), st.sampled_from(["row", "block", "gaussian"]))

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from dense_eh import dense_eh, dense_f, f_close
+from dense_eh import dense_eh, dense_f, f_close, row_weights
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -252,7 +252,7 @@ class TestStochGrad:
         """Probability-weighted row gradients equal A^T E[H] (Ax - b)."""
         a, b, x = prob
         dist = row_sampling(a)
-        h = expected_h(dist, a).value
+        h = row_weights(dist, a)
         total = np.zeros(a.shape[1])
         for i, p in enumerate(dist.probabilities):
             if p > 0:
@@ -263,19 +263,20 @@ class TestStochGrad:
 
 class TestExpectedH:
     def test_row_sampling_default_is_scaled_identity(self):
+        """The default weights make E[H] = I / ||A||_F^2, so W = A^T A / ||A||_F^2."""
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 3))
         dist = row_sampling(a)
         eh = expected_h(dist, a)
         assert eh.mc_samples is None
-        expected = np.full(5, 1.0 / float((a * a).sum()))
-        assert eh.value.shape == (5,)
+        expected = a.T @ a / float((a * a).sum())
+        assert eh.value.shape == (3, 3)
         assert np.max(np.abs(eh.value - expected)) <= 1e-14
 
     def test_identity_matrix_even_weights(self):
         dist = UnitCoordinate(np.array([0.5, 0.5]))
         eh = expected_h(dist, np.eye(2))
-        np.testing.assert_allclose(eh.value, [0.5, 0.5])
+        np.testing.assert_allclose(eh.value, np.diag([0.5, 0.5]))
 
     def test_gaussian_structural(self):
         rng = np.random.default_rng(2)
@@ -399,37 +400,42 @@ class TestHessianSpectrum:
 
 class TestFValue:
     def test_zero_at_solution(self):
+        """At the solution x of a tall full-rank system, f from the x* that
+        the projection of the origin finds is zero."""
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 3))
         x = rng.standard_normal(3)
         b = a @ x
-        eh = expected_h(row_sampling(a), a).value
-        assert f_value(a, b, x, eh) == pytest.approx(0.0, abs=1e-20)
+        w = expected_h(row_sampling(a), a).value
+        xstar = project_onto_solutions(np.zeros(3), a, b)
+        assert f_value(a, b, x, w, xstar) == pytest.approx(0.0, abs=1e-20)
 
     def test_identity_hand_value(self):
         a = np.eye(2)
-        eh = expected_h(row_sampling(a), a).value
-        assert f_value(a, np.zeros(2), [1.0, 1.0], eh) == pytest.approx(0.5, abs=1e-14)
+        w = expected_h(row_sampling(a), a).value
+        assert f_value(a, np.zeros(2), [1.0, 1.0], w, np.zeros(2)) == pytest.approx(0.5, abs=1e-14)
 
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 3))
-        b = rng.standard_normal(4)
+        b = a @ rng.standard_normal(3)
         x = rng.standard_normal(3)
-        eh = expected_h(row_sampling(a), a).value
-        f1 = f_value(a, b, x, eh)
-        # doubling the residual quadruples the objective
-        f_double = f_value(a, a @ x - 2 * (a @ x - b), x, eh)
+        w = expected_h(row_sampling(a), a).value
+        xstar = project_onto_solutions(np.zeros(3), a, b)
+        f1 = f_value(a, b, x, w, xstar)
+        # doubling the residual (here, the distance to x*) quadruples the objective
+        f_double = f_value(a, b, xstar + 2 * (x - xstar), w, xstar)
         assert f_double == pytest.approx(4 * f1, rel=1e-12)
 
     def test_matches_frobenius_form_for_default_weights(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((5, 3))
-        b = rng.standard_normal(5)
+        b = a @ rng.standard_normal(3)
         x = rng.standard_normal(3)
-        eh = expected_h(row_sampling(a), a).value
+        w = expected_h(row_sampling(a), a).value
+        xstar = project_onto_solutions(np.zeros(3), a, b)
         expected = float(np.sum((a @ x - b) ** 2)) / (2 * float((a * a).sum()))
-        assert f_value(a, b, x, eh) == pytest.approx(expected, rel=1e-12)
+        assert f_value(a, b, x, w, xstar) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "dist", [BlockRow(2), BlockRow(3), GaussianSketch(2)], ids=["block:2", "block:3", "gaussian:2"]
@@ -456,4 +462,4 @@ class TestFValue:
         a = np.random.default_rng(4).standard_normal((5, 3))
         w = expected_h(BlockRow(2), a).value
         with pytest.raises(DimensionMismatch):
-            f_value(a, np.zeros(5), np.ones(3), w)
+            f_value(a, np.zeros(5), np.ones(3), w, None)

@@ -63,11 +63,11 @@ class TestRecordBudget:
 
     def test_boundary(self):
         # records at k = 0, 3, 6, 9, 10; each holds k, its time, l1_sq and 3
-        # series.  The one member holds 9 rows of d = 2 and a record's 2
-        # rows of m = 2; the 10 steps of draws take 4 numbers each for the
-        # uniforms and 2 * (d + 2) for two gathered sub-chunks
+        # series.  W takes d * d = 4; the one member holds 9 rows of d = 2
+        # and a record's 2 rows of d; the 10 steps of draws take 4 numbers
+        # each for the uniforms and 2 * (d + 2) for two gathered sub-chunks
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3)
-        budget = 5 * 6 + (9 * 2 + 2 * 2) + 10 * (4 + 2 * 4)
+        budget = 5 * 6 + 4 + (9 * 2 + 2 * 2) + 10 * (4 + 2 * 4)
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
             assert run(toy_problem(), row_sampling(np.eye(2)), params).ks == [0, 3, 6, 9, 10]
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
@@ -75,21 +75,21 @@ class TestRecordBudget:
 
     def test_snapshots_count_every_member_and_coordinate(self):
         # 3 replications of 3 series and a d = 2 snapshot: 3 + 3 * 5 per record;
-        # 3 members of 9 * 2 + 2 * 2 numbers, and 10 steps of draws of
-        # 4 numbers per member and 2 * (d + 2) per stream
+        # W of d * d = 4, 3 members of 9 * 2 + 2 * 2 numbers, and 10 steps of
+        # draws of 4 numbers per member and 2 * (d + 2) per stream
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3, snapshots=True)
-        budget = 5 * 18 + 3 * 22 + 10 * (4 * 3 + 2 * 3 * 4)
+        budget = 5 * 18 + 4 + 3 * 22 + 10 * (4 * 3 + 2 * 3 * 4)
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
             assert run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=3).ks[-1] == 10
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
             run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=3)
 
     def test_iterates_count_every_member(self):
-        # one record at k = 0 and one at k = 1: 2 * (3 + R * 3), plus per member
-        # 22 numbers held and one step of draws, 4 + 2 * (d + 2)
+        # one record at k = 0 and one at k = 1: 2 * (3 + R * 3), W's d * d = 4,
+        # plus per member 22 numbers held and one step of draws, 4 + 2 * (d + 2)
         params = SolverParams(omega=1.0, beta=0.0, max_iter=1, seed=0)
         for reps in (1, 7, 1000):
-            budget = 2 * (3 + reps * 3) + reps * 22 + reps * 12
+            budget = 2 * (3 + reps * 3) + 4 + reps * 22 + reps * 12
             with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
                 assert run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=reps).ks == [0, 1]
             with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
@@ -97,12 +97,13 @@ class TestRecordBudget:
 
     @pytest.mark.parametrize("reps", [100, 300])
     def test_traced_peak_within_the_count(self, reps):
-        """The count is the kernel's real working set: an ensemble traces no
-        more than 8 bytes per counted number, plus A's size for x* and E[H]."""
+        """The count is the kernel's real working set, W included: an
+        ensemble traces no more than 8 bytes per counted number, plus A's
+        size for x* and for building W."""
         problem = gen_problem(600, 1000, seed=0)
         dist = row_sampling(problem.a)
         params = SolverParams(omega=1.0, beta=0.1, max_iter=40, seed=0, record_every=10)
-        counted = solver._check_fits(params, dist, 600, 1000, reps, reps, None)
+        counted = solver._check_fits(params, dist, 600, 1000, reps, reps)
         tracemalloc.start()
         try:
             run_ensemble(problem, dist, params, replications=reps)
@@ -250,7 +251,7 @@ class TestRun:
         with pytest.raises(error, match=message):
             expected_h(dist, problem.a)
         with pytest.raises(error, match=message):
-            run(problem, dist, params, eh=np.ones(2))
+            run(problem, dist, params, eh=np.eye(2))
 
     def test_divergence_guard(self):
         problem = toy_problem()
@@ -287,14 +288,15 @@ class TestRun:
             omega=1.0, beta=0.2, max_iter=400, seed=9, record_every=1, snapshots=True,
         )
         trace = run(problem, dist, params)
-        eh = expected_h(dist, problem.a).value
+        w = expected_h(dist, problem.a).value
+        xstar = project_onto_solutions(np.zeros(3), problem.a, problem.b)
         assert trace.cesaro_f[0] is None
         stacked = np.asarray(trace.snapshots)
         for j, k in enumerate(trace.ks):
             if k == 0:
                 continue
             avg = stacked[1 : k + 1].sum(axis=0) / k
-            expected = f_value(problem.a, problem.b, avg, eh)
+            expected = f_value(problem.a, problem.b, avg, w, xstar)
             assert trace.cesaro_f[j] == pytest.approx(expected, abs=1e-10)
 
     def test_bit_identical_reruns(self):
