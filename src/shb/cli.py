@@ -16,17 +16,32 @@ import shb.experiments as ex
 import shb.io as shio
 from shb.errors import NonFinite, ShbError
 from shb.problems import Problem, gen_problem, plant_solution
+from shb.sketch import SketchDistribution
 from shb.solver import SolverParams
 
 INPUT_FORMATS = ("libsvm", "csv", "bundle")
 
 
-def load_problem(path: str, fmt: str, seed: int) -> Problem:
-    """Load a problem; non-bundle inputs get a planted right-hand side."""
+def input_options(command):
+    """--input, --format, --sketch and --seed, the options load_input reads."""
+    for option in reversed((
+        click.option("--input", "input_path", type=click.Path(exists=True), required=True),
+        click.option("--format", "fmt", type=click.Choice(INPUT_FORMATS), default="bundle", show_default=True),
+        click.option("--sketch", default="row", show_default=True, help="row | block:<tau> | gaussian:<tau>"),
+        click.option("--seed", type=int, default=0, show_default=True),
+    )):
+        command = option(command)
+    return command
+
+
+def load_input(path: str, fmt: str, sketch: str, seed: int) -> tuple[Problem, SketchDistribution]:
+    """The problem, with b planted from seed for a text input, and the sketch."""
     if fmt == "bundle":
-        return shio.read_bundle(path)
-    a = shio.parse_libsvm(path) if fmt == "libsvm" else shio.read_csv_matrix(path)
-    return plant_solution(a, seed, source=f"{fmt}:{path}")
+        problem = shio.read_bundle(path)
+    else:
+        a = shio.parse_libsvm(path) if fmt == "libsvm" else shio.read_csv_matrix(path)
+        problem = plant_solution(a, seed, source=f"{fmt}:{path}")
+    return problem, ex.make_distribution(sketch, problem.a)
 
 
 @click.group()
@@ -47,18 +62,14 @@ def gen(rows, cols, seed, out_path):
 
 
 @cli.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--format", "fmt", type=click.Choice(INPUT_FORMATS), default="bundle", show_default=True)
-@click.option("--sketch", default="row", show_default=True, help="row | block:<tau> | gaussian:<tau>")
+@input_options
 @click.option("--omega", multiple=True, type=float, default=(1.0,), show_default=True)
 @click.option("--beta", type=float, default=0.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--mc-samples", type=int, default=10_000, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def analyze(input_path, fmt, sketch, omega, beta, seed, mc_samples, out_path):
     """Report the sketch spectrum and every closed-form rate constant."""
-    problem = load_problem(input_path, fmt, seed)
-    dist = ex.make_distribution(sketch, problem.a)
+    problem, dist = load_input(input_path, fmt, sketch, seed)
     report = ex.analyze(problem, dist, omegas=tuple(omega), beta=beta, mc_samples=mc_samples)
     payload = ex.report_to_dict(report, omegas=tuple(omega))
     if out_path:
@@ -69,19 +80,15 @@ def analyze(input_path, fmt, sketch, omega, beta, seed, mc_samples, out_path):
 
 
 @cli.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--format", "fmt", type=click.Choice(INPUT_FORMATS), default="bundle", show_default=True)
-@click.option("--sketch", default="row", show_default=True)
+@input_options
 @click.option("--omega", type=float, default=1.0, show_default=True)
 @click.option("--beta", type=float, default=0.0, show_default=True)
 @click.option("--iters", type=int, default=1000, show_default=True)
 @click.option("--record-every", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Trace path (.csv or .json).")
 def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_path):
     """Run one (omega, beta) configuration and write its trace."""
-    problem = load_problem(input_path, fmt, seed)
-    dist = ex.make_distribution(sketch, problem.a)
+    problem, dist = load_input(input_path, fmt, sketch, seed)
     params = SolverParams(omega=omega, beta=beta, max_iter=iters, seed=seed, record_every=record_every)
     table = ex.solve(problem, dist, params)
     if str(out_path).endswith(".json"):
@@ -92,14 +99,11 @@ def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_p
 
 
 @cli.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--format", "fmt", type=click.Choice(INPUT_FORMATS), default="bundle", show_default=True)
-@click.option("--sketch", default="row", show_default=True)
+@input_options
 @click.option("--omega", type=float, default=1.0, show_default=True)
 @click.option("--betas", required=True, help="Comma-separated momentum values.")
 @click.option("--iters", type=int, default=1000, show_default=True)
 @click.option("--record-every", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory.")
 def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_dir):
     """Compare several momentum values on one problem."""
@@ -107,8 +111,7 @@ def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_
         beta_values = [float(t) for t in betas.split(",") if t.strip()]
     except ValueError:
         raise ShbError(f"cannot parse --betas {betas!r}") from None
-    problem = load_problem(input_path, fmt, seed)
-    dist = ex.make_distribution(sketch, problem.a)
+    problem, dist = load_input(input_path, fmt, sketch, seed)
     pairs = tuple((omega, b) for b in beta_values)
     long_rows, summaries = ex.sweep(problem, dist, pairs, iters, record_every, seed)
     long_path, summary_path = ex.write_sweep_outputs(long_rows, summaries, out_dir)
@@ -122,25 +125,22 @@ def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_
 
 
 @cli.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--format", "fmt", type=click.Choice(INPUT_FORMATS), default="bundle", show_default=True)
-@click.option("--sketch", default="row", show_default=True)
+@input_options
 @click.option("--omega", type=float, default=1.0, show_default=True)
 @click.option("--beta", type=float, default=0.0, show_default=True)
 @click.option("--iters", type=int, default=200, show_default=True)
 @click.option("--record-every", type=int, default=10, show_default=True)
 @click.option("--reps", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.pass_context
 def verify(ctx, input_path, fmt, sketch, omega, beta, iters, record_every, reps, seed, out_path):
     """Monte Carlo verification of the convergence bounds.
 
     Exits 3 when an applicable bound check fails; the report is still
-    written.
+    written.  Exits 1 before any run when the expected-iterate check
+    applies but fewer than 2 records fall in its fit window.
     """
-    problem = load_problem(input_path, fmt, seed)
-    dist = ex.make_distribution(sketch, problem.a)
+    problem, dist = load_input(input_path, fmt, sketch, seed)
     params = SolverParams(omega=omega, beta=beta, max_iter=iters, seed=seed, record_every=record_every)
     report = ex.verify(problem, dist, params, replications=reps)
     if out_path:

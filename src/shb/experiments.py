@@ -2,11 +2,13 @@
 
 These functions sit between the solver/theory layers and the CLI.  They
 take in-memory problems and distributions, produce plain dicts and rows
-ready for CSV/JSON serialization, and never print.  Each command builds
-the spectrum of W (with E[H] and exactness) and x* once, passing them down.
-Every run records the same series (l2 error, f and Cesaro f, and for an
-ensemble the squared distance of its mean iterate), so every table and
-report has all of its columns.
+ready for CSV/JSON serialization, and never print.  analyze, solve and
+verify share one set-up (_set_up): the spectrum of W (with E[H] and
+exactness), which bounds apply (theory.applicability), and x*, each
+built once and passed down; sweep builds W and x* once for all its pairs
+in the kernel.  Every run records the same series (l2 error, f and
+Cesaro f, and for an ensemble the squared distance of its mean iterate),
+so every table and report has all of its columns.
 """
 
 from __future__ import annotations
@@ -14,38 +16,27 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from shb.errors import (
-    InsufficientReplications,
-    NotAdmissible,
-    OutOfRange,
-)
+from shb.errors import InsufficientReplications, NotAdmissible, OutOfRange
 from shb.io import atomic_write, write_json
 from shb.linalg import project_onto_solutions
 from shb.problems import Problem
 from shb.sketch import (
+    DEFAULT_MC_SAMPLES,
     BlockRow,
     GaussianSketch,
     SketchDistribution,
     SpectrumInfo,
     f_value,
-    hessian_spectrum,
     row_sampling,
+    spectrum_and_gram,
 )
 from shb.solver import RunTrace, SolverParams, run, run_ensemble, run_pairs
-from shb.theory import (
-    L2Rate,
-    TheoryReport,
-    beta_upper_bound,
-    cesaro_bound,
-    l1_params,
-    l2_envelope,
-    l2_rate,
-)
+from shb.theory import Applicability, TheoryReport, applicability, cesaro_bound, l1_params, l2_envelope
 
 TRACE_HEADER = [
     "k",
@@ -64,6 +55,8 @@ REL_ERROR_TARGET = 1e-6
 MIN_VERIFY_REPLICATIONS = 100
 # per-iteration slack added to log(beta) when judging the fitted decay slope
 L1_SLOPE_SLACK = 0.05
+# the decay slope is fitted on the records after this share of the iterations
+L1_FIT_FROM = 0.1
 
 
 _SIZED_SKETCH = re.compile(r"(?P<name>block|gaussian):(?P<size>[0-9]+)")
@@ -90,13 +83,44 @@ def _iters_to_target(factor: float, target: float = REL_ERROR_TARGET) -> int | N
     return int(math.ceil(math.log(target) / math.log(factor)))
 
 
+@dataclass(frozen=True)
+class _SetUp:
+    """What a command computes once, before it iterates, for a start at the origin."""
+
+    spectrum: SpectrumInfo
+    bounds: Applicability
+    xstar: np.ndarray
+    init_sq: float  # ||x0 - x*||^2
+    f0: float  # f(x0)
+
+
+def _set_up(
+    problem: Problem, dist: SketchDistribution, omega: float, beta: float, *,
+    mc_samples: int = DEFAULT_MC_SAMPLES, need_bound: bool = False,
+) -> _SetUp:
+    """The spectrum, the bounds that apply at (omega, beta), and x* with
+    its distance and objective from the origin.  x* and rank(A) come from
+    one decomposition of the smaller Gram of A, dropped on return.  With
+    need_bound, NotAdmissible is raised before the projection when no
+    bound applies."""
+    a, b = problem.a, problem.b
+    spectrum, gram = spectrum_and_gram(a, dist, mc_samples=mc_samples)
+    bounds = applicability(omega, beta, spectrum.lambda_min_plus, spectrum.lambda_max)
+    if need_bound and not (bounds.l2_ok or bounds.cesaro_ok or bounds.l1_ok):
+        raise NotAdmissible("parameters meet no bound hypothesis: nothing to verify")
+    x0 = np.zeros(a.shape[1])
+    xstar = project_onto_solutions(x0, a, b, gram)
+    init_sq = float(np.sum((x0 - xstar) ** 2))
+    return _SetUp(spectrum, bounds, xstar, init_sq, f_value(a, b, x0, spectrum.expected_h, xstar))
+
+
 def analyze(
     problem: Problem,
     dist: SketchDistribution,
     omegas: tuple[float, ...] = (1.0,),
     beta: float = 0.0,
     *,
-    mc_samples: int = 10_000,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
 ) -> TheoryReport:
     """Spectrum plus every closed-form constant for the given stepsizes.
 
@@ -107,46 +131,22 @@ def analyze(
     """
     if not all(math.isfinite(v) for v in (*omegas, beta)):
         raise OutOfRange(f"omega and beta must be finite, got omegas={omegas!r} beta={beta!r}")
-    a, b = problem.a, problem.b
-    spectrum = hessian_spectrum(a, dist, mc_samples=mc_samples)
-    lmin, lmax = spectrum.lambda_min_plus, spectrum.lambda_max
-    omega0 = omegas[0]
-
-    l2: L2Rate | None
-    try:
-        l2 = l2_rate(omega0, beta, lmin, lmax)
-    except OutOfRange:
-        l2 = None
-
-    x0 = np.zeros(a.shape[1])
-    xstar = project_onto_solutions(x0, a, b)
-    init_sq = float(np.sum((x0 - xstar) ** 2))
-    f0 = f_value(a, b, x0, spectrum.expected_h, xstar)
-
-    cesaro_applicable = 0.0 <= beta < 1.0 and omega0 > 0.0 and omega0 + 2.0 * beta < 2.0
+    setup = _set_up(problem, dist, omegas[0], beta, mc_samples=mc_samples)
     cesaro_params = {
-        "omega": omega0,
+        "omega": omegas[0],
         "beta": beta,
-        "init_sq_dist": init_sq,
-        "f0": f0,
-        "applicable": cesaro_applicable,
+        "init_sq_dist": setup.init_sq,
+        "f0": setup.f0,
+        "applicable": setup.bounds.cesaro_ok,
     }
-
     l1_choices = {}
     for choice in ("unit_stepsize", "inv_lmax"):
-        p = l1_params(choice, lmin, lmax)
-        l1_choices[choice] = {
-            "omega": p.omega,
-            "beta": p.beta,
-            "rate_factor": p.rate_factor,
-            "predicted_iters_to_1e-6": _iters_to_target(p.rate_factor),
-        }
-
-    beta_upper = beta_upper_bound(omega0, lmin, lmax) if 0.0 < omega0 < 2.0 else None
+        p = l1_params(choice, setup.spectrum.lambda_min_plus, setup.spectrum.lambda_max)
+        l1_choices[choice] = {**p._asdict(), "predicted_iters_to_1e-6": _iters_to_target(p.rate_factor)}
     return TheoryReport(
-        spectrum=spectrum,
-        l2=l2,
-        beta_upper=beta_upper,
+        spectrum=setup.spectrum,
+        l2=setup.bounds.l2,
+        beta_upper=setup.bounds.beta_upper,
         cesaro_params=cesaro_params,
         l1_choices=l1_choices,
     )
@@ -170,11 +170,9 @@ def report_to_dict(report: TheoryReport, omegas: tuple[float, ...]) -> dict:
         "beta_upper_by_omega": [
             {
                 "omega": w,
-                "beta_upper": (
-                    beta_upper_bound(w, s.lambda_min_plus, s.lambda_max)
-                    if 0.0 < w < 2.0
-                    else None
-                ),
+                "beta_upper": applicability(
+                    w, report.cesaro_params["beta"], s.lambda_min_plus, s.lambda_max
+                ).beta_upper,
             }
             for w in omegas
         ],
@@ -183,14 +181,7 @@ def report_to_dict(report: TheoryReport, omegas: tuple[float, ...]) -> dict:
     }
     if report.l2 is not None:
         r = report.l2
-        out["l2"] = {
-            "a1": r.a1,
-            "a2": r.a2,
-            "q": r.q,
-            "delta": r.delta,
-            "admissible": r.admissible,
-            "predicted_iters_to_1e-6": _iters_to_target(r.q) if r.admissible else None,
-        }
+        out["l2"] = {**asdict(r), "predicted_iters_to_1e-6": _iters_to_target(r.q) if r.admissible else None}
     return out
 
 
@@ -223,11 +214,7 @@ def build_trace_table(
     xstar_sq = float(xstar @ xstar)
     f0 = trace.f_value[0]
     lmax = spectrum.lambda_max
-    cesaro_ok = params.omega + 2.0 * params.beta < 2.0 and 0.0 <= params.beta < 1.0
-    rate = None
-    if 0.0 < params.omega < 2.0:
-        candidate = l2_rate(params.omega, params.beta, spectrum.lambda_min_plus, lmax)
-        rate = candidate if candidate.admissible else None
+    bounds = applicability(params.omega, params.beta, spectrum.lambda_min_plus, lmax)
 
     rows = []
     for j, k in enumerate(trace.ks):
@@ -239,8 +226,8 @@ def build_trace_table(
             l2 / xstar_sq if xstar_sq > 0.0 else None,
             trace.f_value[j],
             trace.cesaro_f[j],
-            l2_envelope(rate, k, init_sq, lmax)[0] if rate is not None else None,
-            cesaro_bound(params.omega, params.beta, k, init_sq, f0) if cesaro_ok and k >= 1 else None,
+            l2_envelope(bounds.l2, k, init_sq, lmax)[0] if bounds.l2_ok else None,
+            cesaro_bound(params.omega, params.beta, k, init_sq, f0) if bounds.cesaro_ok and k >= 1 else None,
             trace.elapsed_seconds[j],
         ])
     return TraceTable(
@@ -257,27 +244,29 @@ def solve(problem: Problem, dist: SketchDistribution, params: SolverParams) -> T
     The spectrum (with E[H]) and x* are computed once and shared by the
     run and its table.
     """
-    a, b = problem.a, problem.b
-    spectrum = hessian_spectrum(a, dist)
-    xstar = project_onto_solutions(np.zeros(a.shape[1]), a, b)
-    trace = run(problem, dist, params, eh=spectrum.expected_h, xstar=xstar)
-    return build_trace_table(problem, trace, spectrum=spectrum, xstar=xstar)
+    setup = _set_up(problem, dist, params.omega, params.beta)
+    trace = run(problem, dist, params, eh=setup.spectrum.expected_h, xstar=setup.xstar)
+    return build_trace_table(problem, trace, spectrum=setup.spectrum, xstar=setup.xstar)
 
 
 def _cell(value) -> str:
+    """A CSV cell: empty for None, the shortest round-trip repr for a float."""
     if value is None:
         return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def write_trace_csv(table: TraceTable, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.header)
-        for row in table.rows:
-            writer.writerow([_cell(v) for v in row])
+    _write_csv(path, table.header, table.rows)
 
 
 def write_trace_json(table: TraceTable, path) -> None:
@@ -331,15 +320,15 @@ def sweep(
     long_rows: list[list] = []
     summaries: list[dict] = []
     for pair_id, ((omega, beta), trace) in enumerate(zip(pairs, run_pairs(problem, dist, runs))):
-        summary = {"pair_id": pair_id, "omega": omega, "beta": beta, "status": "ok"}
-        for thr in SWEEP_THRESHOLDS:
-            summary[f"iters_to_{thr:g}"] = None
-        if trace.diverged_at is not None:
-            summary["status"] = "diverged"
-            summary["diverged_at"] = trace.diverged_at
-            summaries.append(summary)
-            continue
+        diverged = trace.diverged_at is not None
         init_sq = trace.l2_error[0]
+        summary = {"pair_id": pair_id, "omega": omega, "beta": beta, "status": "diverged" if diverged else "ok"}
+        for thr in SWEEP_THRESHOLDS:
+            summary[f"iters_to_{thr:g}"] = None if diverged else first_crossing(trace.ks, trace.l2_error, init_sq, thr)
+        summaries.append(summary)
+        if diverged:
+            summary["diverged_at"] = trace.diverged_at
+            continue
         for j, k in enumerate(trace.ks):
             rel = trace.l2_error[j] / init_sq if init_sq > 0.0 else 0.0
             long_rows.append([pair_id, omega, beta, k, "l2_error_raw", trace.l2_error[j]])
@@ -347,11 +336,6 @@ def sweep(
             long_rows.append([pair_id, omega, beta, k, "f_value", trace.f_value[j]])
             if trace.cesaro_f[j] is not None:
                 long_rows.append([pair_id, omega, beta, k, "cesaro_f", trace.cesaro_f[j]])
-        for thr in SWEEP_THRESHOLDS:
-            summary[f"iters_to_{thr:g}"] = first_crossing(
-                trace.ks, trace.l2_error, init_sq, thr
-            )
-        summaries.append(summary)
     return long_rows, summaries
 
 
@@ -399,19 +383,24 @@ def write_sweep_outputs(long_rows, summaries, out_dir) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     long_path = out_dir / "sweep_long.csv"
-    with atomic_write(long_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_id", "omega", "beta", "k", "metric", "value"])
-        for row in long_rows:
-            writer.writerow([_cell(v) if isinstance(v, float) else v for v in row])
+    _write_csv(long_path, ["pair_id", "omega", "beta", "k", "metric", "value"], long_rows)
     summary_path = out_dir / "sweep_summary.csv"
     keys = ["pair_id", "omega", "beta", "status"] + [f"iters_to_{t:g}" for t in SWEEP_THRESHOLDS]
-    with atomic_write(summary_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        for s in summaries:
-            writer.writerow([_cell(s.get(k)) if isinstance(s.get(k), float) else ("" if s.get(k) is None else s.get(k)) for k in keys])
+    _write_csv(summary_path, keys, ([s.get(k) for k in keys] for s in summaries))
     return long_path, summary_path
+
+
+def _bound_section(applicable: bool, ks, means, bound, slack: float) -> dict:
+    """A verify section checking mean <= bound(k) * slack at every recorded
+    k with a mean (None marks k = 0 for a Cesaro mean)."""
+    section: dict = {"applicable": applicable, "rows": [], "pass": None}
+    if applicable:
+        for k, mean in zip(ks, means):
+            if mean is not None:
+                limit = bound(k) * slack
+                section["rows"].append({"k": k, "mean": mean, "bound": limit, "pass": mean <= limit})
+        section["pass"] = all(row["pass"] for row in section["rows"])
+    return section
 
 
 def verify(
@@ -425,43 +414,30 @@ def verify(
     The runs start at the origin.  Sections:
     mean-squared distance vs its geometric envelope, Cesaro objective vs
     its O(1/k) bound (both with multiplicative slack 1 + 3/sqrt(R)), and
-    the expected-iterate decay slope versus log(beta) + 0.05 after the
-    first 10% of iterations.  Raises NotAdmissible when no section
-    applies.
+    the expected-iterate decay slope versus log(beta) + 0.05, fitted on
+    the records at k >= 1 after the first 10% of iterations.  Raises
+    NotAdmissible when no section applies, and OutOfRange before any run
+    when the expected-iterate section applies but the record schedule
+    puts fewer than 2 records in its fit window.
     """
     if replications < MIN_VERIFY_REPLICATIONS:
         raise InsufficientReplications(
             f"need >= {MIN_VERIFY_REPLICATIONS} replications, got {replications}"
         )
-    a, b = problem.a, problem.b
-    x0 = np.zeros(a.shape[1])
-
-    spectrum = hessian_spectrum(a, dist)
-    lmin, lmax = spectrum.lambda_min_plus, spectrum.lambda_max
-    omega, beta = params.omega, params.beta
-
-    rate = None
-    if 0.0 < omega < 2.0:
-        candidate = l2_rate(omega, beta, lmin, lmax)
-        rate = candidate if candidate.admissible else None
-    cesaro_ok = 0.0 <= beta < 1.0 and omega + 2.0 * beta < 2.0
-    l1_ok = True
-    try:
-        l1_params("custom", lmin, lmax, omega=omega, beta=beta)
-    except OutOfRange:
-        l1_ok = False
-    if rate is None and not cesaro_ok and not l1_ok:
-        raise NotAdmissible(
-            "parameters meet no bound hypothesis: nothing to verify"
+    setup = _set_up(problem, dist, params.omega, params.beta, need_bound=True)
+    spectrum, bounds, init_sq = setup.spectrum, setup.bounds, setup.init_sq
+    lmax = spectrum.lambda_max
+    fit_start = max(1, math.ceil(L1_FIT_FROM * params.max_iter))
+    if bounds.l1_ok and params.record_count(fit_start) < 2:
+        raise OutOfRange(
+            f"the expected-iterate slope is fitted on the records at k >= {fit_start}, and this "
+            f"schedule has {params.record_count(fit_start)} of them: record more often (--record-every)"
         )
 
-    xstar = project_onto_solutions(x0, a, b)
     ens = run_ensemble(
         problem, dist, params, replications=replications,
-        eh=spectrum.expected_h, xstar=xstar,
+        eh=spectrum.expected_h, xstar=setup.xstar,
     )
-    init_sq = float(np.sum((x0 - xstar) ** 2))
-    f0 = f_value(a, b, x0, spectrum.expected_h, xstar)
     slack = 1.0 + 3.0 / math.sqrt(replications)
 
     report: dict = {
@@ -472,52 +448,28 @@ def verify(
         "slack_factor": slack,
         "spectrum": {
             "lambda_max": lmax,
-            "lambda_min_plus": lmin,
+            "lambda_min_plus": spectrum.lambda_min_plus,
             "rank": spectrum.rank,
             "exact": spectrum.exact,
         },
     }
+    report["l2"] = _bound_section(
+        bounds.l2_ok, ens.ks, ens.l2_mean, lambda k: l2_envelope(bounds.l2, k, init_sq, lmax)[0], slack
+    )
+    if bounds.l2_ok:
+        report["l2"].update(q=bounds.l2.q, delta=bounds.l2.delta)
+    report["cesaro"] = _bound_section(
+        bounds.cesaro_ok, ens.ks, ens.cesaro_f_mean,
+        lambda k: cesaro_bound(params.omega, params.beta, k, init_sq, setup.f0), slack,
+    )
 
-    l2_section: dict = {"applicable": rate is not None, "rows": [], "pass": None}
-    if rate is not None:
-        ok_all = True
-        for k, mean in zip(ens.ks, ens.l2_mean):
-            envelope, _ = l2_envelope(rate, k, init_sq, lmax)
-            bound = envelope * slack
-            ok = mean <= bound
-            ok_all &= ok
-            l2_section["rows"].append({"k": k, "mean": mean, "bound": bound, "pass": ok})
-        l2_section["pass"] = ok_all
-        l2_section["q"] = rate.q
-        l2_section["delta"] = rate.delta
-    report["l2"] = l2_section
-
-    cesaro_section: dict = {"applicable": cesaro_ok, "rows": [], "pass": None}
-    if cesaro_ok:
-        ok_all = True
-        for k, mean in zip(ens.ks, ens.cesaro_f_mean):
-            if mean is None or k < 1:
-                continue
-            bound = cesaro_bound(omega, beta, k, init_sq, f0) * slack
-            ok = mean <= bound
-            ok_all &= ok
-            cesaro_section["rows"].append({"k": k, "mean": mean, "bound": bound, "pass": ok})
-        cesaro_section["pass"] = ok_all
-    report["cesaro"] = cesaro_section
-
-    l1_section: dict = {"applicable": l1_ok, "pass": None}
-    if l1_ok:
-        cutoff = 0.1 * params.max_iter
-        fit = [
-            (k, v)
-            for k, v in zip(ens.ks, ens.l1_sq)
-            if k >= cutoff and k >= 1
-        ]
-        slope_limit = math.log(beta) + L1_SLOPE_SLACK
+    l1_section: dict = {"applicable": bounds.l1_ok, "pass": None}
+    if bounds.l1_ok:
+        fit = [(k, v) for k, v in zip(ens.ks, ens.l1_sq) if k >= fit_start]
+        slope_limit = math.log(params.beta) + L1_SLOPE_SLACK
         # values this far below the start are measurement dust, not signal
         floor = 1e-24 * max(ens.l1_sq[0], 1e-300)
-        exhausted = any(v <= floor for _, v in fit)
-        if exhausted:
+        if any(v <= floor for _, v in fit):
             l1_section.update(
                 {
                     "slope": None,
@@ -526,7 +478,7 @@ def verify(
                     "note": "estimate fell below the measurement floor inside the window",
                 }
             )
-        elif len(fit) >= 2:
+        else:
             ks_arr = np.asarray([k for k, _ in fit], dtype=np.float64)
             logs = np.log(np.asarray([v for _, v in fit], dtype=np.float64))
             slope = float(np.polyfit(ks_arr, logs, 1)[0])
@@ -538,8 +490,6 @@ def verify(
                     "pass": slope <= slope_limit,
                 }
             )
-        else:
-            l1_section.update({"slope": None, "slope_limit": slope_limit, "pass": False})
     report["l1"] = l1_section
 
     report["l1_le_l2"] = {
@@ -547,7 +497,7 @@ def verify(
         "pass": all(l1 <= l2 * (1.0 + 1e-12) + 1e-300 for l1, l2 in zip(ens.l1_sq, ens.l2_mean)),
     }
 
-    sections = [l2_section, cesaro_section, l1_section, report["l1_le_l2"]]
+    sections = [report["l2"], report["cesaro"], l1_section, report["l1_le_l2"]]
     report["pass"] = all(
         s.get("pass") for s in sections if s.get("applicable") and s.get("pass") is not None
     )

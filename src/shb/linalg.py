@@ -110,9 +110,11 @@ def pinv_apply(m, y) -> np.ndarray:
     Eigenvalues <= REL_TOL * lambda_max count as zero, so components of y
     in the (numerical) null space of m are annihilated.
     """
-    m = np.asarray(m, dtype=np.float64)
-    eig = sym_eig(m)
-    y = as_vector(y, length=m.shape[0], name="y")
+    return _pinv_apply_eig(sym_eig(m), y)
+
+
+def _pinv_apply_eig(eig: SymEig, y) -> np.ndarray:
+    y = as_vector(y, length=eig.eigenvalues.size, name="y")
     inv = pinv_eigenvalues(eig.eigenvalues)
     if not inv.any():
         return np.zeros_like(y)
@@ -143,11 +145,24 @@ def pinv_psd(m) -> np.ndarray:
     return (eig.eigenvectors * inv[..., None, :]) @ eig.eigenvectors.swapaxes(-1, -2)
 
 
-def project_onto_solutions(x0, a, b) -> np.ndarray:
+def gram_eig(a) -> SymEig:
+    """sym_eig of the smaller Gram matrix of A (A A^T when A has no more
+    rows than columns, else A^T A): it counts rank(A), and
+    project_onto_solutions applies its pseudoinverse."""
+    a = np.asarray(a, dtype=np.float64)
+    return sym_eig(a @ a.T if _row_gram(a) else a.T @ a)
+
+
+def _row_gram(a: np.ndarray) -> bool:
+    return a.shape[0] <= a.shape[1]
+
+
+def project_onto_solutions(x0, a, b, gram: SymEig | None = None) -> np.ndarray:
     """Closest point to x0 on the solution set of a consistent system Ax = b.
 
-    Returns x0 - A^+ (A x0 - b), routed through the smaller Gram matrix.
-    The displacement x0 - result lies in the row space of A.  Raises
+    Returns x0 - A^+ (A x0 - b), routed through the smaller Gram matrix;
+    gram, when given, is gram_eig(a) and replaces computing it.  The
+    displacement x0 - result lies in the row space of A.  Raises
     Inconsistent when the post-hoc residual check fails, which signals
     that Ax = b has no solution.
     """
@@ -155,11 +170,12 @@ def project_onto_solutions(x0, a, b) -> np.ndarray:
     rows, cols = a.shape
     x0 = as_vector(x0, length=cols, name="x0")
     b = as_vector(b, length=rows, name="b")
+    gram = gram_eig(a) if gram is None else gram
     r = a @ x0 - b
-    if rows <= cols:
-        w = a.T @ pinv_apply(a @ a.T, r)
+    if _row_gram(a):
+        w = a.T @ _pinv_apply_eig(gram, r)
     else:
-        w = pinv_apply(a.T @ a, a.T @ r)
+        w = _pinv_apply_eig(gram, a.T @ r)
     xs = x0 - w
     resid = float(np.linalg.norm(a @ xs - b))
     if resid > RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b))):

@@ -4,17 +4,11 @@ A draw produces a random matrix S with one column per sketch dimension
 and the weighting matrix H = S (S^T A A^T S)^+ S^T, which is PSD and
 makes A^T H A an orthogonal projector; the Hessian W = A^T E[H] A of
 the expected objective so has its spectrum inside [0, 1].  No sketch
-forms the m x m E[H]: every sketch gives W in d x d (refused when d^2 is
-over the dense-array budget), and f(x) = (1/2) (x-x*)^T W (x-x*).  A
-sketch is exact, Null(W) = Null(A), when rank(W) = rank(A).  draw and
+forms the m x m E[H]: expected_h gives W in d x d, f_value the objective
+and spectrum_and_gram the spectrum and exactness.  draw and
 stoch_grad take one sample; draw_batch makes many block or Gaussian
-draws in the same rng order.  The W estimate adds the draws whose Gram
-matrices have a Cholesky factor certified to lose no eigenvalue to the
-pseudoinverse cutoff through that factor; gram_factors eigendecomposes
-the others, and the solver kernel's, with one stacked call.  Both stack
-draws in chunks of about BATCH_ELEMENTS numbers, draw_size per draw.  Block subsets come
-from Floyd's algorithm, vectorised over the whole batch: one
-rng.integers call per batch and no Python loop per draw.  The families:
+draws in the same rng order (block subsets by _block_subsets), and the
+W estimate (expected_h) sums them by _add_projections.  The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -36,7 +30,7 @@ import numpy as np
 import shb.linalg as linalg
 from shb.errors import DimensionMismatch, OutOfRange, ShbError, ZeroRow
 from shb.linalg import REL_TOL, as_matrix, as_vector, check_symmetric, nonzero_min, pinv_apply, pinv_eigenvalues
-from shb.linalg import row_dots, sym_eig
+from shb.linalg import SymEig, gram_eig, row_dots, sym_eig
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 10_000
@@ -348,9 +342,8 @@ def expected_h(
     when C(m, tau) <= 10000, otherwise estimated by Monte Carlo, like
     GaussianSketch always is.  Estimates carry the sample count; exact
     values carry None.  The default estimator rng is seeded so repeat
-    calls agree.  Draws are made one by one in a fixed order and summed
-    in chunks of about BATCH_ELEMENTS numbers, so memory grows with
-    neither mc_samples nor m.
+    calls agree.  Draws are made in a fixed order and summed in chunks
+    (BATCH_ELEMENTS).
     """
     a = as_matrix(a, "a")
     m, d = a.shape
@@ -412,37 +405,47 @@ class SpectrumInfo:
             raise ShbError("lambda_min_plus / lambda_max out of order")
 
 
-def hessian_spectrum(
+def hessian_spectrum(a, dist: SketchDistribution, **options) -> SpectrumInfo:
+    """spectrum_and_gram(a, dist, **options) without the Gram decomposition."""
+    return spectrum_and_gram(a, dist, **options)[0]
+
+
+def spectrum_and_gram(
     a,
     dist: SketchDistribution,
     *,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     rng: np.random.Generator | None = None,
-) -> SpectrumInfo:
-    """The spectrum of W = A^T E[H] A from expected_h.
+) -> tuple[SpectrumInfo, SymEig]:
+    """The spectrum of W = A^T E[H] A from expected_h, and linalg.gram_eig(a).
 
     lambda_min_plus is the smallest eigenvalue above REL_TOL*lambda_max,
     and rank counts the eigenvalues above that cutoff.  exact is the
     paper's assumption Null(W) = Null(A), tested as rank(W) = rank(A)
-    with rank(A) counted on the smaller Gram matrix of A.
+    with rank(A) counted the same way on gram_eig(a), which comes back
+    for project_onto_solutions.  It is made after W, so a W over the
+    budget is refused first.
     """
     a = as_matrix(a, "a")
     eh = expected_h(dist, a, mc_samples=mc_samples, rng=rng)
-    eig = sym_eig(eh.value)
-    vals = eig.eigenvalues
-    lam_max = float(vals[0])
+    vals = sym_eig(eh.value).eigenvalues
     lam_min_plus = nonzero_min(vals)
-    rank = int(np.count_nonzero(vals > REL_TOL * lam_max))
-    gram_vals = sym_eig(a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a).eigenvalues
-    return SpectrumInfo(
+    gram = gram_eig(a)
+    rank = _rank(vals)
+    spectrum = SpectrumInfo(
         eigenvalues=vals,
-        lambda_max=lam_max,
+        lambda_max=float(vals[0]),
         lambda_min_plus=lam_min_plus,
         rank=rank,
-        exact=rank == int(np.count_nonzero(gram_vals > REL_TOL * gram_vals[0])),
+        exact=rank == _rank(gram.eigenvalues),
         expected_h=eh.value,
         mc_samples=eh.mc_samples,
     )
+    return spectrum, gram
+
+
+def _rank(vals: np.ndarray) -> int:
+    return int(np.count_nonzero(vals > REL_TOL * vals[0]))
 
 
 def f_value(a, b, x, eh, xstar) -> float:

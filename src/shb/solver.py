@@ -1,32 +1,12 @@
 """Heavy ball iteration kernel with seeded, reproducible execution.
 
-Single runs, ensembles and sweeps share one kernel that advances an
-(R, d) block of iterates.  Every sketch's draws are made ahead in
-chunks of about sketch.BATCH_ELEMENTS numbers, in the order of the draw
--> stoch_grad -> shb_step pipeline.  Row sampling draws a chunk of
-uniforms and gathers the rows they pick, with their b values and squared
-norms, in sub-chunks of at most BATCH_ELEMENTS row numbers; block and
-Gaussian chunks are factored with one stacked eigendecomposition.  A
-step then writes the block's gradients into one buffer with a few
-stacked products, and every sketch shares the rest of the step: the
-momentum update x - omega*grad + beta*(x - x_prev) in that order, into
-three rotating iterate buffers with omega and beta held as (R, d)
-arrays, so a step allocates nothing.  The divergence guard is one dot
-product over the block, ||x||^2 <= GUARD_SQ, which certifies every
-entry within DIVERGENCE_LIMIT; only a block that fails it is checked
-entry by entry.  For row and block sampling each member's arithmetic is
-that of the pipeline on its own stream, so member r is bit-identical to
-a plain run on that stream; Gaussian sketches take their residual as
-S^T A x - S^T b, which rounds differently.  Ensembles give replication r
-the stream derived from (seed, r) and aggregate in replication order;
-sweeps share one stream, so every (omega, beta) pair replays the same
-draws.  Every block records per member ||x_k - x*||^2, f and the Cesaro
-f, and per record the squared distance of the members' mean iterate (an
-ensemble's l1_sq), so no iterate is kept to be averaged.  x* and the
-Hessian W come in once per block, and f = (1/2) (x-x*)^T W (x-x*) and
-the Cesaro f of every member come from one stacked product with W.  W,
-records, iterates, buffers and draws are counted against the
-dense-array budget before any stream exists.
+Single runs (run), ensembles (run_ensemble) and sweeps (run_pairs) share
+one kernel, _iterate, which advances an (R, d) block of iterates; each
+entry point states its streams and what it is bit-identical to.  The
+kernel's parts are described where they are implemented: the step, its
+buffers and its records in _iterate, the pre-drawn chunks in
+_chunk_steps, the divergence guard in _finite_rows, and the budget,
+checked before any stream exists, in _check_fits.
 """
 
 from __future__ import annotations
@@ -92,6 +72,12 @@ class SolverParams:
             raise OutOfRange("record_every must be >= 1")
         if self.seed < 0:
             raise OutOfRange("seed must be a nonnegative integer")
+
+    def record_count(self, start: int = 0) -> int:
+        """How many recorded iterations are at or after start: the run
+        records every record_every steps from k = 0, and at max_iter."""
+        every = range(0, self.max_iter + 1, self.record_every)
+        return len(every) - bisect_left(every, start) + (every[-1] != self.max_iter and start <= self.max_iter)
 
 
 @dataclass
@@ -211,7 +197,7 @@ def _check_fits(params: SolverParams, dist: SketchDistribution, m: int, d: int, 
     """
     check_w_fits(d)
     by_row = isinstance(dist, UnitCoordinate)
-    records = params.max_iter // params.record_every + 1 + (params.max_iter % params.record_every > 0)
+    records = params.record_count()
     per_record = 3 + members * (3 + (d if params.snapshots else 0))
     chunk, sub = _chunk_steps(dist, m, d, members, streams)
     steps = min(chunk, params.max_iter)
@@ -265,7 +251,7 @@ def _iterate(
     problem: Problem,
     dist: SketchDistribution,
     params: SolverParams,
-    x0: np.ndarray,
+    x0,
     keys: range,
     omega: np.ndarray,
     beta: np.ndarray,
@@ -277,17 +263,22 @@ def _iterate(
     Member r draws from the stream derived from (params.seed, 0,
     keys[r]); a single key is shared by all members, which then replay
     the same draws.  omega and beta hold a value per member, or one for
-    all of them.  params gives the budget and recording schedule (its
-    omega and beta are not used).  Chunks (_chunk_steps), buffers, the
-    guard and the records are as the module docstring describes.  A block
-    or Gaussian chunk becomes sketched systems g x = c (A_S x = b_S, or
-    S^T A x = S^T b) with g g^T = V diag(lam) V^T, and a step's gradient
-    g^T V (lam^+ * V^T (g x - c)) is made of the same BLAS calls as the
-    one-sample stoch_grad's.  A member whose iterate leaves the finite
-    range is dropped from the block; the others go on unchanged.
+    all; params gives the budget and record schedule.  A block or
+    Gaussian chunk becomes sketched systems g x = c (A_S x = b_S, or
+    S^T A x = S^T b) with g g^T = V diag(lam) V^T and gradient
+    g^T V (lam^+ * V^T (g x - c)); row and block sampling so repeat the
+    arithmetic of draw -> stoch_grad -> shb_step, while Gaussian
+    sketches round their residual differently.  Every sketch shares the
+    update x - omega*grad + beta*(x - x_prev), in that order, into three
+    rotating buffers, with omega and beta held as (R, d) arrays, so a
+    step allocates nothing.  A record (_Block) takes f and the Cesaro f
+    of every member from one stacked product with W, as f_value computes
+    them.  A member whose iterate leaves the finite range is dropped; the
+    others go on unchanged.
     """
     a, b = problem.a, problem.b
     m, d = a.shape
+    x0 = np.zeros(d) if x0 is None else as_vector(x0, length=d, name="x0")
     n = max(len(keys), omega.size)
     _check_fits(params, dist, m, d, n, len(keys))
     if eh is None:
@@ -350,7 +341,7 @@ def _iterate(
         vals = np.where(0.0 > vals, 0.0, vals)
         f[live, j] = vals[: live.size]
         cesaro[live, j] = vals[live.size :] if k else np.nan
-        mean_diff = np.mean(x, axis=0) - xstar
+        mean_diff = np.add.reduce(x, axis=0) / x.shape[0] - xstar  # np.mean's bits, without its overhead
         l1_sq.append(float(mean_diff @ mean_diff))
         if snapshots is not None:
             snap = np.full((n, d), np.nan)
@@ -422,10 +413,6 @@ def _iterate(
     return _Block(ks, l2, f, cesaro, l1_sq, snapshots, elapsed, final, diverged_at)
 
 
-def _start(x0, d: int) -> np.ndarray:
-    return np.zeros(d) if x0 is None else as_vector(x0, length=d, name="x0")
-
-
 def _member_trace(block: _Block, r: int, params: SolverParams) -> RunTrace:
     """Member r of a block as a plain run's trace, cut before any divergence."""
     diverged_at = int(block.diverged_at[r]) or None
@@ -467,7 +454,6 @@ def run(
     eh (ExpectedH.value, the Hessian W) and xstar, when given, replace
     computing them.  Raises NonFinite with the first diverging iteration.
     """
-    x0 = _start(x0, problem.a.shape[1])
     block = _iterate(
         problem, dist, params, x0,
         range(stream_index, stream_index + 1),
@@ -502,7 +488,7 @@ def run_pairs(
     if any((p.seed, p.max_iter, p.record_every) != shared for p in runs):
         raise OutOfRange("settings of one block must share seed, max_iter and record_every")
     block = _iterate(
-        problem, dist, first, _start(x0, problem.a.shape[1]), range(1),
+        problem, dist, first, x0, range(1),
         np.array([p.omega for p in runs]), np.array([p.beta for p in runs]),
         None, None,
     )
@@ -531,7 +517,7 @@ def run_ensemble(
     if replications < 1:
         raise OutOfRange("replications must be >= 1")
     block = _iterate(
-        problem, dist, params, _start(x0, problem.a.shape[1]), range(replications),
+        problem, dist, params, x0, range(replications),
         np.array([params.omega]), np.array([params.beta]), eh, xstar,
     )
     diverged = np.flatnonzero(block.diverged_at)

@@ -15,6 +15,8 @@ Three regimes are covered:
   O(1/k) whenever omega + 2 beta < 2, with an explicit constant;
 * expected iterate: ||E[x_k - x*]||^2 decays at the accelerated factor
   beta for the two prescribed (omega, beta) pairings below.
+
+applicability alone decides which of them hold at a given (omega, beta).
 """
 
 from __future__ import annotations
@@ -112,18 +114,20 @@ def l2_envelope(rate: L2Rate, k: int, init_sq_dist: float, lmax: float) -> tuple
     return l2_bound, (lmax / 2.0) * l2_bound
 
 
+def _cesaro_holds(omega: float, beta: float) -> bool:
+    return omega > 0.0 and 0.0 <= beta < 1.0 and omega + 2.0 * beta < 2.0
+
+
 def cesaro_bound(omega: float, beta: float, k: int, init_sq_dist: float, f0: float) -> float:
     """O(1/k) bound on the objective at the running iterate average.
 
     ((1 - beta)^2 init_sq_dist + 2 omega beta f0) / (2 omega (2 - 2 beta - omega) k),
     valid for 0 <= beta < 1, omega > 0 with omega + 2 beta < 2.
     """
-    if not (0.0 <= beta < 1.0):
-        raise OutOfRange(f"momentum must lie in [0, 1), got {beta!r}")
-    if omega <= 0.0:
-        raise OutOfRange(f"stepsize must be > 0, got {omega!r}")
-    if omega + 2.0 * beta >= 2.0:
-        raise OutOfRange(f"need omega + 2*beta < 2, got {omega + 2.0 * beta!r}")
+    if not _cesaro_holds(omega, beta):
+        raise OutOfRange(
+            f"need omega > 0, 0 <= beta < 1 and omega + 2*beta < 2, got omega={omega!r} beta={beta!r}"
+        )
     if k < 1:
         raise OutOfRange("k must be >= 1")
     if init_sq_dist < 0.0 or f0 < 0.0:
@@ -182,6 +186,42 @@ def l1_params(
             f"momentum {beta!r} outside the accelerated region ({lower!r}, 1)"
         )
     return L1Params(omega=omega, beta=beta, rate_factor=beta)
+
+
+class Applicability(NamedTuple):
+    """The L2 constants and the momentum upper bound where defined (else
+    None), and whether each regime's bound applies."""
+
+    l2: L2Rate | None
+    beta_upper: float | None
+    l2_ok: bool  # l2 is defined and admissible
+    cesaro_ok: bool
+    l1_ok: bool
+
+
+def applicability(omega: float, beta: float, lmin: float, lmax: float) -> Applicability:
+    """Which bounds hold at stepsize omega and momentum beta on a spectrum.
+
+    Each regime's hypotheses are the ones its own function checks
+    (l2_rate, beta_upper_bound, cesaro_bound, l1_params('custom')); a
+    bound whose hypotheses fail is reported as not applying, not raised.
+    """
+    l2 = _or_none(l2_rate, omega, beta, lmin, lmax)
+    return Applicability(
+        l2=l2,
+        beta_upper=_or_none(beta_upper_bound, omega, lmin, lmax),
+        l2_ok=l2 is not None and l2.admissible,
+        cesaro_ok=_cesaro_holds(omega, beta),
+        l1_ok=_or_none(l1_params, "custom", lmin, lmax, omega=omega, beta=beta) is not None,
+    )
+
+
+def _or_none(fn, *args, **kwargs):
+    """fn's value, or None where its hypotheses fail (OutOfRange)."""
+    try:
+        return fn(*args, **kwargs)
+    except OutOfRange:
+        return None
 
 
 def q_lower_bound(omega: float, beta: float, lmin: float, lmax: float) -> float:

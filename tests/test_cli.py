@@ -29,18 +29,25 @@ def gen_bundle(tmp_path, rows=6, cols=4, seed=7):
 
 
 def one_off_counts(args):
-    """Run the CLI; how often it built W, the spectrum and the solution x*."""
+    """Run the CLI; how often it built W, the spectrum and the solution x*,
+    and how many single (2-D) eigendecompositions it made.  The stacked
+    ones of the W estimate's and the kernel's block and Gaussian chunks
+    are left out."""
     eh_calls = mock.Mock(wraps=shb.sketch.expected_h)
-    spectrum_calls = mock.Mock(wraps=shb.sketch.hessian_spectrum)
-    xstar_calls = mock.Mock(wraps=shb.solver.project_onto_solutions)
+    spectrum_calls = mock.Mock(wraps=shb.sketch.spectrum_and_gram)
+    xstar_calls = mock.Mock(wraps=shb.linalg.project_onto_solutions)
+    eig_calls = mock.Mock(wraps=shb.linalg.sym_eig)
     with mock.patch.object(shb.sketch, "expected_h", eh_calls), \
             mock.patch.object(shb.solver, "expected_h", eh_calls), \
-            mock.patch.object(shb.experiments, "hessian_spectrum", spectrum_calls), \
+            mock.patch.object(shb.experiments, "spectrum_and_gram", spectrum_calls), \
             mock.patch.object(shb.solver, "project_onto_solutions", xstar_calls), \
-            mock.patch.object(shb.experiments, "project_onto_solutions", xstar_calls):
+            mock.patch.object(shb.experiments, "project_onto_solutions", xstar_calls), \
+            mock.patch.object(shb.linalg, "sym_eig", eig_calls), \
+            mock.patch.object(shb.sketch, "sym_eig", eig_calls):
         rc = main(args)
     assert rc == 0
-    return eh_calls.call_count, spectrum_calls.call_count, xstar_calls.call_count
+    single_eigs = sum(np.ndim(call.args[0]) == 2 for call in eig_calls.call_args_list)
+    return eh_calls.call_count, spectrum_calls.call_count, xstar_calls.call_count, single_eigs
 
 
 class TestGen:
@@ -95,6 +102,15 @@ class TestAnalyze:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
+    def test_one_off_quantities_built_once(self, tmp_path, sketch):
+        """One W, one spectrum and one x*, from two eigendecompositions:
+        W's, and the smaller Gram of A's for both rank(A) and x*."""
+        bundle = gen_bundle(tmp_path, rows=12, cols=4)
+        assert one_off_counts([
+            "analyze", "--input", str(bundle), "--sketch", sketch, "--out", str(tmp_path / "a.json"),
+        ]) == (1, 1, 1, 2)
 
     @pytest.mark.parametrize("option,value", [("--beta", "nan"), ("--omega", "inf"), ("--omega", "-inf")])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, option, value):
@@ -189,7 +205,7 @@ class TestSolve:
         assert one_off_counts([
             "solve", "--input", str(bundle), "--sketch", sketch, "--iters", "40",
             "--record-every", "10", "--out", str(out),
-        ]) == (1, 1, 1)
+        ]) == (1, 1, 1, 2)
         assert out.exists()
 
     def test_divergence_exit_code(self, tmp_path):
@@ -255,12 +271,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
-        """One E[H] and one x* for all pairs, and no spectrum."""
+        """One W and one x* for all pairs, and no spectrum: the Gram of A
+        is the only single eigendecomposition."""
         bundle = gen_bundle(tmp_path, rows=12, cols=4)
         assert one_off_counts([
             "sweep", "--input", str(bundle), "--sketch", sketch, "--betas", "0,0.1",
             "--iters", "40", "--record-every", "10", "--out", str(tmp_path / "sw"),
-        ]) == (1, 0, 1)
+        ]) == (1, 0, 1, 1)
 
     def test_iterates_over_budget_exit_one(self, tmp_path, capsys):
         """3 pairs of 2 records fit 24 numbers of records, but with their
@@ -353,7 +370,7 @@ class TestVerify:
         assert one_off_counts([
             "verify", "--input", str(bundle), "--sketch", sketch, "--beta", "0.01",
             "--iters", "20", "--record-every", "5", "--reps", "100",
-        ]) == (1, 1, 1)
+        ]) == (1, 1, 1, 2)
 
     def test_too_few_reps(self, tmp_path):
         bundle = gen_bundle(tmp_path)
@@ -369,6 +386,30 @@ class TestVerify:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fewer replications or pairs" in err
+        assert not out.exists()
+
+    def test_l1_window_without_two_records_exits_one(self, tmp_path, capsys):
+        """The accelerated preset recorded only at k = 0 and k = iters leaves
+        one record in the expected-iterate fit window [0.1 iters, iters]:
+        the slope cannot be fitted, so verify refuses the schedule before
+        any replication runs."""
+        bundle = tmp_path / "small.json"
+        assert main(["gen", "--rows", "50", "--cols", "20", "--seed", "0", "--out", str(bundle)]) == 0
+        assert main(["analyze", "--input", str(bundle), "--out", str(tmp_path / "a.json")]) == 0
+        preset = json.loads((tmp_path / "a.json").read_text())["l1"]["choices"]["unit_stepsize"]
+        out = tmp_path / "verify.json"
+        runs = mock.Mock(wraps=shb.experiments.run_ensemble)
+        capsys.readouterr()
+        with mock.patch.object(shb.experiments, "run_ensemble", runs):
+            rc = main([
+                "verify", "--input", str(bundle), "--omega", repr(preset["omega"]),
+                "--beta", repr(preset["beta"]), "--iters", "200", "--record-every", "200",
+                "--reps", "100", "--out", str(out),
+            ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "record more often" in err
+        runs.assert_not_called()
         assert not out.exists()
 
     def test_failed_check_exits_three(self, tmp_path, capsys):

@@ -6,6 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from unittest import mock
+
+import shb.experiments
 from shb.errors import InsufficientReplications, NotAdmissible, OutOfRange
 from shb.experiments import (
     TRACE_HEADER,
@@ -24,6 +27,7 @@ from shb.experiments import (
 from shb.problems import Problem, gen_problem
 from shb.sketch import BlockRow, GaussianSketch, UnitCoordinate, row_sampling
 from shb.solver import SolverParams
+from shb.theory import applicability, l1_params, l2_rate
 
 
 def toy_problem() -> Problem:
@@ -293,3 +297,75 @@ class TestVerify:
         assert report["l1"]["applicable"]
         assert report["l1"]["pass"]
         assert report["l1"]["slope"] is None
+
+
+# (omega, beta) across every hypothesis boundary: omega <= 0 and beta < 0
+# (analyze only), omega = 2 and beyond, beta = 1, and omega + 2 beta = 2
+APPLICABILITY_GRID = [
+    (omega, beta) for omega in (-1.0, 0.0, 1.0, 2.0, 2.5) for beta in (-0.1, 0.0, 0.25, 0.9, 1.0)
+] + [(1.0, 0.5), (1.5, 0.25)]
+
+
+@pytest.mark.parametrize("omega,beta", APPLICABILITY_GRID)
+def test_every_command_applies_the_one_rule(omega, beta):
+    """The paper's hypotheses, written out here, are what applicability
+    decides, and analyze, the trace table and verify report just that."""
+    problem = toy_problem()
+    dist = row_sampling(problem.a)
+    report = analyze(problem, dist, omegas=(omega,), beta=beta)
+    lmin, lmax = report.spectrum.lambda_min_plus, report.spectrum.lambda_max
+    rule = applicability(omega, beta, lmin, lmax)
+
+    stepsize_ok = 0.0 < omega < 2.0
+    assert (rule.l2 is not None) == (stepsize_ok and beta >= 0.0)
+    assert rule.l2_ok == (rule.l2 is not None and l2_rate(omega, beta, lmin, lmax).admissible)
+    assert (rule.beta_upper is not None) == stepsize_ok
+    assert rule.cesaro_ok == (omega > 0.0 and 0.0 <= beta < 1.0 and omega + 2.0 * beta < 2.0)
+    assert rule.l1_ok == (
+        omega > 0.0 and omega * lmax <= 1.0 + 1e-12 and (1.0 - math.sqrt(omega * lmin)) ** 2 < beta < 1.0
+    )
+
+    assert report.l2 == rule.l2
+    assert report.beta_upper == rule.beta_upper
+    assert report.cesaro_params["applicable"] is rule.cesaro_ok
+    assert report_to_dict(report, (omega,))["beta_upper_by_omega"] == [{"omega": omega, "beta_upper": rule.beta_upper}]
+    if omega <= 0.0 or beta < 0.0:
+        return  # no run takes these
+
+    params = SolverParams(omega=omega, beta=beta, max_iter=10, seed=0, record_every=1)
+    table = solve(problem, dist, params)
+    l2_col = [row[table.header.index("theory_l2_bound")] for row in table.rows]
+    cesaro_col = [row[table.header.index("theory_cesaro_bound")] for row in table.rows[1:]]
+    assert all((v is not None) == rule.l2_ok for v in l2_col)
+    assert all((v is not None) == rule.cesaro_ok for v in cesaro_col)
+
+    if not (rule.l2_ok or rule.cesaro_ok or rule.l1_ok):
+        with pytest.raises(NotAdmissible):
+            verify(problem, dist, params, replications=100)
+        return
+    checked = verify(problem, dist, params, replications=100)
+    assert [checked[name]["applicable"] for name in ("l2", "cesaro", "l1")] == [rule.l2_ok, rule.cesaro_ok, rule.l1_ok]
+
+
+class _Ran(Exception):
+    pass
+
+
+def test_l1_fit_window_refused_iff_under_two_records():
+    """verify refuses, before any run, exactly the schedules that put fewer
+    than 2 records at k >= 1 in the last 90% of the run, with the solver's
+    own record schedule (every record_every steps, and at max_iter)."""
+    problem = toy_problem()
+    dist = row_sampling(problem.a)
+    p = l1_params("unit_stepsize", 0.5, 0.5)
+    refused = 0
+    with mock.patch.object(shb.experiments, "run_ensemble", side_effect=_Ran):
+        for iters in range(1, 41):
+            for every in range(1, iters + 3):
+                params = SolverParams(omega=p.omega, beta=p.beta, max_iter=iters, seed=0, record_every=every)
+                ks = list(range(0, iters + 1, every)) + ([] if iters % every == 0 else [iters])
+                in_window = sum(k >= 0.1 * iters and k >= 1 for k in ks)
+                with pytest.raises(OutOfRange if in_window < 2 else _Ran):
+                    verify(problem, dist, params, replications=100)
+                refused += in_window < 2
+    assert refused > 0

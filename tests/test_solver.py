@@ -145,6 +145,13 @@ class TestRecordBudget:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("iters,every", [(1, 1), (10, 3), (10, 5), (30, 7), (40, 41)])
+    def test_record_count_matches_the_recorded_ks(self, iters, every):
+        params = SolverParams(omega=1.0, beta=0.0, max_iter=iters, seed=0, record_every=every)
+        ks = run(toy_problem(), row_sampling(np.eye(2)), params).ks
+        for start in range(iters + 3):
+            assert params.record_count(start) == sum(k >= start for k in ks)
+
 
 class TestRun:
     def test_toy_reaches_exact_solution(self):
