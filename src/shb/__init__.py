@@ -53,7 +53,6 @@ from shb.solver import (
 from shb.theory import (
     L1Params,
     L2Rate,
-    TheoryReport,
     beta_upper_bound,
     cesaro_bound,
     l1_params,

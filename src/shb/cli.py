@@ -70,8 +70,7 @@ def gen(rows, cols, seed, out_path):
 def analyze(input_path, fmt, sketch, omega, beta, seed, mc_samples, out_path):
     """Report the sketch spectrum and every closed-form rate constant."""
     problem, dist = load_input(input_path, fmt, sketch, seed)
-    report = ex.analyze(problem, dist, omegas=tuple(omega), beta=beta, mc_samples=mc_samples)
-    payload = ex.report_to_dict(report, omegas=tuple(omega))
+    payload = ex.analyze(problem, dist, omegas=tuple(omega), beta=beta, mc_samples=mc_samples)
     if out_path:
         shio.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")
@@ -121,7 +120,8 @@ def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_
             f"{t:g}:{s.get(f'iters_to_{t:g}') if s.get(f'iters_to_{t:g}') is not None else '-'}"
             for t in ex.SWEEP_THRESHOLDS
         )
-        click.echo(f"  pair {s['pair_id']} omega={s['omega']:g} beta={s['beta']:g} [{s['status']}] {hits}")
+        status = f"diverged at {s['diverged_at']}" if "diverged_at" in s else s["status"]
+        click.echo(f"  pair {s['pair_id']} omega={s['omega']:g} beta={s['beta']:g} [{status}] {hits}")
 
 
 @cli.command()

@@ -2,7 +2,8 @@
 
 These functions sit between the solver/theory layers and the CLI.  They
 take in-memory problems and distributions, produce plain dicts and rows
-ready for CSV/JSON serialization, and never print.  analyze, solve and
+ready for CSV/JSON serialization, and never print: analyze and verify
+return the very JSON payloads the CLI writes.  analyze, solve and
 verify share one set-up (_set_up): the spectrum of W (with E[H] and
 exactness), which bounds apply (theory.applicability), and x*, each
 built once and passed down; sweep builds W and x* once for all its pairs
@@ -36,7 +37,7 @@ from shb.sketch import (
     spectrum_and_gram,
 )
 from shb.solver import RunTrace, SolverParams, run, run_ensemble, run_pairs
-from shb.theory import Applicability, TheoryReport, applicability, cesaro_bound, l1_params, l2_envelope
+from shb.theory import Applicability, applicability, cesaro_bound, l1_params, l2_envelope
 
 TRACE_HEADER = [
     "k",
@@ -110,8 +111,8 @@ def _set_up(
         raise NotAdmissible("parameters meet no bound hypothesis: nothing to verify")
     x0 = np.zeros(a.shape[1])
     xstar = project_onto_solutions(x0, a, b, gram)
-    init_sq = float(np.sum((x0 - xstar) ** 2))
-    return _SetUp(spectrum, bounds, xstar, init_sq, f_value(a, b, x0, spectrum.expected_h, xstar))
+    diff = x0 - xstar  # the kernel's k = 0 record rounds ||x0 - x*||^2 as this dot does
+    return _SetUp(spectrum, bounds, xstar, float(diff @ diff), f_value(a, b, x0, spectrum.expected_h, xstar))
 
 
 def analyze(
@@ -121,41 +122,25 @@ def analyze(
     beta: float = 0.0,
     *,
     mc_samples: int = DEFAULT_MC_SAMPLES,
-) -> TheoryReport:
-    """Spectrum plus every closed-form constant for the given stepsizes.
+) -> dict:
+    """The analyze JSON payload: the spectrum plus every closed-form
+    constant for the given stepsizes.
 
     The contraction data and Cesaro-bound parameters are evaluated at
     (omegas[0], beta) from the origin; the momentum upper bound is
     reported for every requested stepsize; both accelerated parameter
-    pairings are included.
+    pairings are included, with expected-iterate bounds in the
+    Euclidean norm.
     """
     if not all(math.isfinite(v) for v in (*omegas, beta)):
         raise OutOfRange(f"omega and beta must be finite, got omegas={omegas!r} beta={beta!r}")
     setup = _set_up(problem, dist, omegas[0], beta, mc_samples=mc_samples)
-    cesaro_params = {
-        "omega": omegas[0],
-        "beta": beta,
-        "init_sq_dist": setup.init_sq,
-        "f0": setup.f0,
-        "applicable": setup.bounds.cesaro_ok,
-    }
+    s, l2 = setup.spectrum, setup.bounds.l2
     l1_choices = {}
     for choice in ("unit_stepsize", "inv_lmax"):
-        p = l1_params(choice, setup.spectrum.lambda_min_plus, setup.spectrum.lambda_max)
+        p = l1_params(choice, s.lambda_min_plus, s.lambda_max)
         l1_choices[choice] = {**p._asdict(), "predicted_iters_to_1e-6": _iters_to_target(p.rate_factor)}
-    return TheoryReport(
-        spectrum=setup.spectrum,
-        l2=setup.bounds.l2,
-        beta_upper=setup.bounds.beta_upper,
-        cesaro_params=cesaro_params,
-        l1_choices=l1_choices,
-    )
-
-
-def report_to_dict(report: TheoryReport, omegas: tuple[float, ...]) -> dict:
-    """JSON-ready dict for a theory report."""
-    s = report.spectrum
-    out = {
+    return {
         "schema": "shb-analyze-v1",
         "spectrum": {
             "eigenvalues": [float(v) for v in s.eigenvalues],
@@ -165,24 +150,23 @@ def report_to_dict(report: TheoryReport, omegas: tuple[float, ...]) -> dict:
             "exact": s.exact,
             "expected_h_mc_samples": s.mc_samples,
         },
-        "l2": None,
-        "beta_upper": report.beta_upper,
+        "l2": None if l2 is None else {
+            **asdict(l2), "predicted_iters_to_1e-6": _iters_to_target(l2.q) if l2.admissible else None
+        },
+        "beta_upper": setup.bounds.beta_upper,
         "beta_upper_by_omega": [
-            {
-                "omega": w,
-                "beta_upper": applicability(
-                    w, report.cesaro_params["beta"], s.lambda_min_plus, s.lambda_max
-                ).beta_upper,
-            }
+            {"omega": w, "beta_upper": applicability(w, beta, s.lambda_min_plus, s.lambda_max).beta_upper}
             for w in omegas
         ],
-        "cesaro": report.cesaro_params,
-        "l1": {"norm": report.norm_note, "choices": report.l1_choices},
+        "cesaro": {
+            "omega": omegas[0],
+            "beta": beta,
+            "init_sq_dist": setup.init_sq,
+            "f0": setup.f0,
+            "applicable": setup.bounds.cesaro_ok,
+        },
+        "l1": {"norm": "euclidean", "choices": l1_choices},
     }
-    if report.l2 is not None:
-        r = report.l2
-        out["l2"] = {**asdict(r), "predicted_iters_to_1e-6": _iters_to_target(r.q) if r.admissible else None}
-    return out
 
 
 @dataclass
@@ -463,42 +447,28 @@ def verify(
         lambda k: cesaro_bound(params.omega, params.beta, k, init_sq, setup.f0), slack,
     )
 
-    l1_section: dict = {"applicable": bounds.l1_ok, "pass": None}
+    l1 = report["l1"] = {"applicable": bounds.l1_ok, "pass": None}
     if bounds.l1_ok:
-        fit = [(k, v) for k, v in zip(ens.ks, ens.l1_sq) if k >= fit_start]
-        slope_limit = math.log(params.beta) + L1_SLOPE_SLACK
+        # the schedule check above leaves at least 2 records in the window
+        ks, vals = zip(*[(k, v) for k, v in zip(ens.ks, ens.l1_sq) if k >= fit_start])
         # values this far below the start are measurement dust, not signal
         floor = 1e-24 * max(ens.l1_sq[0], 1e-300)
-        if any(v <= floor for _, v in fit):
-            l1_section.update(
-                {
-                    "slope": None,
-                    "slope_limit": slope_limit,
-                    "pass": True,
-                    "note": "estimate fell below the measurement floor inside the window",
-                }
-            )
+        slope = None
+        if not any(v <= floor for v in vals):
+            logs = np.log(np.asarray(vals, dtype=np.float64))
+            slope = float(np.polyfit(np.asarray(ks, dtype=np.float64), logs, 1)[0])
+        slope_limit = math.log(params.beta) + L1_SLOPE_SLACK
+        l1.update({"pass": slope is None or slope <= slope_limit, "slope": slope, "slope_limit": slope_limit})
+        if slope is None:
+            l1["note"] = "estimate fell below the measurement floor inside the window"
         else:
-            ks_arr = np.asarray([k for k, _ in fit], dtype=np.float64)
-            logs = np.log(np.asarray([v for _, v in fit], dtype=np.float64))
-            slope = float(np.polyfit(ks_arr, logs, 1)[0])
-            l1_section.update(
-                {
-                    "slope": slope,
-                    "slope_limit": slope_limit,
-                    "fit_ks": [int(k) for k, _ in fit],
-                    "pass": slope <= slope_limit,
-                }
-            )
-    report["l1"] = l1_section
+            l1["fit_ks"] = [int(k) for k in ks]
 
     report["l1_le_l2"] = {
         "applicable": True,
         "pass": all(l1 <= l2 * (1.0 + 1e-12) + 1e-300 for l1, l2 in zip(ens.l1_sq, ens.l2_mean)),
     }
 
-    sections = [report["l2"], report["cesaro"], l1_section, report["l1_le_l2"]]
-    report["pass"] = all(
-        s.get("pass") for s in sections if s.get("applicable") and s.get("pass") is not None
-    )
+    sections = [report[name] for name in ("l2", "cesaro", "l1", "l1_le_l2")]
+    report["pass"] = all(s["pass"] for s in sections if s["applicable"])
     return report

@@ -21,7 +21,8 @@ from shb.errors import (
 )
 
 # Eigenvalues below REL_TOL * lambda_max are treated as zero everywhere
-# (pseudoinverse cutoff, rank counting, smallest-nonzero detection).
+# (pseudoinverse cutoff, rank counting, smallest-nonzero detection), by
+# the one comparison in above_cutoff.
 REL_TOL = 1e-10
 # largest relative asymmetry ||W - W^T||_F / max(1, ||W||_F) sym_eig accepts
 ASYM_TOL = 1e-12
@@ -130,9 +131,15 @@ def pinv_eigenvalues(vals) -> np.ndarray:
     of spectra along its last axis.
     """
     vals = np.asarray(vals, dtype=np.float64)
-    lmax = vals[..., :1]
-    keep = (vals > REL_TOL * lmax) & (lmax > 0.0)
+    keep = above_cutoff(vals) & (vals[..., :1] > 0.0)
     return np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+
+
+def above_cutoff(vals: np.ndarray) -> np.ndarray:
+    """Whether each eigenvalue of descending spectra vals (stacked along
+    the last axis) is above REL_TOL * lambda_max, the package's cutoff
+    for a nonzero eigenvalue."""
+    return vals > REL_TOL * vals[..., :1]
 
 
 def pinv_psd(m) -> np.ndarray:
@@ -194,8 +201,7 @@ def nonzero_min(eigenvalues) -> float:
     vals = np.asarray(eigenvalues, dtype=np.float64)
     if vals.size == 0 or float(vals[0]) <= 0.0:
         raise AllZero("spectrum has no nonzero eigenvalue")
-    threshold = REL_TOL * float(vals[0])
-    above = vals[vals > threshold]
+    above = vals[above_cutoff(vals)]
     if above.size == 0:
         raise AllZero("spectrum has no eigenvalue above the cutoff")
     return float(above[-1])

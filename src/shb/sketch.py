@@ -163,15 +163,12 @@ def draw_batch(dist: SketchDistribution, rng: np.random.Generator, m: int, n: in
     BlockRow gives the sorted row subsets as an (n, block_size) index
     array, GaussianSketch the matrices S as an (n, m, width) array.
     """
+    tau = sketch_size(dist, m)
     if isinstance(dist, BlockRow):
-        if dist.block_size > m:
-            raise OutOfRange(f"block_size {dist.block_size} exceeds row count {m}")
-        return _block_subsets(rng, m, dist.block_size, n)
+        return _block_subsets(rng, m, tau, n)
     if isinstance(dist, GaussianSketch):
-        if dist.width > m:
-            raise OutOfRange(f"sketch width {dist.width} exceeds row count {m}")
-        return rng.standard_normal((n, m, dist.width))
-    raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+        return rng.standard_normal((n, m, tau))
+    raise OutOfRange("row sampling draws one row at a time (draw)")
 
 
 def _block_subsets(rng: np.random.Generator, m: int, tau: int, n: int) -> np.ndarray:
@@ -201,17 +198,28 @@ def _block_subsets(rng: np.random.Generator, m: int, tau: int, n: int) -> np.nda
     return np.sort(np.where(repeat[root].reshape(n, tau), np.arange(top, m), t), axis=1)
 
 
+def sketch_size(dist: SketchDistribution, m: int) -> int:
+    """Rows of one draw's sketched system: 1 for row sampling, else tau
+    (block_size or width).  OutOfRange when tau exceeds the row count m
+    or the distribution is of no known family."""
+    if isinstance(dist, UnitCoordinate):
+        return 1
+    if not isinstance(dist, (BlockRow, GaussianSketch)):
+        raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+    tau = dist.block_size if isinstance(dist, BlockRow) else dist.width
+    if tau > m:
+        raise OutOfRange(f"sketch size {tau} exceeds row count {m}")
+    return tau
+
+
 def draw_size(dist: SketchDistribution, m: int, d: int) -> int:
     """Numbers one draw holds at most: a uniform for row sampling, or the
     largest array of a block or Gaussian draw (A_S and its Gram factors,
     or S and S^T A)."""
     if isinstance(dist, UnitCoordinate):
         return 1
-    if isinstance(dist, BlockRow):
-        return dist.block_size * max(d, dist.block_size)
-    if isinstance(dist, GaussianSketch):
-        return dist.width * max(d, m)
-    raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+    tau = sketch_size(dist, m)
+    return tau * max(d, tau if isinstance(dist, BlockRow) else m)
 
 
 def check_row_norms(dist: UnitCoordinate, norms_sq: np.ndarray) -> None:
@@ -358,12 +366,8 @@ def expected_h(
         # C order makes the product the same gemm as A^T diag(h) A
         w = np.multiply(a.T, h, order="C") @ a
         return ExpectedH(np.add(w, w.T, out=w) / 2.0, None)  # out=: two W at the peak, not three
-    if not isinstance(dist, (BlockRow, GaussianSketch)):
-        raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+    tau = sketch_size(dist, m)
     block = isinstance(dist, BlockRow)
-    tau = dist.block_size if block else dist.width
-    if tau > m:
-        raise OutOfRange(f"sketch size {tau} exceeds row count {m}")
     rng = rng if rng is not None else np.random.default_rng(0)
     n = mc_samples
     enumerated = block and math.comb(m, tau) <= DEFAULT_MC_SAMPLES
@@ -445,7 +449,7 @@ def spectrum_and_gram(
 
 
 def _rank(vals: np.ndarray) -> int:
-    return int(np.count_nonzero(vals > REL_TOL * vals[0]))
+    return int(np.count_nonzero(linalg.above_cutoff(vals)))
 
 
 def f_value(a, b, x, eh, xstar) -> float:

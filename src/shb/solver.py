@@ -36,6 +36,7 @@ from shb.sketch import (
     expected_h,
     gram_factors,
     row_indices,
+    sketch_size,
 )
 # re-exported: perfbench/tests checks that tracing wraps this import site
 from shb.sketch import draw  # noqa: F401
@@ -296,7 +297,7 @@ def _iterate(
     streams = [derive_stream(params.seed, 0, key) for key in keys]
     shared = len(streams) == 1
     # rows of a step's products before the gradient: A_i x, or g x - c and V^T (g x - c)
-    tau = 1 if by_row else dist.block_size if isinstance(dist, BlockRow) else dist.width
+    tau = sketch_size(dist, m)
 
     ks = list(range(0, params.max_iter + 1, params.record_every))
     if ks[-1] != params.max_iter:

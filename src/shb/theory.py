@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from shb.errors import NotAdmissible, OutOfRange, ShbError
-from shb.sketch import SpectrumInfo
 
 # lmax may carry up to 1e-8 of float dust above 1 from spectrum assembly
 LMAX_SLACK = 1e-8
@@ -242,15 +241,3 @@ def q_lower_bound(omega: float, beta: float, lmin: float, lmax: float) -> float:
         + omega * beta * (lmax - lmin)
         - omega * (2.0 - omega) * lmin
     )
-
-
-@dataclass(frozen=True)
-class TheoryReport:
-    """Everything the analyze command derives for one problem/distribution."""
-
-    spectrum: SpectrumInfo
-    l2: L2Rate | None
-    beta_upper: float | None
-    cesaro_params: dict
-    l1_choices: dict
-    norm_note: str = "euclidean"  # expected-iterate bounds use the Euclidean norm

@@ -121,6 +121,17 @@ class TestAnalyze:
         assert not out.exists()
 
 
+    def test_init_sq_dist_is_the_first_trace_record(self, tmp_path):
+        """analyze's ||x0 - x*||^2 is the number solve's trace starts from."""
+        bundle = gen_bundle(tmp_path, rows=300, cols=100, seed=0)
+        analysis, trace = tmp_path / "analyze.json", tmp_path / "trace.csv"
+        assert main(["analyze", "--input", str(bundle), "--out", str(analysis)]) == 0
+        assert main(["solve", "--input", str(bundle), "--iters", "1", "--out", str(trace)]) == 0
+        with open(trace, newline="") as fh:
+            first = next(csv.DictReader(fh))
+        assert json.loads(analysis.read_text())["cesaro"]["init_sq_dist"] == float(first["l2_error_raw"])
+
+
 class TestBadManifest:
     @pytest.mark.parametrize("key,value", [
         ("payload", None), ("payload", "../prob.bin"), ("checksum_sha256", 3),
@@ -318,6 +329,18 @@ class TestSweep:
         failing.assert_not_called()
         assert peak < 1 << 20
         assert not (tmp_path / "sw").exists()
+
+    def test_diverged_pair_shows_its_iteration(self, tmp_path, capsys):
+        bundle = gen_bundle(tmp_path, rows=50, cols=20, seed=0)
+        capsys.readouterr()
+        rc = main([
+            "sweep", "--input", str(bundle), "--betas", "0,3", "--iters", "500",
+            "--record-every", "50", "--out", str(tmp_path / "sw"),
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  pair 0 omega=1 beta=0 [ok] 0.01:250, 0.0001:-, 1e-06:-"
+        assert lines[2] == "  pair 1 omega=1 beta=3 [diverged at 65] 0.01:-, 0.0001:-, 1e-06:-"
 
     def test_single_pair_rejected(self, tmp_path):
         bundle = gen_bundle(tmp_path)

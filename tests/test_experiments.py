@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from shb.experiments import (
     analyze,
     first_crossing,
     make_distribution,
-    report_to_dict,
     solve,
     summarize_long_rows,
     sweep,
@@ -66,18 +66,21 @@ class TestAnalyze:
     def test_toy_reports_worked_constants(self):
         problem = toy_problem()
         dist = row_sampling(problem.a)
-        report = analyze(problem, dist, omegas=(1.0,), beta=0.0)
-        assert report.spectrum.lambda_max == pytest.approx(0.5, abs=1e-14)
-        assert report.spectrum.lambda_min_plus == pytest.approx(0.5, abs=1e-14)
-        assert report.l2.q == pytest.approx(0.5, abs=1e-14)
-        assert report.beta_upper == pytest.approx(0.1123724356957945, abs=1e-12)
-        assert report.spectrum.exact
+        payload = analyze(problem, dist, omegas=(1.0,), beta=0.0)
+        assert payload["spectrum"]["lambda_max"] == pytest.approx(0.5, abs=1e-14)
+        assert payload["spectrum"]["lambda_min_plus"] == pytest.approx(0.5, abs=1e-14)
+        assert payload["l2"]["q"] == pytest.approx(0.5, abs=1e-14)
+        assert payload["beta_upper"] == pytest.approx(0.1123724356957945, abs=1e-12)
+        assert payload["spectrum"]["exact"] is True
 
     def test_dict_schema(self):
         problem = toy_problem()
         dist = row_sampling(problem.a)
-        payload = report_to_dict(analyze(problem, dist), omegas=(1.0,))
+        payload = analyze(problem, dist)
         json.dumps(payload)  # must be serializable
+        assert list(payload) == [
+            "schema", "spectrum", "l2", "beta_upper", "beta_upper_by_omega", "cesaro", "l1",
+        ]
         assert payload["schema"] == "shb-analyze-v1"
         assert payload["l1"]["norm"] == "euclidean"
         for choice in ("unit_stepsize", "inv_lmax"):
@@ -89,13 +92,13 @@ class TestAnalyze:
     def test_rank_deficient_reported(self):
         a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
         problem = Problem(a=a, b=np.zeros(2), source="deficient")
-        report = analyze(problem, row_sampling(a))
-        assert report.spectrum.rank == 1 < a.shape[1]
+        payload = analyze(problem, row_sampling(a))
+        assert payload["spectrum"]["rank"] == 1 < a.shape[1]
 
     def test_inadmissible_stepsize_yields_no_l2(self):
         problem = toy_problem()
-        report = analyze(problem, row_sampling(problem.a), omegas=(2.5,))
-        assert report.l2 is None
+        payload = analyze(problem, row_sampling(problem.a), omegas=(2.5,))
+        assert payload["l2"] is None
 
 
 class TestTraceTable:
@@ -278,6 +281,7 @@ class TestVerify:
         )
         report = verify(problem, dist, params, replications=150)
         section = report["l1"]
+        assert list(section) == ["applicable", "pass", "slope", "slope_limit", "fit_ks"]
         assert section["applicable"]
         assert isinstance(section["slope"], float)
         assert section["slope_limit"] == pytest.approx(math.log(p.beta) + 0.05)
@@ -294,6 +298,7 @@ class TestVerify:
             record_every=1,
         )
         report = verify(problem, dist, params, replications=100)
+        assert list(report["l1"]) == ["applicable", "pass", "slope", "slope_limit", "note"]
         assert report["l1"]["applicable"]
         assert report["l1"]["pass"]
         assert report["l1"]["slope"] is None
@@ -312,8 +317,8 @@ def test_every_command_applies_the_one_rule(omega, beta):
     decides, and analyze, the trace table and verify report just that."""
     problem = toy_problem()
     dist = row_sampling(problem.a)
-    report = analyze(problem, dist, omegas=(omega,), beta=beta)
-    lmin, lmax = report.spectrum.lambda_min_plus, report.spectrum.lambda_max
+    payload = analyze(problem, dist, omegas=(omega,), beta=beta)
+    lmin, lmax = payload["spectrum"]["lambda_min_plus"], payload["spectrum"]["lambda_max"]
     rule = applicability(omega, beta, lmin, lmax)
 
     stepsize_ok = 0.0 < omega < 2.0
@@ -325,10 +330,12 @@ def test_every_command_applies_the_one_rule(omega, beta):
         omega > 0.0 and omega * lmax <= 1.0 + 1e-12 and (1.0 - math.sqrt(omega * lmin)) ** 2 < beta < 1.0
     )
 
-    assert report.l2 == rule.l2
-    assert report.beta_upper == rule.beta_upper
-    assert report.cesaro_params["applicable"] is rule.cesaro_ok
-    assert report_to_dict(report, (omega,))["beta_upper_by_omega"] == [{"omega": omega, "beta_upper": rule.beta_upper}]
+    assert (payload["l2"] is None) == (rule.l2 is None)
+    if rule.l2 is not None:
+        assert {k: payload["l2"][k] for k in ("a1", "a2", "q", "delta", "admissible")} == asdict(rule.l2)
+    assert payload["beta_upper"] == rule.beta_upper
+    assert payload["cesaro"]["applicable"] is rule.cesaro_ok
+    assert payload["beta_upper_by_omega"] == [{"omega": omega, "beta_upper": rule.beta_upper}]
     if omega <= 0.0 or beta < 0.0:
         return  # no run takes these
 

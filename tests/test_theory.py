@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shb.theory
 from shb.errors import NotAdmissible, OutOfRange
 from shb.theory import (
     beta_upper_bound,
@@ -230,3 +232,16 @@ class TestQLowerBound:
         lmin, lmax = lambda_pair(lmin_frac, lmax)
         lo, hi = min(b1, b2), max(b1, b2)
         assert q_lower_bound(omega, lo, lmin, lmax) <= q_lower_bound(omega, hi, lmin, lmax) + 1e-15
+
+
+def test_theory_imports_only_errors_from_the_package():
+    """The closed forms need nothing of shb but its error taxonomy."""
+    with open(shb.theory.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # a relative import is one of shb's
+            modules.add(f"shb.{node.module or ''}" if node.level else node.module)
+    assert {m for m in modules if m.split(".")[0] == "shb"} == {"shb.errors"}
