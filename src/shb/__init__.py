@@ -27,18 +27,15 @@ from shb.linalg import SymEig, nonzero_min, pinv_apply, project_onto_solutions, 
 from shb.problems import Problem, gen_problem, plant_solution
 from shb.sketch import (
     BlockRow,
-    BlockSample,
-    GaussianSample,
     GaussianSketch,
-    RowSample,
     SpectrumInfo,
     UnitCoordinate,
     derive_stream,
     draw,
     expected_h,
     f_value,
-    hessian_spectrum,
     row_sampling,
+    spectrum_and_gram,
     stoch_grad,
 )
 from shb.solver import (

@@ -4,7 +4,7 @@ These functions sit between the solver/theory layers and the CLI.  They
 take in-memory problems and distributions, produce plain dicts and rows
 ready for CSV/JSON serialization, and never print: analyze and verify
 return the very JSON payloads the CLI writes.  analyze, solve and
-verify share one set-up (_set_up): the spectrum of W (with E[H] and
+verify share one set-up (_set_up): the spectrum of W (with W itself and
 exactness), which bounds apply (theory.applicability), and x*, each
 built once and passed down; sweep builds W and x* once for all its pairs
 in the kernel.  Every run records the same series (l2 error, f and
@@ -171,35 +171,23 @@ def analyze(
 
 @dataclass
 class TraceTable:
-    """One run rendered as rows under the fixed trace header."""
+    """One run rendered as rows under TRACE_HEADER."""
 
-    header: list[str]
     rows: list[list]
     params: SolverParams
     problem_source: str
 
 
-def build_trace_table(
-    problem: Problem,
-    trace: RunTrace,
-    *,
-    spectrum: SpectrumInfo,
-    xstar: np.ndarray,
-) -> TraceTable:
-    """Derive the reporting columns for one finished run.
+def build_trace_table(problem: Problem, trace: RunTrace, setup: _SetUp) -> TraceTable:
+    """Derive the reporting columns for one finished run from the origin.
 
     Both relative-error conventions are emitted (normalized by the
     initial distance and by the solution norm); theory columns are
-    filled only where the corresponding bound applies.  spectrum and
-    xstar are those the run used.
+    filled only where the corresponding bound applies.  setup is the
+    one the run used: its bounds, x*, ||x0 - x*||^2, f(x0) and spectrum.
     """
-    params = trace.params
-    init_sq = trace.l2_error[0]
-    xstar_sq = float(xstar @ xstar)
-    f0 = trace.f_value[0]
-    lmax = spectrum.lambda_max
-    bounds = applicability(params.omega, params.beta, spectrum.lambda_min_plus, lmax)
-
+    params, bounds, init_sq = trace.params, setup.bounds, setup.init_sq
+    xstar_sq = float(setup.xstar @ setup.xstar)
     rows = []
     for j, k in enumerate(trace.ks):
         l2 = trace.l2_error[j]
@@ -210,27 +198,22 @@ def build_trace_table(
             l2 / xstar_sq if xstar_sq > 0.0 else None,
             trace.f_value[j],
             trace.cesaro_f[j],
-            l2_envelope(bounds.l2, k, init_sq, lmax)[0] if bounds.l2_ok else None,
-            cesaro_bound(params.omega, params.beta, k, init_sq, f0) if bounds.cesaro_ok and k >= 1 else None,
+            l2_envelope(bounds.l2, k, init_sq, setup.spectrum.lambda_max)[0] if bounds.l2_ok else None,
+            cesaro_bound(params.omega, params.beta, k, init_sq, setup.f0) if bounds.cesaro_ok and k >= 1 else None,
             trace.elapsed_seconds[j],
         ])
-    return TraceTable(
-        header=list(TRACE_HEADER),
-        rows=rows,
-        params=params,
-        problem_source=problem.source,
-    )
+    return TraceTable(rows=rows, params=params, problem_source=problem.source)
 
 
 def solve(problem: Problem, dist: SketchDistribution, params: SolverParams) -> TraceTable:
     """Run one configuration from the origin and tabulate its trace.
 
-    The spectrum (with E[H]) and x* are computed once and shared by the
-    run and its table.
+    One set-up (the spectrum of W, the bounds that apply, x*) is shared
+    by the run and its table.
     """
     setup = _set_up(problem, dist, params.omega, params.beta)
     trace = run(problem, dist, params, eh=setup.spectrum.expected_h, xstar=setup.xstar)
-    return build_trace_table(problem, trace, spectrum=setup.spectrum, xstar=setup.xstar)
+    return build_trace_table(problem, trace, setup)
 
 
 def _cell(value) -> str:
@@ -250,7 +233,7 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def write_trace_csv(table: TraceTable, path) -> None:
-    _write_csv(path, table.header, table.rows)
+    _write_csv(path, TRACE_HEADER, table.rows)
 
 
 def write_trace_json(table: TraceTable, path) -> None:
@@ -258,9 +241,9 @@ def write_trace_json(table: TraceTable, path) -> None:
         "schema": "shb-trace-v1",
         "problem_source": table.problem_source,
         "params": params_to_dict(table.params),
-        "columns": table.header,
+        "columns": TRACE_HEADER,
         "rows": [
-            {name: value for name, value in zip(table.header, row)}
+            {name: value for name, value in zip(TRACE_HEADER, row)}
             for row in table.rows
         ],
     }

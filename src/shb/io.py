@@ -1,4 +1,4 @@
-"""File formats: LIBSVM text ingestion, dense CSV, and the problem bundle.
+"""File formats: LIBSVM and dense CSV ingestion, and the problem bundle.
 
 The bundle is the canonical interchange format: a JSON manifest next to
 a flat little-endian float64 payload holding A, b and the optional
@@ -152,16 +152,6 @@ def parse_libsvm(path) -> np.ndarray:
     for i, (j, val) in others:
         mat[i, j - 1] = val
     return mat
-
-
-def write_csv_matrix(a, path) -> None:
-    """Dense matrix to CSV with a generated header row."""
-    a = linalg.as_matrix(a, "a")
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{j + 1}" for j in range(a.shape[1])])
-        for row in a:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def read_csv_matrix(path) -> np.ndarray:

@@ -5,10 +5,10 @@ and the weighting matrix H = S (S^T A A^T S)^+ S^T, which is PSD and
 makes A^T H A an orthogonal projector; the Hessian W = A^T E[H] A of
 the expected objective so has its spectrum inside [0, 1].  No sketch
 forms the m x m E[H]: expected_h gives W in d x d, f_value the objective
-and spectrum_and_gram the spectrum and exactness.  draw and
-stoch_grad take one sample; draw_batch makes many block or Gaussian
-draws in the same rng order (block subsets by _block_subsets), and the
-W estimate (expected_h) sums them by _add_projections.  The families:
+and spectrum_and_gram the spectrum and exactness.  A draw (a row, a
+sorted row subset or S) comes from draw, or many from draw_batch in the
+same rng order; stoch_grad takes one, and sketch_rows gives draws' rows
+to expected_h (summed by _add_projections) and the solver.  The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -115,32 +115,13 @@ def row_sampling(a) -> UnitCoordinate:
     return UnitCoordinate(p / p.sum())
 
 
-@dataclass(frozen=True)
-class RowSample:
-    index: int
+def draw(dist: SketchDistribution, rng: np.random.Generator, m: int | None = None) -> int | np.ndarray:
+    """Draw one sketch from the distribution: what draw_batch makes once.
 
-
-@dataclass(frozen=True)
-class BlockSample:
-    indices: np.ndarray
-
-
-@dataclass(frozen=True)
-class GaussianSample:
-    matrix: np.ndarray
-
-
-SketchSample = Union[RowSample, BlockSample, GaussianSample]
-
-
-def draw(dist: SketchDistribution, rng: np.random.Generator, m: int | None = None) -> SketchSample:
-    """Draw one sketch sample from the distribution.
-
-    UnitCoordinate uses inverse-CDF lookup over the cumulative weights;
-    BlockRow draws a uniform subset without replacement by Floyd's
-    algorithm (block_size integers from rng.integers, sorted indices);
-    GaussianSketch fills an m-by-width matrix with standard normals.
-    BlockRow and GaussianSketch need the row count m.
+    UnitCoordinate gives a row index (inverse-CDF lookup over the
+    cumulative weights), BlockRow a sorted subset drawn uniformly without
+    replacement (_block_subsets), GaussianSketch the m-by-width S of
+    standard normals; BlockRow and GaussianSketch need the row count m.
     """
     if isinstance(dist, UnitCoordinate):
         p = dist.probabilities
@@ -150,11 +131,10 @@ def draw(dist: SketchDistribution, rng: np.random.Generator, m: int | None = Non
             i = p.size - 1
         while p[i] == 0.0 and i > 0:  # float tail beyond the cumulative mass
             i -= 1
-        return RowSample(i)
+        return i
     if m is None:
         raise DimensionMismatch("row count m is required for this distribution")
-    drawn = draw_batch(dist, rng, m, 1)[0]
-    return BlockSample(drawn) if isinstance(dist, BlockRow) else GaussianSample(drawn)
+    return draw_batch(dist, rng, m, 1)[0]
 
 
 def draw_batch(dist: SketchDistribution, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -246,10 +226,10 @@ def row_indices(dist: UnitCoordinate, u) -> np.ndarray:
     return dist._row_of[i]
 
 
-def stoch_grad(a, b, x, sample: SketchSample) -> np.ndarray:
-    """Stochastic gradient A^T H (Ax - b) for one sketch sample.
+def stoch_grad(a, b, x, dist: SketchDistribution, drawn) -> np.ndarray:
+    """Stochastic gradient A^T H (Ax - b) for one draw of dist, as draw makes it.
 
-    For a RowSample i this is ((A_i x - b_i) / ||A_i||^2) A_i^T, the
+    For a row index i this is ((A_i x - b_i) / ||A_i||^2) A_i^T, the
     randomized Kaczmarz direction.  The result always lies in the row
     space of A.
     """
@@ -260,23 +240,27 @@ def stoch_grad(a, b, x, sample: SketchSample) -> np.ndarray:
         raise DimensionMismatch(
             f"incompatible shapes a={a.shape}, b={b.shape}, x={x.shape}"
         )
-    if isinstance(sample, RowSample):
-        row = a[sample.index]
+    if isinstance(dist, UnitCoordinate):
+        row = a[drawn]
         nrm_sq = float(row @ row)
         if nrm_sq == 0.0:
-            raise ZeroRow(f"sampled zero row {sample.index}: distribution is corrupt")
-        resid = float(row @ x) - float(b[sample.index])
+            raise ZeroRow(f"sampled zero row {drawn}: distribution is corrupt")
+        resid = float(row @ x) - float(b[drawn])
         return (resid / nrm_sq) * row
-    if isinstance(sample, BlockSample):
-        sub = a[sample.indices]
-        r = sub @ x - b[sample.indices]
+    if isinstance(dist, BlockRow):
+        sub = a[drawn]
+        r = sub @ x - b[drawn]
         return sub.T @ pinv_apply(sub @ sub.T, r)
-    if isinstance(sample, GaussianSample):
-        s = sample.matrix
-        g = s.T @ a
-        t = s.T @ (a @ x - b)
+    if isinstance(dist, GaussianSketch):
+        g = drawn.T @ a
+        t = drawn.T @ (a @ x - b)
         return g.T @ pinv_apply(g @ g.T, t)
-    raise OutOfRange(f"unknown sketch sample {type(sample).__name__}")
+    raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+
+
+def sketch_rows(dist: BlockRow | GaussianSketch, v: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+    """The sketched rows of v (A or b): v[drawn] for block subsets, S^T v for Gaussian S."""
+    return v[drawn] if isinstance(dist, BlockRow) else drawn.swapaxes(-1, -2) @ v
 
 
 class ExpectedH(NamedTuple):
@@ -367,10 +351,9 @@ def expected_h(
         w = np.multiply(a.T, h, order="C") @ a
         return ExpectedH(np.add(w, w.T, out=w) / 2.0, None)  # out=: two W at the peak, not three
     tau = sketch_size(dist, m)
-    block = isinstance(dist, BlockRow)
     rng = rng if rng is not None else np.random.default_rng(0)
     n = mc_samples
-    enumerated = block and math.comb(m, tau) <= DEFAULT_MC_SAMPLES
+    enumerated = isinstance(dist, BlockRow) and math.comb(m, tau) <= DEFAULT_MC_SAMPLES
     if enumerated:
         subsets = np.array(list(combinations(range(m), tau)))
         n, mc_samples = len(subsets), None
@@ -378,13 +361,8 @@ def expected_h(
     chunk = max(1, BATCH_ELEMENTS // draw_size(dist, m, d))
     for start in range(0, n, chunk):
         size = min(chunk, n - start)
-        if enumerated:
-            g = a[subsets[start : start + size]]
-        elif block:
-            g = a[draw_batch(dist, rng, m, size)]
-        else:
-            g = draw_batch(dist, rng, m, size).swapaxes(1, 2) @ a
-        _add_projections(acc, g)
+        drawn = subsets[start : start + size] if enumerated else draw_batch(dist, rng, m, size)
+        _add_projections(acc, sketch_rows(dist, a, drawn))
     acc /= n
     return ExpectedH(np.add(acc, acc.T, out=acc) / 2.0, mc_samples)
 
@@ -407,11 +385,6 @@ class SpectrumInfo:
             raise ShbError("spectrum escaped [0, 1 + 1e-8]")
         if not (0.0 < self.lambda_min_plus <= self.lambda_max <= 1.0 + 1e-8):
             raise ShbError("lambda_min_plus / lambda_max out of order")
-
-
-def hessian_spectrum(a, dist: SketchDistribution, **options) -> SpectrumInfo:
-    """spectrum_and_gram(a, dist, **options) without the Gram decomposition."""
-    return spectrum_and_gram(a, dist, **options)[0]
 
 
 def spectrum_and_gram(

@@ -24,8 +24,6 @@ from shb.errors import DimensionMismatch, NonFinite, OutOfRange
 from shb.linalg import as_vector, project_onto_solutions, row_dots
 from shb.problems import Problem
 from shb.sketch import (
-    BlockRow,
-    GaussianSketch,
     SketchDistribution,
     UnitCoordinate,
     check_row_norms,
@@ -36,6 +34,7 @@ from shb.sketch import (
     expected_h,
     gram_factors,
     row_indices,
+    sketch_rows,
     sketch_size,
 )
 # re-exported: perfbench/tests checks that tracing wraps this import site
@@ -144,7 +143,7 @@ class _Block:
 
     Rows of l2/f/cesaro are members, columns the recorded indices ks;
     the cesaro column at k = 0 is undefined (NaN).  l1_sq holds per
-    record ||mean over the live members of x - x*||^2, and snapshots, when
+    record ||mean over the live members of (x - x*)||^2, and snapshots, when
     asked for, one (members, d) block.  diverged_at is 0 for a member that
     never diverged; its records are NaN from that iteration on and its
     final iterate is the last finite one.
@@ -216,18 +215,14 @@ def _check_fits(params: SolverParams, dist: SketchDistribution, m: int, d: int, 
     return records * per_record + held
 
 
-def _sketched_systems(dist: BlockRow | GaussianSketch, a: np.ndarray, b: np.ndarray, streams, steps: int):
-    """Each stream's next steps draws, made as draw() makes them, as
-    sketched systems g x = c: g = A_S or S^T A (steps, streams, tau, d),
-    c = b_S or S^T b (steps, streams, tau, 1)."""
-    if isinstance(dist, BlockRow):
-        picked = np.stack([draw_batch(dist, s, a.shape[0], steps) for s in streams], axis=1)
-        return a[picked], b[picked][..., None]
+def _sketched_systems(dist: SketchDistribution, a: np.ndarray, b: np.ndarray, streams, steps: int):
+    """Each stream's next steps draws (held one stream at a time) as sketched systems
+    g x = c, g = sketch_rows of A (steps, streams, tau, d), c of b (..., tau, 1)."""
     gs, cs = [], []
     for s in streams:
-        s_t = draw_batch(dist, s, a.shape[0], steps).swapaxes(1, 2)
-        gs.append(s_t @ a)
-        cs.append(s_t @ b)
+        drawn = draw_batch(dist, s, a.shape[0], steps)
+        gs.append(sketch_rows(dist, a, drawn))
+        cs.append(sketch_rows(dist, b, drawn))
     return np.stack(gs, axis=1), np.stack(cs, axis=1)[..., None]
 
 
@@ -265,17 +260,17 @@ def _iterate(
     keys[r]); a single key is shared by all members, which then replay
     the same draws.  omega and beta hold a value per member, or one for
     all; params gives the budget and record schedule.  A block or
-    Gaussian chunk becomes sketched systems g x = c (A_S x = b_S, or
-    S^T A x = S^T b) with g g^T = V diag(lam) V^T and gradient
+    Gaussian chunk becomes sketched systems g x = c (sketch_rows: A_S x
+    = b_S, or S^T A x = S^T b) with g g^T = V diag(lam) V^T and gradient
     g^T V (lam^+ * V^T (g x - c)); row and block sampling so repeat the
-    arithmetic of draw -> stoch_grad -> shb_step, while Gaussian
-    sketches round their residual differently.  Every sketch shares the
-    update x - omega*grad + beta*(x - x_prev), in that order, into three
-    rotating buffers, with omega and beta held as (R, d) arrays, so a
-    step allocates nothing.  A record (_Block) takes f and the Cesaro f
-    of every member from one stacked product with W, as f_value computes
-    them.  A member whose iterate leaves the finite range is dropped; the
-    others go on unchanged.
+    arithmetic of draw -> stoch_grad(..., dist, drawn) -> shb_step,
+    while Gaussian sketches round their residual differently.  Every
+    sketch shares the update x - omega*grad + beta*(x - x_prev), in that
+    order, into three rotating buffers, with omega and beta held as
+    (R, d) arrays, so a step allocates nothing.  A record (_Block) takes
+    f and the Cesaro f of every member from one stacked product with W,
+    as f_value computes them.  A member whose iterate leaves the finite
+    range is dropped; the others go on unchanged.
     """
     a, b = problem.a, problem.b
     m, d = a.shape
@@ -342,7 +337,7 @@ def _iterate(
         vals = np.where(0.0 > vals, 0.0, vals)
         f[live, j] = vals[: live.size]
         cesaro[live, j] = vals[live.size :] if k else np.nan
-        mean_diff = np.add.reduce(x, axis=0) / x.shape[0] - xstar  # np.mean's bits, without its overhead
+        mean_diff = np.add.reduce(diff, axis=0) / x.shape[0]  # np.mean's bits, without its overhead
         l1_sq.append(float(mean_diff @ mean_diff))
         if snapshots is not None:
             snap = np.full((n, d), np.nan)

@@ -90,7 +90,7 @@ def dense_eh(dist, a, mc_samples=DEFAULT_MC_SAMPLES, rng=None):
         tau = dist.block_size
         if math.comb(m, tau) <= DEFAULT_MC_SAMPLES:
             return per_draw_block(a, [list(c) for c in combinations(range(m), tau)])
-        return per_draw_block(a, [draw(dist, rng, m).indices for _ in range(mc_samples)])
+        return per_draw_block(a, [draw(dist, rng, m) for _ in range(mc_samples)])
     if isinstance(dist, GaussianSketch):
         return per_draw_gaussian(a, dist.width, mc_samples, rng)
     raise TypeError(type(dist).__name__)

@@ -25,12 +25,11 @@ from shb.problems import Problem, gen_problem
 from shb.sketch import (
     BlockRow,
     GaussianSketch,
-    RowSample,
     derive_stream,
     draw,
     f_value,
-    hessian_spectrum,
     row_sampling,
+    spectrum_and_gram,
     stoch_grad,
 )
 from shb.solver import SolverParams, run, run_ensemble, shb_step
@@ -112,7 +111,7 @@ def gaussian_ensemble():
     """Shared 50x20 ensemble for the two statistical bound criteria."""
     problem = gen_problem(50, 20, seed=4)
     dist = row_sampling(problem.a)
-    spec = hessian_spectrum(problem.a, dist)
+    spec, _ = spectrum_and_gram(problem.a, dist)
     beta = beta_upper_bound(1.0, spec.lambda_min_plus, spec.lambda_max) / 2.0
     params = SolverParams(
         omega=1.0,
@@ -185,7 +184,7 @@ def test_criterion_6_accelerated_expected_iterate_slope():
     start = time.perf_counter()
     problem = spiked_problem()
     dist = row_sampling(problem.a)
-    spec = hessian_spectrum(problem.a, dist)
+    spec, _ = spectrum_and_gram(problem.a, dist)
     p = l1_params("inv_lmax", spec.lambda_min_plus, spec.lambda_max)
     max_iter = 14
     params = SolverParams(
@@ -333,7 +332,7 @@ def test_criterion_8_structural_invariants():
         total = np.zeros(d)
         for i, p in enumerate(dist.probabilities):
             if p > 0:
-                total += p * stoch_grad(a, b, x, RowSample(i))
+                total += p * stoch_grad(a, b, x, dist, i)
         worst_bias = max(worst_bias, float(np.max(np.abs(total - a.T @ (h * (a @ x - b))))))
     ok &= worst_bias <= 1e-10
     detail.append(f"bias {worst_bias:.2e}")
@@ -344,7 +343,7 @@ def test_criterion_8_structural_invariants():
         m, d = int(rng.integers(2, 8)), int(rng.integers(1, 8))
         a = rng.standard_normal((m, d))
         variant = (row_sampling(a), BlockRow(min(2, m)), GaussianSketch(min(2, m)))[i % 3]
-        spec = hessian_spectrum(a, variant, mc_samples=150, rng=np.random.default_rng(i))
+        spec, _ = spectrum_and_gram(a, variant, mc_samples=150, rng=np.random.default_rng(i))
         spectra_ok &= bool(np.all(spec.eigenvalues >= 0.0) and np.all(spec.eigenvalues <= 1.0 + 1e-8))
     ok &= spectra_ok
     detail.append(f"spectra {'ok' if spectra_ok else 'VIOLATED'}")
@@ -376,11 +375,11 @@ def test_criterion_8_structural_invariants():
     x_prev = x.copy()
     annihilation_ok = True
     for _ in range(300):
-        sample = draw(dist, stream, 10)
-        g = stoch_grad(problem.a, problem.b, x, sample)
+        i = draw(dist, stream, 10)
+        g = stoch_grad(problem.a, problem.b, x, dist, i)
         x_new = shb_step(x, x_prev, g, 1.0, 0.0)
-        resid = abs(float(problem.a[sample.index] @ x_new) - float(problem.b[sample.index]))
-        annihilation_ok &= resid <= 1e-12 * (1.0 + abs(float(problem.b[sample.index])))
+        resid = abs(float(problem.a[i] @ x_new) - float(problem.b[i]))
+        annihilation_ok &= resid <= 1e-12 * (1.0 + abs(float(problem.b[i])))
         x_prev, x = x, x_new
     ok &= annihilation_ok
     detail.append(f"row residual {'ok' if annihilation_ok else 'VIOLATED'}")

@@ -103,6 +103,14 @@ class TestAnalyze:
         assert "Traceback" not in err
 
 
+    def test_csv_non_numeric_cell_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("c1,c2\n1.0,2.0\n3.0,oops\n")
+        assert main(["analyze", "--input", str(data), "--format", "csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.rstrip().endswith(":3: non-numeric cell")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
         """One W, one spectrum and one x*, from two eigendecompositions:
@@ -179,6 +187,23 @@ class TestSolve:
             rows = list(csv.reader(fh, strict=True))
         assert rows[0][0] == "k"
         assert rows[1][2] == "1.0"  # normalized error starts at one
+
+    def test_csv_input(self, tmp_path):
+        """A CSV matrix written as text: b is planted from --seed, and the
+        trace starts at k = 0 with relative error one."""
+        data = tmp_path / "a.csv"
+        data.write_text("c1,c2,c3\n1.0,0.5,0.0\n0.0,2.0,1.0\n0.25,0.0,1.0\n1.0,1.0,1.0\n")
+        out = tmp_path / "trace.csv"
+        rc = main([
+            "solve", "--input", str(data), "--format", "csv", "--iters", "20",
+            "--record-every", "5", "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh, strict=True))
+        assert rows[0] == shb.experiments.TRACE_HEADER
+        assert [row[0] for row in rows[1:]] == ["0", "5", "10", "15", "20"]
+        assert rows[1][2] == "1.0"
 
     def test_other_suffix_selects_csv(self, tmp_path):
         """Any --out suffix but .json gives the CSV trace."""
@@ -434,6 +459,23 @@ class TestVerify:
         assert err.startswith("error:") and "record more often" in err
         runs.assert_not_called()
         assert not out.exists()
+
+    def test_l1_le_l2_holds_with_replicas_near_the_solution(self, tmp_path, capsys):
+        """At a tiny momentum every replica of this block:6 run sits at
+        nearly the same iterate near x*; the mean of x - x* keeps the
+        Jensen check l1_sq <= l2_mean exact where mean(x) - x* would
+        cancel and fail it on rounding."""
+        bundle = gen_bundle(tmp_path, rows=6, cols=3, seed=15)
+        out = tmp_path / "verify.json"
+        rc = main([
+            "verify", "--input", str(bundle), "--sketch", "block:6", "--omega", "1",
+            "--beta", "2.5125786760090427e-05", "--iters", "6", "--record-every", "1",
+            "--reps", "100", "--out", str(out),
+        ])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["l1_le_l2"]["pass"] is True
+        assert "overall: PASS" in capsys.readouterr().out
 
     def test_failed_check_exits_three(self, tmp_path, capsys):
         bundle = gen_bundle(tmp_path, rows=8, cols=3, seed=11)

@@ -120,13 +120,13 @@ class TestTraceTable:
         dist = row_sampling(problem.a)
         params = SolverParams(omega=1.0, beta=0.0, max_iter=30, seed=0, record_every=5)
         table = solve(problem, dist, params)
-        first = dict(zip(table.header, table.rows[0]))
+        first = dict(zip(TRACE_HEADER, table.rows[0]))
         assert first["k"] == 0
         assert first["rel_error_x0"] == pytest.approx(1.0)
         assert first["cesaro_f"] is None
         assert first["theory_cesaro_bound"] is None
         # unit stepsize on the identity: trace must reach zero error
-        last = dict(zip(table.header, table.rows[-1]))
+        last = dict(zip(TRACE_HEADER, table.rows[-1]))
         assert last["l2_error_raw"] == 0.0
         # admissible momentum-free rate: envelope column populated
         assert first["theory_l2_bound"] == pytest.approx(first["l2_error_raw"])
@@ -269,12 +269,12 @@ class TestVerify:
         and produces a finite fitted slope with the documented limit."""
         import math
 
-        from shb.sketch import hessian_spectrum
+        from shb.sketch import spectrum_and_gram
         from shb.theory import l1_params
 
         problem = gen_problem(12, 5, seed=14)
         dist = row_sampling(problem.a)
-        spec = hessian_spectrum(problem.a, dist)
+        spec, _ = spectrum_and_gram(problem.a, dist)
         p = l1_params("inv_lmax", spec.lambda_min_plus, spec.lambda_max)
         params = SolverParams(
             omega=p.omega, beta=p.beta, max_iter=10, seed=0, record_every=1,
@@ -341,8 +341,8 @@ def test_every_command_applies_the_one_rule(omega, beta):
 
     params = SolverParams(omega=omega, beta=beta, max_iter=10, seed=0, record_every=1)
     table = solve(problem, dist, params)
-    l2_col = [row[table.header.index("theory_l2_bound")] for row in table.rows]
-    cesaro_col = [row[table.header.index("theory_cesaro_bound")] for row in table.rows[1:]]
+    l2_col = [row[TRACE_HEADER.index("theory_l2_bound")] for row in table.rows]
+    cesaro_col = [row[TRACE_HEADER.index("theory_cesaro_bound")] for row in table.rows[1:]]
     assert all((v is not None) == rule.l2_ok for v in l2_col)
     assert all((v is not None) == rule.cesaro_ok for v in cesaro_col)
 

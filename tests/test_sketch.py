@@ -11,10 +11,7 @@ from shb.errors import DimensionMismatch, OutOfRange, ZeroRow
 from shb.linalg import project_onto_solutions
 from shb.sketch import (
     BlockRow,
-    BlockSample,
-    GaussianSample,
     GaussianSketch,
-    RowSample,
     UnitCoordinate,
     derive_stream,
     draw,
@@ -22,8 +19,8 @@ from shb.sketch import (
     draw_size,
     expected_h,
     f_value,
-    hessian_spectrum,
     row_sampling,
+    spectrum_and_gram,
     stoch_grad,
 )
 
@@ -79,14 +76,14 @@ class TestDraw:
     def test_degenerate_distribution(self):
         dist = UnitCoordinate(np.array([1.0, 0.0]))
         rng = derive_stream(0)
-        assert all(draw(dist, rng).index == 0 for _ in range(50))
+        assert all(draw(dist, rng) == 0 for _ in range(50))
 
     def test_deterministic_sequence(self):
         dist = UnitCoordinate(np.array([0.5, 0.5]))
         rng = derive_stream(42)
-        first = [draw(dist, rng).index for _ in range(20)]
+        first = [draw(dist, rng) for _ in range(20)]
         rng = derive_stream(42)
-        second = [draw(dist, rng).index for _ in range(20)]
+        second = [draw(dist, rng) for _ in range(20)]
         assert first == second
 
     def test_law_of_large_numbers(self):
@@ -95,22 +92,22 @@ class TestDraw:
         n = 100_000
         hits = np.zeros(2)
         for _ in range(n):
-            hits[draw(dist, rng).index] += 1
+            hits[draw(dist, rng)] += 1
         np.testing.assert_allclose(hits / n, [0.2, 0.8], atol=0.01)
 
     def test_zero_probability_row_never_drawn(self):
         dist = UnitCoordinate(np.array([0.5, 0.0, 0.5]))
         rng = derive_stream(3)
         for _ in range(200):
-            assert draw(dist, rng).index != 1
+            assert draw(dist, rng) != 1
 
     def test_block_subset(self):
         rng = derive_stream(1)
         s = draw(BlockRow(3), rng, m=6)
-        assert isinstance(s, BlockSample)
-        assert len(s.indices) == 3
-        assert len(set(s.indices.tolist())) == 3
-        assert all(0 <= i < 6 for i in s.indices)
+        assert isinstance(s, np.ndarray)
+        assert len(s) == 3
+        assert len(set(s.tolist())) == 3
+        assert all(0 <= i < 6 for i in s)
 
     def test_block_too_large(self):
         with pytest.raises(OutOfRange):
@@ -118,8 +115,8 @@ class TestDraw:
 
     def test_gaussian_shape(self):
         s = draw(GaussianSketch(2), derive_stream(1), m=5)
-        assert isinstance(s, GaussianSample)
-        assert s.matrix.shape == (5, 2)
+        assert isinstance(s, np.ndarray)
+        assert s.shape == (5, 2)
 
 
 def floyd_subset(rng, m, tau):
@@ -159,7 +156,7 @@ class TestBlockDraw:
         rng = derive_stream(5)
         chunks = np.concatenate([draw_batch(BlockRow(tau), rng, m, size) for size in (1, 7, 300, n - 308)])
         rng = derive_stream(5)
-        singles = np.stack([draw(BlockRow(tau), rng, m).indices for _ in range(n)])
+        singles = np.stack([draw(BlockRow(tau), rng, m) for _ in range(n)])
         assert whole.shape == (n, tau)
         np.testing.assert_array_equal(chunks, whole)
         np.testing.assert_array_equal(singles, whole)
@@ -210,7 +207,7 @@ class TestBlockDraw:
 class TestStochGrad:
     def test_row_direction_identity_matrix(self):
         a = np.eye(2)
-        got = stoch_grad(a, [1.0, 2.0], [0.0, 0.0], RowSample(0))
+        got = stoch_grad(a, [1.0, 2.0], [0.0, 0.0], row_sampling(a), 0)
         np.testing.assert_allclose(got, [-1.0, 0.0])
 
     def test_zero_at_solution(self):
@@ -218,17 +215,19 @@ class TestStochGrad:
         a = rng.standard_normal((4, 3))
         x = rng.standard_normal(3)
         b = a @ x
-        for sample in (RowSample(2), BlockSample(np.array([0, 3])), GaussianSample(rng.standard_normal((4, 2)))):
-            np.testing.assert_allclose(stoch_grad(a, b, x, sample), np.zeros(3), atol=1e-12)
+        draws = [(row_sampling(a), 2), (BlockRow(2), np.array([0, 3])), (GaussianSketch(2), rng.standard_normal((4, 2)))]
+        for dist, drawn in draws:
+            np.testing.assert_allclose(stoch_grad(a, b, x, dist, drawn), np.zeros(3), atol=1e-12)
 
     def test_single_row_hand_value(self):
-        got = stoch_grad(np.array([[3.0, 4.0]]), [5.0], [0.0, 0.0], RowSample(0))
+        a = np.array([[3.0, 4.0]])
+        got = stoch_grad(a, [5.0], [0.0, 0.0], row_sampling(a), 0)
         np.testing.assert_allclose(got, [-0.6, -0.8])
 
     def test_zero_row_rejected(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ZeroRow):
-            stoch_grad(a, [1.0, 1.0], [0.0, 0.0], RowSample(1))
+            stoch_grad(a, [1.0, 1.0], [0.0, 0.0], row_sampling(a), 1)
 
     @given(prob=small_problems())
     @settings(max_examples=30)
@@ -237,12 +236,12 @@ class TestStochGrad:
         rng = np.random.default_rng(0)
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         keep = s > 1e-10 * s[0]
-        samples = [RowSample(a.shape[0] - 1)]
+        draws = [(row_sampling(a), a.shape[0] - 1)]
         if a.shape[0] >= 2:
-            samples.append(BlockSample(np.array([0, a.shape[0] - 1])))
-        samples.append(GaussianSample(rng.standard_normal((a.shape[0], 2))))
-        for sample in samples:
-            g = stoch_grad(a, b, x, sample)
+            draws.append((BlockRow(2), np.array([0, a.shape[0] - 1])))
+        draws.append((GaussianSketch(2), rng.standard_normal((a.shape[0], 2))))
+        for dist, drawn in draws:
+            g = stoch_grad(a, b, x, dist, drawn)
             ortho = g - vt[keep].T @ (vt[keep] @ g)
             assert np.linalg.norm(ortho) <= 1e-8 * max(1.0, np.linalg.norm(g))
 
@@ -256,7 +255,7 @@ class TestStochGrad:
         total = np.zeros(a.shape[1])
         for i, p in enumerate(dist.probabilities):
             if p > 0:
-                total += p * stoch_grad(a, b, x, RowSample(i))
+                total += p * stoch_grad(a, b, x, dist, i)
         expected = a.T @ (h * (a @ x - b))
         np.testing.assert_allclose(total, expected, atol=1e-10)
 
@@ -323,7 +322,7 @@ class TestDrawSize:
 
 class TestHessianSpectrum:
     def test_identity_row_sampling(self):
-        spec = hessian_spectrum(np.eye(2), row_sampling(np.eye(2)))
+        spec, _ = spectrum_and_gram(np.eye(2), row_sampling(np.eye(2)))
         assert spec.lambda_max == pytest.approx(0.5, abs=1e-14)
         assert spec.lambda_min_plus == pytest.approx(0.5, abs=1e-14)
         assert spec.rank == 2
@@ -331,7 +330,7 @@ class TestHessianSpectrum:
 
     def test_zero_row_excluded(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        spec = hessian_spectrum(a, row_sampling(a))
+        spec, _ = spectrum_and_gram(a, row_sampling(a))
         np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.5], atol=1e-14)
         # E[H] has a zero diagonal entry, but Null(W) = Null(A): exact
         assert spec.exact
@@ -341,7 +340,7 @@ class TestHessianSpectrum:
 
     def test_zero_row_under_block_sampling_is_exact(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-        spec = hessian_spectrum(a, BlockRow(2))
+        spec, _ = spectrum_and_gram(a, BlockRow(2))
         assert spec.mc_samples is None and spec.rank == 2
         assert spec.exact
 
@@ -349,14 +348,14 @@ class TestHessianSpectrum:
         """block:m on a tall matrix: W is the projector onto the row
         space, although E[H] = (A A^T)^+ is singular."""
         a = np.random.default_rng(5).standard_normal((6, 3))
-        spec = hessian_spectrum(a, BlockRow(6))
+        spec, _ = spectrum_and_gram(a, BlockRow(6))
         np.testing.assert_allclose(spec.eigenvalues, np.ones(3), atol=1e-12)
         assert spec.exact
 
     def test_one_small_block_draw_is_not_exact(self):
         """One draw of 2 rows spans 2 of 10 directions: rank(W) < rank(A)."""
         a = np.random.default_rng(6).standard_normal((200, 10))
-        spec = hessian_spectrum(a, BlockRow(2), mc_samples=1)
+        spec, _ = spectrum_and_gram(a, BlockRow(2), mc_samples=1)
         assert spec.mc_samples == 1 and spec.rank == 2
         assert not spec.exact
 
@@ -367,18 +366,19 @@ class TestHessianSpectrum:
         dists = (row_sampling(a), BlockRow(2), GaussianSketch(2))
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 9):
             for dist in dists:
-                assert hessian_spectrum(a, dist, mc_samples=20).eigenvalues.shape == (3,)
+                spec, _ = spectrum_and_gram(a, dist, mc_samples=20)
+                assert spec.eigenvalues.shape == (3,)
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 8), \
                 mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
             for dist in dists:
                 with pytest.raises(OutOfRange, match="over the limit"):
-                    hessian_spectrum(a, dist)
+                    spectrum_and_gram(a, dist)
             with pytest.raises(OutOfRange, match="over the limit"):
                 expected_h(BlockRow(2), a)
 
     def test_rank_deficient(self):
         a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-        spec = hessian_spectrum(a, row_sampling(a))
+        spec, _ = spectrum_and_gram(a, row_sampling(a))
         assert spec.rank == 1
         assert spec.lambda_max == pytest.approx(1.0, abs=1e-12)
 
@@ -393,7 +393,7 @@ class TestHessianSpectrum:
             BlockRow(min(2, m)),
             GaussianSketch(min(2, m)),
         ):
-            spec = hessian_spectrum(a, dist, mc_samples=200, rng=np.random.default_rng(seed))
+            spec, _ = spectrum_and_gram(a, dist, mc_samples=200, rng=np.random.default_rng(seed))
             assert np.all(spec.eigenvalues >= 0.0)
             assert np.all(spec.eigenvalues <= 1.0 + 1e-8)
 

@@ -185,10 +185,10 @@ class TestRun:
         x = np.zeros(4)
         x_prev = x.copy()
         for _ in range(200):
-            s = draw(dist, rng, a.shape[0])
-            g = stoch_grad(a, b, x, s)
+            i = draw(dist, rng, a.shape[0])
+            g = stoch_grad(a, b, x, dist, i)
             x_new = shb_step(x, x_prev, g, 1.0, 0.0)
-            assert abs(float(a[s.index] @ x_new) - b[s.index]) <= 1e-12 * (1.0 + abs(b[s.index]))
+            assert abs(float(a[i] @ x_new) - b[i]) <= 1e-12 * (1.0 + abs(b[i]))
             x_prev, x = x, x_new
 
     def test_momentum_free_matches_standalone_sgd_loop(self):
@@ -389,7 +389,7 @@ class TestEnsemble:
         xstar = project_onto_solutions(np.zeros(3), problem.a, problem.b)
         l1_sq = []
         for j in range(len(stats.ks)):
-            diff = np.mean([t.snapshots[j] for t in traces], axis=0) - xstar
+            diff = np.mean([t.snapshots[j] - xstar for t in traces], axis=0)
             l1_sq.append(float(diff @ diff))
         assert stats.l1_sq == l1_sq
 
