@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import re
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -155,26 +156,35 @@ def parse_libsvm(path) -> np.ndarray:
 
 
 def read_csv_matrix(path) -> np.ndarray:
-    """Dense matrix from CSV; the first row is a header and is skipped."""
+    """Dense matrix from CSV; the first row is a header, whose width is the
+    column count.  Cells go into one flat float64 buffer, and a file is
+    refused at the row that takes it over linalg.MAX_DENSE_ELEMENTS entries."""
+    data = array("d")
+    rows = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
-    if len(rows) < 2:
+        width = len(next(reader, []))
+        for line_no, row in enumerate(reader, start=2):
+            rows += 1
+            if rows * width > linalg.MAX_DENSE_ELEMENTS:
+                raise MalformedLine(
+                    f"{path}:{line_no}: {rows} rows of {width} cells are over the limit of"
+                    f" {linalg.MAX_DENSE_ELEMENTS} entries",
+                    line_no=line_no,
+                )
+            if len(row) != width:
+                raise MalformedLine(
+                    f"{path}:{line_no}: expected {width} cells, got {len(row)}", line_no=line_no
+                )
+            try:
+                data.extend([float(c) for c in row])
+            except ValueError:
+                raise MalformedLine(
+                    f"{path}:{line_no}: non-numeric cell", line_no=line_no
+                ) from None
+    if not rows:
         raise EmptyFile(f"{path}: no data rows")
-    width = len(rows[0])
-    data = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise MalformedLine(
-                f"{path}:{line_no}: expected {width} cells, got {len(row)}", line_no=line_no
-            )
-        try:
-            data.append([float(c) for c in row])
-        except ValueError:
-            raise MalformedLine(
-                f"{path}:{line_no}: non-numeric cell", line_no=line_no
-            ) from None
-    return np.asarray(data)
+    return np.frombuffer(data).reshape(rows, width)
 
 
 def _bundle_paths(path) -> tuple[Path, Path]:

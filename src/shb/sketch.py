@@ -193,11 +193,11 @@ def sketch_size(dist: SketchDistribution, m: int) -> int:
 
 
 def draw_size(dist: SketchDistribution, m: int, d: int) -> int:
-    """Numbers one draw holds at most: a uniform for row sampling, or the
-    largest array of a block or Gaussian draw (A_S and its Gram factors,
-    or S and S^T A)."""
+    """Numbers one draw holds at most: a row draw's A_i, b_i and
+    ||A_i||^2, or the largest array of a block or Gaussian draw (A_S and
+    its Gram factors, or S and S^T A)."""
     if isinstance(dist, UnitCoordinate):
-        return 1
+        return d + 2
     tau = sketch_size(dist, m)
     return tau * max(d, tau if isinstance(dist, BlockRow) else m)
 

@@ -4,9 +4,10 @@ Single runs (run), ensembles (run_ensemble) and sweeps (run_pairs) share
 one kernel, _iterate, which advances an (R, d) block of iterates; each
 entry point states its streams and what it is bit-identical to.  The
 kernel's parts are described where they are implemented: the step, its
-buffers and its records in _iterate, the pre-drawn chunks in
-_chunk_steps, the divergence guard in _finite_rows, and the budget,
-checked before any stream exists, in _check_fits.
+buffers, its records and the freeze of a diverged member in _iterate,
+the pre-drawn chunks in _chunk_steps, the divergence guard in
+_finite_rows, and the budget, checked before any stream exists, in
+_check_fits.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class EnsembleStats:
     cesaro_f_mean: list[float | None]
     l1_sq: list[float]
     replications: int
-    params: SolverParams
 
 
 def shb_step(x_k, x_prev, grad, omega: float, beta: float) -> np.ndarray:
@@ -143,10 +143,10 @@ class _Block:
 
     Rows of l2/f/cesaro are members, columns the recorded indices ks;
     the cesaro column at k = 0 is undefined (NaN).  l1_sq holds per
-    record ||mean over the live members of (x - x*)||^2, and snapshots, when
+    record ||mean over the members of (x - x*)||^2, and snapshots, when
     asked for, one (members, d) block.  diverged_at is 0 for a member that
-    never diverged; its records are NaN from that iteration on and its
-    final iterate is the last finite one.
+    never diverged; from that iteration on, its records, snapshots and
+    l1_sq are NaN, and its final iterate is the last finite one.
     """
 
     ks: list[int]
@@ -160,21 +160,10 @@ class _Block:
     diverged_at: np.ndarray
 
 
-def _chunk_steps(dist: SketchDistribution, m: int, d: int, members: int, streams: int) -> tuple[int, int]:
-    """Steps per pre-drawn chunk, and per sub-chunk whose draws are gathered at once.
-
-    A chunk holds about sketch.BATCH_ELEMENTS numbers of draws: one
-    uniform per member for row sampling, one block or Gaussian draw per
-    stream otherwise.  Row sampling gathers the rows its uniforms pick in
-    sub-chunks of at most BATCH_ELEMENTS row numbers (one step when a
-    step's rows alone are more); a block or Gaussian chunk is gathered
-    whole.
-    """
-    if not isinstance(dist, UnitCoordinate):
-        chunk = max(1, sketch.BATCH_ELEMENTS // (streams * draw_size(dist, m, d)))
-        return chunk, chunk
-    chunk = max(1, sketch.BATCH_ELEMENTS // members)
-    return chunk, max(1, min(chunk, sketch.BATCH_ELEMENTS // (streams * d)))
+def _chunk_steps(dist: SketchDistribution, m: int, d: int, streams: int) -> int:
+    """Steps per pre-drawn chunk: about sketch.BATCH_ELEMENTS numbers, one
+    draw of draw_size numbers per stream and step, and at least one step."""
+    return max(1, sketch.BATCH_ELEMENTS // (streams * draw_size(dist, m, d)))
 
 
 def _check_fits(params: SolverParams, dist: SketchDistribution, m: int, d: int, members: int, streams: int) -> int:
@@ -187,25 +176,16 @@ def _check_fits(params: SolverParams, dist: SketchDistribution, m: int, d: int, 
     member holds nine rows of d numbers: three rotating iterates, the
     gradient and momentum buffers, the Cesaro running sum, omega, beta
     and the final iterate, and a record two more, W (x - x*) and W times
-    the Cesaro mean - x*.  The draws: a chunk of uniforms takes 4 numbers
-    per member and step while it is mapped to rows (the uniforms, their
-    lookup, the rows and the previous chunk's), and row sampling holds two
-    gathered sub-chunks of d + 2 numbers per stream and step (the next is
-    gathered while the last is held); a block or Gaussian chunk takes 4
-    draw_size numbers per stream and draw (the chunk as it is stacked, the
-    previous one, and S or the Gram factors).
+    the Cesaro mean - x*.  A chunk of draws takes 4 draw_size numbers per
+    stream and step: the chunk as it is made (uniforms and their rows, or
+    stacked draws), the previous chunk, and the gathered rows or the Gram
+    factors.
     """
     check_w_fits(d)
-    by_row = isinstance(dist, UnitCoordinate)
     records = params.record_count()
     per_record = 3 + members * (3 + (d if params.snapshots else 0))
-    chunk, sub = _chunk_steps(dist, m, d, members, streams)
-    steps = min(chunk, params.max_iter)
-    if by_row:
-        draws = 4 * steps * members + 2 * min(sub, steps) * streams * (d + 2)
-    else:
-        draws = 4 * steps * streams * draw_size(dist, m, d)
-    held = d * d + members * 11 * d + draws
+    steps = min(_chunk_steps(dist, m, d, streams), params.max_iter)
+    held = d * d + members * 11 * d + 4 * steps * streams * draw_size(dist, m, d)
     if records * per_record + held > linalg.MAX_DENSE_ELEMENTS:
         raise OutOfRange(
             f"{records} records of {per_record} numbers and {held} numbers of W, iterates and draws "
@@ -270,7 +250,9 @@ def _iterate(
     (R, d) arrays, so a step allocates nothing.  A record (_Block) takes
     f and the Cesaro f of every member from one stacked product with W,
     as f_value computes them.  A member whose iterate leaves the finite
-    range is dropped; the others go on unchanged.
+    range is frozen: its rows of x, x_new, omega and beta become 0, so it
+    stays finite and takes no further step, and its records are NaN.  The
+    block keeps its shape and the others go on unchanged.
     """
     a, b = problem.a, problem.b
     m, d = a.shape
@@ -288,9 +270,8 @@ def _iterate(
     if by_row:
         norms_sq = row_dots(a, a)
         check_row_norms(dist, norms_sq)
-    chunk, sub = _chunk_steps(dist, m, d, n, len(keys))
+    chunk = _chunk_steps(dist, m, d, len(keys))
     streams = [derive_stream(params.seed, 0, key) for key in keys]
-    shared = len(streams) == 1
     # rows of a step's products before the gradient: A_i x, or g x - c and V^T (g x - c)
     tau = sketch_size(dist, m)
 
@@ -306,64 +287,55 @@ def _iterate(
     diverged_at = np.zeros(n, dtype=np.int64)
     final = np.empty((n, d))
 
-    live = np.arange(n)
     omega = np.repeat(np.broadcast_to(omega, n), d).reshape(n, d)
     beta = np.repeat(np.broadcast_to(beta, n), d).reshape(n, d)
     x = np.tile(x0, (n, 1))
     x_prev = x.copy()
     x_new = np.empty_like(x)
     running_sum = np.zeros((n, d))  # x_1 + ... + x_k for the Cesaro average
-
-    def buffers(rows: int):
-        """The gradient and momentum buffers as one block, the gradient, its
-        shape as the output of a step's last product, the momentum term,
-        and two of the step's products."""
-        pair = np.empty((2 * rows, d))
-        grad, mom = pair[:rows], pair[rows:]
-        prods = np.empty((2, rows, tau, 1))
-        return pair, grad, grad.reshape((rows, 1, d) if by_row else (rows, d, 1)), mom, prods[0], prods[1]
-
-    pair, grad, grad_out, mom, prod, coef = buffers(n)
+    # the gradient and momentum buffers as one block, the gradient shaped
+    # as the output of a step's last product, and two of the step's products
+    pair = np.empty((2 * n, d))
+    grad, mom = pair[:n], pair[n:]
+    grad_out = grad.reshape((n, 1, d) if by_row else (n, d, 1))
+    prod, coef = np.empty((2, n, tau, 1))
 
     def record(j: int, k: int) -> None:
         # the buffer pair is free between steps: x - x* and the Cesaro mean
-        # - x* go in its halves, for one W product with a gemv per row as in f_value
+        # - x* go in its halves, NaN for a frozen member, for one W product
+        # with a gemv per row as in f_value
         diff = np.subtract(x, xstar, out=grad)
-        l2[live, j] = row_dots(diff, diff)
-        errs = pair if k else diff
         if k:
             np.subtract(np.divide(running_sum, k, out=mom), xstar, out=mom)
+        frozen = diverged_at > 0
+        diff[frozen] = mom[frozen] = np.nan
+        l2[:, j] = row_dots(diff, diff)
+        errs = pair if k else diff
         vals = 0.5 * row_dots(errs, np.matmul(eh, errs[:, :, None])[:, :, 0])
         vals = np.where(0.0 > vals, 0.0, vals)
-        f[live, j] = vals[: live.size]
-        cesaro[live, j] = vals[live.size :] if k else np.nan
-        mean_diff = np.add.reduce(diff, axis=0) / x.shape[0]  # np.mean's bits, without its overhead
+        f[:, j] = vals[:n]
+        if k:
+            cesaro[:, j] = vals[n:]
+        mean_diff = np.add.reduce(diff, axis=0) / n  # np.mean's bits, without its overhead
         l1_sq.append(float(mean_diff @ mean_diff))
         if snapshots is not None:
-            snap = np.full((n, d), np.nan)
-            snap[live] = x
-            snapshots.append(snap)
+            snapshots.append(np.where(frozen[:, None], np.nan, x))
         elapsed.append(time.perf_counter() - t0)
 
     matmul, multiply, subtract, add, divide = np.matmul, np.multiply, np.subtract, np.add, np.divide
     t0 = time.perf_counter()
     record(0, 0)
-    j = 1
-    k = 0
-    picked = np.empty((0, len(streams)), dtype=np.intp)  # row sampling's rows not yet gathered
-    while k < params.max_iter and live.size:
+    j, k = 1, 0
+    while k < params.max_iter and not diverged_at.all():
+        steps = min(chunk, params.max_iter - k)
         if by_row:
-            if not picked.size:
-                steps = min(chunk, params.max_iter - k)
-                picked = row_indices(dist, streams[0].random((steps, 1)) if shared else np.stack(
-                    [s.random(steps) for s in streams], axis=1))
-            at, picked = picked[:sub], picked[sub:]
+            at = row_indices(dist, np.stack([s.random(steps) for s in streams], axis=1))
             draws = (a[at][:, :, None], b[at][:, :, None, None], norms_sq[at][:, :, None, None])
         else:
-            g, c = _sketched_systems(dist, a, b, streams, min(chunk, params.max_iter - k))
+            g, c = _sketched_systems(dist, a, b, streams, steps)
             vecs, inv = gram_factors(g @ g.swapaxes(-1, -2))
             draws = (g, c, vecs, inv[..., None])
-        for t in range(len(draws[0])):
+        for t in range(steps):
             k += 1
             if by_row:
                 row = draws[0][t]
@@ -387,25 +359,20 @@ def _iterate(
             add(x_new, mom, out=x_new)
             ok = _finite_rows(x_new)
             if ok is not None and not ok.all():
-                diverged_at[live[~ok]] = k
-                final[live[~ok]] = x[~ok]
-                live = live[ok]
-                if not live.size:
+                bad = ~ok
+                diverged_at[bad] = k
+                final[bad] = x[bad]
+                if diverged_at.all():
                     break
-                x, x_prev, x_new = x[ok], x_prev[ok], x_new[ok]
-                omega, beta, running_sum = omega[ok], beta[ok], running_sum[ok]
-                pair, grad, grad_out, mom, prod, coef = buffers(live.size)
-                if not shared:
-                    streams = [s for s, keep in zip(streams, ok) if keep]
-                    draws = tuple(v[:, ok] for v in draws)
-                    picked = picked[:, ok]
+                x[bad] = x_new[bad] = omega[bad] = beta[bad] = 0.0
             x_prev, x, x_new = x, x_new, x_prev
             add(running_sum, x, out=running_sum)
             if k == ks[j]:
                 record(j, k)
                 j += 1
 
-    final[live] = x
+    alive = diverged_at == 0
+    final[alive] = x[alive]
     return _Block(ks, l2, f, cesaro, l1_sq, snapshots, elapsed, final, diverged_at)
 
 
@@ -528,5 +495,4 @@ def run_ensemble(
         cesaro_f_mean=[None] + [float(np.mean(vals)) for vals in by_record[1:]],
         l1_sq=block.l1_sq,
         replications=replications,
-        params=params,
     )

@@ -111,6 +111,15 @@ class TestAnalyze:
         assert err.startswith("error:") and err.rstrip().endswith(":3: non-numeric cell")
         assert "Traceback" not in err
 
+    def test_csv_over_budget_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("c1,c2\n1.0,2.0\n3.0,4.0\n")
+        with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 3):
+            assert main(["analyze", "--input", str(data), "--format", "csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.rstrip().endswith(":3: 2 rows of 2 cells are over the limit of 3 entries")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
         """One W, one spectrum and one x*, from two eigendecompositions:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import shb.io
+import shb.linalg
 import shb.problems
 from shb.errors import BundleError, EmptyFile, Inconsistent, MalformedLine, NonMonotoneIndices, OutOfRange
 from shb.io import (
@@ -133,6 +134,19 @@ class TestCsvMatrix:
         with pytest.raises(MalformedLine, match=r":3: non-numeric cell") as err:
             read_csv_matrix(p)
         assert err.value.line_no == 3
+
+    def test_budget_boundary(self, tmp_path):
+        """2 rows of 2 cells fit a budget of 4 entries; at 3 the file is
+        refused at the row that crosses it, before the bad cells after it."""
+        path = write(tmp_path, "m.csv", "c1,c2\n1.0,2.0\n3.0,4.0\n")
+        with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 4):
+            np.testing.assert_array_equal(read_csv_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+        bad_after = write(tmp_path, "n.csv", "c1,c2\n1.0,2.0\n3.0,4.0\nx,y\n")
+        for p in (path, bad_after):
+            with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 3):
+                with pytest.raises(MalformedLine, match=r":3: 2 rows of 2 cells are over the limit of 3 entries") as exc:
+                    read_csv_matrix(p)
+            assert exc.value.line_no == 3
 
     def test_ragged_rejected(self, tmp_path):
         p = write(tmp_path, "m.csv", "c1,c2\n1.0,2.0\n3.0\n")

@@ -79,8 +79,8 @@ def problems(draw_from):
 def schedules():
     """(omega, beta, max_iter, record_every, pre-draw chunk steps, seed).
 
-    Pre-draw chunks of 1 to 9 steps, gathered in sub-chunks of about half
-    that (chunk_steps), make most runs cross several boundaries of both."""
+    Pre-draw chunks of 1 to 9 steps (chunk_steps) make most runs cross
+    several chunk boundaries."""
     return st.tuples(
         st.floats(0.2, 1.8),
         st.floats(0.0, 0.6),
@@ -107,10 +107,8 @@ def oracle_iterates(problem, dist, omega, beta, max_iter, rng, x0):
 
 @contextmanager
 def chunk_steps(steps):
-    """Pre-draw in chunks of `steps` steps, and gather row sampling's rows
-    in sub-chunks of (steps + 1) // 2, so that an odd chunk ends with a
-    short sub-chunk."""
-    with mock.patch.object(solver, "_chunk_steps", return_value=(steps, (steps + 1) // 2)):
+    """Pre-draw in chunks of `steps` steps."""
+    with mock.patch.object(solver, "_chunk_steps", return_value=steps):
         yield
 
 
@@ -463,42 +461,51 @@ def test_guard_drops_a_row_beyond_the_limit(bad):
 @pytest.mark.parametrize("shared", [False, True], ids=["own-streams", "shared-stream"])
 @pytest.mark.parametrize("kind", ["row", "block"])
 def test_member_diverging_mid_chunk_leaves_the_others_on_the_oracle(kind, shared):
-    """A member that diverges inside a pre-drawn chunk, and for row
-    sampling inside the chunk's first gathered sub-chunk, stops at the
-    oracle's first diverging iteration and keeps its last finite iterate.
-    With a stream per member, dropping it also drops its draws (gathered
-    rows, the chunk's rows still to gather, or block factors); the
-    survivors stay bit-identical to the oracle either way."""
+    """A member that diverges inside a pre-drawn chunk stops at the
+    oracle's first diverging iteration, keeps its last finite iterate and
+    records NaN from then on; with the second betas on the shared stream,
+    two members diverge at the same step and are frozen together.  The
+    frozen members' streams go on drawing, and the survivors stay
+    bit-identical to the oracle either way."""
     problem = gen_problem(6, 3, seed=0)
     dist = row_sampling(problem.a) if kind == "row" else BlockRow(2)
-    betas = (0.0, 1.0, 0.3)
     max_iter, seed = 1500, 5
     params = SolverParams(
         omega=1.0, beta=0.0, max_iter=max_iter, seed=seed, record_every=100, snapshots=True,
     )
-    keys = range(1) if shared else range(len(betas))
-    with chunk_steps(47):  # sub-chunks of 24 and 23 steps
-        block = solver._iterate(
-            problem, dist, params, np.zeros(3), keys,
-            np.ones(len(betas)), np.array(betas), None, None,
-        )
-    stream = [0] * len(betas) if shared else range(len(betas))
-    refs = [
-        oracle_iterates(problem, dist, 1.0, b, max_iter, derive_stream(seed, 0, r), np.zeros(3))
-        for r, b in zip(stream, betas)
-    ]
-    diverged = first_oracle_divergence(problem, dist, 1.0, 1.0, max_iter, derive_stream(seed, 0, stream[1]))
-    assert diverged is not None
-    step = (diverged - 1) % 47
-    assert step % 24 != 0 and (kind == "block" or step < 24)
-    assert block.diverged_at.tolist() == [0, diverged, 0]
-    np.testing.assert_array_equal(block.final[1], refs[1][diverged - 1])
-    for r in (0, 2):
-        for j, k in enumerate(block.ks):
-            np.testing.assert_array_equal(block.snapshots[j][r], refs[r][k])
-        np.testing.assert_array_equal(block.final[r], refs[r][-1])
-    for j, k in enumerate(block.ks):
-        assert np.isnan(block.snapshots[j][1]).all() == (k >= diverged)
+    for betas in ((0.0, 1.0, 0.3), (0.0, 1.0, 0.3, 1.0)):
+        keys = range(1) if shared else range(len(betas))
+        with chunk_steps(47):
+            block = solver._iterate(
+                problem, dist, params, np.zeros(3), keys,
+                np.ones(len(betas)), np.array(betas), None, None,
+            )
+        stream = [0] * len(betas) if shared else range(len(betas))
+        refs = [
+            oracle_iterates(problem, dist, 1.0, b, max_iter, derive_stream(seed, 0, r), np.zeros(3))
+            for r, b in zip(stream, betas)
+        ]
+        expected = [
+            first_oracle_divergence(problem, dist, 1.0, b, max_iter, derive_stream(seed, 0, r)) or 0
+            for r, b in zip(stream, betas)
+        ]
+        assert block.diverged_at.tolist() == expected
+        assert expected[0] == expected[2] == 0 and expected[1] > 0
+        if shared and len(betas) == 4:
+            assert expected[3] == expected[1]
+        for r, diverged in enumerate(expected):
+            for j, k in enumerate(block.ks):
+                cells = (block.l2[r, j], block.f[r, j], block.cesaro[r, j], *block.snapshots[j][r])
+                if diverged and k >= diverged:
+                    assert np.isnan(cells).all()
+                else:
+                    np.testing.assert_array_equal(block.snapshots[j][r], refs[r][k])
+                    assert not np.isnan(cells[:2]).any()
+            if diverged:
+                assert (diverged - 1) % 47 != 0  # not the first step of a chunk
+                np.testing.assert_array_equal(block.final[r], refs[r][diverged - 1])
+            else:
+                np.testing.assert_array_equal(block.final[r], refs[r][-1])
 
 
 @pytest.mark.parametrize("shape", ["run", "sweep", "ensemble"])
@@ -547,13 +554,14 @@ def test_gaussian_predraw_memory_is_bounded():
 
 def test_row_sweep_at_default_chunks_equals_solo_runs_and_the_oracle():
     """Unpatched chunk sizes: a 3-pair row sweep on 300x100 over 3000
-    steps, which gathers its shared stream's rows in three sub-chunks,
-    equals three solo runs and the oracle loop, bit for bit."""
+    steps, which draws its shared stream's rows in three chunks whose
+    boundaries fall between records, equals three solo runs and the
+    oracle loop, bit for bit."""
     problem = gen_problem(300, 100, seed=0)
     dist = row_sampling(problem.a)
     max_iter = 3000
-    chunk, sub = solver._chunk_steps(dist, 300, 100, 3, 1)
-    assert sub < max_iter <= chunk
+    chunk = solver._chunk_steps(dist, 300, 100, 1)
+    assert 2 * chunk < max_iter <= 3 * chunk and chunk % 500
     settings = [
         SolverParams(omega=1.0, beta=beta, max_iter=max_iter, seed=2, record_every=500, snapshots=True)
         for beta in (0.0, 0.2, 0.4)
@@ -572,13 +580,14 @@ def test_row_sweep_at_default_chunks_equals_solo_runs_and_the_oracle():
 
 def test_row_ensemble_at_default_chunks_equals_its_runs():
     """Unpatched chunk sizes: each member of a 100-replication row
-    ensemble on 50x20, whose rows are gathered in sub-chunks of a few
-    dozen steps, equals the plain run on its stream, bit for bit."""
+    ensemble on 50x20, whose rows are drawn in chunks of a few dozen
+    steps with boundaries between records, equals the plain run on its
+    stream, bit for bit."""
     problem = gen_problem(50, 20, seed=4)
     dist = row_sampling(problem.a)
     reps, max_iter = 100, 400
-    chunk, sub = solver._chunk_steps(dist, 50, 20, reps, reps)
-    assert sub < max_iter <= chunk
+    chunk = solver._chunk_steps(dist, 50, 20, reps)
+    assert chunk < max_iter and chunk % 50
     params = SolverParams(omega=1.0, beta=0.3, max_iter=max_iter, seed=7, record_every=50, snapshots=True)
     block = solver._iterate(
         problem, dist, params, np.zeros(20), range(reps), np.array([1.0]), np.array([0.3]), None, None,
