@@ -15,7 +15,6 @@ from shb.errors import (
     InsufficientReplications,
     MalformedLine,
     NoConvergence,
-    NonFinite,
     NonMonotoneIndices,
     NonSquare,
     NotAdmissible,

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: gen, analyze, solve, sweep, verify.  Exit codes: 0 on
-success, 1 on input error, 2 when a solve run diverges, 3 when verify
-finds an applicable bound check failing.
+success, 1 on input error, 2 when a solve or verify run diverges (its
+output, with diverged_at, is still written), 3 when verify finds an
+applicable bound check failing.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import click
 
 import shb.experiments as ex
 import shb.io as shio
-from shb.errors import NonFinite, ShbError
+from shb.errors import ShbError
 from shb.problems import Problem, gen_problem, plant_solution
 from shb.sketch import SketchDistribution
 from shb.solver import SolverParams
@@ -32,6 +33,13 @@ def input_options(command):
     )):
         command = option(command)
     return command
+
+
+def exit_on_divergence(ctx: click.Context, payload: dict) -> None:
+    """Exit 2 with the diverging iteration when payload has diverged_at."""
+    if "diverged_at" in payload:
+        click.echo(f"diverged: iterate diverged at iteration {payload['diverged_at']}", err=True)
+        ctx.exit(2)
 
 
 def load_input(path: str, fmt: str, sketch: str, seed: int) -> tuple[Problem, SketchDistribution]:
@@ -85,16 +93,21 @@ def analyze(input_path, fmt, sketch, omega, beta, seed, mc_samples, out_path):
 @click.option("--iters", type=int, default=1000, show_default=True)
 @click.option("--record-every", type=int, default=1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Trace path (.csv or .json).")
-def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_path):
-    """Run one (omega, beta) configuration and write its trace."""
+@click.pass_context
+def solve(ctx, input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_path):
+    """Run one (omega, beta) configuration and write its trace.
+
+    Exits 2 when the iterate diverges, after writing the trace up to it.
+    """
     problem, dist = load_input(input_path, fmt, sketch, seed)
     params = SolverParams(omega=omega, beta=beta, max_iter=iters, seed=seed, record_every=record_every)
-    table = ex.solve(problem, dist, params)
+    payload = ex.solve(problem, dist, params)
     if str(out_path).endswith(".json"):
-        ex.write_trace_json(table, out_path)
+        shio.write_json(payload, out_path)
     else:
-        ex.write_trace_csv(table, out_path)
-    click.echo(f"wrote {out_path} ({len(table.rows)} records)")
+        ex.write_trace_csv(payload, out_path)
+    click.echo(f"wrote {out_path} ({len(payload['rows'])} records)")
+    exit_on_divergence(ctx, payload)
 
 
 @cli.command()
@@ -136,9 +149,10 @@ def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_
 def verify(ctx, input_path, fmt, sketch, omega, beta, iters, record_every, reps, seed, out_path):
     """Monte Carlo verification of the convergence bounds.
 
-    Exits 3 when an applicable bound check fails; the report is still
-    written.  Exits 1 before any run when the expected-iterate check
-    applies but fewer than 2 records fall in its fit window.
+    Exits 3 when an applicable bound check fails and 2 when a replication
+    diverges (the report then has diverged_at and no checks); the report
+    is still written.  Exits 1 before any run when the expected-iterate
+    check applies but fewer than 2 records fall in its fit window.
     """
     problem, dist = load_input(input_path, fmt, sketch, seed)
     params = SolverParams(omega=omega, beta=beta, max_iter=iters, seed=seed, record_every=record_every)
@@ -146,6 +160,7 @@ def verify(ctx, input_path, fmt, sketch, omega, beta, iters, record_every, reps,
     if out_path:
         shio.write_json(report, out_path)
         click.echo(f"wrote {out_path}")
+    exit_on_divergence(ctx, report)
     for name in ("l2", "cesaro", "l1", "l1_le_l2"):
         section = report[name]
         status = "n/a" if not section.get("applicable") else ("PASS" if section.get("pass") else "FAIL")
@@ -163,9 +178,6 @@ def main(argv=None) -> int:
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
-    except NonFinite as exc:
-        click.echo(f"diverged: {exc}", err=True)
-        return 2
     except (ShbError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1

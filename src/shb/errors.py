@@ -33,14 +33,6 @@ class ZeroRow(ShbError):
     """A zero row was sampled or would receive positive probability."""
 
 
-class NonFinite(ShbError):
-    """An iterate left the finite range (divergence guard)."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
-
-
 class OutOfRange(ShbError):
     """A parameter violates its admissible range."""
 

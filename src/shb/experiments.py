@@ -2,8 +2,8 @@
 
 These functions sit between the solver/theory layers and the CLI.  They
 take in-memory problems and distributions, produce plain dicts and rows
-ready for CSV/JSON serialization, and never print: analyze and verify
-return the very JSON payloads the CLI writes.  analyze, solve and
+ready for CSV/JSON serialization, and never print: analyze, solve and
+verify return the very JSON payloads the CLI writes.  analyze, solve and
 verify share one set-up (_set_up): the spectrum of W (with W itself and
 exactness), which bounds apply (theory.applicability), and x*, each
 built once and passed down; sweep builds W and x* once for all its pairs
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from shb.errors import InsufficientReplications, NotAdmissible, OutOfRange
-from shb.io import atomic_write, write_json
+from shb.io import atomic_write
 from shb.linalg import project_onto_solutions
 from shb.problems import Problem
 from shb.sketch import (
@@ -169,17 +169,9 @@ def analyze(
     }
 
 
-@dataclass
-class TraceTable:
-    """One run rendered as rows under TRACE_HEADER."""
-
-    rows: list[list]
-    params: SolverParams
-    problem_source: str
-
-
-def build_trace_table(problem: Problem, trace: RunTrace, setup: _SetUp) -> TraceTable:
-    """Derive the reporting columns for one finished run from the origin.
+def build_trace_table(problem: Problem, trace: RunTrace, setup: _SetUp) -> dict:
+    """The shb-trace-v1 payload of one finished run from the origin: a row
+    per record under TRACE_HEADER, and diverged_at if the run diverged.
 
     Both relative-error conventions are emitted (normalized by the
     initial distance and by the solution norm); theory columns are
@@ -191,7 +183,7 @@ def build_trace_table(problem: Problem, trace: RunTrace, setup: _SetUp) -> Trace
     rows = []
     for j, k in enumerate(trace.ks):
         l2 = trace.l2_error[j]
-        rows.append([
+        rows.append(dict(zip(TRACE_HEADER, [
             k,
             l2,
             l2 / init_sq if init_sq > 0.0 else None,
@@ -201,12 +193,21 @@ def build_trace_table(problem: Problem, trace: RunTrace, setup: _SetUp) -> Trace
             l2_envelope(bounds.l2, k, init_sq, setup.spectrum.lambda_max)[0] if bounds.l2_ok else None,
             cesaro_bound(params.omega, params.beta, k, init_sq, setup.f0) if bounds.cesaro_ok and k >= 1 else None,
             trace.elapsed_seconds[j],
-        ])
-    return TraceTable(rows=rows, params=params, problem_source=problem.source)
+        ])))
+    payload = {
+        "schema": "shb-trace-v1",
+        "problem_source": problem.source,
+        "params": params_to_dict(params),
+        "columns": TRACE_HEADER,
+        "rows": rows,
+    }
+    if trace.diverged_at is not None:
+        payload["diverged_at"] = trace.diverged_at
+    return payload
 
 
-def solve(problem: Problem, dist: SketchDistribution, params: SolverParams) -> TraceTable:
-    """Run one configuration from the origin and tabulate its trace.
+def solve(problem: Problem, dist: SketchDistribution, params: SolverParams) -> dict:
+    """Run one configuration from the origin and build its trace payload.
 
     One set-up (the spectrum of W, the bounds that apply, x*) is shared
     by the run and its table.
@@ -232,22 +233,9 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def write_trace_csv(table: TraceTable, path) -> None:
-    _write_csv(path, TRACE_HEADER, table.rows)
-
-
-def write_trace_json(table: TraceTable, path) -> None:
-    payload = {
-        "schema": "shb-trace-v1",
-        "problem_source": table.problem_source,
-        "params": params_to_dict(table.params),
-        "columns": TRACE_HEADER,
-        "rows": [
-            {name: value for name, value in zip(TRACE_HEADER, row)}
-            for row in table.rows
-        ],
-    }
-    write_json(payload, path)
+def write_trace_csv(payload: dict, path) -> None:
+    """The rows of a trace payload as CSV under its columns."""
+    _write_csv(path, payload["columns"], (row.values() for row in payload["rows"]))
 
 
 def params_to_dict(params: SolverParams) -> dict:
@@ -382,7 +370,9 @@ def verify(
     mean-squared distance vs its geometric envelope, Cesaro objective vs
     its O(1/k) bound (both with multiplicative slack 1 + 3/sqrt(R)), and
     the expected-iterate decay slope versus log(beta) + 0.05, fitted on
-    the records at k >= 1 after the first 10% of iterations.  Raises
+    the records at k >= 1 after the first 10% of iterations.  A diverged
+    ensemble's means are undefined from diverged_at on, so its report
+    holds only the header, diverged_at and pass false.  Raises
     NotAdmissible when no section applies, and OutOfRange before any run
     when the expected-iterate section applies but the record schedule
     puts fewer than 2 records in its fit window.
@@ -420,6 +410,8 @@ def verify(
             "exact": spectrum.exact,
         },
     }
+    if ens.diverged_at is not None:
+        return {**report, "diverged_at": ens.diverged_at, "pass": False}
     report["l2"] = _bound_section(
         bounds.l2_ok, ens.ks, ens.l2_mean, lambda k: l2_envelope(bounds.l2, k, init_sq, lmax)[0], slack
     )

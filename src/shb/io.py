@@ -235,8 +235,11 @@ def _manifest_field(manifest: dict, key: str, kind: type, where: Path):
 def read_bundle(path) -> Problem:
     """Read a problem bundle back, verifying the payload checksum.
 
-    Every manifest field is type-checked, and the payload must be a file
-    in the manifest's own directory; a bad manifest raises BundleError.
+    Every manifest field is type-checked, the shape must fit
+    linalg.MAX_DENSE_ELEMENTS, and the payload, symlinks resolved, must be
+    a regular file in the manifest's own directory (not a device or a
+    FIFO); a bad manifest raises BundleError before the payload is
+    opened, and at most one byte more than the shape needs is read.
     """
     manifest_path, _ = _bundle_paths(path)
     try:
@@ -248,8 +251,6 @@ def read_bundle(path) -> Problem:
     if manifest.get("version") != BUNDLE_VERSION:
         raise BundleError(f"{manifest_path}: unsupported version {manifest.get('version')!r}")
     payload_name = _manifest_field(manifest, "payload", str, manifest_path)
-    if payload_name in ("", ".", "..") or Path(payload_name).name != payload_name:
-        raise BundleError(f"{manifest_path}: payload {payload_name!r} is not a file name in the manifest's directory")
     checksum = _manifest_field(manifest, "checksum_sha256", str, manifest_path)
     rows = _manifest_field(manifest, "rows", int, manifest_path)
     cols = _manifest_field(manifest, "cols", int, manifest_path)
@@ -257,18 +258,22 @@ def read_bundle(path) -> Problem:
     source = _manifest_field(manifest, "source", str, manifest_path)
     if rows < 1 or cols < 1:
         raise BundleError(f"{manifest_path}: shape {rows}x{cols} is not positive")
+    if rows * cols + rows + cols > linalg.MAX_DENSE_ELEMENTS:
+        raise BundleError(f"{manifest_path}: shape {rows}x{cols} is over the limit of {linalg.MAX_DENSE_ELEMENTS} entries")
     payload_path = manifest_path.parent / payload_name
+    expected = 8 * (rows * cols + rows + (cols if has_planted else 0))
     try:
-        payload = payload_path.read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        resolved = payload_path.resolve()
+        if resolved.parent != manifest_path.parent.resolve() or not resolved.is_file():
+            raise BundleError(f"{manifest_path}: payload {payload_name!r} is not a file in the manifest's directory")
+        with open(resolved, "rb") as fh:
+            payload = fh.read(expected + 1)
+    except (OSError, ValueError, RuntimeError) as exc:  # a NUL in the name; a symlink loop
         raise BundleError(f"{payload_path}: cannot read payload: {exc}") from exc
+    if len(payload) != expected:
+        raise BundleError(f"{payload_path}: payload is not the {expected} bytes its manifest declares")
     if hashlib.sha256(payload).hexdigest() != checksum:
         raise BundleError(f"{payload_path}: checksum mismatch")
-    expected = 8 * (rows * cols + rows + (cols if has_planted else 0))
-    if len(payload) != expected:
-        raise BundleError(
-            f"{payload_path}: payload holds {len(payload)} bytes, expected {expected}"
-        )
     flat = np.frombuffer(payload, dtype="<f8")
     a = flat[: rows * cols].reshape(rows, cols).copy()
     b = flat[rows * cols : rows * cols + rows].copy()

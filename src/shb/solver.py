@@ -7,7 +7,7 @@ kernel's parts are described where they are implemented: the step, its
 buffers, its records and the freeze of a diverged member in _iterate,
 the pre-drawn chunks in _chunk_steps, the divergence guard in
 _finite_rows, and the budget, checked before any stream exists, in
-_check_fits.
+_check_fits.  Every entry point reports divergence as diverged_at.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 import shb.linalg as linalg
 import shb.sketch as sketch
-from shb.errors import DimensionMismatch, NonFinite, OutOfRange
+from shb.errors import DimensionMismatch, OutOfRange
 from shb.linalg import as_vector, project_onto_solutions, row_dots
 from shb.problems import Problem
 from shb.sketch import (
@@ -41,7 +41,7 @@ from shb.sketch import (
 # re-exported: perfbench/tests checks that tracing wraps this import site
 from shb.sketch import draw  # noqa: F401
 
-# iterates beyond this magnitude (or non-finite) abort the run
+# an iterate beyond this magnitude (or non-finite) has diverged
 DIVERGENCE_LIMIT = 1e30
 # a block of squared norm at most this has every entry within DIVERGENCE_LIMIT
 GUARD_SQ = 0.99 * DIVERGENCE_LIMIT**2
@@ -88,10 +88,10 @@ class RunTrace:
     l2_error holds the raw squared distance ||x_k - x*||^2 so that any
     relative-error convention can be derived from it downstream.
     cesaro_f is None at k = 0, where the running average is undefined;
-    snapshots is None unless params.snapshots is set.  A trace from
-    run_pairs whose iterate diverged stops before the diverging iteration
-    diverged_at, and final_iterate is the last finite iterate; run()
-    raises NonFinite instead.
+    snapshots is None unless params.snapshots is set.  diverged_at is
+    None unless the iterate diverged; then it is the first diverging
+    iteration, the series stop before it, and final_iterate is the last
+    finite iterate.
     """
 
     ks: list[int]
@@ -111,6 +111,9 @@ class EnsembleStats:
 
     l1_sq holds ||mean over replications of (x_k - x*)||^2, the Monte
     Carlo estimate of the squared distance of the expected iterate.
+    diverged_at is None unless a replication diverged; then it is the
+    earliest diverging iteration of any replication, and the series stop
+    before it, as a trace's do.
     """
 
     ks: list[int]
@@ -119,6 +122,7 @@ class EnsembleStats:
     cesaro_f_mean: list[float | None]
     l1_sq: list[float]
     replications: int
+    diverged_at: int | None = None
 
 
 def shb_step(x_k, x_prev, grad, omega: float, beta: float) -> np.ndarray:
@@ -379,7 +383,7 @@ def _iterate(
 def _member_trace(block: _Block, r: int, params: SolverParams) -> RunTrace:
     """Member r of a block as a plain run's trace, cut before any divergence."""
     diverged_at = int(block.diverged_at[r]) or None
-    n_rec = len(block.ks) if diverged_at is None else bisect_left(block.ks, diverged_at)
+    n_rec = bisect_left(block.ks, diverged_at or math.inf)
     return RunTrace(
         ks=block.ks[:n_rec],
         l2_error=block.l2[r, :n_rec].tolist(),
@@ -391,10 +395,6 @@ def _member_trace(block: _Block, r: int, params: SolverParams) -> RunTrace:
         params=params,
         diverged_at=diverged_at,
     )
-
-
-def _diverged(k: int) -> NonFinite:
-    return NonFinite(f"iterate diverged at iteration {k}", iteration=k)
 
 
 def run(
@@ -415,7 +415,8 @@ def run(
     recorded at k = 0, every record_every steps and at k = max_iter.
     Identical (problem, dist, params, x0) yield bit-identical traces.
     eh (ExpectedH.value, the Hessian W) and xstar, when given, replace
-    computing them.  Raises NonFinite with the first diverging iteration.
+    computing them.  A diverged run returns its trace up to the last
+    finite record, with diverged_at set (RunTrace).
     """
     block = _iterate(
         problem, dist, params, x0,
@@ -423,10 +424,7 @@ def run(
         np.array([params.omega]), np.array([params.beta]),
         eh, xstar,
     )
-    trace = _member_trace(block, 0, params)
-    if trace.diverged_at is not None:
-        raise _diverged(trace.diverged_at)
-    return trace
+    return _member_trace(block, 0, params)
 
 
 def run_pairs(
@@ -475,7 +473,8 @@ def run_ensemble(
     a plain run with the same params.  Averages are taken in replication
     order; l1_sq comes from the kernel's mean iterate at each record.
     eh and xstar are as for run().  If any replication diverges,
-    NonFinite is raised for the lowest-index one, with its iteration.
+    diverged_at is the earliest iteration at which one does, and the
+    series stop before it (EnsembleStats).
     """
     if replications < 1:
         raise OutOfRange("replications must be >= 1")
@@ -483,16 +482,16 @@ def run_ensemble(
         problem, dist, params, x0, range(replications),
         np.array([params.omega]), np.array([params.beta]), eh, xstar,
     )
-    diverged = np.flatnonzero(block.diverged_at)
-    if diverged.size:
-        raise _diverged(int(block.diverged_at[diverged[0]]))
-
-    by_record = np.ascontiguousarray(block.cesaro.T)
+    diverged = block.diverged_at[block.diverged_at > 0]
+    diverged_at = int(diverged.min()) if diverged.size else None
+    n_rec = bisect_left(block.ks, diverged_at or math.inf)
+    by_record = np.ascontiguousarray(block.cesaro[:, :n_rec].T)
     return EnsembleStats(
-        ks=block.ks,
-        l2_mean=block.l2.mean(axis=0).tolist(),
-        f_mean=block.f.mean(axis=0).tolist(),
+        ks=block.ks[:n_rec],
+        l2_mean=block.l2[:, :n_rec].mean(axis=0).tolist(),
+        f_mean=block.f[:, :n_rec].mean(axis=0).tolist(),
         cesaro_f_mean=[None] + [float(np.mean(vals)) for vals in by_record[1:]],
-        l1_sq=block.l1_sq,
+        l1_sq=block.l1_sq[:n_rec],
         replications=replications,
+        diverged_at=diverged_at,
     )

@@ -253,15 +253,25 @@ class TestSolve:
         ]) == (1, 1, 1, 2)
         assert out.exists()
 
-    def test_divergence_exit_code(self, tmp_path):
-        bundle = gen_bundle(tmp_path)
-        out = tmp_path / "trace.csv"
-        rc = main([
-            "solve", "--input", str(bundle), "--beta", "3.0", "--iters", "5000",
-            "--record-every", "100", "--out", str(out),
-        ])
-        assert rc == 2
-        assert not out.exists()  # no partial output on failure
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        """A diverged solve exits 2 and still writes its trace, in either
+        format, up to the last record before the diverging iteration."""
+        bundle = gen_bundle(tmp_path, rows=50, cols=20, seed=0)
+        args = ["solve", "--input", str(bundle), "--beta", "3", "--iters", "2000", "--record-every", "10"]
+        assert main(args + ["--out", str(tmp_path / "t.csv")]) == 2
+        assert main(args + ["--out", str(tmp_path / "t.json")]) == 2
+        assert capsys.readouterr().err == "diverged: iterate diverged at iteration 65\n" * 2
+        problem = read_bundle(bundle)
+        params = shb.SolverParams(omega=1.0, beta=3.0, max_iter=2000, seed=0, record_every=10)
+        trace = shb.solver.run(problem, make_distribution("row", problem.a), params)
+        assert trace.diverged_at == 65
+        assert trace.ks == list(range(0, 61, 10))
+        with open(tmp_path / "t.csv", newline="") as fh:
+            rows = list(csv.reader(fh, strict=True))
+        assert [int(row[0]) for row in rows[1:]] == trace.ks
+        payload = json.loads((tmp_path / "t.json").read_text())
+        assert payload["diverged_at"] == 65
+        assert [row["k"] for row in payload["rows"]] == trace.ks
 
     @pytest.mark.parametrize("option,value", [("--beta", "nan"), ("--beta", "inf"), ("--omega", "inf"), ("--omega", "nan")])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, option, value):
@@ -420,6 +430,7 @@ class TestVerify:
         # every run records the same three series; no iterate is stored
         assert report["params"]["metrics"] == ["cesaro_f", "f_value", "l2_error"]
         assert report["l1_le_l2"]["applicable"] is True
+        assert "diverged_at" not in report
 
     @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
@@ -505,6 +516,35 @@ class TestVerify:
         assert rc == 3
         assert json.loads(out.read_text())["pass"] is False
         assert "overall: FAIL" in capsys.readouterr().out
+
+    def test_divergence_exits_two_and_writes_the_report(self, tmp_path, capsys):
+        """beta = 0.95 is admissible for the expected-iterate bound here, and
+        every replication diverges: verify exits 2 and writes a report
+        without check sections, naming the earliest diverging iteration of
+        any replication, which is not replication 0's."""
+        bundle = gen_bundle(tmp_path, rows=50, cols=20, seed=0)
+        out = tmp_path / "v.json"
+        rc = main([
+            "verify", "--input", str(bundle), "--beta", "0.95", "--iters", "3000",
+            "--record-every", "100", "--reps", "100", "--out", str(out),
+        ])
+        assert rc == 2
+        problem = read_bundle(bundle)
+        dist = make_distribution("row", problem.a)
+        params = shb.SolverParams(omega=1.0, beta=0.95, max_iter=3000, seed=0, record_every=100)
+        eh = shb.expected_h(dist, problem.a).value
+        xstar = shb.project_onto_solutions(np.zeros(20), problem.a, problem.b)
+        solo = [shb.run(problem, dist, params, eh=eh, xstar=xstar, stream_index=r).diverged_at for r in range(100)]
+        assert None not in solo and min(solo) < solo[0]
+        report = json.loads(out.read_text())
+        assert list(report) == [
+            "schema", "problem_source", "params", "replications", "slack_factor", "spectrum", "diverged_at", "pass",
+        ]
+        assert report["diverged_at"] == min(solo)
+        assert report["pass"] is False
+        captured = capsys.readouterr()
+        assert captured.err == f"diverged: iterate diverged at iteration {min(solo)}\n"
+        assert "overall" not in captured.out
 
 
 class TestReadmeRecipes:

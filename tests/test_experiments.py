@@ -22,11 +22,11 @@ from shb.experiments import (
     verify,
     write_sweep_outputs,
     write_trace_csv,
-    write_trace_json,
 )
+from shb.io import write_json
 from shb.problems import Problem, gen_problem
 from shb.sketch import BlockRow, GaussianSketch, UnitCoordinate, row_sampling
-from shb.solver import SolverParams
+from shb.solver import SolverParams, run
 from shb.theory import applicability, l1_params, l2_rate
 
 
@@ -119,23 +119,25 @@ class TestTraceTable:
         problem = toy_problem()
         dist = row_sampling(problem.a)
         params = SolverParams(omega=1.0, beta=0.0, max_iter=30, seed=0, record_every=5)
-        table = solve(problem, dist, params)
-        first = dict(zip(TRACE_HEADER, table.rows[0]))
+        payload = solve(problem, dist, params)
+        assert all(list(row) == TRACE_HEADER for row in payload["rows"])
+        first = payload["rows"][0]
         assert first["k"] == 0
         assert first["rel_error_x0"] == pytest.approx(1.0)
         assert first["cesaro_f"] is None
         assert first["theory_cesaro_bound"] is None
         # unit stepsize on the identity: trace must reach zero error
-        last = dict(zip(TRACE_HEADER, table.rows[-1]))
+        last = payload["rows"][-1]
         assert last["l2_error_raw"] == 0.0
         # admissible momentum-free rate: envelope column populated
         assert first["theory_l2_bound"] == pytest.approx(first["l2_error_raw"])
 
         path = tmp_path / "t.csv"
-        write_trace_csv(table, path)
+        write_trace_csv(payload, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh, strict=True))
         assert rows[0] == TRACE_HEADER
+        assert len(rows) == 1 + len(payload["rows"])
         assert rows[1][0] == "0"
         assert rows[1][2] == "1.0"
         assert rows[1][5] == ""  # empty cell for the undefined average at k=0
@@ -144,14 +146,26 @@ class TestTraceTable:
         problem = toy_problem()
         dist = row_sampling(problem.a)
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=5)
-        table = solve(problem, dist, params)
+        payload = solve(problem, dist, params)
         path = tmp_path / "t.json"
-        write_trace_json(table, path)
-        payload = json.loads(path.read_text())
+        write_json(payload, path)
+        assert json.loads(path.read_text()) == payload
+        assert list(payload) == ["schema", "problem_source", "params", "columns", "rows"]
         assert payload["schema"] == "shb-trace-v1"
         assert payload["columns"] == TRACE_HEADER
         assert payload["rows"][0]["k"] == 0
         assert payload["params"]["omega"] == 1.0
+
+    def test_diverged_trace_stops_before_diverged_at(self):
+        problem = toy_problem()
+        dist = row_sampling(problem.a)
+        params = SolverParams(omega=1.0, beta=3.0, max_iter=5000, seed=0, record_every=100)
+        payload = solve(problem, dist, params)
+        trace = run(problem, dist, params)
+        assert trace.diverged_at is not None
+        assert payload["diverged_at"] == trace.diverged_at
+        assert [row["k"] for row in payload["rows"]] == trace.ks
+        assert all(row["k"] < trace.diverged_at for row in payload["rows"])
 
 
 class TestSweep:
@@ -263,6 +277,7 @@ class TestVerify:
         )
         report = verify(problem, row_sampling(problem.a), params, replications=500)
         assert report["l2"]["pass"] and report["cesaro"]["pass"] and report["pass"]
+        assert "diverged_at" not in report
 
     def test_accelerated_section_mechanics(self):
         """The expected-iterate section activates for an accelerated pairing
@@ -340,9 +355,9 @@ def test_every_command_applies_the_one_rule(omega, beta):
         return  # no run takes these
 
     params = SolverParams(omega=omega, beta=beta, max_iter=10, seed=0, record_every=1)
-    table = solve(problem, dist, params)
-    l2_col = [row[TRACE_HEADER.index("theory_l2_bound")] for row in table.rows]
-    cesaro_col = [row[TRACE_HEADER.index("theory_cesaro_bound")] for row in table.rows[1:]]
+    rows = solve(problem, dist, params)["rows"]
+    l2_col = [row["theory_l2_bound"] for row in rows]
+    cesaro_col = [row["theory_cesaro_bound"] for row in rows[1:]]
     assert all((v is not None) == rule.l2_ok for v in l2_col)
     assert all((v is not None) == rule.cesaro_ok for v in cesaro_col)
 

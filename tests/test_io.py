@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -198,11 +202,20 @@ class TestBundle:
         raw = payload.read_bytes()[:-8]
         payload.write_bytes(raw)
         meta = json.loads(manifest.read_text())
-        import hashlib
-
         meta["checksum_sha256"] = hashlib.sha256(raw).hexdigest()
         manifest.write_text(json.dumps(meta))
         with pytest.raises(BundleError):
+            read_bundle(manifest)
+
+    def test_overlong_payload_rejected(self, tmp_path):
+        manifest = write_bundle(gen_problem(3, 2, seed=2), tmp_path / "p.json")
+        payload = tmp_path / "p.bin"
+        raw = payload.read_bytes() + bytes(8)
+        payload.write_bytes(raw)
+        meta = json.loads(manifest.read_text())
+        meta["checksum_sha256"] = hashlib.sha256(raw).hexdigest()
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(BundleError, match="not the 88 bytes"):
             read_bundle(manifest)
 
 
@@ -226,6 +239,18 @@ MANIFEST_FAULTS = [
     ("has_planted", "yes"),
     ("source", None),
 ]
+
+
+@contextmanager
+def allocates_at_most(limit: int):
+    """Fail unless the block's traced peak stays within limit bytes."""
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 def faulty_manifest(tmp_path, key, value):
@@ -255,6 +280,41 @@ class TestBundleManifest:
         meta["payload"] = "../" + outside.with_suffix(".bin").name  # same bytes, valid checksum
         manifest.write_text(json.dumps(meta))
         with pytest.raises(BundleError, match="manifest's directory"):
+            read_bundle(manifest)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_payload_linked_out_of_directory_never_read(self, tmp_path):
+        """A payload that is a symlink to an endless device is refused
+        before a byte of it is read."""
+        manifest = write_bundle(gen_problem(4, 3, seed=0), tmp_path / "p.json")
+        payload = tmp_path / "p.bin"
+        payload.unlink()
+        payload.symlink_to("/dev/zero")
+        with allocates_at_most(16 * 1024), pytest.raises(BundleError, match="manifest's directory"):
+            read_bundle(manifest)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_payload_fifo_never_opened(self, tmp_path):
+        """Opening a FIFO would wait for a writer forever."""
+        manifest = write_bundle(gen_problem(4, 3, seed=0), tmp_path / "p.json")
+        (tmp_path / "p.bin").unlink()
+        os.mkfifo(tmp_path / "p.bin")
+        with pytest.raises(BundleError, match="manifest's directory"):
+            read_bundle(manifest)
+
+    def test_payload_linked_inside_directory_read(self, tmp_path):
+        problem = gen_problem(4, 3, seed=0)
+        manifest = write_bundle(problem, tmp_path / "p.json")
+        (tmp_path / "p.bin").rename(tmp_path / "data.bin")
+        (tmp_path / "p.bin").symlink_to("data.bin")
+        assert read_bundle(manifest) == problem
+
+    def test_shape_over_budget_refused_before_the_payload(self, tmp_path):
+        manifest = faulty_manifest(tmp_path, "rows", 2**20)
+        meta = json.loads(manifest.read_text())
+        meta["cols"] = 2**20
+        manifest.write_text(json.dumps(meta))
+        with allocates_at_most(16 * 1024), pytest.raises(BundleError, match="over the limit"):
             read_bundle(manifest)
 
     @pytest.mark.parametrize("text", ["[]", '"shb-problem"', "\xff"])

@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 import shb.linalg
 import shb.sketch
 import shb.solver as solver
-from shb.errors import NonFinite
 from shb.experiments import sweep
 from shb.linalg import project_onto_solutions
 from shb.problems import Problem, gen_problem
@@ -369,30 +368,34 @@ def test_run_reports_the_first_diverging_iteration():
     params = SolverParams(omega=1.0, beta=1.0, max_iter=3000, seed=3, record_every=100)
     expected = first_oracle_divergence(problem, dist, 1.0, 1.0, 3000, derive_stream(3, 0, 0))
     assert expected is not None
-    with pytest.raises(NonFinite) as exc:
-        run(problem, dist, params)
-    assert exc.value.iteration == expected
+    trace = run(problem, dist, params)
+    assert trace.diverged_at == expected
+    assert trace.ks == [k for k in range(0, 3001, 100) if k < expected]
+    assert len(trace.l2_error) == len(trace.f_value) == len(trace.cesaro_f) == len(trace.ks)
 
 
-def test_ensemble_reports_the_lowest_diverging_replica():
+def test_ensemble_reports_the_earliest_diverging_iteration():
     """With 770 iterations replica 0 survives, replica 1 diverges, and
-    later replicas diverge before it; the error names replica 1's
-    iteration, as the replicas run one after another would."""
+    later replicas diverge before it; the ensemble reports the earliest
+    iteration of any replica, and its series stop before it."""
     problem = gen_problem(6, 3, seed=0)
     dist = row_sampling(problem.a)
     params = SolverParams(omega=1.0, beta=1.0, max_iter=770, seed=3, record_every=100)
-    per_replica = []
-    for r in range(6):
-        try:
-            run(problem, dist, params, stream_index=r)
-            per_replica.append(None)
-        except NonFinite as exc:
-            per_replica.append(exc.iteration)
+    traces = [run(problem, dist, params, stream_index=r) for r in range(6)]
+    per_replica = [t.diverged_at for t in traces]
     assert per_replica[0] is None and per_replica[1] is not None
-    assert min(k for k in per_replica[2:] if k is not None) < per_replica[1]
-    with pytest.raises(NonFinite) as exc:
-        run_ensemble(problem, dist, params, replications=6)
-    assert exc.value.iteration == per_replica[1]
+    earliest = min(k for k in per_replica[2:] if k is not None)
+    assert earliest < per_replica[1]
+    stats = run_ensemble(problem, dist, params, replications=6)
+    assert stats.diverged_at == earliest
+    assert stats.ks == [k for k in (*range(0, 770, 100), 770) if k < earliest]
+    for series in (stats.l2_mean, stats.f_mean, stats.cesaro_f_mean, stats.l1_sq):
+        assert len(series) == len(stats.ks)
+    # every replica has these records, so the means are those of the runs
+    n = len(stats.ks)
+    assert stats.l2_mean == [float(v) for v in np.asarray([t.l2_error[:n] for t in traces]).mean(axis=0)]
+    assert stats.f_mean == [float(v) for v in np.asarray([t.f_value[:n] for t in traces]).mean(axis=0)]
+    assert all(np.isfinite(v) for v in (*stats.cesaro_f_mean[1:], *stats.l1_sq))
 
 
 def test_sweep_drops_a_diverged_pair_and_keeps_the_others():
@@ -400,10 +403,10 @@ def test_sweep_drops_a_diverged_pair_and_keeps_the_others():
     dist = row_sampling(problem.a)
     pairs = ((1.0, 0.0), (1.0, 1.0), (1.0, 0.3))
     long_rows, summaries = sweep(problem, dist, pairs, 3000, 100, 3)
-    with pytest.raises(NonFinite) as exc:
-        run(problem, dist, SolverParams(omega=1.0, beta=1.0, max_iter=3000, seed=3, record_every=100))
+    diverged = run(problem, dist, SolverParams(omega=1.0, beta=1.0, max_iter=3000, seed=3, record_every=100)).diverged_at
+    assert diverged is not None
     assert summaries[1]["status"] == "diverged"
-    assert summaries[1]["diverged_at"] == exc.value.iteration
+    assert summaries[1]["diverged_at"] == diverged
     assert not [row for row in long_rows if row[0] == 1]
     for pair_id in (0, 2):
         w, b = pairs[pair_id]
@@ -416,15 +419,16 @@ def test_sweep_drops_a_diverged_pair_and_keeps_the_others():
 
 def test_block_sweep_drops_a_pair_diverging_mid_chunk():
     """A block-sampling pair that diverges inside a pre-drawn chunk stops
-    at the solo run's NonFinite iteration; the other pairs are unchanged."""
+    at the solo run's diverged_at; the other pairs are unchanged."""
     problem = gen_problem(6, 3, seed=0)
     dist = BlockRow(2)
     pairs = ((1.0, 0.0), (1.0, 1.0), (1.0, 0.3))
     with chunk_steps(50):
         long_rows, summaries = sweep(problem, dist, pairs, 3000, 100, 3)
-        with pytest.raises(NonFinite) as exc:
-            run(problem, dist, SolverParams(omega=1.0, beta=1.0, max_iter=3000, seed=3, record_every=100))
-    diverged = exc.value.iteration
+        diverged = run(problem, dist, SolverParams(
+            omega=1.0, beta=1.0, max_iter=3000, seed=3, record_every=100,
+        )).diverged_at
+    assert diverged is not None
     assert (diverged - 1) % 50 != 0  # not the first step of a chunk
     assert summaries[1]["status"] == "diverged"
     assert summaries[1]["diverged_at"] == diverged

@@ -26,6 +26,9 @@ def test_names_the_benchmark_uses_exist():
         (shb, "SolverParams"),
         (shb.solver, "run"),
         (shb.experiments, "summarize_long_rows"),
+        # perfbench's per-layer table counts calls under these names
+        (shb.experiments, "build_trace_table"),
+        (shb.experiments, "write_trace_csv"),
         (shb.io, "write_bundle"),
         (shb.problems, "Problem"),
     ]:

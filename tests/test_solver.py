@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import shb.linalg as linalg
-from shb.errors import DimensionMismatch, NonFinite, OutOfRange, ZeroRow
+from shb.errors import DimensionMismatch, OutOfRange, ZeroRow
+from shb.experiments import make_distribution
 from shb.linalg import project_onto_solutions
 from shb.problems import Problem, gen_problem
 from shb.sketch import UnitCoordinate, derive_stream, expected_h, f_value, row_sampling
@@ -264,9 +269,11 @@ class TestRun:
         problem = toy_problem()
         dist = row_sampling(problem.a)
         params = SolverParams(omega=1.0, beta=3.0, max_iter=5000, seed=0, record_every=100)
-        with pytest.raises(NonFinite) as exc:
-            run(problem, dist, params)
-        assert exc.value.iteration is not None and exc.value.iteration >= 1
+        trace = run(problem, dist, params)
+        assert trace.diverged_at is not None and trace.diverged_at >= 1
+        # the trace stops at the last record before the diverging iteration
+        assert trace.ks == list(range(0, trace.diverged_at, 100))
+        assert np.isfinite(trace.l2_error).all() and np.isfinite(trace.final_iterate).all()
 
     def test_iterates_stay_in_affine_row_space(self):
         """x0 plus row-space steps: the orthogonal component never grows."""
@@ -399,3 +406,45 @@ class TestEnsemble:
         params = SolverParams(omega=1.0, beta=0.0, max_iter=5, seed=0)
         with pytest.raises(OutOfRange):
             run_ensemble(problem, dist, params, replications=0)
+
+
+# one run per sketch spec from saved A, b, x* and W; prints the sha256 of
+# each final iterate
+SAVED_RUNS = """
+import hashlib, sys
+import numpy as np
+from shb.experiments import make_distribution
+from shb.problems import Problem
+from shb.solver import SolverParams, run
+
+saved = sys.argv[1]
+a, b, xstar = (np.load(f"{saved}/{name}.npy") for name in ("a", "b", "xstar"))
+params = SolverParams(omega=1.0, beta=0.3, max_iter=2000, seed=0, record_every=2000)
+for i, spec in enumerate(sys.argv[2:]):
+    eh = np.load(f"{saved}/w{i}.npy")
+    trace = run(Problem(a=a, b=b, source="saved"), make_distribution(spec, a), params, eh=eh, xstar=xstar)
+    print(hashlib.sha256(trace.final_iterate.tobytes()).hexdigest())
+"""
+
+
+def test_iterates_do_not_depend_on_blas_threads(tmp_path):
+    """Given W and x*, the iterates are the same bits under one and two
+    BLAS threads; W and x* themselves are reproducible only at a fixed
+    BLAS library and thread setting, so they are computed once here."""
+    problem = gen_problem(300, 100, 1)
+    specs = ["row", "block:5", "gaussian:3"]
+    np.save(tmp_path / "a.npy", problem.a)
+    np.save(tmp_path / "b.npy", problem.b)
+    np.save(tmp_path / "xstar.npy", project_onto_solutions(np.zeros(100), problem.a, problem.b))
+    for i, spec in enumerate(specs):
+        np.save(tmp_path / f"w{i}.npy", expected_h(make_distribution(spec, problem.a), problem.a).value)
+    src = str(Path(solver.__file__).parent.parent)
+    hashes = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", SAVED_RUNS, str(tmp_path), *specs], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == len(specs)
+    assert hashes[0] == hashes[1]
