@@ -73,12 +73,11 @@ def gen(rows, cols, seed, out_path):
 @input_options
 @click.option("--omega", multiple=True, type=float, default=(1.0,), show_default=True)
 @click.option("--beta", type=float, default=0.0, show_default=True)
-@click.option("--mc-samples", type=int, default=10_000, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-def analyze(input_path, fmt, sketch, omega, beta, seed, mc_samples, out_path):
+def analyze(input_path, fmt, sketch, omega, beta, seed, out_path):
     """Report the sketch spectrum and every closed-form rate constant."""
     problem, dist = load_input(input_path, fmt, sketch, seed)
-    payload = ex.analyze(problem, dist, omegas=tuple(omega), beta=beta, mc_samples=mc_samples)
+    payload = ex.analyze(problem, dist, omegas=tuple(omega), beta=beta)
     if out_path:
         shio.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")

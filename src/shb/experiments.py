@@ -27,7 +27,6 @@ from shb.io import atomic_write
 from shb.linalg import project_onto_solutions
 from shb.problems import Problem
 from shb.sketch import (
-    DEFAULT_MC_SAMPLES,
     BlockRow,
     GaussianSketch,
     SketchDistribution,
@@ -96,8 +95,7 @@ class _SetUp:
 
 
 def _set_up(
-    problem: Problem, dist: SketchDistribution, omega: float, beta: float, *,
-    mc_samples: int = DEFAULT_MC_SAMPLES, need_bound: bool = False,
+    problem: Problem, dist: SketchDistribution, omega: float, beta: float, *, need_bound: bool = False
 ) -> _SetUp:
     """The spectrum, the bounds that apply at (omega, beta), and x* with
     its distance and objective from the origin.  x* and rank(A) come from
@@ -105,7 +103,7 @@ def _set_up(
     need_bound, NotAdmissible is raised before the projection when no
     bound applies."""
     a, b = problem.a, problem.b
-    spectrum, gram = spectrum_and_gram(a, dist, mc_samples=mc_samples)
+    spectrum, gram = spectrum_and_gram(a, dist)
     bounds = applicability(omega, beta, spectrum.lambda_min_plus, spectrum.lambda_max)
     if need_bound and not (bounds.l2_ok or bounds.cesaro_ok or bounds.l1_ok):
         raise NotAdmissible("parameters meet no bound hypothesis: nothing to verify")
@@ -116,12 +114,7 @@ def _set_up(
 
 
 def analyze(
-    problem: Problem,
-    dist: SketchDistribution,
-    omegas: tuple[float, ...] = (1.0,),
-    beta: float = 0.0,
-    *,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
+    problem: Problem, dist: SketchDistribution, omegas: tuple[float, ...] = (1.0,), beta: float = 0.0
 ) -> dict:
     """The analyze JSON payload: the spectrum plus every closed-form
     constant for the given stepsizes.
@@ -134,7 +127,7 @@ def analyze(
     """
     if not all(math.isfinite(v) for v in (*omegas, beta)):
         raise OutOfRange(f"omega and beta must be finite, got omegas={omegas!r} beta={beta!r}")
-    setup = _set_up(problem, dist, omegas[0], beta, mc_samples=mc_samples)
+    setup = _set_up(problem, dist, omegas[0], beta)
     s, l2 = setup.spectrum, setup.bounds.l2
     l1_choices = {}
     for choice in ("unit_stepsize", "inv_lmax"):

@@ -11,9 +11,9 @@ import csv
 import hashlib
 import json
 import os
-import re
 from array import array
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,19 +50,11 @@ def write_json(payload, path) -> None:
         fh.write(json.dumps(payload, indent=2) + "\n")
 
 
-# a line the vectorised pass of parse_libsvm takes as it stands: ASCII
-# decimal numbers, one ':' per feature, spaces and tabs; group 1 holds
-# the features.  Every other line goes through _parse_line.
-_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_PLAIN_LINE = re.compile(rf"[ \t]*{_NUMBER}((?:[ \t]+[0-9]{{1,18}}:{_NUMBER})*)[ \t]*")
-
-
 def _parse_line(path, line_no: int, raw: str) -> list[tuple[int, float]]:
     """The (index, value) features of one line, checked token by token."""
-    line = raw.strip()
-    if not line:
+    tokens = raw.split()
+    if not tokens:
         raise MalformedLine(f"{path}:{line_no}: blank line", line_no=line_no)
-    tokens = line.split()
     try:
         float(tokens[0])
     except ValueError:
@@ -109,39 +101,40 @@ def parse_libsvm(path) -> np.ndarray:
     seen anywhere; absent entries are zero.  Trailing blank lines are
     tolerated, interior ones are not.  A file whose dense matrix would
     exceed linalg.MAX_DENSE_ELEMENTS entries is rejected before allocating.
-    Plain lines are converted in one pass with Python's int and float and
-    checked as arrays; other lines, and lines failing a check, are parsed
-    token by token, which words the error of the first bad line.
+    One pass reads every line by _parse_line's rules (a whitespace split,
+    a float label, one ':' per feature, int and float, indices checked as
+    arrays); when a check fails, _parse_line goes over the lines in order
+    and words the error of the first bad one.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = Path(path).read_text().splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise EmptyFile(f"{path}: no data rows")
 
-    matches = [_PLAIN_LINE.fullmatch(line) for line in lines]
-    plain = [i for i, match in enumerate(matches) if match]
-    feats = [matches[i].group(1) for i in plain]
-    counts = np.array([f.count(":") for f in feats], dtype=np.int64)
-    words = " ".join(feats).replace(":", " ").split()
-    idx = np.fromiter(map(int, words[0::2]), dtype=np.int64, count=len(words) // 2)
-    vals = np.fromiter(map(float, words[1::2]), dtype=np.float64, count=len(words) // 2)
-    rows = np.repeat(np.array(plain, dtype=np.int64), counts)
-    rising = np.ones(idx.size, dtype=bool)  # within each line
-    rising[1:] = (idx[1:] > idx[:-1]) | (rows[1:] != rows[:-1])
-    flagged = set(rows[(idx < 1) | ~rising].tolist())
-    flagged.update(i for i, match in enumerate(matches) if not match)
+    split = [line.split() or [""] for line in lines]  # a blank line's label is ""
+    tokens = [tok for t in split for tok in t[1:]]
+    words = " ".join(tokens).replace(":", " ").split()
+    rows = np.repeat(np.arange(len(lines)), [len(t) - 1 for t in split])
+    try:
+        for t in split:
+            float(t[0])
+        if len(words) != 2 * len(tokens) or not set(map(str.count, tokens, repeat(":"))) <= {1}:
+            raise ValueError("a feature is not one index:value pair")
+        idx = np.fromiter(map(int, words[0::2]), dtype=np.int64, count=len(tokens))
+        vals = np.fromiter(map(float, words[1::2]), dtype=np.float64, count=len(tokens))
+        # 1-based, and rising within each line
+        ok = idx.min(initial=1) >= 1 and bool(np.all((np.diff(idx) > 0) | (np.diff(rows) != 0)))
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        for i, line in enumerate(lines):
+            _parse_line(path, i + 1, line)
+        # the lines keep the rules, so an index is past int64: the budget refuses it
+        idx = np.array([int(w) for w in words[0::2]], dtype=object)
 
-    # flagged plain lines raise here; the others are valid lines in
-    # another spelling (Unicode digits, other whitespace, inf)
-    others = [(i, f) for i in sorted(flagged) for f in _parse_line(path, i + 1, lines[i])]
     max_index = int(idx.max(initial=0))
     widest_line = int(rows[np.argmax(idx)]) + 1 if idx.size else 0
-    for i, (j, _) in others:
-        if j > max_index or (j == max_index and i + 1 < widest_line):
-            max_index, widest_line = j, i + 1
-
     if len(lines) * max_index > linalg.MAX_DENSE_ELEMENTS:
         raise MalformedLine(
             f"{path}:{widest_line}: index {max_index} makes a {len(lines)}x{max_index} matrix,"
@@ -150,8 +143,6 @@ def parse_libsvm(path) -> np.ndarray:
         )
     mat = np.zeros((len(lines), max_index))
     mat[rows, idx - 1] = vals
-    for i, (j, val) in others:
-        mat[i, j - 1] = val
     return mat
 
 

@@ -17,7 +17,7 @@ PLANT_STREAM_KEY = 1
 CONSISTENCY_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """A consistent linear system Ax = b with optional planted solution.
 
@@ -50,24 +50,6 @@ class Problem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Problem):
-            return NotImplemented
-        same_planted = (
-            (self.planted_solution is None and other.planted_solution is None)
-            or (
-                self.planted_solution is not None
-                and other.planted_solution is not None
-                and np.array_equal(self.planted_solution, other.planted_solution)
-            )
-        )
-        return (
-            np.array_equal(self.a, other.a)
-            and np.array_equal(self.b, other.b)
-            and same_planted
-            and self.source == other.source
-        )
 
 
 def gen_problem(rows: int, cols: int, seed: int) -> Problem:

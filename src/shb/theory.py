@@ -75,6 +75,8 @@ def l2_rate(omega: float, beta: float, lmin: float, lmax: float) -> L2Rate:
     a2 = beta + 2.0 * beta * beta + omega * beta * lmax
     q = (a1 + math.sqrt(a1 * a1 + 4.0 * a2)) / 2.0
     delta = q - a1
+    if not all(map(math.isfinite, (a1, a2, q, delta))):  # a1^2 overflows past beta ~ 1e77
+        raise OutOfRange(f"rate constants overflow at omega={omega!r} beta={beta!r}")
     admissible = a1 + a2 < 1.0
     if admissible and not (a1 + a2 <= q + _CONSISTENCY_TOL and q < 1.0 + _CONSISTENCY_TOL):
         raise ShbError(f"rate consistency violated: a1+a2={a1 + a2!r}, q={q!r}")

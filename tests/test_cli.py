@@ -138,6 +138,30 @@ class TestAnalyze:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("beta", ["1e100", "1e308"])
+    def test_overflowing_momentum_writes_valid_json(self, tmp_path, capsys, beta):
+        """No Infinity or NaN in the report: the overflowing L2 constants
+        become "l2": null, and the momentum bound is still reported."""
+        bundle = gen_bundle(tmp_path, rows=6, cols=3, seed=0)
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--input", str(bundle), "--beta", beta, "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["l2"] is None
+        assert 0.0 < payload["beta_upper"] < 1.0
+
+    def test_mc_samples_option_refused(self, tmp_path, capsys):
+        """Every command estimates W from the same seeded draws; analyze
+        has no --mc-samples to describe another W."""
+        bundle = gen_bundle(tmp_path)
+        assert main(["analyze", "--input", str(bundle), "--mc-samples", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: No such option") and "--mc-samples" in err
+        assert "Traceback" not in err
+
     def test_init_sq_dist_is_the_first_trace_record(self, tmp_path):
         """analyze's ||x0 - x*||^2 is the number solve's trace starts from."""
         bundle = gen_bundle(tmp_path, rows=300, cols=100, seed=0)

@@ -100,6 +100,16 @@ class TestAnalyze:
         payload = analyze(problem, row_sampling(problem.a), omegas=(2.5,))
         assert payload["l2"] is None
 
+    @pytest.mark.parametrize("beta", [0.0, 0.05, 1.0, 1e10, 1e77, 1e78, 1e100, 1e154, 1e155, 1e200, 1e308])
+    def test_payload_is_valid_json_at_any_finite_momentum(self, beta):
+        """Past beta ~ 1e77 the L2 constants overflow; they are reported as
+        no L2 bound, never as Infinity or NaN."""
+        problem = toy_problem()
+        payload = analyze(problem, row_sampling(problem.a), beta=beta)
+        json.dumps(payload, allow_nan=False)
+        if beta >= 1e100:
+            assert payload["l2"] is None
+
 
 class TestTraceTable:
     def test_header_exact(self):

@@ -7,12 +7,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shb.io
 import shb.linalg
 import shb.problems
 from shb.errors import BundleError, EmptyFile, Inconsistent, MalformedLine, NonMonotoneIndices, OutOfRange
 from shb.io import (
+    _parse_line,
     atomic_write,
     parse_libsvm,
     read_bundle,
@@ -20,6 +23,18 @@ from shb.io import (
     write_bundle,
 )
 from shb.problems import Problem, gen_problem
+
+
+def assert_same_problem(got, want):
+    """a, b and the planted solution equal byte for byte (or both absent),
+    and the same source."""
+    assert got.a.shape == want.a.shape and got.a.tobytes() == want.a.tobytes()
+    assert got.b.tobytes() == want.b.tobytes()
+    if want.planted_solution is None:
+        assert got.planted_solution is None
+    else:
+        assert got.planted_solution.tobytes() == want.planted_solution.tobytes()
+    assert got.source == want.source
 
 
 def write(tmp_path, name, text):
@@ -125,6 +140,102 @@ class TestParseLibsvm:
         assert rows_a == rows_b
 
 
+# the spellings a LIBSVM file can hold: valid ones in every form int and
+# float take (signs, underscores, Unicode digits, inf, wide and padded
+# indices, tabs and other whitespace), and every malformed token kind
+GOOD_LABELS = ["1", "-1", "+1", "0.5", "2e3", "\u0663", " 1"]
+BAD_LABELS = ["abc", "1:2", "nan1", "\u0663x"]
+VALUES = ["0", "1", "-2.5", ".5", "5.", "1e5", "1E-3", "+2", "1_0", "inf", "-inf", "nan", "1e400", "\u0663.5"]
+BAD_TOKENS = [
+    "7", "1:2:3", ":5", "4:", "0:1", "-3:1", "x:1", "1e3:1", "2:abc", "0x10:1",
+    "99999999999999999999:1", "9223372036854775808:1", "9223372036854775807:1",
+]
+SEPARATORS = [" ", "  ", "\t", " \t", "\u3000", "\x0b"]
+
+
+def spell_index(i: int, style: int) -> str:
+    return {0: str(i), 1: f"+{i}", 2: f"{i:0>20}", 3: "".join(chr(0x660 + int(c)) for c in str(i))}[style]
+
+
+@st.composite
+def libsvm_lines(draw) -> str:
+    """One line: usually a valid one, else blank or with a bad label, a bad
+    token or indices out of order."""
+    kind = draw(st.integers(0, 19))
+    if kind == 0:
+        return draw(st.sampled_from(["", " \t", "\u3000"]))
+    label = draw(st.sampled_from(BAD_LABELS if kind == 1 else GOOD_LABELS))
+    indices = sorted(draw(st.sets(st.integers(1, 30), max_size=6)))
+    tokens = [
+        f"{spell_index(i, draw(st.sampled_from([0, 0, 0, 1, 2, 3])))}:{draw(st.sampled_from(VALUES))}"
+        for i in indices
+    ]
+    if kind == 2:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(BAD_TOKENS)))
+    elif kind == 3:
+        tokens.reverse()
+    sep = draw(st.sampled_from(SEPARATORS))
+    return sep.join([label, *tokens]) + draw(st.sampled_from(["", "", sep]))
+
+
+def reference_parse(path) -> np.ndarray:
+    """_parse_line over every line in order, then the budget rule."""
+    lines = path.read_text().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise EmptyFile(f"{path}: no data rows")
+    feats = [_parse_line(path, i + 1, line) for i, line in enumerate(lines)]
+    max_index = max((j for line in feats for j, _ in line), default=0)
+    widest = next((i + 1 for i, line in enumerate(feats) if any(j == max_index for j, _ in line)), 0)
+    if len(lines) * max_index > shb.linalg.MAX_DENSE_ELEMENTS:
+        raise MalformedLine(
+            f"{path}:{widest}: index {max_index} makes a {len(lines)}x{max_index} matrix,"
+            f" over the limit of {shb.linalg.MAX_DENSE_ELEMENTS} entries",
+            line_no=widest,
+        )
+    mat = np.zeros((len(lines), max_index))
+    for i, line in enumerate(feats):
+        for j, val in line:
+            mat[i, j - 1] = val
+    return mat
+
+
+def outcome(parse, path):
+    """The matrix's shape and bytes, or the error's class, message, line and token."""
+    try:
+        mat = parse(path)
+    except (EmptyFile, MalformedLine, NonMonotoneIndices) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None), getattr(exc, "token", None)
+    return mat.shape, mat.tobytes()
+
+
+class TestParseLibsvmAgainstTheLineReference:
+    @settings(max_examples=400)
+    @given(
+        lines=st.lists(libsvm_lines(), max_size=8),
+        trailing=st.sampled_from(["", "\n", "\r\n", "\n\n", "\n \n"]),
+    )
+    def test_one_pass_equals_parse_line_over_every_line(self, tmp_path_factory, lines, trailing):
+        path = tmp_path_factory.mktemp("libsvm") / "f.txt"
+        path.write_text("\n".join(lines) + trailing, newline="")
+        assert outcome(parse_libsvm, path) == outcome(reference_parse, path)
+
+    def test_first_bad_line_wins_over_an_index_past_int64(self, tmp_path):
+        """The 20-digit index is valid by the line rules, so line 3's bad
+        token is the file's first error; alone, the index is refused by
+        the budget on its own line."""
+        path = write(tmp_path, "a.txt", "1 99999999999999999999:1\n1 1:1\n1 2:x\n")
+        with pytest.raises(MalformedLine) as exc:
+            parse_libsvm(path)
+        assert (exc.value.line_no, exc.value.token) == (3, "2:x")
+        assert "cannot parse token '2:x'" in str(exc.value)
+        path = write(tmp_path, "b.txt", "1 1:1\n1 2:1 99999999999999999999:1\n")
+        with pytest.raises(MalformedLine) as exc:
+            parse_libsvm(path)
+        assert exc.value.line_no == 2 and "index 99999999999999999999 makes a 2x" in str(exc.value)
+
+
 class TestCsvMatrix:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -167,17 +278,12 @@ class TestBundle:
         problem = gen_problem(7, 4, seed=99)
         manifest = write_bundle(problem, tmp_path / "prob.json")
         back = read_bundle(manifest)
-        assert problem.a.tobytes() == back.a.tobytes()
-        assert problem.b.tobytes() == back.b.tobytes()
-        assert problem.planted_solution.tobytes() == back.planted_solution.tobytes()
-        assert problem.source == back.source
-        assert problem == back
+        assert_same_problem(back, problem)
 
     def test_round_trip_without_planted(self, tmp_path):
         problem = Problem(a=np.eye(3), b=np.array([1.0, 2.0, 3.0]), source="hand")
         back = read_bundle(write_bundle(problem, tmp_path / "p.json"))
-        assert back.planted_solution is None
-        assert problem == back
+        assert_same_problem(back, problem)
 
     def test_checksum_detects_corruption(self, tmp_path):
         problem = gen_problem(3, 2, seed=1)
@@ -307,7 +413,7 @@ class TestBundleManifest:
         manifest = write_bundle(problem, tmp_path / "p.json")
         (tmp_path / "p.bin").rename(tmp_path / "data.bin")
         (tmp_path / "p.bin").symlink_to("data.bin")
-        assert read_bundle(manifest) == problem
+        assert_same_problem(read_bundle(manifest), problem)
 
     def test_shape_over_budget_refused_before_the_payload(self, tmp_path):
         manifest = faulty_manifest(tmp_path, "rows", 2**20)
@@ -365,7 +471,7 @@ class TestProblem:
     def test_generation_is_deterministic(self):
         p1 = gen_problem(10, 6, seed=123)
         p2 = gen_problem(10, 6, seed=123)
-        assert p1 == p2
+        assert_same_problem(p1, p2)
         p3 = gen_problem(10, 6, seed=124)
         assert not np.array_equal(p1.a, p3.a)
 

@@ -70,6 +70,8 @@ class TestL2Rate:
             l2_rate(1.0, 0.0, 0.6, 0.5)
         with pytest.raises(OutOfRange):
             l2_rate(1.0, 0.0, 0.5, 1.5)
+        with pytest.raises(OutOfRange, match="overflow"):  # a1^2 is inf past beta ~ 1e77
+            l2_rate(1.0, 1e100, 0.5, 0.5)
 
     @given(omega=st_omega, lmax=st_lmin, lmin_frac=st.floats(1e-4, 1.0), frac=st_frac)
     def test_admissible_region_properties(self, omega, lmax, lmin_frac, frac):
