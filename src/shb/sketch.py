@@ -38,6 +38,10 @@ DEFAULT_MC_SAMPLES = 10_000
 # of about this many numbers (draw_size per draw), so memory grows with
 # neither mc_samples nor max_iter
 BATCH_ELEMENTS = 1 << 17
+# f_value and the kernel's records take W times rows as one gemm per block
+# of this many rows: OpenBLAS picks its kernels by a product's row count, so
+# a row's bits depend on the block size, not on its place or the other rows
+W_BLOCK_ROWS = 8
 CERTIFY_MARGIN = 1e3  # the Cholesky certificate's room for rounding (_add_projections)
 
 
@@ -441,4 +445,4 @@ def f_value(a, b, x, eh, xstar) -> float:
     if w.shape != (d, d):
         raise DimensionMismatch(f"expected_h has shape {w.shape}, expected ({d}, {d})")
     e = x - as_vector(xstar, length=d, name="xstar")
-    return max(0.5 * float(e @ (w @ e)), 0.0)
+    return max(0.5 * float(e @ (np.tile(e, (W_BLOCK_ROWS, 1)) @ w)[0]), 0.0)

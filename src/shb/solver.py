@@ -180,16 +180,17 @@ def _check_fits(params: SolverParams, dist: SketchDistribution, m: int, d: int, 
     member holds nine rows of d numbers: three rotating iterates, the
     gradient and momentum buffers, the Cesaro running sum, omega, beta
     and the final iterate, and a record two more, W (x - x*) and W times
-    the Cesaro mean - x*.  A chunk of draws takes 4 draw_size numbers per
-    stream and step: the chunk as it is made (uniforms and their rows, or
-    stacked draws), the previous chunk, and the gathered rows or the Gram
-    factors.
+    the Cesaro mean - x*; the buffer pair and its W product each fill
+    up to whole blocks of sketch.W_BLOCK_ROWS rows.  A chunk of draws
+    takes 4 draw_size numbers per stream and step: the chunk as it is made
+    (uniforms and their rows, or stacked draws), the previous chunk, and
+    the gathered rows or the Gram factors.
     """
     check_w_fits(d)
     records = params.record_count()
     per_record = 3 + members * (3 + (d if params.snapshots else 0))
     steps = min(_chunk_steps(dist, m, d, streams), params.max_iter)
-    held = d * d + members * 11 * d + 4 * steps * streams * draw_size(dist, m, d)
+    held = d * d + (members * 11 + 2 * sketch.W_BLOCK_ROWS) * d + 4 * steps * streams * draw_size(dist, m, d)
     if records * per_record + held > linalg.MAX_DENSE_ELEMENTS:
         raise OutOfRange(
             f"{records} records of {per_record} numbers and {held} numbers of W, iterates and draws "
@@ -252,11 +253,12 @@ def _iterate(
     sketch shares the update x - omega*grad + beta*(x - x_prev), in that
     order, into three rotating buffers, with omega and beta held as
     (R, d) arrays, so a step allocates nothing.  A record (_Block) takes
-    f and the Cesaro f of every member from one stacked product with W,
-    as f_value computes them.  A member whose iterate leaves the finite
-    range is frozen: its rows of x, x_new, omega and beta become 0, so it
-    stays finite and takes no further step, and its records are NaN.  The
-    block keeps its shape and the others go on unchanged.
+    f and the Cesaro f of every member from one W product of their 2R
+    error rows, a gemm per block of rows as in f_value.  A member whose
+    iterate leaves the finite range is frozen: its rows of x, x_new, omega
+    and beta become 0, so it stays finite and takes no further step, and
+    its records are NaN.  The block keeps its shape and the others go on
+    unchanged.
     """
     a, b = problem.a, problem.b
     m, d = a.shape
@@ -297,25 +299,28 @@ def _iterate(
     x_prev = x.copy()
     x_new = np.empty_like(x)
     running_sum = np.zeros((n, d))  # x_1 + ... + x_k for the Cesaro average
-    # the gradient and momentum buffers as one block, the gradient shaped
-    # as the output of a step's last product, and two of the step's products
-    pair = np.empty((2 * n, d))
-    grad, mom = pair[:n], pair[n:]
+    # the gradient and momentum buffers as one block with zero rows up to
+    # whole blocks of rows, the gradient shaped as the output of a step's
+    # last product, and two of the step's products
+    blocks = np.zeros((-(-2 * n // sketch.W_BLOCK_ROWS), sketch.W_BLOCK_ROWS, d))
+    pair = blocks.reshape(-1, d)
+    grad, mom = pair[:n], pair[n : 2 * n]
     grad_out = grad.reshape((n, 1, d) if by_row else (n, d, 1))
     prod, coef = np.empty((2, n, tau, 1))
+    w_blocks = np.empty_like(blocks)
 
     def record(j: int, k: int) -> None:
         # the buffer pair is free between steps: x - x* and the Cesaro mean
-        # - x* go in its halves, NaN for a frozen member, for one W product
-        # with a gemv per row as in f_value
+        # - x* go in its halves, NaN for a frozen member, for one gemm with
+        # W per block of rows, as in f_value
         diff = np.subtract(x, xstar, out=grad)
         if k:
             np.subtract(np.divide(running_sum, k, out=mom), xstar, out=mom)
         frozen = diverged_at > 0
         diff[frozen] = mom[frozen] = np.nan
         l2[:, j] = row_dots(diff, diff)
-        errs = pair if k else diff
-        vals = 0.5 * row_dots(errs, np.matmul(eh, errs[:, :, None])[:, :, 0])
+        w_pair = np.matmul(blocks, eh, out=w_blocks).reshape(-1, d)
+        vals = 0.5 * row_dots(pair[: 2 * n], w_pair[: 2 * n])
         vals = np.where(0.0 > vals, 0.0, vals)
         f[:, j] = vals[:n]
         if k:

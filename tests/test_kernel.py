@@ -198,6 +198,25 @@ def test_replicas_match_the_oracle_loop(instance, schedule, replications, kind):
         assert same_x(block.final[r], ref[-1])
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 17, 20, 100, 112, 257, 300, 1000])
+def test_w_block_rows_do_not_depend_on_the_other_rows(d):
+    """The BLAS property records rest on: in a product of blocks of
+    W_BLOCK_ROWS rows with W, each row has the bits of f_value's product of
+    W_BLOCK_ROWS copies of it, whatever its place and the other rows.  (One
+    product of M rows has no such property on OpenBLAS: its kernels depend
+    on M, and at d = 17 row 3 of a 4-row product differs from the same row
+    in a 2-row product.)"""
+    rng = np.random.default_rng(d)
+    w = rng.standard_normal((d, d))
+    w = w @ w.T / d
+    rows = rng.standard_normal((8 * shb.sketch.W_BLOCK_ROWS, d))
+    alone = np.array([(np.tile(row, (shb.sketch.W_BLOCK_ROWS, 1)) @ w)[0] for row in rows])
+    for count in (1, 2, 3, 8):
+        blocks = rows[: count * shb.sketch.W_BLOCK_ROWS].reshape(count, shb.sketch.W_BLOCK_ROWS, d)
+        got = np.matmul(blocks, w, out=np.empty_like(blocks)).reshape(-1, d)
+        np.testing.assert_array_equal(got, alone[: len(got)])
+
+
 @given(problems(), schedules(), st.integers(1, 5), st.booleans())
 def test_row_records_match_the_oracle_loop(instance, schedule, replications, given_eh):
     """Row sampling records f and Cesaro f from W, passed in or computed:

@@ -69,10 +69,10 @@ class TestRecordBudget:
     def test_boundary(self):
         # records at k = 0, 3, 6, 9, 10; each holds k, its time, l1_sq and 3
         # series.  W takes d * d = 4; the one member holds 9 rows of d = 2
-        # and a record's 2 rows of d; the 10 steps of draws take 4 draw
-        # sizes of d + 2 each
+        # and a record's 2 rows of d, and whole blocks of 8 rows add up to 2 *
+        # 8 rows of d; the 10 steps of draws take 4 draw sizes of d + 2 each
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3)
-        budget = 5 * 6 + 4 + (9 * 2 + 2 * 2) + 10 * 4 * 4
+        budget = 5 * 6 + 4 + (9 * 2 + 2 * 2) + 2 * 8 * 2 + 10 * 4 * 4
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
             assert run(toy_problem(), row_sampling(np.eye(2)), params).ks == [0, 3, 6, 9, 10]
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
@@ -80,10 +80,11 @@ class TestRecordBudget:
 
     def test_snapshots_count_every_member_and_coordinate(self):
         # 3 replications of 3 series and a d = 2 snapshot: 3 + 3 * 5 per record;
-        # W of d * d = 4, 3 members of 9 * 2 + 2 * 2 numbers, and 10 steps of
-        # draws of 4 draw sizes of d + 2 per stream
+        # W of d * d = 4, 3 members of 9 * 2 + 2 * 2 numbers, 2 * 8 rows of
+        # d for whole blocks of 8 rows, and 10 steps of draws of 4 draw sizes
+        # of d + 2 per stream
         params = SolverParams(omega=1.0, beta=0.0, max_iter=10, seed=0, record_every=3, snapshots=True)
-        budget = 5 * 18 + 4 + 3 * 22 + 10 * 3 * 4 * 4
+        budget = 5 * 18 + 4 + 3 * 22 + 2 * 8 * 2 + 10 * 3 * 4 * 4
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
             assert run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=3).ks[-1] == 10
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
@@ -91,10 +92,11 @@ class TestRecordBudget:
 
     def test_iterates_count_every_member(self):
         # one record at k = 0 and one at k = 1: 2 * (3 + R * 3), W's d * d = 4,
-        # plus per member 22 numbers held and one step of draws, 4 * (d + 2)
+        # plus per member 22 numbers held and one step of draws, 4 * (d + 2),
+        # and 2 * 8 rows of d for whole blocks of 8 rows
         params = SolverParams(omega=1.0, beta=0.0, max_iter=1, seed=0)
         for reps in (1, 7, 1000):
-            budget = 2 * (3 + reps * 3) + 4 + reps * 22 + reps * 16
+            budget = 2 * (3 + reps * 3) + 4 + reps * 22 + 2 * 8 * 2 + reps * 16
             with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget):
                 assert run_ensemble(toy_problem(), row_sampling(np.eye(2)), params, replications=reps).ks == [0, 1]
             with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", budget - 1), pytest.raises(OutOfRange):
