@@ -57,6 +57,8 @@ MIN_VERIFY_REPLICATIONS = 100
 L1_SLOPE_SLACK = 0.05
 # the decay slope is fitted on the records after this share of the iterations
 L1_FIT_FROM = 0.1
+# verify reads values at or below this share of ||x0 - x*||^2 as rounding dust
+MEASUREMENT_FLOOR = 1e-24
 
 
 _SIZED_SKETCH = re.compile(r"(?P<name>block|gaussian):(?P<size>[0-9]+)")
@@ -94,19 +96,13 @@ class _SetUp:
     f0: float  # f(x0)
 
 
-def _set_up(
-    problem: Problem, dist: SketchDistribution, omega: float, beta: float, *, need_bound: bool = False
-) -> _SetUp:
+def _set_up(problem: Problem, dist: SketchDistribution, omega: float, beta: float) -> _SetUp:
     """The spectrum, the bounds that apply at (omega, beta), and x* with
     its distance and objective from the origin.  x* and rank(A) come from
-    one decomposition of the smaller Gram of A, dropped on return.  With
-    need_bound, NotAdmissible is raised before the projection when no
-    bound applies."""
+    one decomposition of the smaller Gram of A, dropped on return."""
     a, b = problem.a, problem.b
     spectrum, gram = spectrum_and_gram(a, dist)
     bounds = applicability(omega, beta, spectrum.lambda_min_plus, spectrum.lambda_max)
-    if need_bound and not (bounds.l2_ok or bounds.cesaro_ok or bounds.l1_ok):
-        raise NotAdmissible("parameters meet no bound hypothesis: nothing to verify")
     x0 = np.zeros(a.shape[1])
     xstar = project_onto_solutions(x0, a, b, gram)
     diff = x0 - xstar  # the kernel's k = 0 record rounds ||x0 - x*||^2 as this dot does
@@ -338,14 +334,15 @@ def write_sweep_outputs(long_rows, summaries, out_dir) -> tuple[Path, Path]:
     return long_path, summary_path
 
 
-def _bound_section(applicable: bool, ks, means, bound, slack: float) -> dict:
-    """A verify section checking mean <= bound(k) * slack at every recorded
-    k with a mean (None marks k = 0 for a Cesaro mean)."""
+def _bound_section(applicable: bool, ks, means, bound, slack: float, floor: float) -> dict:
+    """A verify section checking mean <= max(bound(k) * slack, floor) at
+    every recorded k with a mean (None marks k = 0 for a Cesaro mean);
+    each row's bound is that limit."""
     section: dict = {"applicable": applicable, "rows": [], "pass": None}
     if applicable:
         for k, mean in zip(ks, means):
             if mean is not None:
-                limit = bound(k) * slack
+                limit = max(bound(k) * slack, floor)
                 section["rows"].append({"k": k, "mean": mean, "bound": limit, "pass": mean <= limit})
         section["pass"] = all(row["pass"] for row in section["rows"])
     return section
@@ -363,7 +360,9 @@ def verify(
     mean-squared distance vs its geometric envelope, Cesaro objective vs
     its O(1/k) bound (both with multiplicative slack 1 + 3/sqrt(R)), and
     the expected-iterate decay slope versus log(beta) + 0.05, fitted on
-    the records at k >= 1 after the first 10% of iterations.  A diverged
+    the records at k >= 1 after the first 10% of iterations.  Every
+    section takes MEASUREMENT_FLOOR ||x0 - x*||^2 as the least limit it
+    can measure, and the slope is not fitted through it.  A diverged
     ensemble's means are undefined from diverged_at on, so its report
     holds only the header, diverged_at and pass false.  Raises
     NotAdmissible when no section applies, and OutOfRange before any run
@@ -374,8 +373,10 @@ def verify(
         raise InsufficientReplications(
             f"need >= {MIN_VERIFY_REPLICATIONS} replications, got {replications}"
         )
-    setup = _set_up(problem, dist, params.omega, params.beta, need_bound=True)
+    setup = _set_up(problem, dist, params.omega, params.beta)
     spectrum, bounds, init_sq = setup.spectrum, setup.bounds, setup.init_sq
+    if not (bounds.l2_ok or bounds.cesaro_ok or bounds.l1_ok):
+        raise NotAdmissible("parameters meet no bound hypothesis: nothing to verify")
     lmax = spectrum.lambda_max
     fit_start = max(1, math.ceil(L1_FIT_FROM * params.max_iter))
     if bounds.l1_ok and params.record_count(fit_start) < 2:
@@ -389,6 +390,7 @@ def verify(
         eh=spectrum.expected_h, xstar=setup.xstar,
     )
     slack = 1.0 + 3.0 / math.sqrt(replications)
+    floor = MEASUREMENT_FLOOR * init_sq
 
     report: dict = {
         "schema": "shb-verify-v1",
@@ -406,21 +408,19 @@ def verify(
     if ens.diverged_at is not None:
         return {**report, "diverged_at": ens.diverged_at, "pass": False}
     report["l2"] = _bound_section(
-        bounds.l2_ok, ens.ks, ens.l2_mean, lambda k: l2_envelope(bounds.l2, k, init_sq, lmax)[0], slack
+        bounds.l2_ok, ens.ks, ens.l2_mean, lambda k: l2_envelope(bounds.l2, k, init_sq, lmax)[0], slack, floor
     )
     if bounds.l2_ok:
         report["l2"].update(q=bounds.l2.q, delta=bounds.l2.delta)
     report["cesaro"] = _bound_section(
         bounds.cesaro_ok, ens.ks, ens.cesaro_f_mean,
-        lambda k: cesaro_bound(params.omega, params.beta, k, init_sq, setup.f0), slack,
+        lambda k: cesaro_bound(params.omega, params.beta, k, init_sq, setup.f0), slack, floor,
     )
 
     l1 = report["l1"] = {"applicable": bounds.l1_ok, "pass": None}
     if bounds.l1_ok:
         # the schedule check above leaves at least 2 records in the window
         ks, vals = zip(*[(k, v) for k, v in zip(ens.ks, ens.l1_sq) if k >= fit_start])
-        # values this far below the start are measurement dust, not signal
-        floor = 1e-24 * max(ens.l1_sq[0], 1e-300)
         slope = None
         if not any(v <= floor for v in vals):
             logs = np.log(np.asarray(vals, dtype=np.float64))
@@ -434,7 +434,7 @@ def verify(
 
     report["l1_le_l2"] = {
         "applicable": True,
-        "pass": all(l1 <= l2 * (1.0 + 1e-12) + 1e-300 for l1, l2 in zip(ens.l1_sq, ens.l2_mean)),
+        "pass": all(l1 <= l2 * (1.0 + 1e-12) + floor for l1, l2 in zip(ens.l1_sq, ens.l2_mean)),
     }
 
     sections = [report[name] for name in ("l2", "cesaro", "l1", "l1_le_l2")]

@@ -31,6 +31,7 @@ import shb.linalg as linalg
 from shb.errors import DimensionMismatch, OutOfRange, ShbError, ZeroRow
 from shb.linalg import REL_TOL, as_matrix, as_vector, check_symmetric, nonzero_min, pinv_apply, pinv_eigenvalues
 from shb.linalg import SymEig, gram_eig, row_dots, sym_eig
+from shb.theory import LMAX_SLACK
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 10_000
@@ -385,9 +386,9 @@ class SpectrumInfo:
 
     def __post_init__(self):
         vals = self.eigenvalues
-        if np.any(vals < 0.0) or np.any(vals > 1.0 + 1e-8):
-            raise ShbError("spectrum escaped [0, 1 + 1e-8]")
-        if not (0.0 < self.lambda_min_plus <= self.lambda_max <= 1.0 + 1e-8):
+        if np.any(vals < 0.0) or np.any(vals > 1.0 + LMAX_SLACK):
+            raise ShbError(f"spectrum escaped [0, 1 + {LMAX_SLACK!r}]")
+        if not (0.0 < self.lambda_min_plus <= self.lambda_max <= 1.0 + LMAX_SLACK):
             raise ShbError("lambda_min_plus / lambda_max out of order")
 
 

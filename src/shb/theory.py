@@ -5,7 +5,7 @@ All functions are pure double-precision evaluations of the published
 rate expressions, with no rearrangement beyond standard associativity.
 Notation: omega is the stepsize, beta the momentum weight, lmin and
 lmax the smallest nonzero and largest eigenvalues of the Hessian
-W = A^T E[H] A (both always in (0, 1]).
+W = A^T E[H] A (both in (0, 1], up to LMAX_SLACK).
 
 Three regimes are covered:
 
@@ -14,7 +14,7 @@ Three regimes are covered:
 * Cesaro averages: the objective at the running average of iterates is
   O(1/k) whenever omega + 2 beta < 2, with an explicit constant;
 * expected iterate: ||E[x_k - x*]||^2 decays at the accelerated factor
-  beta for the two prescribed (omega, beta) pairings below.
+  beta on 0 < omega <= 1/lmax, (1 - sqrt(omega lmin))^2 < beta < 1.
 
 applicability alone decides which of them hold at a given (omega, beta).
 """
@@ -144,25 +144,26 @@ class L1Params(NamedTuple):
     rate_factor: float  # always equals beta: the expected-iterate contraction
 
 
-L1_CHOICES = ("unit_stepsize", "inv_lmax", "custom")
+def _l1_holds(omega: float, beta: float, lmin: float, lmax: float) -> bool:
+    """The accelerated region, admitting lmax's dust on omega lmax too."""
+    return (
+        0.0 < lmin <= lmax <= 1.0 + LMAX_SLACK
+        and 0.0 < omega
+        and omega * lmax <= 1.0 + LMAX_SLACK
+        and (1.0 - math.sqrt(omega * lmin)) ** 2 < beta < 1.0
+    )
 
 
-def l1_params(
-    choice: str,
-    lmin: float,
-    lmax: float,
-    *,
-    omega: float | None = None,
-    beta: float | None = None,
-) -> L1Params:
+def l1_params(choice: str, lmin: float, lmax: float) -> L1Params:
     """Stepsize/momentum pairing with the accelerated expected-iterate rate.
 
     'unit_stepsize': omega = 1,      beta = (1 - sqrt(0.99 lmin))^2
     'inv_lmax':      omega = 1/lmax, beta = (1 - sqrt(0.99 lmin/lmax))^2
-    'custom':        caller supplies (omega, beta); both presets and the
-                     custom pair are validated against the admissible
-                     region 0 < omega <= 1/lmax and
-                     (1 - sqrt(omega lmin))^2 < beta < 1.
+
+    Both lie in the accelerated region (_l1_holds) on every spectrum
+    _check_lambdas admits: omega lmax is 1 or lmax, and the factor 0.99
+    lifts beta above the region's lower edge, short of 1, by margins far
+    above rounding for every ratio lmin/lmax >= 1e-10 the spectrum reports.
 
     The squared distance of the expected iterate from the solution
     contracts by the factor beta per step, so rate_factor == beta.
@@ -174,18 +175,8 @@ def l1_params(
     elif choice == "inv_lmax":
         omega = 1.0 / lmax
         beta = (1.0 - math.sqrt(0.99 * lmin / lmax)) ** 2
-    elif choice == "custom":
-        if omega is None or beta is None:
-            raise OutOfRange("custom choice requires explicit omega and beta")
     else:
-        raise OutOfRange(f"choice must be one of {L1_CHOICES}, got {choice!r}")
-    if not (0.0 < omega and omega * lmax <= 1.0 + _CONSISTENCY_TOL):
-        raise OutOfRange(f"need 0 < omega <= 1/lmax, got omega={omega!r}")
-    lower = (1.0 - math.sqrt(omega * lmin)) ** 2
-    if not (lower < beta < 1.0):
-        raise OutOfRange(
-            f"momentum {beta!r} outside the accelerated region ({lower!r}, 1)"
-        )
+        raise OutOfRange(f"choice must be 'unit_stepsize' or 'inv_lmax', got {choice!r}")
     return L1Params(omega=omega, beta=beta, rate_factor=beta)
 
 
@@ -203,9 +194,9 @@ class Applicability(NamedTuple):
 def applicability(omega: float, beta: float, lmin: float, lmax: float) -> Applicability:
     """Which bounds hold at stepsize omega and momentum beta on a spectrum.
 
-    Each regime's hypotheses are the ones its own function checks
-    (l2_rate, beta_upper_bound, cesaro_bound, l1_params('custom')); a
-    bound whose hypotheses fail is reported as not applying, not raised.
+    l2 and beta_upper are defined where their functions accept the
+    arguments, and each other regime has one predicate; a bound whose
+    hypotheses fail is reported as not applying, not raised.
     """
     l2 = _or_none(l2_rate, omega, beta, lmin, lmax)
     return Applicability(
@@ -213,14 +204,14 @@ def applicability(omega: float, beta: float, lmin: float, lmax: float) -> Applic
         beta_upper=_or_none(beta_upper_bound, omega, lmin, lmax),
         l2_ok=l2 is not None and l2.admissible,
         cesaro_ok=_cesaro_holds(omega, beta),
-        l1_ok=_or_none(l1_params, "custom", lmin, lmax, omega=omega, beta=beta) is not None,
+        l1_ok=_l1_holds(omega, beta, lmin, lmax),
     )
 
 
-def _or_none(fn, *args, **kwargs):
+def _or_none(fn, *args):
     """fn's value, or None where its hypotheses fail (OutOfRange)."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except OutOfRange:
         return None
 

@@ -17,8 +17,8 @@ import shb.sketch
 import shb.solver
 from shb.cli import main
 from shb.experiments import make_distribution, write_sweep_outputs
-from shb.io import read_bundle
-from shb.problems import gen_problem
+from shb.io import read_bundle, write_bundle
+from shb.problems import Problem, gen_problem
 
 
 def gen_bundle(tmp_path, rows=6, cols=4, seed=7):
@@ -26,6 +26,16 @@ def gen_bundle(tmp_path, rows=6, cols=4, seed=7):
     rc = main(["gen", "--rows", str(rows), "--cols", str(cols), "--seed", str(seed), "--out", str(out)])
     assert rc == 0
     return out
+
+
+def read_strict_json(path):
+    """The JSON at path, refusing the Infinity and NaN that json.dumps
+    writes by default and JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 def one_off_counts(args):
@@ -145,13 +155,29 @@ class TestAnalyze:
         bundle = gen_bundle(tmp_path, rows=6, cols=3, seed=0)
         out = tmp_path / "a.json"
         assert main(["analyze", "--input", str(bundle), "--beta", beta, "--out", str(out)]) == 0
-
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        payload = json.loads(out.read_text(), parse_constant=refuse)
+        payload = read_strict_json(out)
         assert payload["l2"] is None
         assert 0.0 < payload["beta_upper"] < 1.0
+
+    def test_lmax_dust_admits_the_unit_stepsize_preset(self, tmp_path):
+        """block:6 on a 6x3 matrix gives W the projection onto its row
+        space, assembled with lmax a few 1e-9 above 1; omega = 1 is then
+        within the dust every rule admits, and both presets are reported."""
+        rng = np.random.default_rng(2)
+        u = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        c = 10 ** rng.uniform(2, 4.9)
+        a = u @ np.diag([1.0, c**-0.5, 1.0 / c]) @ v.T
+        x = rng.standard_normal(3)
+        bundle = tmp_path / "dust.json"
+        write_bundle(Problem(a, a @ x, x), bundle)
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--input", str(bundle), "--sketch", "block:6", "--out", str(out)]) == 0
+        payload = read_strict_json(out)
+        assert 1.0 + 1e-12 < payload["spectrum"]["lambda_max"] <= 1.0 + 1e-8
+        choices = payload["l1"]["choices"]
+        assert list(choices) == ["unit_stepsize", "inv_lmax"]
+        assert choices["unit_stepsize"]["omega"] == 1.0
 
     def test_mc_samples_option_refused(self, tmp_path, capsys):
         """Every command estimates W from the same seeded draws; analyze
@@ -521,6 +547,26 @@ class TestVerify:
         assert report["l1_le_l2"]["pass"] is True
         assert "overall: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rows,cols,args", [
+        (6, 3, ["--sketch", "block:6", "--iters", "10", "--record-every", "1"]),
+        (50, 2, ["--iters", "200", "--record-every", "10"]),
+    ])
+    def test_exact_convergence_passes(self, tmp_path, capsys, rows, cols, args):
+        """At omega = 1, beta = 0 these runs reach x* up to rounding, where
+        the L2 bound falls below 1e-30; from there each row's limit is the
+        measurement floor, which the rounding noise stays under."""
+        bundle = gen_bundle(tmp_path, rows=rows, cols=cols, seed=0)
+        out = tmp_path / "verify.json"
+        rc = main([
+            "verify", "--input", str(bundle), "--omega", "1", "--beta", "0", *args,
+            "--reps", "100", "--out", str(out),
+        ])
+        assert rc == 0
+        report = read_strict_json(out)
+        limits = [row["bound"] for row in report["l2"]["rows"]]
+        assert report["l2"]["pass"] is True and limits[-1] == limits[-2]  # the floor binds
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_failed_check_exits_three(self, tmp_path, capsys):
         bundle = gen_bundle(tmp_path, rows=8, cols=3, seed=11)
         out = tmp_path / "verify.json"
@@ -569,6 +615,22 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err == f"diverged: iterate diverged at iteration {min(solo)}\n"
         assert "overall" not in captured.out
+
+
+@pytest.mark.parametrize("command,args,code", [
+    ("solve", ["--iters", "50", "--record-every", "10"], 0),
+    ("solve", ["--beta", "3", "--iters", "2000", "--record-every", "10"], 2),
+    ("verify", ["--beta", "0.01", "--iters", "30", "--record-every", "5", "--reps", "100"], 0),
+    ("verify", ["--beta", "0.95", "--iters", "3000", "--record-every", "100", "--reps", "100"], 2),
+])
+def test_written_json_has_no_infinity_or_nan(tmp_path, command, args, code):
+    """solve's JSON trace and verify's report are strict JSON, also when
+    the run diverged (exit 2)."""
+    bundle = gen_bundle(tmp_path, rows=50, cols=20, seed=0)
+    out = tmp_path / "out.json"
+    assert main([command, "--input", str(bundle), *args, "--out", str(out)]) == code
+    payload = read_strict_json(out)
+    assert ("diverged_at" in payload) == (code == 2)
 
 
 class TestReadmeRecipes:

@@ -12,6 +12,7 @@ from unittest import mock
 import shb.experiments
 from shb.errors import InsufficientReplications, NotAdmissible, OutOfRange
 from shb.experiments import (
+    MEASUREMENT_FLOOR,
     TRACE_HEADER,
     analyze,
     first_crossing,
@@ -266,6 +267,24 @@ class TestVerify:
         with pytest.raises(NotAdmissible):
             verify(problem, row_sampling(problem.a), params, replications=100)
 
+    def test_floor_does_not_hide_a_failing_row(self):
+        """With the L2 envelope cut a hundredfold, the early means lie above
+        both it and the measurement floor and fail, while the late ones,
+        rounding noise at x*, stay under the floor and pass."""
+        problem = gen_problem(50, 2, 0)
+        params = SolverParams(omega=1.0, beta=0.0, max_iter=200, seed=0, record_every=10)
+        real = shb.experiments.l2_envelope
+        cut = mock.Mock(side_effect=lambda *args: tuple(v / 100 for v in real(*args)))
+        with mock.patch.object(shb.experiments, "l2_envelope", cut):
+            report = verify(problem, row_sampling(problem.a), params, replications=100)
+        rows = report["l2"]["rows"]
+        floor = rows[-1]["bound"]
+        assert floor == pytest.approx(MEASUREMENT_FLOOR * rows[0]["mean"], rel=1e-12)  # k = 0: ||x0 - x*||^2
+        assert rows[-1]["pass"]
+        failing = [row for row in rows if not row["pass"]]
+        assert failing and all(row["mean"] > row["bound"] > floor for row in failing)
+        assert report["l2"]["pass"] is False and report["pass"] is False
+
     def test_toy_momentum_free_short_horizon(self):
         """Bound equality case: the envelope matches the mean exactly, so
         only early checkpoints have statistical headroom."""
@@ -352,7 +371,7 @@ def test_every_command_applies_the_one_rule(omega, beta):
     assert (rule.beta_upper is not None) == stepsize_ok
     assert rule.cesaro_ok == (omega > 0.0 and 0.0 <= beta < 1.0 and omega + 2.0 * beta < 2.0)
     assert rule.l1_ok == (
-        omega > 0.0 and omega * lmax <= 1.0 + 1e-12 and (1.0 - math.sqrt(omega * lmin)) ** 2 < beta < 1.0
+        omega > 0.0 and omega * lmax <= 1.0 + 1e-8 and (1.0 - math.sqrt(omega * lmin)) ** 2 < beta < 1.0
     )
 
     assert (payload["l2"] is None) == (rule.l2 is None)

@@ -1,6 +1,9 @@
-"""Project-level contracts: the names the benchmark harness imports, and
-the test configuration in pyproject.toml."""
+"""Project-level contracts: the names the benchmark harness imports, the
+layering of the package's imports, and the test configuration in
+pyproject.toml."""
 
+import ast
+import graphlib
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +38,33 @@ def test_names_the_benchmark_uses_exist():
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
     # the harness traces draws at the solver's import site
     assert shb.solver.draw is shb.sketch.draw
+
+
+def package_imports(path: Path) -> set[str]:
+    """The shb modules a source file imports, read from its AST."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # a relative import is one of shb's
+            modules.add(f"shb.{node.module or ''}" if node.level else node.module)
+    return {m for m in modules if m.split(".")[0] == "shb"}
+
+
+def test_theory_imports_only_errors_from_the_package():
+    """The closed forms need nothing of shb but its error taxonomy."""
+    assert package_imports(ROOT / "src" / "shb" / "theory.py") == {"shb.errors"}
+
+
+def test_package_imports_form_no_cycle():
+    """The modules import one another in layers (sketch reads theory's
+    LMAX_SLACK), so no module meets another half-imported."""
+    graph = {
+        f"shb.{path.stem}": package_imports(path)
+        for path in (ROOT / "src" / "shb").glob("*.py") if path.stem != "__init__"
+    }
+    assert "shb.theory" in graph["shb.sketch"]
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
 FAILING_THEN_PASSING = '''

@@ -1,4 +1,3 @@
-import ast
 import math
 
 import numpy as np
@@ -9,6 +8,8 @@ from hypothesis import strategies as st
 import shb.theory
 from shb.errors import NotAdmissible, OutOfRange
 from shb.theory import (
+    LMAX_SLACK,
+    applicability,
     beta_upper_bound,
     cesaro_bound,
     l1_params,
@@ -190,30 +191,36 @@ class TestL1Params:
         assert p.beta == pytest.approx(2.5125786760090427e-05, rel=1e-12)
 
     def test_presets_inside_admissible_region(self):
+        """Both presets lie in the region applicability admits, down to the
+        spectrum's smallest ratio lmin/lmax = 1e-10 and up to lmax's dust."""
         rng = np.random.default_rng(9)
+        spectra = [(1e-10 * lmax, lmax) for lmax in (1e-3, 1.0, 1.0 + LMAX_SLACK)] + [(1.0 + LMAX_SLACK,) * 2]
         for _ in range(100):
             lmax = float(rng.uniform(1e-3, 1.0))
-            lmin = float(rng.uniform(1e-3, 1.0)) * lmax
+            spectra.append((float(rng.uniform(1e-3, 1.0)) * lmax, lmax))
+        for lmin, lmax in spectra:
             for choice in ("unit_stepsize", "inv_lmax"):
                 p = l1_params(choice, lmin, lmax)
                 lower = (1 - math.sqrt(p.omega * lmin)) ** 2
                 assert lower < p.beta < 1.0
+                assert applicability(p.omega, p.beta, lmin, lmax).l1_ok
 
-    def test_custom_requires_both(self):
-        with pytest.raises(OutOfRange):
-            l1_params("custom", 0.3, 0.6)
+    def test_applicability_decides_the_region(self):
+        assert applicability(1.0, 0.5, 0.3, 0.6).l1_ok
+        assert not applicability(1.0, 0.05, 0.3, 0.6).l1_ok  # below the lower edge
+        assert not applicability(3.0, 0.5, 0.3, 0.6).l1_ok  # omega > 1/lmax
 
-    def test_custom_validates_region(self):
-        p = l1_params("custom", 0.3, 0.6, omega=1.0, beta=0.5)
-        assert p.rate_factor == 0.5
-        with pytest.raises(OutOfRange):
-            l1_params("custom", 0.3, 0.6, omega=1.0, beta=0.05)  # below the lower edge
-        with pytest.raises(OutOfRange):
-            l1_params("custom", 0.3, 0.6, omega=3.0, beta=0.5)  # omega > 1/lmax
+    def test_lmax_dust_is_admitted_once(self):
+        """omega = 1 on lmax = 1 + dust: the region admits exactly the
+        dust the spectrum does, no more."""
+        assert applicability(1.0, 0.5, 0.5, 1.0 + 5e-9).l1_ok
+        assert l1_params("unit_stepsize", 0.5, 1.0 + 5e-9).omega == 1.0
+        assert not applicability(1.0, 0.5, 0.5, 1.0 + 2e-8).l1_ok
 
     def test_unknown_choice(self):
-        with pytest.raises(OutOfRange):
-            l1_params("fastest", 0.3, 0.6)
+        for choice in ("fastest", "custom"):
+            with pytest.raises(OutOfRange):
+                l1_params(choice, 0.3, 0.6)
 
 
 class TestQLowerBound:
@@ -235,15 +242,3 @@ class TestQLowerBound:
         lo, hi = min(b1, b2), max(b1, b2)
         assert q_lower_bound(omega, lo, lmin, lmax) <= q_lower_bound(omega, hi, lmin, lmax) + 1e-15
 
-
-def test_theory_imports_only_errors_from_the_package():
-    """The closed forms need nothing of shb but its error taxonomy."""
-    with open(shb.theory.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):  # a relative import is one of shb's
-            modules.add(f"shb.{node.module or ''}" if node.level else node.module)
-    assert {m for m in modules if m.split(".")[0] == "shb"} == {"shb.errors"}
