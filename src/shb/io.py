@@ -13,7 +13,6 @@ import json
 import os
 from array import array
 from contextlib import contextmanager
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,8 @@ from shb.problems import Problem
 
 BUNDLE_KIND = "shb-problem"
 BUNDLE_VERSION = 1
+# every byte but ':' and ' '
+_NOT_COLON_OR_SPACE = bytes(sorted(set(range(256)) - set(b": ")))
 
 
 @contextmanager
@@ -114,12 +115,17 @@ def parse_libsvm(path) -> np.ndarray:
 
     split = [line.split() or [""] for line in lines]  # a blank line's label is ""
     tokens = [tok for t in split for tok in t[1:]]
-    words = " ".join(tokens).replace(":", " ").split()
+    joined = " ".join(tokens)
+    words = joined.replace(":", " ").split()
     rows = np.repeat(np.arange(len(lines)), [len(t) - 1 for t in split])
     try:
         for t in split:
             float(t[0])
-        if len(words) != 2 * len(tokens) or not set(map(str.count, tokens, repeat(":"))) <= {1}:
+        # one ':' per token leaves ": : ... :" once every other byte is deleted:
+        # tokens hold no whitespace, and no byte of a multi-byte UTF-8
+        # character is ':' or ' '
+        colons = joined.encode().translate(None, _NOT_COLON_OR_SPACE)
+        if len(words) != 2 * len(tokens) or colons != (b": " * len(tokens))[:-1]:
             raise ValueError("a feature is not one index:value pair")
         idx = np.fromiter(map(int, words[0::2]), dtype=np.int64, count=len(tokens))
         vals = np.fromiter(map(float, words[1::2]), dtype=np.float64, count=len(tokens))

@@ -335,50 +335,52 @@ def _iterate(
     t0 = time.perf_counter()
     record(0, 0)
     j, k = 1, 0
-    while k < params.max_iter and not diverged_at.all():
-        steps = min(chunk, params.max_iter - k)
-        if by_row:
-            at = row_indices(dist, np.stack([s.random(steps) for s in streams], axis=1))
-            draws = (a[at][:, :, None], b[at][:, :, None, None], norms_sq[at][:, :, None, None])
-        else:
-            g, c = _sketched_systems(dist, a, b, streams, steps)
-            vecs, inv = gram_factors(g @ g.swapaxes(-1, -2))
-            draws = (g, c, vecs, inv[..., None])
-        for t in range(steps):
-            k += 1
+    # a step may overflow; _finite_rows judges the inf and NaN it leaves
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < params.max_iter and not diverged_at.all():
+            steps = min(chunk, params.max_iter - k)
             if by_row:
-                row = draws[0][t]
-                matmul(row, x[:, :, None], out=prod)
-                subtract(prod, draws[1][t], out=prod)
-                divide(prod, draws[2][t], out=prod)
-                multiply(prod, row, out=grad_out)
+                at = row_indices(dist, np.stack([s.random(steps) for s in streams], axis=1))
+                draws = (a[at][:, :, None], b[at][:, :, None, None], norms_sq[at][:, :, None, None])
             else:
-                g, c, vecs, inv = draws
-                matmul(g[t], x[:, :, None], out=prod)
-                subtract(prod, c[t], out=prod)
-                matmul(vecs[t].swapaxes(-1, -2), prod, out=coef)
-                multiply(inv[t], coef, out=coef)
-                matmul(vecs[t], coef, out=prod)
-                matmul(g[t].swapaxes(-1, -2), prod, out=grad_out)
-            # x - omega * grad + beta * (x - x_prev), in this order
-            multiply(omega, grad, out=grad)
-            subtract(x, grad, out=x_new)
-            subtract(x, x_prev, out=mom)
-            multiply(beta, mom, out=mom)
-            add(x_new, mom, out=x_new)
-            ok = _finite_rows(x_new)
-            if ok is not None and not ok.all():
-                bad = ~ok
-                diverged_at[bad] = k
-                final[bad] = x[bad]
-                if diverged_at.all():
-                    break
-                x[bad] = x_new[bad] = omega[bad] = beta[bad] = 0.0
-            x_prev, x, x_new = x, x_new, x_prev
-            add(running_sum, x, out=running_sum)
-            if k == ks[j]:
-                record(j, k)
-                j += 1
+                g, c = _sketched_systems(dist, a, b, streams, steps)
+                vecs, inv = gram_factors(g @ g.swapaxes(-1, -2))
+                draws = (g, c, vecs, inv[..., None])
+            for t in range(steps):
+                k += 1
+                if by_row:
+                    row = draws[0][t]
+                    matmul(row, x[:, :, None], out=prod)
+                    subtract(prod, draws[1][t], out=prod)
+                    divide(prod, draws[2][t], out=prod)
+                    multiply(prod, row, out=grad_out)
+                else:
+                    g, c, vecs, inv = draws
+                    matmul(g[t], x[:, :, None], out=prod)
+                    subtract(prod, c[t], out=prod)
+                    matmul(vecs[t].swapaxes(-1, -2), prod, out=coef)
+                    multiply(inv[t], coef, out=coef)
+                    matmul(vecs[t], coef, out=prod)
+                    matmul(g[t].swapaxes(-1, -2), prod, out=grad_out)
+                # x - omega * grad + beta * (x - x_prev), in this order
+                multiply(omega, grad, out=grad)
+                subtract(x, grad, out=x_new)
+                subtract(x, x_prev, out=mom)
+                multiply(beta, mom, out=mom)
+                add(x_new, mom, out=x_new)
+                ok = _finite_rows(x_new)
+                if ok is not None and not ok.all():
+                    bad = ~ok
+                    diverged_at[bad] = k
+                    final[bad] = x[bad]
+                    if diverged_at.all():
+                        break
+                    x[bad] = x_new[bad] = omega[bad] = beta[bad] = 0.0
+                x_prev, x, x_new = x, x_new, x_prev
+                add(running_sum, x, out=running_sum)
+                if k == ks[j]:
+                    record(j, k)
+                    j += 1
 
     alive = diverged_at == 0
     final[alive] = x[alive]

@@ -1,6 +1,8 @@
 import csv
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import shb
+import shb.cli
 import shb.experiments
 import shb.linalg
 import shb.sketch
@@ -36,6 +39,14 @@ def read_strict_json(path):
         raise ValueError(f"{constant} is not JSON")
 
     return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def run_python(*argv):
+    """A fresh interpreter's run of argv, with this checkout's shb on its path."""
+    src = str(Path(shb.__file__).parent.parent)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 def one_off_counts(args):
@@ -223,14 +234,66 @@ class TestBadManifest:
         meta = json.loads(bundle.read_text())
         del meta["payload"]
         bundle.write_text(json.dumps(meta))
-        src = str(Path(shb.__file__).parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-m", "shb.cli", "analyze", "--input", str(bundle)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_python("-m", "shb.cli", "analyze", "--input", str(bundle))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "payload" in proc.stderr
+
+
+def without_elapsed(trace_csv: bytes) -> bytes:
+    """A CSV trace's bytes with its last column, elapsed_seconds, cut."""
+    return re.sub(rb",[^,\r\n]*(\r?\n)", rb"\1", trace_csv)
+
+
+class TestEntryPoint:
+    """python -m shb.cli runs main through entry, which freezes the heap
+    built at import before main runs; main itself freezes nothing."""
+
+    @pytest.mark.parametrize("beta,code", [("0.3", 0), ("1e308", 2)])
+    def test_process_matches_main(self, tmp_path, capsys, beta, code):
+        """The exit code, stdout, stderr and trace of a process are those
+        of main run in-process, up to elapsed_seconds."""
+        bundle = gen_bundle(tmp_path, rows=20, cols=8, seed=0)
+        out = tmp_path / "t.csv"
+        args = ["solve", "--input", str(bundle), "--beta", beta, "--iters", "200", "--record-every", "10",
+                "--out", str(out)]
+        proc = run_python("-m", "shb.cli", *args)
+        written = out.read_bytes()
+        out.unlink()
+        capsys.readouterr()
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert proc.returncode == code
+        assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+        assert captured.out == f"wrote {out} ({len(written.splitlines()) - 1} records)\n"
+        assert ("diverged: " in captured.err) == (code == 2)
+        assert without_elapsed(written) == without_elapsed(out.read_bytes())
+
+    def test_main_freezes_nothing(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        bundle = gen_bundle(tmp_path)
+        assert main(["solve", "--input", str(bundle), "--iters", "20", "--out", str(tmp_path / "t.csv")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_import_leaves_the_collector_alone(self):
+        proc = run_python("-c", "import gc, shb.cli; print(gc.isenabled(), gc.get_freeze_count())")
+        assert proc.stdout == "True 0\n"
+
+    def test_entry_freezes_the_heap_before_main(self):
+        frozen = gc.get_freeze_count()
+        seen = []
+
+        def fake_main():
+            seen.append(gc.get_freeze_count())
+            return 3
+
+        try:
+            with mock.patch.object(shb.cli, "main", fake_main), pytest.raises(SystemExit) as exc:
+                shb.cli.entry()
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == 3
+        assert seen[0] > frozen
 
 
 class TestSolve:
@@ -322,6 +385,16 @@ class TestSolve:
         payload = json.loads((tmp_path / "t.json").read_text())
         assert payload["diverged_at"] == 65
         assert [row["k"] for row in payload["rows"]] == trace.ks
+
+    @pytest.mark.parametrize("option,value,at", [("--beta", "1e308", 2), ("--omega", "1e300", 1)])
+    def test_overflow_diverges_without_a_warning(self, tmp_path, capsys, option, value, at):
+        """A step that overflows ends the run as diverged, and numpy's
+        overflow warning (an error in this suite) is not raised."""
+        bundle = gen_bundle(tmp_path, rows=20, cols=8, seed=0)
+        capsys.readouterr()
+        rc = main(["solve", "--input", str(bundle), option, value, "--iters", "50", "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"diverged: iterate diverged at iteration {at}\n"
 
     @pytest.mark.parametrize("option,value", [("--beta", "nan"), ("--beta", "inf"), ("--omega", "inf"), ("--omega", "nan")])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, option, value):
@@ -435,6 +508,20 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "  pair 0 omega=1 beta=0 [ok] 0.01:250, 0.0001:-, 1e-06:-"
         assert lines[2] == "  pair 1 omega=1 beta=3 [diverged at 65] 0.01:-, 0.0001:-, 1e-06:-"
+
+    def test_overflowing_pair_leaves_the_other_ok(self, tmp_path, capsys):
+        bundle = gen_bundle(tmp_path, rows=20, cols=8, seed=0)
+        capsys.readouterr()
+        rc = main([
+            "sweep", "--input", str(bundle), "--betas", "0,1e308", "--iters", "50",
+            "--out", str(tmp_path / "sw"),
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[1].startswith("  pair 0 omega=1 beta=0 [ok] ")
+        assert lines[2].startswith("  pair 1 omega=1 beta=1e+308 [diverged at 2] ")
 
     def test_single_pair_rejected(self, tmp_path):
         bundle = gen_bundle(tmp_path)

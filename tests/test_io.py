@@ -221,6 +221,15 @@ class TestParseLibsvmAgainstTheLineReference:
         path.write_text("\n".join(lines) + trailing, newline="")
         assert outcome(parse_libsvm, path) == outcome(reference_parse, path)
 
+    def test_two_colons_and_none_on_one_line_are_refused(self, tmp_path):
+        """1:2:3 and 5 hold as many colons as tokens, and split into twice
+        as many words, so only a count per token refuses the line."""
+        path = write(tmp_path, "a.txt", "1 1:1\n1 1:2:3 5\n")
+        assert outcome(parse_libsvm, path) == outcome(reference_parse, path)
+        with pytest.raises(MalformedLine) as exc:
+            parse_libsvm(path)
+        assert (exc.value.line_no, exc.value.token) == (2, "1:2:3")
+
     def test_first_bad_line_wins_over_an_index_past_int64(self, tmp_path):
         """The 20-digit index is valid by the line rules, so line 3's bad
         token is the file's first error; alone, the index is refused by
