@@ -17,8 +17,8 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +85,7 @@ def _iters_to_target(factor: float, target: float = REL_ERROR_TARGET) -> int | N
     return int(math.ceil(math.log(target) / math.log(factor)))
 
 
-@dataclass(frozen=True)
-class _SetUp:
+class _SetUp(NamedTuple):
     """What a command computes once, before it iterates, for a start at the origin."""
 
     spectrum: SpectrumInfo
@@ -140,7 +139,7 @@ def analyze(
             "expected_h_mc_samples": s.mc_samples,
         },
         "l2": None if l2 is None else {
-            **asdict(l2), "predicted_iters_to_1e-6": _iters_to_target(l2.q) if l2.admissible else None
+            **l2._asdict(), "predicted_iters_to_1e-6": _iters_to_target(l2.q) if l2.admissible else None
         },
         "beta_upper": setup.bounds.beta_upper,
         "beta_upper_by_omega": [

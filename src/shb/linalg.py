@@ -7,7 +7,7 @@ float64 ndarrays and are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ def as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SymEig:
+class SymEig(NamedTuple):
     """Eigenvalues sorted descending; eigenvector columns aligned with them."""
 
     eigenvalues: np.ndarray

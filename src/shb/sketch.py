@@ -372,8 +372,7 @@ def expected_h(
     return ExpectedH(np.add(acc, acc.T, out=acc) / 2.0, mc_samples)
 
 
-@dataclass(frozen=True)
-class SpectrumInfo:
+class SpectrumInfo(NamedTuple):
     """Spectrum of W = A^T E[H] A, its exactness flag and ExpectedH's fields."""
 
     eigenvalues: np.ndarray
@@ -383,13 +382,6 @@ class SpectrumInfo:
     exact: bool
     expected_h: np.ndarray
     mc_samples: int | None
-
-    def __post_init__(self):
-        vals = self.eigenvalues
-        if np.any(vals < 0.0) or np.any(vals > 1.0 + LMAX_SLACK):
-            raise ShbError(f"spectrum escaped [0, 1 + {LMAX_SLACK!r}]")
-        if not (0.0 < self.lambda_min_plus <= self.lambda_max <= 1.0 + LMAX_SLACK):
-            raise ShbError("lambda_min_plus / lambda_max out of order")
 
 
 def spectrum_and_gram(
@@ -406,7 +398,8 @@ def spectrum_and_gram(
     paper's assumption Null(W) = Null(A), tested as rank(W) = rank(A)
     with rank(A) counted the same way on gram_eig(a), which comes back
     for project_onto_solutions.  It is made after W, so a W over the
-    budget is refused first.
+    budget is refused first.  A spectrum outside [0, 1 + LMAX_SLACK] is
+    a ShbError.
     """
     a = as_matrix(a, "a")
     eh = expected_h(dist, a, mc_samples=mc_samples, rng=rng)
@@ -414,6 +407,10 @@ def spectrum_and_gram(
     lam_min_plus = nonzero_min(vals)
     gram = gram_eig(a)
     rank = _rank(vals)
+    if np.any(vals < 0.0) or np.any(vals > 1.0 + LMAX_SLACK):
+        raise ShbError(f"spectrum escaped [0, 1 + {LMAX_SLACK!r}]")
+    if not (0.0 < lam_min_plus <= vals[0] <= 1.0 + LMAX_SLACK):
+        raise ShbError("lambda_min_plus / lambda_max out of order")
     spectrum = SpectrumInfo(
         eigenvalues=vals,
         lambda_max=float(vals[0]),

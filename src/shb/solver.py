@@ -16,6 +16,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ class SolverParams:
         return len(every) - bisect_left(every, start) + (every[-1] != self.max_iter and start <= self.max_iter)
 
 
-@dataclass
-class RunTrace:
+class RunTrace(NamedTuple):
     """Recorded metrics of one run, aligned by recorded iteration index.
 
     l2_error holds the raw squared distance ||x_k - x*||^2 so that any
@@ -105,8 +105,7 @@ class RunTrace:
     diverged_at: int | None = None
 
 
-@dataclass
-class EnsembleStats:
+class EnsembleStats(NamedTuple):
     """Replication-averaged metrics at each recorded iteration.
 
     l1_sq holds ||mean over replications of (x_k - x*)||^2, the Monte
@@ -141,8 +140,7 @@ def shb_step(x_k, x_prev, grad, omega: float, beta: float) -> np.ndarray:
     return x_k - omega * grad + beta * (x_k - x_prev)
 
 
-@dataclass
-class _Block:
+class _Block(NamedTuple):
     """What the kernel recorded for its members, member-major.
 
     Rows of l2/f/cesaro are members, columns the recorded indices ks;

@@ -22,7 +22,6 @@ applicability alone decides which of them hold at a given (omega, beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from shb.errors import NotAdmissible, OutOfRange, ShbError
@@ -42,8 +41,7 @@ def _check_omega_open(omega: float) -> None:
         raise OutOfRange(f"stepsize must lie in (0, 2), got {omega!r}")
 
 
-@dataclass(frozen=True)
-class L2Rate:
+class L2Rate(NamedTuple):
     """Per-step contraction data for the mean-squared distance bound.
 
     q is the contraction factor, delta = q - a1 the constant inflating

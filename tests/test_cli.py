@@ -41,11 +41,14 @@ def read_strict_json(path):
     return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
-def run_python(*argv):
-    """A fresh interpreter's run of argv, with this checkout's shb on its path."""
-    src = str(Path(shb.__file__).parent.parent)
+def run_python(*argv, stderr=subprocess.PIPE):
+    """A fresh interpreter's run of argv, with this checkout's shb on its
+    path and stdout block-buffered, as a pipe makes it unless
+    PYTHONUNBUFFERED is set; stderr=subprocess.STDOUT merges the streams."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, *argv], stdout=subprocess.PIPE, stderr=stderr, text=True,
+        env={**env, "PYTHONPATH": str(Path(shb.__file__).parent.parent)},
     )
 
 
@@ -249,25 +252,50 @@ class TestEntryPoint:
     """python -m shb.cli runs main through entry, which freezes the heap
     built at import before main runs; main itself freezes nothing."""
 
-    @pytest.mark.parametrize("beta,code", [("0.3", 0), ("1e308", 2)])
-    def test_process_matches_main(self, tmp_path, capsys, beta, code):
-        """The exit code, stdout, stderr and trace of a process are those
-        of main run in-process, up to elapsed_seconds."""
-        bundle = gen_bundle(tmp_path, rows=20, cols=8, seed=0)
-        out = tmp_path / "t.csv"
-        args = ["solve", "--input", str(bundle), "--beta", beta, "--iters", "200", "--record-every", "10",
-                "--out", str(out)]
+    @pytest.mark.parametrize("args,code", [
+        (["solve", "--beta", "0.3", "--iters", "200", "--record-every", "10", "--out", "t.csv"], 0),
+        (["solve", "--beta", "1e308", "--iters", "200", "--record-every", "10", "--out", "t.csv"], 2),
+        (["analyze", "--omega", "0.5"], 0),
+        (["verify", "--beta", "0.95", "--iters", "3000", "--record-every", "100", "--reps", "100",
+          "--out", "v.json"], 2),
+    ], ids=["0.3-0", "1e308-2", "analyze-to-stdout", "verify-diverging"])
+    def test_process_matches_main(self, tmp_path, capsys, args, code):
+        """The exit code, stdout, stderr and output file of a process are
+        those of main run in-process, a CSV trace's up to elapsed_seconds.
+        The process ends through os._exit, so this also shows that its
+        output is flushed first."""
+        bundle = gen_bundle(tmp_path, rows=50, cols=20, seed=0)
+        out = tmp_path / args[-1] if "--out" in args else None
+        args = [args[0], "--input", str(bundle), *args[1:-1], str(out) if out else args[-1]]
         proc = run_python("-m", "shb.cli", *args)
-        written = out.read_bytes()
-        out.unlink()
+        written = out.read_bytes() if out else None
+        if out:
+            out.unlink()
         capsys.readouterr()
         assert main(args) == code
         captured = capsys.readouterr()
         assert proc.returncode == code
         assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
-        assert captured.out == f"wrote {out} ({len(written.splitlines()) - 1} records)\n"
         assert ("diverged: " in captured.err) == (code == 2)
-        assert without_elapsed(written) == without_elapsed(out.read_bytes())
+        if out is None:
+            assert json.loads(captured.out)["schema"] == "shb-analyze-v1"
+        elif args[0] == "solve":
+            assert captured.out == f"wrote {out} ({len(written.splitlines()) - 1} records)\n"
+            assert without_elapsed(written) == without_elapsed(out.read_bytes())
+        else:
+            assert written == out.read_bytes()
+
+    def test_one_pipe_for_both_streams_keeps_their_order(self, tmp_path):
+        """Each line is flushed as it is written, so in a log that takes
+        stdout and stderr a diverged solve's `wrote` line comes first."""
+        bundle = gen_bundle(tmp_path, rows=20, cols=8, seed=0)
+        out = tmp_path / "t.csv"
+        proc = run_python(
+            "-m", "shb.cli", "solve", "--input", str(bundle), "--beta", "1e308", "--iters", "50",
+            "--out", str(out), stderr=subprocess.STDOUT,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == f"wrote {out} (2 records)\ndiverged: iterate diverged at iteration 2\n"
 
     def test_main_freezes_nothing(self, tmp_path):
         frozen = gc.get_freeze_count()
@@ -280,6 +308,9 @@ class TestEntryPoint:
         assert proc.stdout == "True 0\n"
 
     def test_entry_freezes_the_heap_before_main(self):
+        """entry freezes the heap, runs main, flushes both streams and ends
+        the process with main's code through os._exit (mocked here, as it
+        would end the test run)."""
         frozen = gc.get_freeze_count()
         seen = []
 
@@ -288,12 +319,31 @@ class TestEntryPoint:
             return 3
 
         try:
-            with mock.patch.object(shb.cli, "main", fake_main), pytest.raises(SystemExit) as exc:
+            with mock.patch.object(shb.cli, "main", fake_main), \
+                    mock.patch.object(shb.cli.os, "_exit") as exit_now, \
+                    mock.patch.object(shb.cli, "sys") as fake_sys:
                 shb.cli.entry()
         finally:
             gc.unfreeze()
-        assert exc.value.code == 3
         assert seen[0] > frozen
+        fake_sys.stdout.flush.assert_called_once_with()
+        fake_sys.stderr.flush.assert_called_once_with()
+        exit_now.assert_called_once_with(3)
+
+    def test_entry_falls_back_to_sys_exit_when_a_flush_fails(self):
+        """A stream that cannot be flushed (a closed pipe) leaves the exit
+        to the interpreter, which reports it."""
+        try:
+            with mock.patch.object(shb.cli, "main", return_value=0), \
+                    mock.patch.object(shb.cli.os, "_exit") as exit_now, \
+                    mock.patch.object(shb.cli.sys, "stdout") as stdout, \
+                    pytest.raises(SystemExit) as exc:
+                stdout.flush.side_effect = BrokenPipeError
+                shb.cli.entry()
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == 0
+        exit_now.assert_not_called()
 
 
 class TestSolve:
@@ -762,6 +812,112 @@ class TestReadmeRecipes:
 
 
 class TestHelp:
-    def test_help_exits_zero(self):
+    OPTIONS = {
+        "gen": ["--rows", "--cols", "--seed", "--out"],
+        "analyze": ["--input", "--format", "--sketch", "--seed", "--omega", "--beta", "--out"],
+        "solve": ["--input", "--format", "--sketch", "--seed", "--omega", "--beta", "--iters",
+                  "--record-every", "--out"],
+        "sweep": ["--input", "--format", "--sketch", "--seed", "--omega", "--betas", "--iters",
+                  "--record-every", "--out"],
+        "verify": ["--input", "--format", "--sketch", "--seed", "--omega", "--beta", "--iters",
+                   "--record-every", "--reps", "--out"],
+    }
+
+    def test_help_exits_zero(self, capsys):
+        """shb --help lists every command on stdout."""
         assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert all(re.search(rf"^ +{command}\b", captured.out, re.M) for command in self.OPTIONS)
         assert main(["solve", "--help"]) == 0
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_command_help_names_every_option(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        options = set(re.findall(r"--[a-z-]+", captured.out))
+        assert options == {"--help", *self.OPTIONS[command]}
+
+    def test_module_help_in_a_process(self):
+        proc = run_python("-m", "shb.cli", "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: shb") and proc.stderr == ""
+
+
+def usage_cases():
+    """(name, command line) for each usage error of each command that has
+    the option involved; {bundle}, {out} and {missing} stand for an input
+    bundle, an output path and a path that does not exist."""
+    valid = {
+        "gen": ["gen", "--rows", "4", "--cols", "3", "--out", "{out}"],
+        "analyze": ["analyze", "--input", "{bundle}", "--out", "{out}"],
+        "solve": ["solve", "--input", "{bundle}", "--iters", "5", "--out", "{out}"],
+        "sweep": ["sweep", "--input", "{bundle}", "--betas", "0,0.1", "--iters", "5", "--out", "{out}"],
+        "verify": ["verify", "--input", "{bundle}", "--iters", "5", "--reps", "100", "--out", "{out}"],
+    }
+    cases = [
+        ("no-command", []),
+        ("unknown-command", ["frobnicate", "--input", "{bundle}"]),
+        ("option-before-command", ["--bogus", "solve", "--input", "{bundle}", "--out", "{out}"]),
+    ]
+    for command, args in valid.items():
+        first, rest = args[1], args[3:]
+        cases += [
+            (f"{command}-unknown-option", args + ["--bogus", "1"]),
+            (f"{command}-abbreviation", [command, first[:-2], args[2], *rest]),
+            (f"{command}-missing-required", [command, *rest]),
+            (f"{command}-not-an-integer", args + ["--iters" if "--iters" in args else "--seed", "x"]),
+        ]
+        if first == "--input":
+            cases += [
+                (f"{command}-unknown-format", args + ["--format", "xml"]),
+                (f"{command}-no-such-input", [command, "--input", "{missing}", *rest]),
+            ]
+    return cases
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [args for _, args in usage_cases()], ids=[name for name, _ in usage_cases()])
+    def test_exits_one_before_writing(self, tmp_path, capsys, argv):
+        """An unknown or abbreviated option is named as unknown, before a
+        missing required option would be reported."""
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "out"
+        paths = {"{bundle}": str(bundle), "{out}": str(out), "{missing}": str(tmp_path / "missing.json")}
+        capsys.readouterr()
+        assert main([paths.get(arg, arg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        unknown = next((arg for arg in argv if arg in ("--bogus", "--inp", "--ro")), None)
+        assert (captured.err == f"error: No such option: {unknown}\n") == (unknown is not None)
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_negative_seed_is_a_value(self, tmp_path, capsys):
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "t.csv"
+        assert main(["solve", "--input", str(bundle), "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nonnegative" in err
+        assert not out.exists()
+
+    def test_negative_beta_is_a_value(self, tmp_path, capsys):
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--input", str(bundle), "--betas", "-0.1,0.2", "--out", str(out)]) == 1
+        assert "beta must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_attached_value(self, tmp_path):
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "a.json"
+        assert main(["analyze", f"--input={bundle}", f"--out={out}"]) == 0
+        assert json.loads(out.read_text())["schema"] == "shb-analyze-v1"
+
+    def test_repeated_omega_reports_each(self, tmp_path):
+        bundle = gen_bundle(tmp_path)
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--input", str(bundle), "--omega", "1", "--omega", "0.5", "--out", str(out)]) == 0
+        by_omega = json.loads(out.read_text())["beta_upper_by_omega"]
+        assert [row["omega"] for row in by_omega] == [1.0, 0.5]

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -376,7 +375,7 @@ def test_every_command_applies_the_one_rule(omega, beta):
 
     assert (payload["l2"] is None) == (rule.l2 is None)
     if rule.l2 is not None:
-        assert {k: payload["l2"][k] for k in ("a1", "a2", "q", "delta", "admissible")} == asdict(rule.l2)
+        assert {k: payload["l2"][k] for k in ("a1", "a2", "q", "delta", "admissible")} == rule.l2._asdict()
     assert payload["beta_upper"] == rule.beta_upper
     assert payload["cesaro"]["applicable"] is rule.cesaro_ok
     assert payload["beta_upper_by_omega"] == [{"omega": omega, "beta_upper": rule.beta_upper}]

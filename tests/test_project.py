@@ -1,12 +1,15 @@
 """Project-level contracts: the names the benchmark harness imports, the
-layering of the package's imports, and the test configuration in
-pyproject.toml."""
+layering of the package's imports, what the CLI loads, and the
+dependencies and test configuration in pyproject.toml."""
 
 import ast
 import graphlib
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import shb
 import shb.cli
@@ -65,6 +68,32 @@ def test_package_imports_form_no_cycle():
     }
     assert "shb.theory" in graph["shb.sketch"]
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+NEW_TOP_LEVEL_MODULES = """
+import sys
+before = {name.partition(".")[0] for name in sys.modules}
+import shb.cli
+print(" ".join(sorted({name.partition(".")[0] for name in sys.modules} - before)))
+"""
+
+
+def test_cli_loads_only_the_standard_library_numpy_and_shb():
+    """Every command pays for what importing shb.cli loads; a fresh
+    interpreter's import adds no package but numpy and shb itself."""
+    proc = subprocess.run(
+        [sys.executable, "-c", NEW_TOP_LEVEL_MODULES], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    loaded = set(proc.stdout.split())
+    assert {"numpy", "shb"} <= loaded and "click" not in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "shb"}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [dep.split(">=")[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 FAILING_THEN_PASSING = '''
