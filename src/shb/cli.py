@@ -1,14 +1,13 @@
-"""Command line interface.
+"""usage: shb [--help] COMMAND [--OPTION VALUE ...]
 
-Subcommands: gen, analyze, solve, sweep, verify.  Exit codes: 0 on
-success, 1 on input error, 2 when a solve or verify run diverges (its
-output, with diverged_at, is still written), 3 when verify finds an
-applicable bound check failing.
+The command line of the stochastic heavy ball solver and verification
+harness.  Exit codes: 0 on success, 1 on an input or usage error, 2 when
+a solve or verify run diverges (its output, with diverged_at, is still
+written), 3 when verify finds an applicable bound check failing.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
@@ -20,19 +19,6 @@ from shb.errors import ShbError
 from shb.problems import Problem, gen_problem, plant_solution
 from shb.sketch import SketchDistribution
 from shb.solver import SolverParams
-
-INPUT_FORMATS = ("libsvm", "csv", "bundle")
-
-
-class UsageError(ShbError):
-    """The arguments do not name a command and its options."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser that raises its usage errors for main to report."""
-
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -68,9 +54,11 @@ def gen(rows, cols, seed, out_path) -> int:
 
 
 def analyze(input_path, fmt, sketch, omega, beta, seed, out_path) -> int:
-    """Report the sketch spectrum and every closed-form rate constant."""
+    """Report the sketch spectrum and every closed-form rate constant.
+
+    JSON goes to --out, or to stdout without it; --omega may be repeated."""
     problem, dist = load_input(input_path, fmt, sketch, seed)
-    payload = ex.analyze(problem, dist, omegas=tuple(omega or (1.0,)), beta=beta)
+    payload = ex.analyze(problem, dist, omegas=omega, beta=beta)
     if out_path:
         shio.write_json(payload, out_path)
         _echo(f"wrote {out_path}")
@@ -82,7 +70,8 @@ def analyze(input_path, fmt, sketch, omega, beta, seed, out_path) -> int:
 def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_path) -> int:
     """Run one (omega, beta) configuration and write its trace.
 
-    Exits 2 when the iterate diverges, after writing the trace up to it.
+    The trace is JSON when --out ends in .json, otherwise CSV.  Exits 2
+    when the iterate diverges, after writing the trace up to it.
     """
     problem, dist = load_input(input_path, fmt, sketch, seed)
     params = SolverParams(omega=omega, beta=beta, max_iter=iters, seed=seed, record_every=record_every)
@@ -95,8 +84,10 @@ def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_p
     return divergence_exit(payload)
 
 
-def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_dir) -> int:
-    """Compare several momentum values on one problem."""
+def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_path) -> int:
+    """Compare several momentum values on one problem.
+
+    --out is a directory, which gets sweep_long.csv and sweep_summary.csv."""
     try:
         beta_values = [float(t) for t in betas.split(",") if t.strip()]
     except ValueError:
@@ -104,7 +95,7 @@ def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_
     problem, dist = load_input(input_path, fmt, sketch, seed)
     pairs = tuple((omega, b) for b in beta_values)
     long_rows, summaries = ex.sweep(problem, dist, pairs, iters, record_every, seed)
-    long_path, summary_path = ex.write_sweep_outputs(long_rows, summaries, out_dir)
+    long_path, summary_path = ex.write_sweep_outputs(long_rows, summaries, out_path)
     _echo(f"wrote {long_path} and {summary_path}")
     for s in summaries:
         hits = ", ".join(
@@ -141,129 +132,106 @@ def verify(input_path, fmt, sketch, omega, beta, iters, record_every, reps, seed
     return 0 if report["pass"] else 3
 
 
-# each command's options as (flag, argparse keywords); every one takes a value
-INPUT_OPTIONS = (
-    ("--input", dict(dest="input_path", metavar="PATH", required=True, help="input file")),
-    ("--format", dict(dest="fmt", choices=INPUT_FORMATS, default="bundle", help="input format")),
-    ("--sketch", dict(default="row", help="row | block:<tau> | gaussian:<tau>")),
-    ("--seed", dict(type=int, default=0, help="seed of every random stream")),
-)
-OMEGA = ("--omega", dict(type=float, default=1.0, help="stepsize"))
-BETA = ("--beta", dict(type=float, default=0.0, help="momentum"))
+INPUT_FORMATS = ("libsvm", "csv", "bundle")
+# every option as flag: (the commands' keyword for it, its type or allowed
+# values, help), each taking one value; then each command's defaults, where
+# ... is required, None is no default and a tuple collects every value given
+OPTIONS = {
+    "--rows": ("rows", int, "rows of A"),
+    "--cols": ("cols", int, "columns of A"),
+    "--input": ("input_path", str, "input file"),
+    "--format": ("fmt", INPUT_FORMATS, f"input format: {' | '.join(INPUT_FORMATS)}"),
+    "--sketch": ("sketch", str, "row | block:<tau> | gaussian:<tau>"),
+    "--seed": ("seed", int, "seed of every random stream"),
+    "--omega": ("omega", float, "stepsize"),
+    "--beta": ("beta", float, "momentum"),
+    "--betas": ("betas", str, "comma-separated momentum values"),
+    "--iters": ("iters", int, "iterations"),
+    "--record-every": ("record_every", int, "iterations between records"),
+    "--reps": ("reps", int, "replications"),
+    "--out": ("out_path", str, "output path"),
+}
+INPUT = {"--input": ..., "--format": "bundle", "--sketch": "row", "--seed": 0}
+STEP = {"--omega": 1.0, "--beta": 0.0}
+COMMANDS = {
+    "gen": (gen, {"--rows": ..., "--cols": ..., "--seed": 0, "--out": ...}),
+    "analyze": (analyze, {**INPUT, "--omega": (1.0,), "--beta": 0.0, "--out": None}),
+    "solve": (solve, {**INPUT, **STEP, "--iters": 1000, "--record-every": 1, "--out": ...}),
+    "sweep": (sweep, {**INPUT, "--omega": 1.0, "--betas": ..., "--iters": 1000, "--record-every": 1, "--out": ...}),
+    "verify": (verify, {**INPUT, **STEP, "--iters": 200, "--record-every": 10, "--reps": 1000, "--out": None}),
+}
 
 
-def _schedule(iters: int, record_every: int) -> tuple:
-    return (
-        ("--iters", dict(type=int, default=iters, help="iterations")),
-        ("--record-every", dict(type=int, default=record_every, help="iterations between records")),
-    )
+def _help(command: str | None) -> int:
+    """Print the commands, or a command's description and its options."""
+    if command is None:
+        _echo(f"{__doc__}\ncommands:")
+        rows = {name: run.__doc__.partition("\n")[0] for name, (run, _) in COMMANDS.items()}
+    else:
+        run, defaults = COMMANDS[command]
+        doc = "\n".join(line.strip() for line in run.__doc__.strip().splitlines())
+        _echo(f"usage: shb {command} [--help] [--OPTION VALUE ...]\n\n{doc}\n\noptions:")
+        rows = {"--help": "show this message and exit"}
+        for flag, default in defaults.items():
+            about = OPTIONS[flag][2]
+            if default is not None:
+                shown = ", ".join(map(str, default)) if isinstance(default, tuple) else default
+                about += " (required)" if default is ... else f" (default: {shown})"
+            rows[flag] = about
+    _echo("\n".join(f"  {name:<16}{about}" for name, about in rows.items()))
+    return 0
 
 
-COMMANDS = (
-    (gen, (
-        ("--rows", dict(type=int, required=True, help="rows of A")),
-        ("--cols", dict(type=int, required=True, help="columns of A")),
-        ("--seed", dict(type=int, default=0, help="seed of A and of the planted solution")),
-        ("--out", dict(dest="out_path", metavar="PATH", required=True, help="bundle path (.json)")),
-    )),
-    (analyze, INPUT_OPTIONS + (
-        ("--omega", dict(type=float, action="append", help="stepsize; repeat for several (default: 1.0)")),
-        BETA,
-        ("--out", dict(dest="out_path", metavar="PATH", help="report path (.json); stdout without it")),
-    )),
-    (solve, INPUT_OPTIONS + (OMEGA, BETA) + _schedule(1000, 1) + (
-        ("--out", dict(dest="out_path", metavar="PATH", required=True, help="trace path (.csv or .json)")),
-    )),
-    (sweep, INPUT_OPTIONS + (
-        OMEGA,
-        ("--betas", dict(required=True, help="comma-separated momentum values")),
-    ) + _schedule(1000, 1) + (
-        ("--out", dict(dest="out_dir", metavar="DIR", required=True, help="output directory")),
-    )),
-    (verify, INPUT_OPTIONS + (OMEGA, BETA) + _schedule(200, 10) + (
-        ("--reps", dict(type=int, default=1000, help="replications")),
-        ("--out", dict(dest="out_path", metavar="PATH", help="report path (.json)")),
-    )),
-)
-
-
-def _help(parser: argparse.ArgumentParser) -> None:
-    """--help alone: argparse's own help option would add -h."""
-    parser.add_argument("--help", action="help", help="show this message and exit")
-
-
-def _build_parser() -> _Parser:
-    """One parser for shb and a subparser per command.  No abbreviation is
-    taken (--inp is not --input), and --help is the only option without a
-    value."""
-    parser = _Parser(
-        prog="shb", description="Stochastic heavy ball solver and verification harness.",
-        add_help=False, allow_abbrev=False,
-    )
-    _help(parser)
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
-    for run, options in COMMANDS:
-        sub = commands.add_parser(
-            run.__name__, help=run.__doc__.partition("\n")[0], description=run.__doc__,
-            add_help=False, allow_abbrev=False,
-        )
-        _help(sub)
-        for flag, kwargs in options:
-            if kwargs.get("default") is not None:
-                kwargs = {**kwargs, "help": f"{kwargs['help']} (default: {kwargs['default']})"}
-            sub.add_argument(flag, **kwargs)
-        sub.set_defaults(run=run)
-    return parser
-
-
-PARSER = _build_parser()
-FLAGS = {run.__name__: {"--help", *(flag for flag, _ in options)} for run, options in COMMANDS}
-
-
-def _attached(argv: list[str]) -> list[str]:
-    """argv with each `--name value` after the command as `--name=value`.
-
-    Every option of a command takes one value, and a value may start with
-    '-' (--omega -inf, --seed -1, --betas -0.1,0.2), which argparse would
-    otherwise read as an option and refuse.  An option that shb or the
-    command does not have is refused here, before argparse would report a
-    missing one.
-    """
-    command, joined = None, []
-    rest = iter(argv)
-    for token in rest:
-        if not token.startswith("-"):
-            command = command or token
+def _parse(tokens) -> tuple:
+    """The function to run and its keyword arguments, from one pass over the
+    arguments.  A value may start with '-' (--omega -inf); what is unknown
+    is refused where it stands, before a missing option; --help ends it."""
+    command, defaults, given = None, {}, {}
+    for token in tokens:
+        flag, attached, text = token.partition("=")
+        if flag == "--help":
+            return _help, {"command": command}
+        if flag in defaults:
+            kind = OPTIONS[flag][1]
+            text = text if attached else next(tokens, None)
+            if text is None:
+                raise ShbError(f"argument {flag}: expected one argument")
+            if isinstance(kind, tuple) and text not in kind:
+                raise ShbError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+            try:
+                value = text if isinstance(kind, tuple) else kind(text)
+            except ValueError:
+                raise ShbError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+            given[flag] = given.get(flag, ()) + (value,) if isinstance(defaults[flag], tuple) else value
+        elif token.startswith("-"):
+            raise ShbError(f"No such option: {flag}")
+        elif command:
+            raise ShbError(f"unrecognized arguments: {token}")
+        elif token in COMMANDS:
+            command, defaults = token, COMMANDS[token][1]
         else:
-            name = token.partition("=")[0]
-            flags = FLAGS.get(command, ()) if command else {"--help"}  # () for an unknown command
-            if flags and name not in flags:
-                raise UsageError(f"No such option: {name}")
-            if command and name == token != "--help":
-                value = next(rest, None)
-                token = token if value is None else f"{token}={value}"
-        joined.append(token)
-    return joined
+            raise ShbError(f"argument COMMAND: invalid choice: {token!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    missing = [flag for flag, default in defaults.items() if default is ... and flag not in given]
+    if command is None or missing:
+        raise ShbError(f"the following arguments are required: {', '.join(missing) if command else 'COMMAND'}")
+    return COMMANDS[command][0], {OPTIONS[flag][0]: given.get(flag, default) for flag, default in defaults.items()}
 
 
 def main(argv=None) -> int:
     """Run the CLI, mapping errors onto the documented exit codes."""
     try:
-        options = vars(PARSER.parse_args(_attached(sys.argv[1:] if argv is None else list(argv))))
-        return options.pop("run")(**options)
-    except SystemExit as done:  # --help, after printing the help
-        return done.code
+        run, options = _parse(iter(sys.argv[1:] if argv is None else argv))
+        return run(**options)
     except (ShbError, OSError) as exc:
         _echo(f"error: {exc}", err=True)
         return 1
 
 
 def entry() -> None:
-    """The console script.  The heap the imports built lives until exit, so
-    it is frozen out of every collection; once the output is flushed the
-    process ends with os._exit, skipping the interpreter's teardown (no
-    atexit handler runs).  main, which tests and library callers run
-    in-process, freezes nothing and exits nothing."""
+    """The console script: main, with the heap the imports built frozen out
+    of every collection, then os._exit once the output is flushed, which
+    skips the teardown and atexit handlers unless a profiler or tracer
+    reports in them.  main alone, as tests run it, freezes and exits nothing."""
     gc.freeze()
     code = main()
     try:
@@ -271,7 +239,10 @@ def entry() -> None:
         sys.stderr.flush()
     except Exception:  # a closed or broken stream: let the interpreter report it
         sys.exit(code)
-    os._exit(code)
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 on, where cProfile registers as a tool
+    if not (sys.getprofile() or sys.gettrace() or monitoring and any(map(monitoring.get_tool, range(6)))):
+        os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -107,7 +107,10 @@ def parse_libsvm(path) -> np.ndarray:
     arrays); when a check fails, _parse_line goes over the lines in order
     and words the error of the first bad one.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from None
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -158,27 +161,30 @@ def read_csv_matrix(path) -> np.ndarray:
     refused at the row that takes it over linalg.MAX_DENSE_ELEMENTS entries."""
     data = array("d")
     rows = 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        width = len(next(reader, []))
-        for line_no, row in enumerate(reader, start=2):
-            rows += 1
-            if rows * width > linalg.MAX_DENSE_ELEMENTS:
-                raise MalformedLine(
-                    f"{path}:{line_no}: {rows} rows of {width} cells are over the limit of"
-                    f" {linalg.MAX_DENSE_ELEMENTS} entries",
-                    line_no=line_no,
-                )
-            if len(row) != width:
-                raise MalformedLine(
-                    f"{path}:{line_no}: expected {width} cells, got {len(row)}", line_no=line_no
-                )
-            try:
-                data.extend([float(c) for c in row])
-            except ValueError:
-                raise MalformedLine(
-                    f"{path}:{line_no}: non-numeric cell", line_no=line_no
-                ) from None
+        try:
+            width = len(next(reader, []))
+            for line_no, row in enumerate(reader, start=2):
+                rows += 1
+                if rows * width > linalg.MAX_DENSE_ELEMENTS:
+                    raise MalformedLine(
+                        f"{path}:{line_no}: {rows} rows of {width} cells are over the limit of"
+                        f" {linalg.MAX_DENSE_ELEMENTS} entries",
+                        line_no=line_no,
+                    )
+                if len(row) != width:
+                    raise MalformedLine(
+                        f"{path}:{line_no}: expected {width} cells, got {len(row)}", line_no=line_no
+                    )
+                try:
+                    data.extend([float(c) for c in row])
+                except ValueError:
+                    raise MalformedLine(
+                        f"{path}:{line_no}: non-numeric cell", line_no=line_no
+                    ) from None
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
     return np.frombuffer(data).reshape(rows, width)

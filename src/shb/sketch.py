@@ -207,6 +207,13 @@ def draw_size(dist: SketchDistribution, m: int, d: int) -> int:
     return tau * max(d, tau if isinstance(dist, BlockRow) else m)
 
 
+def chunk_steps(dist: SketchDistribution, m: int, d: int, streams: int = 1) -> int:
+    """Steps per pre-drawn chunk: about BATCH_ELEMENTS numbers, one draw of
+    draw_size numbers per stream and step, and at least one step.  The W
+    estimate draws one stream, so its steps are draws."""
+    return max(1, BATCH_ELEMENTS // (streams * draw_size(dist, m, d)))
+
+
 def check_row_norms(dist: UnitCoordinate, norms_sq: np.ndarray) -> None:
     """Refuse row weights that do not fit the matrix whose squared row
     norms are norms_sq: a weight count other than its row count, or a
@@ -363,7 +370,7 @@ def expected_h(
         subsets = np.array(list(combinations(range(m), tau)))
         n, mc_samples = len(subsets), None
     acc = np.zeros((d, d))
-    chunk = max(1, BATCH_ELEMENTS // draw_size(dist, m, d))
+    chunk = chunk_steps(dist, m, d)
     for start in range(0, n, chunk):
         size = min(chunk, n - start)
         drawn = subsets[start : start + size] if enumerated else draw_batch(dist, rng, m, size)

@@ -5,7 +5,7 @@ one kernel, _iterate, which advances an (R, d) block of iterates; each
 entry point states its streams and what it is bit-identical to.  The
 kernel's parts are described where they are implemented: the step, its
 buffers, its records and the freeze of a diverged member in _iterate,
-the pre-drawn chunks in _chunk_steps, the divergence guard in
+the pre-drawn chunks in sketch.chunk_steps, the divergence guard in
 _finite_rows, and the budget, checked before any stream exists, in
 _check_fits.  Every entry point reports divergence as diverged_at.
 """
@@ -30,6 +30,7 @@ from shb.sketch import (
     UnitCoordinate,
     check_row_norms,
     check_w_fits,
+    chunk_steps,
     derive_stream,
     draw_batch,
     draw_size,
@@ -162,12 +163,6 @@ class _Block(NamedTuple):
     diverged_at: np.ndarray
 
 
-def _chunk_steps(dist: SketchDistribution, m: int, d: int, streams: int) -> int:
-    """Steps per pre-drawn chunk: about sketch.BATCH_ELEMENTS numbers, one
-    draw of draw_size numbers per stream and step, and at least one step."""
-    return max(1, sketch.BATCH_ELEMENTS // (streams * draw_size(dist, m, d)))
-
-
 def _check_fits(params: SolverParams, dist: SketchDistribution, m: int, d: int, members: int, streams: int) -> int:
     """The numbers a block holds at most; OutOfRange when they are over the
     dense-array budget.
@@ -187,7 +182,7 @@ def _check_fits(params: SolverParams, dist: SketchDistribution, m: int, d: int, 
     check_w_fits(d)
     records = params.record_count()
     per_record = 3 + members * (3 + (d if params.snapshots else 0))
-    steps = min(_chunk_steps(dist, m, d, streams), params.max_iter)
+    steps = min(chunk_steps(dist, m, d, streams), params.max_iter)
     held = d * d + (members * 11 + 2 * sketch.W_BLOCK_ROWS) * d + 4 * steps * streams * draw_size(dist, m, d)
     if records * per_record + held > linalg.MAX_DENSE_ELEMENTS:
         raise OutOfRange(
@@ -274,7 +269,7 @@ def _iterate(
     if by_row:
         norms_sq = row_dots(a, a)
         check_row_norms(dist, norms_sq)
-    chunk = _chunk_steps(dist, m, d, len(keys))
+    chunk = chunk_steps(dist, m, d, len(keys))
     streams = [derive_stream(params.seed, 0, key) for key in keys]
     # rows of a step's products before the gradient: A_i x, or g x - c and V^T (g x - c)
     tau = sketch_size(dist, m)

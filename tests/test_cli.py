@@ -135,6 +135,14 @@ class TestAnalyze:
         assert err.startswith("error:") and err.rstrip().endswith(":3: non-numeric cell")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt,content", [("libsvm", b"1 1:\xff\n"), ("csv", b"c1,c2\n1.0,\xff\n")])
+    def test_text_input_not_utf8_exits_one(self, tmp_path, capsys, fmt, content):
+        data = tmp_path / f"bad.{fmt}"
+        data.write_bytes(content)
+        assert main(["analyze", "--input", str(data), "--format", fmt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: not UTF-8 text") and "Traceback" not in err
+
     def test_csv_over_budget_exits_one(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         data.write_text("c1,c2\n1.0,2.0\n3.0,4.0\n")
@@ -322,6 +330,8 @@ class TestEntryPoint:
             with mock.patch.object(shb.cli, "main", fake_main), \
                     mock.patch.object(shb.cli.os, "_exit") as exit_now, \
                     mock.patch.object(shb.cli, "sys") as fake_sys:
+                fake_sys.getprofile.return_value = fake_sys.gettrace.return_value = None
+                fake_sys.monitoring = None
                 shb.cli.entry()
         finally:
             gc.unfreeze()
@@ -344,6 +354,43 @@ class TestEntryPoint:
             gc.unfreeze()
         assert exc.value.code == 0
         exit_now.assert_not_called()
+
+    @pytest.mark.parametrize("watcher", ["profile", "trace", "monitoring"])
+    def test_entry_leaves_the_exit_to_a_watching_profiler(self, watcher):
+        """Under a profiler or tracer (sys.setprofile, sys.settrace, or from
+        Python 3.12 on a sys.monitoring tool, as cProfile is there) entry
+        ends with sys.exit, so the report the watcher writes as the
+        interpreter unwinds is not cut off."""
+        try:
+            with mock.patch.object(shb.cli, "main", return_value=2), \
+                    mock.patch.object(shb.cli.os, "_exit") as exit_now, \
+                    mock.patch.object(shb.cli, "sys") as fake_sys:
+                fake_sys.getprofile.return_value = fake_sys.gettrace.return_value = None
+                fake_sys.monitoring.get_tool.return_value = None
+                if watcher == "monitoring":
+                    fake_sys.monitoring.get_tool.side_effect = lambda tool: "cProfile" if tool == 2 else None
+                else:
+                    getattr(fake_sys, f"get{watcher}").return_value = object()
+                shb.cli.entry()
+        finally:
+            gc.unfreeze()
+        exit_now.assert_not_called()
+        fake_sys.exit.assert_called_once_with(2)
+
+    def test_profiled_process_prints_the_profile(self, tmp_path):
+        bundle = gen_bundle(tmp_path)
+        proc = run_python("-m", "cProfile", "-m", "shb.cli", "analyze", "--input", str(bundle),
+                          "--out", str(tmp_path / "a.json"))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith(f"wrote {tmp_path / 'a.json'}\n") and "function calls" in proc.stdout
+
+    def test_plain_process_skips_the_teardown(self):
+        """With no profiler or tracer the process ends through os._exit, so
+        an atexit handler does not run."""
+        proc = run_python("-c", "import atexit, runpy, sys; atexit.register(print, 'teardown'); "
+                          "sys.argv = ['shb', '--help']; runpy.run_module('shb.cli', run_name='__main__')")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: shb")
+        assert "teardown" not in proc.stdout
 
 
 class TestSolve:

@@ -107,7 +107,7 @@ def oracle_iterates(problem, dist, omega, beta, max_iter, rng, x0):
 @contextmanager
 def chunk_steps(steps):
     """Pre-draw in chunks of `steps` steps."""
-    with mock.patch.object(solver, "_chunk_steps", return_value=steps):
+    with mock.patch.object(solver, "chunk_steps", return_value=steps):
         yield
 
 
@@ -583,7 +583,7 @@ def test_row_sweep_at_default_chunks_equals_solo_runs_and_the_oracle():
     problem = gen_problem(300, 100, seed=0)
     dist = row_sampling(problem.a)
     max_iter = 3000
-    chunk = solver._chunk_steps(dist, 300, 100, 1)
+    chunk = solver.chunk_steps(dist, 300, 100, 1)
     assert 2 * chunk < max_iter <= 3 * chunk and chunk % 500
     settings = [
         SolverParams(omega=1.0, beta=beta, max_iter=max_iter, seed=2, record_every=500, snapshots=True)
@@ -609,7 +609,7 @@ def test_row_ensemble_at_default_chunks_equals_its_runs():
     problem = gen_problem(50, 20, seed=4)
     dist = row_sampling(problem.a)
     reps, max_iter = 100, 400
-    chunk = solver._chunk_steps(dist, 50, 20, reps)
+    chunk = solver.chunk_steps(dist, 50, 20, reps)
     assert chunk < max_iter and chunk % 50
     params = SolverParams(omega=1.0, beta=0.3, max_iter=max_iter, seed=7, record_every=50, snapshots=True)
     block = solver._iterate(

@@ -88,6 +88,8 @@ def test_cli_loads_only_the_standard_library_numpy_and_shb():
     loaded = set(proc.stdout.split())
     assert {"numpy", "shb"} <= loaded and "click" not in loaded
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "shb"}
+    # the CLI parses its own arguments: no argparse, nor the locale its gettext loads
+    assert not loaded & {"argparse", "gettext", "locale"}
 
 
 def test_numpy_is_the_only_runtime_dependency():
