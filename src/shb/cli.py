@@ -1,12 +1,10 @@
-"""usage: shb [--help] COMMAND [--OPTION VALUE ...]
+__doc__ = """usage: shb [--help] COMMAND [--OPTION VALUE ...]
 
 The command line of the stochastic heavy ball solver and verification
 harness.  Exit codes: 0 on success, 1 on an input or usage error, 2 when
 a solve or verify run diverges (its output, with diverged_at, is still
 written), 3 when verify finds an applicable bound check failing.
-"""
-
-from __future__ import annotations
+"""  # an assignment, not a docstring, so that python -OO keeps it for --help, as it keeps each _help_text
 
 import gc
 import json
@@ -19,6 +17,11 @@ from shb.errors import ShbError
 from shb.problems import Problem, gen_problem, plant_solution
 from shb.sketch import SketchDistribution
 from shb.solver import SolverParams
+
+
+def _help_text(text: str):
+    """Set text as a command's __doc__, the help that --help prints."""
+    return lambda run: setattr(run, "__doc__", text) or run
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -45,18 +48,18 @@ def load_input(path: str, fmt: str, sketch: str, seed: int) -> tuple[Problem, Sk
     return problem, ex.make_distribution(sketch, problem.a)
 
 
+@_help_text("""Generate a synthetic Gaussian problem and write it as a bundle.""")
 def gen(rows, cols, seed, out_path) -> int:
-    """Generate a synthetic Gaussian problem and write it as a bundle."""
     problem = gen_problem(rows, cols, seed)
     manifest = shio.write_bundle(problem, out_path)
     _echo(f"wrote {manifest} ({rows}x{cols}, seed={seed})")
     return 0
 
 
-def analyze(input_path, fmt, sketch, omega, beta, seed, out_path) -> int:
-    """Report the sketch spectrum and every closed-form rate constant.
+@_help_text("""Report the sketch spectrum and every closed-form rate constant.
 
-    JSON goes to --out, or to stdout without it; --omega may be repeated."""
+JSON goes to --out, or to stdout without it; --omega may be repeated.""")
+def analyze(input_path, fmt, sketch, omega, beta, seed, out_path) -> int:
     problem, dist = load_input(input_path, fmt, sketch, seed)
     payload = ex.analyze(problem, dist, omegas=omega, beta=beta)
     if out_path:
@@ -67,12 +70,12 @@ def analyze(input_path, fmt, sketch, omega, beta, seed, out_path) -> int:
     return 0
 
 
-def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_path) -> int:
-    """Run one (omega, beta) configuration and write its trace.
+@_help_text("""Run one (omega, beta) configuration and write its trace.
 
-    The trace is JSON when --out ends in .json, otherwise CSV.  Exits 2
-    when the iterate diverges, after writing the trace up to it.
-    """
+The trace is JSON when --out ends in .json, otherwise CSV.  Exits 2
+when the iterate diverges, after writing the trace up to it.
+""")
+def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_path) -> int:
     problem, dist = load_input(input_path, fmt, sketch, seed)
     params = SolverParams(omega=omega, beta=beta, max_iter=iters, seed=seed, record_every=record_every)
     payload = ex.solve(problem, dist, params)
@@ -84,10 +87,10 @@ def solve(input_path, fmt, sketch, omega, beta, iters, record_every, seed, out_p
     return divergence_exit(payload)
 
 
-def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_path) -> int:
-    """Compare several momentum values on one problem.
+@_help_text("""Compare several momentum values on one problem.
 
-    --out is a directory, which gets sweep_long.csv and sweep_summary.csv."""
+--out is a directory, which gets sweep_long.csv and sweep_summary.csv.""")
+def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_path) -> int:
     try:
         beta_values = [float(t) for t in betas.split(",") if t.strip()]
     except ValueError:
@@ -107,14 +110,14 @@ def sweep(input_path, fmt, sketch, omega, betas, iters, record_every, seed, out_
     return 0
 
 
-def verify(input_path, fmt, sketch, omega, beta, iters, record_every, reps, seed, out_path) -> int:
-    """Monte Carlo verification of the convergence bounds.
+@_help_text("""Monte Carlo verification of the convergence bounds.
 
-    Exits 3 when an applicable bound check fails and 2 when a replication
-    diverges (the report then has diverged_at and no checks); the report
-    is still written.  Exits 1 before any run when the expected-iterate
-    check applies but fewer than 2 records fall in its fit window.
-    """
+Exits 3 when an applicable bound check fails and 2 when a replication
+diverges (the report then has diverged_at and no checks); the report
+is still written.  Exits 1 before any run when the expected-iterate
+check applies but fewer than 2 records fall in its fit window.
+""")
+def verify(input_path, fmt, sketch, omega, beta, iters, record_every, reps, seed, out_path) -> int:
     problem, dist = load_input(input_path, fmt, sketch, seed)
     params = SolverParams(omega=omega, beta=beta, max_iter=iters, seed=seed, record_every=record_every)
     report = ex.verify(problem, dist, params, replications=reps)
@@ -169,8 +172,7 @@ def _help(command: str | None) -> int:
         rows = {name: run.__doc__.partition("\n")[0] for name, (run, _) in COMMANDS.items()}
     else:
         run, defaults = COMMANDS[command]
-        doc = "\n".join(line.strip() for line in run.__doc__.strip().splitlines())
-        _echo(f"usage: shb {command} [--help] [--OPTION VALUE ...]\n\n{doc}\n\noptions:")
+        _echo(f"usage: shb {command} [--help] [--OPTION VALUE ...]\n\n{run.__doc__.strip()}\n\noptions:")
         rows = {"--help": "show this message and exit"}
         for flag, default in defaults.items():
             about = OPTIONS[flag][2]

@@ -205,20 +205,12 @@ def solve(problem: Problem, dist: SketchDistribution, params: SolverParams) -> d
     return build_trace_table(problem, trace, setup)
 
 
-def _cell(value) -> str:
-    """A CSV cell: empty for None, the shortest round-trip repr for a float."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path, header: list[str], rows) -> None:
+    """header and rows as CSV: csv.writer writes None as '' and a float (np.float64 too) by repr."""
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def write_trace_csv(payload: dict, path) -> None:

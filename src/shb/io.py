@@ -8,7 +8,6 @@ planted solution, checksummed so round-trips are bit-exact.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 from array import array
@@ -192,6 +191,8 @@ def read_csv_matrix(path) -> np.ndarray:
 
 def _bundle_paths(path) -> tuple[Path, Path]:
     manifest = Path(path)
+    if not manifest.name:  # '', '.' and '/' name a directory, not a bundle
+        raise BundleError(f"{str(path)!r} names no bundle file")
     if manifest.suffix != ".json":
         manifest = manifest.with_suffix(".json")
     return manifest, manifest.with_suffix(".bin")
@@ -204,6 +205,7 @@ def write_bundle(problem: Problem, path) -> Path:
     present, all float64.  The manifest records dimensions, provenance
     and a sha256 checksum of the payload bytes.
     """
+    import hashlib  # loads OpenSSL, so only where a bundle is written or read
     manifest_path, payload_path = _bundle_paths(path)
     rows, cols = problem.shape
     parts = [np.ascontiguousarray(problem.a, dtype="<f8").tobytes()]
@@ -244,6 +246,7 @@ def read_bundle(path) -> Problem:
     FIFO); a bad manifest raises BundleError before the payload is
     opened, and at most one byte more than the shape needs is read.
     """
+    import hashlib  # loads OpenSSL, so only where a bundle is written or read
     manifest_path, _ = _bundle_paths(path)
     try:
         manifest = json.loads(manifest_path.read_text())

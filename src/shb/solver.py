@@ -204,9 +204,9 @@ def _sketched_systems(dist: SketchDistribution, a: np.ndarray, b: np.ndarray, st
     return np.stack(gs, axis=1), np.stack(cs, axis=1)[..., None]
 
 
-def _finite_rows(x_new: np.ndarray) -> np.ndarray | None:
+def _finite_rows(x_new: np.ndarray, flat: np.ndarray | None = None) -> np.ndarray | None:
     """None when every entry of the block x_new is within DIVERGENCE_LIMIT,
-    else whether each row is.
+    else whether each row is; flat, when given, is x_new.reshape(-1).
 
     One dot product certifies the whole block: the computed ||x||^2 is at
     least (1 - N u) times the exact one for N numbers and unit roundoff
@@ -215,8 +215,8 @@ def _finite_rows(x_new: np.ndarray) -> np.ndarray | None:
     NaN, inf and a large but finite block fail it; the entrywise test
     then decides, exactly as it would alone.
     """
-    flat = x_new.reshape(-1)
-    if flat @ flat <= GUARD_SQ:
+    flat = x_new.reshape(-1) if flat is None else flat
+    if flat.dot(flat) <= GUARD_SQ:
         return None
     return np.abs(x_new).max(axis=1) <= DIVERGENCE_LIMIT
 
@@ -244,8 +244,9 @@ def _iterate(
     arithmetic of draw -> stoch_grad(..., dist, drawn) -> shb_step,
     while Gaussian sketches round their residual differently.  Every
     sketch shares the update x - omega*grad + beta*(x - x_prev), in that
-    order, into three rotating buffers, with omega and beta held as
-    (R, d) arrays, so a step allocates nothing.  A record (_Block) takes
+    order, into three rotating buffers, with omega over beta held as one
+    (2R, d) array that scales the gradient and the momentum in one
+    product, so a step allocates nothing.  A record (_Block) takes
     f and the Cesaro f of every member from one W product of their 2R
     error rows, a gemm per block of rows as in f_value.  A member whose
     iterate leaves the finite range is frozen: its rows of x, x_new, omega
@@ -286,23 +287,20 @@ def _iterate(
     diverged_at = np.zeros(n, dtype=np.int64)
     final = np.empty((n, d))
 
-    omega = np.repeat(np.broadcast_to(omega, n), d).reshape(n, d)
-    beta = np.repeat(np.broadcast_to(beta, n), d).reshape(n, d)
-    x = np.tile(x0, (n, 1))
-    x_prev = x.copy()
-    x_new = np.empty_like(x)
+    # omega over beta, a row of d per member each, scales the buffer pair's halves
+    scale = np.repeat(np.concatenate([np.broadcast_to(omega, n), np.broadcast_to(beta, n)]), d).reshape(2 * n, d)
     running_sum = np.zeros((n, d))  # x_1 + ... + x_k for the Cesaro average
     # the gradient and momentum buffers as one block with zero rows up to
     # whole blocks of rows, the gradient shaped as the output of a step's
     # last product, and two of the step's products
     blocks = np.zeros((-(-2 * n // sketch.W_BLOCK_ROWS), sketch.W_BLOCK_ROWS, d))
     pair = blocks.reshape(-1, d)
-    grad, mom = pair[:n], pair[n : 2 * n]
+    grad, mom, scaled = pair[:n], pair[n : 2 * n], pair[: 2 * n]
     grad_out = grad.reshape((n, 1, d) if by_row else (n, d, 1))
     prod, coef = np.empty((2, n, tau, 1))
     w_blocks = np.empty_like(blocks)
 
-    def record(j: int, k: int) -> None:
+    def record(j: int, k: int, x: np.ndarray) -> None:
         # the buffer pair is free between steps: x - x* and the Cesaro mean
         # - x* go in its halves, NaN for a frozen member, for one gemm with
         # W per block of rows, as in f_value
@@ -313,7 +311,7 @@ def _iterate(
         diff[frozen] = mom[frozen] = np.nan
         l2[:, j] = row_dots(diff, diff)
         w_pair = np.matmul(blocks, eh, out=w_blocks).reshape(-1, d)
-        vals = 0.5 * row_dots(pair[: 2 * n], w_pair[: 2 * n])
+        vals = 0.5 * row_dots(scaled, w_pair[: 2 * n])
         vals = np.where(0.0 > vals, 0.0, vals)
         f[:, j] = vals[:n]
         if k:
@@ -324,9 +322,13 @@ def _iterate(
             snapshots.append(np.where(frozen[:, None], np.nan, x))
         elapsed.append(time.perf_counter() - t0)
 
+    # three rotating buffers, each with its (n, d, 1) view for a step's first product and its
+    # flat view for the guard; step k takes rotation[k % 3]: x_{k-1}, x_{k-2}, and x_{k-3} to overwrite
+    b0, b1, b2 = [(v, v[:, :, None], v.reshape(-1)) for v in (np.tile(x0, (n, 1)), np.tile(x0, (n, 1)), np.empty((n, d)))]
+    rotation = [(cur[0], cur[1], prev[0], new[0], new[2]) for cur, prev, new in ((b1, b2, b0), (b0, b1, b2), (b2, b0, b1))]
     matmul, multiply, subtract, add, divide = np.matmul, np.multiply, np.subtract, np.add, np.divide
     t0 = time.perf_counter()
-    record(0, 0)
+    record(0, 0, b0[0])
     j, k = 1, 0
     # a step may overflow; _finite_rows judges the inf and NaN it leaves
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,49 +336,49 @@ def _iterate(
             steps = min(chunk, params.max_iter - k)
             if by_row:
                 at = row_indices(dist, np.stack([s.random(steps) for s in streams], axis=1))
-                draws = (a[at][:, :, None], b[at][:, :, None, None], norms_sq[at][:, :, None, None])
+                # take gathers as a[at] does, in a third of its time on narrow rows
+                draws = zip(a.take(at, 0)[:, :, None], b.take(at)[:, :, None, None], norms_sq.take(at)[:, :, None, None])
             else:
                 g, c = _sketched_systems(dist, a, b, streams, steps)
                 vecs, inv = gram_factors(g @ g.swapaxes(-1, -2))
-                draws = (g, c, vecs, inv[..., None])
-            for t in range(steps):
-                k += 1
+                draws = zip(g, c, vecs.swapaxes(-1, -2), inv[..., None], vecs, g.swapaxes(-1, -2))
+            # outputs by position: on a step's few numbers, a call's fixed cost is most of its time
+            for k, drawn in enumerate(draws, k + 1):
+                x, x_col, x_prev, x_new, new_flat = rotation[k % 3]
                 if by_row:
-                    row = draws[0][t]
-                    matmul(row, x[:, :, None], out=prod)
-                    subtract(prod, draws[1][t], out=prod)
-                    divide(prod, draws[2][t], out=prod)
-                    multiply(prod, row, out=grad_out)
+                    row, b_i, norm_sq = drawn
+                    matmul(row, x_col, prod)
+                    subtract(prod, b_i, prod)
+                    divide(prod, norm_sq, prod)
+                    multiply(prod, row, grad_out)
                 else:
-                    g, c, vecs, inv = draws
-                    matmul(g[t], x[:, :, None], out=prod)
-                    subtract(prod, c[t], out=prod)
-                    matmul(vecs[t].swapaxes(-1, -2), prod, out=coef)
-                    multiply(inv[t], coef, out=coef)
-                    matmul(vecs[t], coef, out=prod)
-                    matmul(g[t].swapaxes(-1, -2), prod, out=grad_out)
-                # x - omega * grad + beta * (x - x_prev), in this order
-                multiply(omega, grad, out=grad)
-                subtract(x, grad, out=x_new)
-                subtract(x, x_prev, out=mom)
-                multiply(beta, mom, out=mom)
-                add(x_new, mom, out=x_new)
-                ok = _finite_rows(x_new)
+                    g_t, c_t, vecs_tr, inv_t, vecs_t, g_tr = drawn
+                    matmul(g_t, x_col, prod)
+                    subtract(prod, c_t, prod)
+                    matmul(vecs_tr, prod, coef)
+                    multiply(inv_t, coef, coef)
+                    matmul(vecs_t, coef, prod)
+                    matmul(g_tr, prod, grad_out)
+                # (x - omega * grad) + beta * (x - x_prev), omega and beta scaling the pair at once
+                subtract(x, x_prev, mom)
+                multiply(scale, scaled, scaled)
+                subtract(x, grad, x_new)
+                add(x_new, mom, x_new)
+                ok = _finite_rows(x_new, new_flat)
                 if ok is not None and not ok.all():
                     bad = ~ok
                     diverged_at[bad] = k
                     final[bad] = x[bad]
                     if diverged_at.all():
                         break
-                    x[bad] = x_new[bad] = omega[bad] = beta[bad] = 0.0
-                x_prev, x, x_new = x, x_new, x_prev
-                add(running_sum, x, out=running_sum)
+                    x[bad] = x_new[bad] = scale[:n][bad] = scale[n:][bad] = 0.0
+                add(running_sum, x_new, running_sum)
                 if k == ks[j]:
-                    record(j, k)
+                    record(j, k, x_new)
                     j += 1
 
     alive = diverged_at == 0
-    final[alive] = x[alive]
+    final[alive] = x_new[alive]
     return _Block(ks, l2, f, cesaro, l1_sq, snapshots, elapsed, final, diverged_at)
 
 

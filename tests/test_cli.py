@@ -90,6 +90,16 @@ class TestGen:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input="], ["analyze", "--input", "."], ["gen", "--rows", "2", "--cols", "2", "--out="],
+], ids=["empty-input", "directory-input", "empty-out"])
+def test_path_naming_no_bundle_file_exits_one(capsys, argv):
+    """'' and '.' name no file a bundle could be read from or written to."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "names no bundle file" in err and "Traceback" not in err
+
+
 class TestAnalyze:
     def test_json_to_file(self, tmp_path):
         bundle = gen_bundle(tmp_path)
@@ -890,6 +900,14 @@ class TestHelp:
         proc = run_python("-m", "shb.cli", "--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: shb") and proc.stderr == ""
+
+    @pytest.mark.parametrize("command", [[], ["sweep"]], ids=["shb", "sweep"])
+    def test_help_survives_dropped_docstrings(self, command):
+        """python -OO drops docstrings; --help prints the same text without them."""
+        stripped = run_python("-OO", "-m", "shb.cli", *command, "--help")
+        assert stripped.returncode == 0 and stripped.stderr == ""
+        assert stripped.stdout == run_python("-m", "shb.cli", *command, "--help").stdout
+        assert "Compare several momentum values on one problem." in stripped.stdout
 
 
 def usage_cases():

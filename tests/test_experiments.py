@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import tracemalloc
@@ -232,6 +233,71 @@ class TestSweep:
     def test_first_crossing(self):
         assert first_crossing([0, 5, 10], [4.0, 0.4, 0.04], 4.0, 1e-1) == 5
         assert first_crossing([0, 5], [4.0, 2.0], 4.0, 1e-6) is None
+
+
+def reference_csv(header, rows) -> bytes:
+    """The bytes of header and rows by the CSV writer's earlier rule, which
+    formatted each cell itself: empty for None, repr(float(v)) for a float
+    (np.float64 too), str(v) for anything else."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return repr(float(value))
+        return str(value)
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+SWEEP_LONG_HEADER = ["pair_id", "omega", "beta", "k", "metric", "value"]
+SWEEP_SUMMARY_HEADER = ["pair_id", "omega", "beta", "status", "iters_to_0.01", "iters_to_0.0001", "iters_to_1e-06"]
+
+
+def assert_sweep_files_match_reference(long_rows, summaries, out_dir):
+    long_path, summary_path = write_sweep_outputs(long_rows, summaries, out_dir)
+    assert long_path.read_bytes() == reference_csv(SWEEP_LONG_HEADER, long_rows)
+    want = reference_csv(SWEEP_SUMMARY_HEADER, [[s.get(k) for k in SWEEP_SUMMARY_HEADER] for s in summaries])
+    assert summary_path.read_bytes() == want
+
+
+class TestCsvBytes:
+    """csv.writer takes the rows as they are: the files keep the bytes of the
+    rule that formatted every cell before writing it."""
+
+    def test_row_solve_trace(self, tmp_path):
+        problem = gen_problem(30, 10, seed=3)
+        payload = solve(problem, row_sampling(problem.a), SolverParams(
+            omega=1.0, beta=0.3, max_iter=400, seed=2, record_every=7,
+        ))
+        rows = [list(row.values()) for row in payload["rows"]]
+        assert rows[0][5] is None and isinstance(rows[0][0], int)  # a None cell and an int
+        write_trace_csv(payload, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(payload["columns"], rows)
+
+    def test_block_sweep(self, tmp_path):
+        problem = gen_problem(40, 12, seed=5)
+        long_rows, summaries = sweep(problem, BlockRow(5), ((1.0, 0.0), (1.0, 0.3)), 300, 10, 4)
+        assert {type(v) for row in long_rows for v in row} == {int, float, str}
+        assert_sweep_files_match_reference(long_rows, summaries, tmp_path / "sw")
+
+    def test_sweep_with_a_diverged_pair(self, tmp_path):
+        problem = toy_problem()
+        long_rows, summaries = sweep(problem, row_sampling(problem.a), ((1.0, 0.0), (1.0, 3.0)), 3000, 50, 0)
+        assert summaries[1]["status"] == "diverged" and summaries[1]["iters_to_0.01"] is None
+        assert_sweep_files_match_reference(long_rows, summaries, tmp_path / "sw")
+
+    def test_edge_values(self, tmp_path):
+        """inf, nan, -0.0, the repr switch to exponents, and numpy scalars."""
+        values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e16, 9999999999999998.0, 1e-4, 9.99e-5,
+                  np.float64(0.1), np.float64(-0.0), np.float64(math.inf), np.int64(7), None, 5, True]
+        long_rows = [[0, 1.0, np.float64(0.2), k, "value", v] for k, v in enumerate(values)]
+        summaries = [{"pair_id": 0, "omega": 1.0, "beta": -0.0, "status": "ok", "iters_to_0.01": np.int64(3)}]
+        assert_sweep_files_match_reference(long_rows, summaries, tmp_path / "sw")
 
 
 class TestVerify:

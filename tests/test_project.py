@@ -90,6 +90,8 @@ def test_cli_loads_only_the_standard_library_numpy_and_shb():
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "shb"}
     # the CLI parses its own arguments: no argparse, nor the locale its gettext loads
     assert not loaded & {"argparse", "gettext", "locale"}
+    # shb.io loads OpenSSL where it reads or writes a bundle, not on import
+    assert not loaded & {"hashlib", "_hashlib"}
 
 
 def test_numpy_is_the_only_runtime_dependency():
