@@ -24,6 +24,9 @@ BUNDLE_KIND = "shb-problem"
 BUNDLE_VERSION = 1
 # every byte but ':' and ' '
 _NOT_COLON_OR_SPACE = bytes(sorted(set(range(256)) - set(b": ")))
+# LIBSVM lines converted at a time: a block's token strings are freed
+# before the next block is split
+_BLOCK_LINES = 256
 
 
 @contextmanager
@@ -92,6 +95,33 @@ def _parse_line(path, line_no: int, raw: str) -> list[tuple[int, float]]:
     return feats
 
 
+def _convert_block(lines: list[str], first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row numbers (from first), indices and values of every feature of
+    lines, read by _parse_line's rules (a whitespace split, a float label,
+    one ':' per feature, int and float, indices checked as arrays).
+    ValueError or OverflowError when a line breaks them or an index is past
+    int64."""
+    split = [line.split() or [""] for line in lines]  # a blank line's label is ""
+    tokens = [tok for t in split for tok in t[1:]]
+    for t in split:
+        float(t[0])
+    joined = " ".join(tokens)
+    words = joined.replace(":", " ").split()
+    # one ':' per token leaves ": : ... :" once every other byte is deleted:
+    # tokens hold no whitespace, and no byte of a multi-byte UTF-8
+    # character is ':' or ' '
+    colons = joined.encode().translate(None, _NOT_COLON_OR_SPACE)
+    if len(words) != 2 * len(tokens) or colons != (b": " * len(tokens))[:-1]:
+        raise ValueError("a feature is not one index:value pair")
+    idx = np.fromiter(map(int, words[0::2]), dtype=np.int64, count=len(tokens))
+    vals = np.fromiter(map(float, words[1::2]), dtype=np.float64, count=len(tokens))
+    rows = np.repeat(np.arange(first, first + len(lines)), [len(t) - 1 for t in split])
+    # 1-based, and rising within each line
+    if idx.min(initial=1) < 1 or not np.all((np.diff(idx) > 0) | (np.diff(rows) != 0)):
+        raise ValueError("an index is not 1-based or not rising")
+    return rows, idx, vals
+
+
 def parse_libsvm(path) -> np.ndarray:
     """Dense feature matrix from a LIBSVM-format text file.
 
@@ -100,11 +130,13 @@ def parse_libsvm(path) -> np.ndarray:
     only the feature matrix is kept.  Column count is the largest index
     seen anywhere; absent entries are zero.  Trailing blank lines are
     tolerated, interior ones are not.  A file whose dense matrix would
-    exceed linalg.MAX_DENSE_ELEMENTS entries is rejected before allocating.
-    One pass reads every line by _parse_line's rules (a whitespace split,
-    a float label, one ':' per feature, int and float, indices checked as
-    arrays); when a check fails, _parse_line goes over the lines in order
-    and words the error of the first bad one.
+    exceed linalg.MAX_DENSE_ELEMENTS entries is rejected before the
+    matrix is allocated; by then the parse holds the file's lines and an
+    int64 row, an int64 index and a float64 value per feature.
+    _convert_block reads _BLOCK_LINES lines at a time, so only one block's
+    token strings exist at once; when a block breaks a rule, _parse_line
+    goes over its lines in order and words the error of the first bad
+    one, which is the file's first, as every earlier block passed.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -115,42 +147,38 @@ def parse_libsvm(path) -> np.ndarray:
     if not lines:
         raise EmptyFile(f"{path}: no data rows")
 
-    split = [line.split() or [""] for line in lines]  # a blank line's label is ""
-    tokens = [tok for t in split for tok in t[1:]]
-    joined = " ".join(tokens)
-    words = joined.replace(":", " ").split()
-    rows = np.repeat(np.arange(len(lines)), [len(t) - 1 for t in split])
-    try:
-        for t in split:
-            float(t[0])
-        # one ':' per token leaves ": : ... :" once every other byte is deleted:
-        # tokens hold no whitespace, and no byte of a multi-byte UTF-8
-        # character is ':' or ' '
-        colons = joined.encode().translate(None, _NOT_COLON_OR_SPACE)
-        if len(words) != 2 * len(tokens) or colons != (b": " * len(tokens))[:-1]:
-            raise ValueError("a feature is not one index:value pair")
-        idx = np.fromiter(map(int, words[0::2]), dtype=np.int64, count=len(tokens))
-        vals = np.fromiter(map(float, words[1::2]), dtype=np.float64, count=len(tokens))
-        # 1-based, and rising within each line
-        ok = idx.min(initial=1) >= 1 and bool(np.all((np.diff(idx) > 0) | (np.diff(rows) != 0)))
-    except (ValueError, OverflowError):
-        ok = False
-    if not ok:
-        for i, line in enumerate(lines):
-            _parse_line(path, i + 1, line)
-        # the lines keep the rules, so an index is past int64: the budget refuses it
-        idx = np.array([int(w) for w in words[0::2]], dtype=object)
+    parts = []
+    max_index = widest_line = 0
+    for first in range(0, len(lines), _BLOCK_LINES):
+        block = lines[first : first + _BLOCK_LINES]
+        try:
+            b_rows, b_idx, b_vals = _convert_block(block, first)
+        except (ValueError, OverflowError):
+            feats = [_parse_line(path, first + i + 1, line) for i, line in enumerate(block)]
+            # the lines keep the rules, so an index is past int64: the budget
+            # refuses it after the last line, and the arrays are not needed
+            line_max = [max((j for j, _ in f), default=0) for f in feats]
+            block_max = max(line_max)
+            block_line = first + line_max.index(block_max)
+        else:
+            parts.append((b_rows, b_idx, b_vals))
+            block_max = int(b_idx.max(initial=0))
+            block_line = int(b_rows[np.argmax(b_idx)]) if b_idx.size else 0
+        if block_max > max_index:  # ties keep the earlier line
+            max_index, widest_line = block_max, block_line + 1
 
-    max_index = int(idx.max(initial=0))
-    widest_line = int(rows[np.argmax(idx)]) + 1 if idx.size else 0
     if len(lines) * max_index > linalg.MAX_DENSE_ELEMENTS:
         raise MalformedLine(
             f"{path}:{widest_line}: index {max_index} makes a {len(lines)}x{max_index} matrix,"
             f" over the limit of {linalg.MAX_DENSE_ELEMENTS} entries",
             line_no=widest_line,
         )
-    mat = np.zeros((len(lines), max_index))
-    mat[rows, idx - 1] = vals
+    rows, idx, vals = (np.concatenate(p) for p in zip(*parts))
+    n_rows = len(lines)
+    del parts, lines  # freed before the matrix is allocated
+    mat = np.zeros((n_rows, max_index))
+    idx -= 1
+    mat[rows, idx] = vals
     return mat
 
 
@@ -250,7 +278,7 @@ def read_bundle(path) -> Problem:
     manifest_path, _ = _bundle_paths(path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # deep nesting
         raise BundleError(f"{manifest_path}: cannot read manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("kind") != BUNDLE_KIND:
         raise BundleError(f"{manifest_path}: not a problem bundle")

@@ -299,6 +299,12 @@ def _iterate(
     grad_out = grad.reshape((n, 1, d) if by_row else (n, d, 1))
     prod, coef = np.empty((2, n, tau, 1))
     w_blocks = np.empty_like(blocks)
+    # row_dots of the pair with itself and with W times it, as stacked
+    # (1, d) @ (d, 1) products on views built once
+    pair_rows, pair_cols = scaled[:, None, :], scaled[:, :, None]
+    w_cols = w_blocks.reshape(-1, d)[: 2 * n, :, None]
+    dots = np.empty((2 * n, 1, 1))
+    vals = dots[:, 0, 0]
 
     def record(j: int, k: int, x: np.ndarray) -> None:
         # the buffer pair is free between steps: x - x* and the Cesaro mean
@@ -307,19 +313,21 @@ def _iterate(
         diff = np.subtract(x, xstar, out=grad)
         if k:
             np.subtract(np.divide(running_sum, k, out=mom), xstar, out=mom)
-        frozen = diverged_at > 0
-        diff[frozen] = mom[frozen] = np.nan
-        l2[:, j] = row_dots(diff, diff)
-        w_pair = np.matmul(blocks, eh, out=w_blocks).reshape(-1, d)
-        vals = 0.5 * row_dots(scaled, w_pair[: 2 * n])
-        vals = np.where(0.0 > vals, 0.0, vals)
+        if diverged_at.any():
+            frozen = diverged_at > 0
+            diff[frozen] = mom[frozen] = np.nan
+        l2[:, j] = np.matmul(pair_rows[:n], pair_cols[:n], out=dots[:n])[:, 0, 0]
+        np.matmul(blocks, eh, out=w_blocks)
+        np.matmul(pair_rows, w_cols, out=dots)
+        np.multiply(vals, 0.5, out=vals)
+        vals[vals < 0.0] = 0.0  # NaN and -0.0 stay; np.maximum would make -0.0 0.0
         f[:, j] = vals[:n]
         if k:
             cesaro[:, j] = vals[n:]
         mean_diff = np.add.reduce(diff, axis=0) / n  # np.mean's bits, without its overhead
         l1_sq.append(float(mean_diff @ mean_diff))
         if snapshots is not None:
-            snapshots.append(np.where(frozen[:, None], np.nan, x))
+            snapshots.append(np.where((diverged_at > 0)[:, None], np.nan, x))
         elapsed.append(time.perf_counter() - t0)
 
     # three rotating buffers, each with its (n, d, 1) view for a step's first product and its

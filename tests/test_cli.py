@@ -250,6 +250,20 @@ class TestBadManifest:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "solve"])
+    def test_deeply_nested_manifest_exits_one(self, tmp_path, capsys, command):
+        """json.loads gives up on deep nesting with RecursionError, not
+        JSONDecodeError; the manifest is refused all the same."""
+        bundle = gen_bundle(tmp_path)
+        bundle.write_text('{"a":' * 3000 + "1" + "}" * 3000)
+        out = ["--out", str(tmp_path / "t.csv")] if command == "solve" else []
+        capsys.readouterr()
+        assert main([command, "--input", str(bundle), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot read manifest" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_entry_point_exit_code(self, tmp_path):
         bundle = gen_bundle(tmp_path)
         meta = json.loads(bundle.read_text())

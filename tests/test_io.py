@@ -244,6 +244,67 @@ class TestParseLibsvmAgainstTheLineReference:
             parse_libsvm(path)
         assert exc.value.line_no == 2 and "index 99999999999999999999 makes a 2x" in str(exc.value)
 
+    @pytest.mark.parametrize("block_lines", [1, 3])
+    @settings(max_examples=200)
+    @given(
+        lines=st.lists(libsvm_lines(), max_size=8),
+        trailing=st.sampled_from(["", "\n", "\r\n", "\n\n", "\n \n"]),
+    )
+    def test_blocks_of_a_few_lines_equal_parse_line_over_every_line(
+        self, tmp_path_factory, block_lines, lines, trailing
+    ):
+        path = tmp_path_factory.mktemp("libsvm") / "f.txt"
+        path.write_text("\n".join(lines) + trailing, newline="")
+        with mock.patch.object(shb.io, "_BLOCK_LINES", block_lines):
+            assert outcome(parse_libsvm, path) == outcome(reference_parse, path)
+
+    def test_bad_token_in_a_later_block_wins_over_an_index_past_int64(self, tmp_path):
+        """Block 1 keeps the line rules but cannot be held as int64; the
+        parse goes on, and block 2's bad token is the file's first error."""
+        path = write(tmp_path, "a.txt", "1 1:1\n1 99999999999999999999:1\n1 1:1\n1 2:x\n")
+        with mock.patch.object(shb.io, "_BLOCK_LINES", 2), pytest.raises(MalformedLine) as exc:
+            parse_libsvm(path)
+        assert (exc.value.line_no, exc.value.token) == (4, "2:x")
+        assert outcome(parse_libsvm, path) == outcome(reference_parse, path)
+
+    def test_budget_names_the_first_line_of_the_largest_index_across_blocks(self, tmp_path):
+        big, bigger = "99999999999999999999", "99999999999999999999999"
+        path = write(tmp_path, "a.txt", f"1 {big}:1\n1 1:1\n1 {bigger}:1\n1 {bigger}:2\n1 {big}:1\n")
+        with mock.patch.object(shb.io, "_BLOCK_LINES", 2), pytest.raises(MalformedLine) as exc:
+            parse_libsvm(path)
+        assert exc.value.line_no == 3 and f"index {bigger} makes a 5x" in str(exc.value)
+
+    def test_trailing_blank_lines_in_a_block_of_their_own(self, tmp_path):
+        path = write(tmp_path, "a.txt", "1 1:1\n1 2:3\n\n \t\n\n")
+        with mock.patch.object(shb.io, "_BLOCK_LINES", 2):
+            mat = parse_libsvm(path)
+        assert mat.tobytes() == np.array([[1.0, 0.0], [0.0, 3.0]]).tobytes()
+
+
+# attribute cardinalities of a mushrooms-shaped file: 22 one-hot attributes over 112 columns
+MUSHROOM_ATTRIBUTES = (6, 4, 10, 2, 9, 2, 2, 2, 12, 2, 4, 4, 4, 9, 9, 1, 4, 3, 5, 6, 5, 7)
+
+
+class TestParseLibsvmMemory:
+    @pytest.mark.parametrize("rows", [2000, 8124])
+    def test_traced_peak_within_three_dense_matrices(self, tmp_path, rows):
+        """The parse holds its token strings one block at a time, so the
+        peak stays near the matrix it returns; a file-wide token list took
+        5.6 times the matrix."""
+        rng = np.random.default_rng(rows)
+        starts = np.cumsum((1,) + MUSHROOM_ATTRIBUTES[:-1])
+        cols = starts + np.stack([rng.integers(0, c, size=rows) for c in MUSHROOM_ATTRIBUTES], axis=1)
+        cols[0, -1] = sum(MUSHROOM_ATTRIBUTES)
+        labels = rng.choice(("+1", "-1"), size=rows)
+        path = tmp_path / "mushrooms.txt"
+        path.write_text("".join(f"{y} " + " ".join(f"{j}:1" for j in row) + "\n" for y, row in zip(labels, cols)))
+        dense_bytes = rows * sum(MUSHROOM_ATTRIBUTES) * 8
+        with allocates_at_most(3 * dense_bytes):
+            mat = parse_libsvm(path)
+        want = np.zeros((rows, sum(MUSHROOM_ATTRIBUTES)))
+        np.put_along_axis(want, cols - 1, 1.0, axis=1)
+        assert mat.tobytes() == want.tobytes()
+
 
 class TestCsvMatrix:
     def test_round_trip(self, tmp_path):
