@@ -34,7 +34,7 @@ from shb.sketch import (
     expected_h,
     f_value,
     row_sampling,
-    spectrum_and_gram,
+    spectrum,
     stoch_grad,
 )
 from shb.solver import (

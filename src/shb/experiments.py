@@ -4,8 +4,8 @@ These functions sit between the solver/theory layers and the CLI.  They
 take in-memory problems and distributions, produce plain dicts and rows
 ready for CSV/JSON serialization, and never print: analyze, solve and
 verify return the very JSON payloads the CLI writes.  analyze, solve and
-verify share one set-up (_set_up): the spectrum of W (with W itself and
-exactness), which bounds apply (theory.applicability), and x*, each
+verify share one set-up (_set_up): the spectrum of W (with W itself),
+which bounds apply (theory.applicability), and x* with exactness, each
 built once and passed down; sweep builds W and x* once for all its pairs
 in the kernel.  Every run records the same series (l2 error, f and
 Cesaro f, and for an ensemble the squared distance of its mean iterate),
@@ -33,7 +33,7 @@ from shb.sketch import (
     SpectrumInfo,
     f_value,
     row_sampling,
-    spectrum_and_gram,
+    spectrum,
 )
 from shb.solver import RunTrace, SolverParams, run, run_ensemble, run_pairs
 from shb.theory import Applicability, applicability, cesaro_bound, l1_params, l2_envelope
@@ -91,6 +91,7 @@ class _SetUp(NamedTuple):
     spectrum: SpectrumInfo
     bounds: Applicability
     xstar: np.ndarray
+    exact: bool  # Null(W) = Null(A), tested as rank(W) = rank(A)
     init_sq: float  # ||x0 - x*||^2
     f0: float  # f(x0)
 
@@ -98,14 +99,15 @@ class _SetUp(NamedTuple):
 def _set_up(problem: Problem, dist: SketchDistribution, omega: float, beta: float) -> _SetUp:
     """The spectrum, the bounds that apply at (omega, beta), and x* with
     its distance and objective from the origin.  x* and rank(A) come from
-    one decomposition of the smaller Gram of A, dropped on return."""
+    one least-squares SVD of A; W is built first, so a W over the budget
+    is refused before it."""
     a, b = problem.a, problem.b
-    spectrum, gram = spectrum_and_gram(a, dist)
-    bounds = applicability(omega, beta, spectrum.lambda_min_plus, spectrum.lambda_max)
+    spec = spectrum(a, dist)
+    bounds = applicability(omega, beta, spec.lambda_min_plus, spec.lambda_max)
     x0 = np.zeros(a.shape[1])
-    xstar = project_onto_solutions(x0, a, b, gram)
+    xstar, rank_a = project_onto_solutions(x0, a, b)
     diff = x0 - xstar  # the kernel's k = 0 record rounds ||x0 - x*||^2 as this dot does
-    return _SetUp(spectrum, bounds, xstar, float(diff @ diff), f_value(a, b, x0, spectrum.expected_h, xstar))
+    return _SetUp(spec, bounds, xstar, spec.rank == rank_a, float(diff @ diff), f_value(a, b, x0, spec.expected_h, xstar))
 
 
 def analyze(
@@ -135,7 +137,7 @@ def analyze(
             "lambda_max": s.lambda_max,
             "lambda_min_plus": s.lambda_min_plus,
             "rank": s.rank,
-            "exact": s.exact,
+            "exact": setup.exact,
             "expected_h_mc_samples": s.mc_samples,
         },
         "l2": None if l2 is None else {
@@ -365,10 +367,10 @@ def verify(
             f"need >= {MIN_VERIFY_REPLICATIONS} replications, got {replications}"
         )
     setup = _set_up(problem, dist, params.omega, params.beta)
-    spectrum, bounds, init_sq = setup.spectrum, setup.bounds, setup.init_sq
+    spec, bounds, init_sq = setup.spectrum, setup.bounds, setup.init_sq
     if not (bounds.l2_ok or bounds.cesaro_ok or bounds.l1_ok):
         raise NotAdmissible("parameters meet no bound hypothesis: nothing to verify")
-    lmax = spectrum.lambda_max
+    lmax = spec.lambda_max
     fit_start = max(1, math.ceil(L1_FIT_FROM * params.max_iter))
     if bounds.l1_ok and params.record_count(fit_start) < 2:
         raise OutOfRange(
@@ -378,7 +380,7 @@ def verify(
 
     ens = run_ensemble(
         problem, dist, params, replications=replications,
-        eh=spectrum.expected_h, xstar=setup.xstar,
+        eh=spec.expected_h, xstar=setup.xstar,
     )
     slack = 1.0 + 3.0 / math.sqrt(replications)
     floor = MEASUREMENT_FLOOR * init_sq
@@ -391,9 +393,9 @@ def verify(
         "slack_factor": slack,
         "spectrum": {
             "lambda_max": lmax,
-            "lambda_min_plus": spectrum.lambda_min_plus,
-            "rank": spectrum.rank,
-            "exact": spectrum.exact,
+            "lambda_min_plus": spec.lambda_min_plus,
+            "rank": spec.rank,
+            "exact": setup.exact,
         },
     }
     if ens.diverged_at is not None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import shb.linalg as linalg
-from shb.errors import BundleError, EmptyFile, MalformedLine, NonMonotoneIndices
+from shb.errors import BundleError, EmptyFile, MalformedLine, NonMonotoneIndices, ShbError
 from shb.problems import Problem
 
 BUNDLE_KIND = "shb-problem"
@@ -34,8 +34,11 @@ def atomic_write(path, mode: str = "w", newline: str | None = None):
     """Open path for writing through a temporary sibling file.
 
     The temporary file replaces path only when the block completes; on
-    any error it is removed and path is left as it was.
+    any error it is removed and path is left as it was.  A path with no
+    file name ('', '.', '/') is refused before anything is opened.
     """
+    if not Path(path).name:  # '', '.' and '/' name a directory, not a file
+        raise ShbError(f"{str(path)!r} names no file to write")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:

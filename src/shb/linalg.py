@@ -1,5 +1,5 @@
-"""Dense symmetric linear algebra: eigendecomposition, pseudoinverse
-application, and least-norm projection onto a solution set.
+"""Dense linear algebra: symmetric eigendecomposition, pseudoinverse
+application, and least-norm projection onto a solution set with rank(A).
 
 Everything here is a pure function of its inputs.  Matrices are plain
 float64 ndarrays and are never mutated.
@@ -22,7 +22,8 @@ from shb.errors import (
 
 # Eigenvalues below REL_TOL * lambda_max are treated as zero everywhere
 # (pseudoinverse cutoff, rank counting, smallest-nonzero detection), by
-# the one comparison in above_cutoff.
+# the one comparison in above_cutoff; singular values of A below
+# REL_TOL * sigma_max likewise, in project_onto_solutions' x* and rank(A).
 REL_TOL = 1e-10
 # largest relative asymmetry ||W - W^T||_F / max(1, ||W||_F) sym_eig accepts
 ASYM_TOL = 1e-12
@@ -110,10 +111,7 @@ def pinv_apply(m, y) -> np.ndarray:
     Eigenvalues <= REL_TOL * lambda_max count as zero, so components of y
     in the (numerical) null space of m are annihilated.
     """
-    return _pinv_apply_eig(sym_eig(m), y)
-
-
-def _pinv_apply_eig(eig: SymEig, y) -> np.ndarray:
+    eig = sym_eig(m)
     y = as_vector(y, length=eig.eigenvalues.size, name="y")
     inv = pinv_eigenvalues(eig.eigenvalues)
     if not inv.any():
@@ -151,44 +149,31 @@ def pinv_psd(m) -> np.ndarray:
     return (eig.eigenvectors * inv[..., None, :]) @ eig.eigenvectors.swapaxes(-1, -2)
 
 
-def gram_eig(a) -> SymEig:
-    """sym_eig of the smaller Gram matrix of A (A A^T when A has no more
-    rows than columns, else A^T A): it counts rank(A), and
-    project_onto_solutions applies its pseudoinverse."""
-    a = np.asarray(a, dtype=np.float64)
-    return sym_eig(a @ a.T if _row_gram(a) else a.T @ a)
+def project_onto_solutions(x0, a, b) -> tuple[np.ndarray, int]:
+    """Closest point to x0 on the solution set of a consistent system Ax = b,
+    and rank(A).
 
-
-def _row_gram(a: np.ndarray) -> bool:
-    return a.shape[0] <= a.shape[1]
-
-
-def project_onto_solutions(x0, a, b, gram: SymEig | None = None) -> np.ndarray:
-    """Closest point to x0 on the solution set of a consistent system Ax = b.
-
-    Returns x0 - A^+ (A x0 - b), routed through the smaller Gram matrix;
-    gram, when given, is gram_eig(a) and replaces computing it.  The
-    displacement x0 - result lies in the row space of A.  Raises
-    Inconsistent when the post-hoc residual check fails, which signals
-    that Ax = b has no solution.
+    Both come from one least-squares SVD of A: x* = x0 - A^+ (A x0 - b),
+    with singular values <= REL_TOL * sigma_max counted as zero, and
+    rank(A) counts the others.  The displacement x0 - x* lies in the row
+    space of A.  Raises Inconsistent when the post-hoc residual check
+    fails, which signals that Ax = b has no solution.
     """
     a = as_matrix(a, "a")
     rows, cols = a.shape
     x0 = as_vector(x0, length=cols, name="x0")
     b = as_vector(b, length=rows, name="b")
-    gram = gram_eig(a) if gram is None else gram
-    r = a @ x0 - b
-    if _row_gram(a):
-        w = a.T @ _pinv_apply_eig(gram, r)
-    else:
-        w = _pinv_apply_eig(gram, a.T @ r)
-    xs = x0 - w
+    try:
+        step, _, rank, _ = np.linalg.lstsq(a, a @ x0 - b, rcond=REL_TOL)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    xs = x0 - step
     resid = float(np.linalg.norm(a @ xs - b))
     if resid > RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b))):
         raise Inconsistent(
             f"projection residual {resid:.3e} too large: system has no solution"
         )
-    return xs
+    return xs, int(rank)
 
 
 def nonzero_min(eigenvalues) -> float:

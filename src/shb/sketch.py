@@ -5,10 +5,10 @@ and the weighting matrix H = S (S^T A A^T S)^+ S^T, which is PSD and
 makes A^T H A an orthogonal projector; the Hessian W = A^T E[H] A of
 the expected objective so has its spectrum inside [0, 1].  No sketch
 forms the m x m E[H]: expected_h gives W in d x d, f_value the objective
-and spectrum_and_gram the spectrum and exactness.  A draw (a row, a
-sorted row subset or S) comes from draw, or many from draw_batch in the
-same rng order; stoch_grad takes one, and sketch_rows gives draws' rows
-to expected_h (summed by _add_projections) and the solver.  The families:
+and spectrum its spectrum.  A draw (a row, a sorted row subset or S)
+comes from draw, or many from draw_batch in the same rng order;
+stoch_grad takes one, and sketch_rows gives draws' rows to expected_h
+(summed by _add_projections) and the solver.  The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -30,7 +30,7 @@ import numpy as np
 import shb.linalg as linalg
 from shb.errors import DimensionMismatch, OutOfRange, ShbError, ZeroRow
 from shb.linalg import REL_TOL, as_matrix, as_vector, check_symmetric, nonzero_min, pinv_apply, pinv_eigenvalues
-from shb.linalg import SymEig, gram_eig, row_dots, sym_eig
+from shb.linalg import row_dots, sym_eig
 from shb.theory import LMAX_SLACK
 
 PROB_SUM_TOL = 1e-12
@@ -380,58 +380,44 @@ def expected_h(
 
 
 class SpectrumInfo(NamedTuple):
-    """Spectrum of W = A^T E[H] A, its exactness flag and ExpectedH's fields."""
+    """Spectrum of W = A^T E[H] A and ExpectedH's fields."""
 
     eigenvalues: np.ndarray
     lambda_max: float
     lambda_min_plus: float
     rank: int
-    exact: bool
     expected_h: np.ndarray
     mc_samples: int | None
 
 
-def spectrum_and_gram(
+def spectrum(
     a,
     dist: SketchDistribution,
     *,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     rng: np.random.Generator | None = None,
-) -> tuple[SpectrumInfo, SymEig]:
-    """The spectrum of W = A^T E[H] A from expected_h, and linalg.gram_eig(a).
+) -> SpectrumInfo:
+    """The spectrum of W = A^T E[H] A from expected_h.
 
     lambda_min_plus is the smallest eigenvalue above REL_TOL*lambda_max,
-    and rank counts the eigenvalues above that cutoff.  exact is the
-    paper's assumption Null(W) = Null(A), tested as rank(W) = rank(A)
-    with rank(A) counted the same way on gram_eig(a), which comes back
-    for project_onto_solutions.  It is made after W, so a W over the
-    budget is refused first.  A spectrum outside [0, 1 + LMAX_SLACK] is
-    a ShbError.
+    and rank counts the eigenvalues above that cutoff.  A spectrum
+    outside [0, 1 + LMAX_SLACK] is a ShbError.
     """
-    a = as_matrix(a, "a")
     eh = expected_h(dist, a, mc_samples=mc_samples, rng=rng)
     vals = sym_eig(eh.value).eigenvalues
     lam_min_plus = nonzero_min(vals)
-    gram = gram_eig(a)
-    rank = _rank(vals)
     if np.any(vals < 0.0) or np.any(vals > 1.0 + LMAX_SLACK):
         raise ShbError(f"spectrum escaped [0, 1 + {LMAX_SLACK!r}]")
     if not (0.0 < lam_min_plus <= vals[0] <= 1.0 + LMAX_SLACK):
         raise ShbError("lambda_min_plus / lambda_max out of order")
-    spectrum = SpectrumInfo(
+    return SpectrumInfo(
         eigenvalues=vals,
         lambda_max=float(vals[0]),
         lambda_min_plus=lam_min_plus,
-        rank=rank,
-        exact=rank == _rank(gram.eigenvalues),
+        rank=int(np.count_nonzero(linalg.above_cutoff(vals))),
         expected_h=eh.value,
         mc_samples=eh.mc_samples,
     )
-    return spectrum, gram
-
-
-def _rank(vals: np.ndarray) -> int:
-    return int(np.count_nonzero(linalg.above_cutoff(vals)))
 
 
 def f_value(a, b, x, eh, xstar) -> float:

@@ -264,7 +264,7 @@ def _iterate(
     elif eh.shape != (d, d):
         raise DimensionMismatch(f"expected_h has shape {eh.shape}, expected ({d}, {d})")
     if xstar is None:
-        xstar = project_onto_solutions(x0, a, b)
+        xstar, _ = project_onto_solutions(x0, a, b)
 
     by_row = isinstance(dist, UnitCoordinate)
     if by_row:

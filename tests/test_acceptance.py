@@ -29,7 +29,7 @@ from shb.sketch import (
     draw,
     f_value,
     row_sampling,
-    spectrum_and_gram,
+    spectrum,
     stoch_grad,
 )
 from shb.solver import SolverParams, run, run_ensemble, shb_step
@@ -111,7 +111,7 @@ def gaussian_ensemble():
     """Shared 50x20 ensemble for the two statistical bound criteria."""
     problem = gen_problem(50, 20, seed=4)
     dist = row_sampling(problem.a)
-    spec, _ = spectrum_and_gram(problem.a, dist)
+    spec = spectrum(problem.a, dist)
     beta = beta_upper_bound(1.0, spec.lambda_min_plus, spec.lambda_max) / 2.0
     params = SolverParams(
         omega=1.0,
@@ -131,7 +131,7 @@ def test_criterion_4_l2_envelope_statistical(gaussian_ensemble):
     rate = l2_rate(params.omega, params.beta, spec.lambda_min_plus, spec.lambda_max)
     assert rate.admissible
     x0 = np.zeros(20)
-    xstar = project_onto_solutions(x0, problem.a, problem.b)
+    xstar, _ = project_onto_solutions(x0, problem.a, problem.b)
     init = float(np.sum((x0 - xstar) ** 2))
     slack = 1.0 + 3.0 / math.sqrt(stats.replications)
     ok = True
@@ -152,7 +152,7 @@ def test_criterion_5_cesaro_bound_statistical(gaussian_ensemble):
     problem, dist, spec, params, stats, elapsed = gaussian_ensemble
     assert params.omega + 2.0 * params.beta < 2.0
     x0 = np.zeros(20)
-    xstar = project_onto_solutions(x0, problem.a, problem.b)
+    xstar, _ = project_onto_solutions(x0, problem.a, problem.b)
     init = float(np.sum((x0 - xstar) ** 2))
     f0 = f_value(problem.a, problem.b, x0, spec.expected_h, xstar)
     slack = 1.0 + 3.0 / math.sqrt(stats.replications)
@@ -184,7 +184,7 @@ def test_criterion_6_accelerated_expected_iterate_slope():
     start = time.perf_counter()
     problem = spiked_problem()
     dist = row_sampling(problem.a)
-    spec, _ = spectrum_and_gram(problem.a, dist)
+    spec = spectrum(problem.a, dist)
     p = l1_params("inv_lmax", spec.lambda_min_plus, spec.lambda_max)
     max_iter = 14
     params = SolverParams(
@@ -343,7 +343,7 @@ def test_criterion_8_structural_invariants():
         m, d = int(rng.integers(2, 8)), int(rng.integers(1, 8))
         a = rng.standard_normal((m, d))
         variant = (row_sampling(a), BlockRow(min(2, m)), GaussianSketch(min(2, m)))[i % 3]
-        spec, _ = spectrum_and_gram(a, variant, mc_samples=150, rng=np.random.default_rng(i))
+        spec = spectrum(a, variant, mc_samples=150, rng=np.random.default_rng(i))
         spectra_ok &= bool(np.all(spec.eigenvalues >= 0.0) and np.all(spec.eigenvalues <= 1.0 + 1e-8))
     ok &= spectra_ok
     detail.append(f"spectra {'ok' if spectra_ok else 'VIOLATED'}")

@@ -53,17 +53,17 @@ def run_python(*argv, stderr=subprocess.PIPE):
 
 
 def one_off_counts(args):
-    """Run the CLI; how often it built W, the spectrum and the solution x*,
-    and how many single (2-D) eigendecompositions it made.  The stacked
-    ones of the W estimate's and the kernel's block and Gaussian chunks
-    are left out."""
+    """Run the CLI; how often it built W, the spectrum and the solution x*
+    (with rank(A)), and how many single (2-D) eigendecompositions it
+    made.  The stacked ones of the W estimate's and the kernel's block
+    and Gaussian chunks are left out."""
     eh_calls = mock.Mock(wraps=shb.sketch.expected_h)
-    spectrum_calls = mock.Mock(wraps=shb.sketch.spectrum_and_gram)
+    spectrum_calls = mock.Mock(wraps=shb.sketch.spectrum)
     xstar_calls = mock.Mock(wraps=shb.linalg.project_onto_solutions)
     eig_calls = mock.Mock(wraps=shb.linalg.sym_eig)
     with mock.patch.object(shb.sketch, "expected_h", eh_calls), \
             mock.patch.object(shb.solver, "expected_h", eh_calls), \
-            mock.patch.object(shb.experiments, "spectrum_and_gram", spectrum_calls), \
+            mock.patch.object(shb.experiments, "spectrum", spectrum_calls), \
             mock.patch.object(shb.solver, "project_onto_solutions", xstar_calls), \
             mock.patch.object(shb.experiments, "project_onto_solutions", xstar_calls), \
             mock.patch.object(shb.linalg, "sym_eig", eig_calls), \
@@ -98,6 +98,23 @@ def test_path_naming_no_bundle_file_exits_one(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "names no bundle file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--iters", "10", "--out", ""], ["solve", "--iters", "10", "--out", "."],
+    ["solve", "--iters", "10", "--out", "/"], ["verify", "--reps", "100", "--iters", "10", "--out", "."],
+    ["analyze", "--out", "/"],
+], ids=["solve-empty", "solve-dot", "solve-root", "verify-dot", "analyze-root"])
+def test_output_path_naming_no_file_exits_one(tmp_path, monkeypatch, capsys, argv):
+    """An output path with no file name is refused as an error, and
+    nothing is written."""
+    bundle = gen_bundle(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main([argv[0], "--input", str(bundle), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "names no file to write" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 class TestAnalyze:
@@ -164,12 +181,31 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
-        """One W, one spectrum and one x*, from two eigendecompositions:
-        W's, and the smaller Gram of A's for both rank(A) and x*."""
+        """One W, one spectrum and one x*: W's is the only eigendecomposition,
+        and rank(A) comes with x* from one least-squares SVD of A."""
         bundle = gen_bundle(tmp_path, rows=12, cols=4)
         assert one_off_counts([
             "analyze", "--input", str(bundle), "--sketch", sketch, "--out", str(tmp_path / "a.json"),
-        ]) == (1, 1, 1, 2)
+        ]) == (1, 1, 1, 1)
+
+    def test_ill_conditioned_system_is_solved_and_not_exact(self, tmp_path, capsys):
+        """A = [D; D], D = diag(1, 1e-3, 1e-6), b = A 1: x* keeps A's
+        smallest direction, which W's cutoff cannot see, so analyze reports
+        exact false and solve runs.  b moved off range(A) is refused."""
+        d = np.diag([1.0, 1e-3, 1e-6])
+        a = np.vstack([d, d])
+        bundle = tmp_path / "ill.json"
+        write_bundle(Problem(a, a @ np.ones(3), source="ill"), bundle)
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--input", str(bundle), "--format", "bundle", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["spectrum"]["exact"] is False
+        assert main(["solve", "--input", str(bundle), "--iters", "200", "--out", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+        off = tmp_path / "off.json"
+        write_bundle(Problem(a, a @ np.ones(3) + [1.0, 0.0, 0.0, -1.0, 0.0, 0.0], source="off"), off)
+        assert main(["analyze", "--input", str(off)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no solution" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("option,value", [("--beta", "nan"), ("--omega", "inf"), ("--omega", "-inf")])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, option, value):
@@ -484,7 +520,7 @@ class TestSolve:
         assert one_off_counts([
             "solve", "--input", str(bundle), "--sketch", sketch, "--iters", "40",
             "--record-every", "10", "--out", str(out),
-        ]) == (1, 1, 1, 2)
+        ]) == (1, 1, 1, 1)
         assert out.exists()
 
     def test_divergence_exit_code(self, tmp_path, capsys):
@@ -570,13 +606,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
-        """One W and one x* for all pairs, and no spectrum: the Gram of A
-        is the only single eigendecomposition."""
+        """One W and one x* for all pairs, and no spectrum: no single
+        eigendecomposition at all."""
         bundle = gen_bundle(tmp_path, rows=12, cols=4)
         assert one_off_counts([
             "sweep", "--input", str(bundle), "--sketch", sketch, "--betas", "0,0.1",
             "--iters", "40", "--record-every", "10", "--out", str(tmp_path / "sw"),
-        ]) == (1, 0, 1, 1)
+        ]) == (1, 0, 1, 0)
 
     def test_iterates_over_budget_exit_one(self, tmp_path, capsys):
         """3 pairs of 2 records fit 24 numbers of records, but with their
@@ -696,7 +732,7 @@ class TestVerify:
         assert one_off_counts([
             "verify", "--input", str(bundle), "--sketch", sketch, "--beta", "0.01",
             "--iters", "20", "--record-every", "5", "--reps", "100",
-        ]) == (1, 1, 1, 2)
+        ]) == (1, 1, 1, 1)
 
     def test_too_few_reps(self, tmp_path):
         bundle = gen_bundle(tmp_path)
@@ -811,7 +847,7 @@ class TestVerify:
         dist = make_distribution("row", problem.a)
         params = shb.SolverParams(omega=1.0, beta=0.95, max_iter=3000, seed=0, record_every=100)
         eh = shb.expected_h(dist, problem.a).value
-        xstar = shb.project_onto_solutions(np.zeros(20), problem.a, problem.b)
+        xstar, _ = shb.project_onto_solutions(np.zeros(20), problem.a, problem.b)
         solo = [shb.run(problem, dist, params, eh=eh, xstar=xstar, stream_index=r).diverged_at for r in range(100)]
         assert None not in solo and min(solo) < solo[0]
         report = json.loads(out.read_text())

@@ -28,7 +28,7 @@ from shb.sketch import (
     expected_h,
     f_value,
     row_sampling,
-    spectrum_and_gram,
+    spectrum,
 )
 
 
@@ -59,7 +59,9 @@ def test_row_sampling_w_equals_dense(instance):
     """W and the spectrum equal those of the dense A^T diag(h) A bit for
     bit, with h_i = p_i / (A_i @ A_i), the kernel's rounding of the row
     norms; f from W and x* is the residual form on diag(h) within its
-    tolerance; the exact flag is rank(W) = rank(A)."""
+    tolerance; rank(W) counts W's eigenvalues above REL_TOL * lambda_max
+    and the projection's rank(A) A's singular values above REL_TOL *
+    sigma_max, the two sides of the exact flag."""
     a, dist, b, x = instance
     p = dist.probabilities
     h = np.array([p[i] / float(a[i] @ a[i]) if p[i] > 0.0 else 0.0 for i in range(p.size)])
@@ -71,19 +73,19 @@ def test_row_sampling_w_equals_dense(instance):
 
     dense = np.diag(row_weights(dist, a))
     x0 = np.zeros(a.shape[1])
-    xstar = project_onto_solutions(x0, a, b)
+    xstar, rank_a = project_onto_solutions(x0, a, b)
     f0 = dense_f(a, b, x0, dense)
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert rank_a == int(np.count_nonzero(sv > REL_TOL * sv[0]))
     for point in (x0, xstar + 1e-3 * x):
         assert f_close(f_value(a, b, point, eh.value, xstar), dense_f(a, b, point, dense), f0)
 
     vals = sym_eig(w).eigenvalues
     if vals[0] <= 0.0:
         return
-    spec, _ = spectrum_and_gram(a, dist)
+    spec = spectrum(a, dist)
     np.testing.assert_array_equal(spec.eigenvalues, vals)
-    sv = np.linalg.svd(a, compute_uv=False)
-    rank_a = int(np.count_nonzero(sv > np.sqrt(REL_TOL) * sv[0]))
-    assert spec.exact == (int(np.count_nonzero(vals > REL_TOL * vals[0])) == rank_a)
+    assert spec.rank == int(np.count_nonzero(vals > REL_TOL * vals[0]))
 
 
 @pytest.mark.parametrize("kind", ["row", "block:5"])
@@ -102,13 +104,13 @@ def test_mushrooms_shape_row_sampling_memory(kind):
     x = np.zeros(a.shape[1])
     tracemalloc.start()
     try:
-        spec, _ = spectrum_and_gram(a, dist)
-        xstar = project_onto_solutions(x, a, b)
+        spec = spectrum(a, dist)
+        xstar, rank_a = project_onto_solutions(x, a, b)
         f0 = f_value(a, b, x, spec.expected_h, xstar)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert spec.exact
+    assert spec.rank == rank_a
     if kind == "row":
         assert f0 == pytest.approx(float(b @ b) / (2.0 * float(np.sum(a * a))), rel=1e-12)
     else:
@@ -124,7 +126,7 @@ def test_no_m_by_m_array(dist):
     a = np.random.default_rng(0).standard_normal((3000, 10))
     tracemalloc.start()
     try:
-        spectrum_and_gram(a, dist, mc_samples=50)
+        spectrum(a, dist, mc_samples=50)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

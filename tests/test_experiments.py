@@ -10,7 +10,7 @@ import pytest
 from unittest import mock
 
 import shb.experiments
-from shb.errors import InsufficientReplications, NotAdmissible, OutOfRange
+from shb.errors import Inconsistent, InsufficientReplications, NotAdmissible, OutOfRange, ShbError
 from shb.experiments import (
     MEASUREMENT_FLOOR,
     TRACE_HEADER,
@@ -95,6 +95,31 @@ class TestAnalyze:
         problem = Problem(a=a, b=np.zeros(2), source="deficient")
         payload = analyze(problem, row_sampling(a))
         assert payload["spectrum"]["rank"] == 1 < a.shape[1]
+
+    def test_ill_conditioned_corpus_is_solved(self):
+        """400 consistent 6 x 3 systems A = U[:, :3] diag(1, c^-1/2, c^-1) V^T,
+        b = A x, with c = 10^U(2, 6): none is refused as inconsistent under
+        row or block:6, and under row each is analyzed; with b moved off
+        range(A) along U[:, 3], each is refused as inconsistent."""
+        refused = []
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            c = 10.0 ** rng.uniform(2.0, 6.0)
+            u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+            v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            a = u[:, :3] @ np.diag([1.0, c**-0.5, 1.0 / c]) @ v.T
+            b = a @ rng.standard_normal(3)
+            problem = Problem(a=a, b=b, source=f"corpus {seed}")
+            analyze(problem, row_sampling(a))
+            try:
+                analyze(problem, BlockRow(6))
+            except Inconsistent:
+                refused.append(seed)
+            except ShbError:  # lambda_max dust past LMAX_SLACK on some block W
+                pass
+            with pytest.raises(Inconsistent):
+                analyze(Problem(a=a, b=b + u[:, 3], source=f"off range {seed}"), row_sampling(a))
+        assert refused == []
 
     def test_inadmissible_stepsize_yields_no_l2(self):
         problem = toy_problem()
@@ -378,12 +403,12 @@ class TestVerify:
         and produces a finite fitted slope with the documented limit."""
         import math
 
-        from shb.sketch import spectrum_and_gram
+        from shb.sketch import spectrum
         from shb.theory import l1_params
 
         problem = gen_problem(12, 5, seed=14)
         dist = row_sampling(problem.a)
-        spec, _ = spectrum_and_gram(problem.a, dist)
+        spec = spectrum(problem.a, dist)
         p = l1_params("inv_lmax", spec.lambda_min_plus, spec.lambda_max)
         params = SolverParams(
             omega=p.omega, beta=p.beta, max_iter=10, seed=0, record_every=1,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from shb.errors import AllZero, AsymmetryExceedsTolerance, DimensionMismatch, Inconsistent, NonSquare
 from shb.linalg import (
+    REL_TOL,
     nonzero_min,
     pinv_apply,
     pinv_eigenvalues,
@@ -151,34 +152,68 @@ class TestPinvApply:
 
 class TestProjection:
     def test_identity_system(self):
-        np.testing.assert_allclose(
-            project_onto_solutions([0.0, 0.0], np.eye(2), [1.0, 2.0]), [1.0, 2.0]
-        )
+        xs, rank = project_onto_solutions([0.0, 0.0], np.eye(2), [1.0, 2.0])
+        np.testing.assert_allclose(xs, [1.0, 2.0])
+        assert rank == 2
 
     def test_single_hyperplane_moves_one_coordinate(self):
-        got = project_onto_solutions([0.0, 5.0], [[1.0, 0.0]], [1.0])
-        np.testing.assert_allclose(got, [1.0, 5.0])
+        xs, rank = project_onto_solutions([0.0, 5.0], [[1.0, 0.0]], [1.0])
+        np.testing.assert_allclose(xs, [1.0, 5.0])
+        assert rank == 1
 
     def test_least_norm_point_on_line(self):
-        got = project_onto_solutions([0.0, 0.0], [[1.0, 1.0]], [2.0])
-        np.testing.assert_allclose(got, [1.0, 1.0])
+        xs, rank = project_onto_solutions([0.0, 0.0], [[1.0, 1.0]], [2.0])
+        np.testing.assert_allclose(xs, [1.0, 1.0])
+        assert rank == 1
+
+    def test_zero_matrix_has_rank_zero(self):
+        xs, rank = project_onto_solutions([3.0, 4.0], np.zeros((2, 2)), [0.0, 0.0])
+        np.testing.assert_array_equal(xs, [3.0, 4.0])
+        assert rank == 0
 
     def test_inconsistent_detected(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(Inconsistent):
             project_onto_solutions([0.0, 0.0], a, [0.0, 1.0])
 
+    def test_ill_conditioned_consistent_system_is_solved(self):
+        """kappa(A) = 1e6 squares to 1e12 in a Gram matrix, past REL_TOL;
+        the singular values of A are kept down to REL_TOL * sigma_max."""
+        d = np.diag([1.0, 1e-3, 1e-6])
+        a = np.vstack([d, d])
+        xs, rank = project_onto_solutions(np.zeros(3), a, a @ np.ones(3))
+        np.testing.assert_allclose(xs, np.ones(3), rtol=1e-9)
+        assert rank == 3
+        with pytest.raises(Inconsistent):
+            project_onto_solutions(np.zeros(3), a, a @ np.ones(3) + [1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
+
+    def test_singular_value_cutoff(self):
+        """A singular value <= REL_TOL * sigma_max counts as zero in both
+        x* and rank(A); one just above it counts."""
+        kept = np.diag([1.0, 2 * REL_TOL])
+        xs, rank = project_onto_solutions(np.zeros(2), kept, [1.0, 2 * REL_TOL])
+        np.testing.assert_allclose(xs, [1.0, 1.0], rtol=1e-9)
+        assert rank == 2
+        dropped = np.diag([1.0, REL_TOL / 2])
+        xs, rank = project_onto_solutions(np.zeros(2), dropped, [1.0, REL_TOL / 2])
+        np.testing.assert_array_equal(xs, [1.0, 0.0])
+        assert rank == 1
+
     def test_tall_and_wide_routes_agree(self):
+        """One route for every shape: zero columns appended to A make it
+        wide and leave x* (padded with x0's zeros) and rank(A) unchanged."""
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 3))
         z = rng.standard_normal(3)
         b = a @ z
         x0 = rng.standard_normal(3)
-        tall = project_onto_solutions(x0, a, b)
-        wide = project_onto_solutions(
+        tall, tall_rank = project_onto_solutions(x0, a, b)
+        wide, wide_rank = project_onto_solutions(
             np.concatenate([x0, np.zeros(4)]), np.hstack([a, np.zeros((6, 4))]), b
         )
         np.testing.assert_allclose(tall, wide[:3], atol=1e-8)
+        np.testing.assert_array_equal(wide[3:], 0.0)
+        assert tall_rank == wide_rank == 3
 
     @given(data=st.data())
     @settings(max_examples=40)
@@ -198,12 +233,13 @@ class TestProjection:
         z = np.asarray(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), dtype=float)
         x0 = np.asarray(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), dtype=float)
         b = a @ z  # consistent by construction
-        xs = project_onto_solutions(x0, a, b)
-        again = project_onto_solutions(xs, a, b)
+        xs, rank = project_onto_solutions(x0, a, b)
+        again, _ = project_onto_solutions(xs, a, b)
         np.testing.assert_allclose(again, xs, atol=1e-10)
         # displacement stays inside the row space of a
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-        keep = s > 1e-10 * s[0] if (s.size and s[0] > 0) else np.zeros(s.size, dtype=bool)
+        keep = s > REL_TOL * s[0] if (s.size and s[0] > 0) else np.zeros(s.size, dtype=bool)
+        assert rank == np.count_nonzero(keep)
         disp = x0 - xs
         ortho = disp - vt[keep].T @ (vt[keep] @ disp) if keep.any() else disp
         assert np.linalg.norm(ortho) <= 1e-8

@@ -20,7 +20,7 @@ from shb.sketch import (
     expected_h,
     f_value,
     row_sampling,
-    spectrum_and_gram,
+    spectrum,
     stoch_grad,
 )
 
@@ -320,44 +320,52 @@ class TestDrawSize:
             draw_size(object(), 10, 40)
 
 
+def is_exact(a, spec):
+    """rank(W) = rank(A), the exact flag the set-up reports, with rank(A)
+    from the projection."""
+    m, d = np.shape(a)
+    return spec.rank == project_onto_solutions(np.zeros(d), a, np.zeros(m))[1]
+
+
 class TestHessianSpectrum:
     def test_identity_row_sampling(self):
-        spec, _ = spectrum_and_gram(np.eye(2), row_sampling(np.eye(2)))
+        a = np.eye(2)
+        spec = spectrum(a, row_sampling(a))
         assert spec.lambda_max == pytest.approx(0.5, abs=1e-14)
         assert spec.lambda_min_plus == pytest.approx(0.5, abs=1e-14)
         assert spec.rank == 2
-        assert spec.exact
+        assert is_exact(a, spec)
 
     def test_zero_row_excluded(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        spec, _ = spectrum_and_gram(a, row_sampling(a))
+        spec = spectrum(a, row_sampling(a))
         np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.5], atol=1e-14)
         # E[H] has a zero diagonal entry, but Null(W) = Null(A): exact
-        assert spec.exact
+        assert is_exact(a, spec)
 
     # Inputs on which the rank test rank(W) = rank(A) differs from the
     # sufficient condition E[H] > 0 that it replaced.
 
     def test_zero_row_under_block_sampling_is_exact(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-        spec, _ = spectrum_and_gram(a, BlockRow(2))
+        spec = spectrum(a, BlockRow(2))
         assert spec.mc_samples is None and spec.rank == 2
-        assert spec.exact
+        assert is_exact(a, spec)
 
     def test_full_block_on_tall_matrix_is_exact(self):
         """block:m on a tall matrix: W is the projector onto the row
         space, although E[H] = (A A^T)^+ is singular."""
         a = np.random.default_rng(5).standard_normal((6, 3))
-        spec, _ = spectrum_and_gram(a, BlockRow(6))
+        spec = spectrum(a, BlockRow(6))
         np.testing.assert_allclose(spec.eigenvalues, np.ones(3), atol=1e-12)
-        assert spec.exact
+        assert is_exact(a, spec)
 
     def test_one_small_block_draw_is_not_exact(self):
         """One draw of 2 rows spans 2 of 10 directions: rank(W) < rank(A)."""
         a = np.random.default_rng(6).standard_normal((200, 10))
-        spec, _ = spectrum_and_gram(a, BlockRow(2), mc_samples=1)
+        spec = spectrum(a, BlockRow(2), mc_samples=1)
         assert spec.mc_samples == 1 and spec.rank == 2
-        assert not spec.exact
+        assert not is_exact(a, spec)
 
     def test_hessian_over_budget_refused_before_allocating(self):
         """d^2 is checked against the dense-array budget before W exists:
@@ -366,19 +374,19 @@ class TestHessianSpectrum:
         dists = (row_sampling(a), BlockRow(2), GaussianSketch(2))
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 9):
             for dist in dists:
-                spec, _ = spectrum_and_gram(a, dist, mc_samples=20)
+                spec = spectrum(a, dist, mc_samples=20)
                 assert spec.eigenvalues.shape == (3,)
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 8), \
                 mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
             for dist in dists:
                 with pytest.raises(OutOfRange, match="over the limit"):
-                    spectrum_and_gram(a, dist)
+                    spectrum(a, dist)
             with pytest.raises(OutOfRange, match="over the limit"):
                 expected_h(BlockRow(2), a)
 
     def test_rank_deficient(self):
         a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-        spec, _ = spectrum_and_gram(a, row_sampling(a))
+        spec = spectrum(a, row_sampling(a))
         assert spec.rank == 1
         assert spec.lambda_max == pytest.approx(1.0, abs=1e-12)
 
@@ -393,7 +401,7 @@ class TestHessianSpectrum:
             BlockRow(min(2, m)),
             GaussianSketch(min(2, m)),
         ):
-            spec, _ = spectrum_and_gram(a, dist, mc_samples=200, rng=np.random.default_rng(seed))
+            spec = spectrum(a, dist, mc_samples=200, rng=np.random.default_rng(seed))
             assert np.all(spec.eigenvalues >= 0.0)
             assert np.all(spec.eigenvalues <= 1.0 + 1e-8)
 
@@ -407,7 +415,7 @@ class TestFValue:
         x = rng.standard_normal(3)
         b = a @ x
         w = expected_h(row_sampling(a), a).value
-        xstar = project_onto_solutions(np.zeros(3), a, b)
+        xstar, _ = project_onto_solutions(np.zeros(3), a, b)
         assert f_value(a, b, x, w, xstar) == pytest.approx(0.0, abs=1e-20)
 
     def test_identity_hand_value(self):
@@ -421,7 +429,7 @@ class TestFValue:
         b = a @ rng.standard_normal(3)
         x = rng.standard_normal(3)
         w = expected_h(row_sampling(a), a).value
-        xstar = project_onto_solutions(np.zeros(3), a, b)
+        xstar, _ = project_onto_solutions(np.zeros(3), a, b)
         f1 = f_value(a, b, x, w, xstar)
         # doubling the residual (here, the distance to x*) quadruples the objective
         f_double = f_value(a, b, xstar + 2 * (x - xstar), w, xstar)
@@ -433,7 +441,7 @@ class TestFValue:
         b = a @ rng.standard_normal(3)
         x = rng.standard_normal(3)
         w = expected_h(row_sampling(a), a).value
-        xstar = project_onto_solutions(np.zeros(3), a, b)
+        xstar, _ = project_onto_solutions(np.zeros(3), a, b)
         expected = float(np.sum((a @ x - b) ** 2)) / (2 * float((a * a).sum()))
         assert f_value(a, b, x, w, xstar) == pytest.approx(expected, rel=1e-12)
 
@@ -450,13 +458,13 @@ class TestFValue:
         w = expected_h(dist, a, mc_samples=200, rng=np.random.default_rng(4)).value
         dense = dense_eh(dist, a, 200, np.random.default_rng(4))
         x0 = np.zeros(4)
-        xstar = project_onto_solutions(x0, a, b)
+        xstar, _ = project_onto_solutions(x0, a, b)
         f0 = dense_f(a, b, x0, dense)
         for x in (x0, rng.standard_normal(4), xstar + 1e-9 * rng.standard_normal(4)):
             got = f_value(a, b, x, w, xstar)
             assert f_close(got, dense_f(a, b, x, dense), f0)
             # another solution serves as well: the projection of x itself
-            assert f_close(f_value(a, b, x, w, project_onto_solutions(x, a, b)), got, f0)
+            assert f_close(f_value(a, b, x, w, project_onto_solutions(x, a, b)[0]), got, f0)
 
     def test_hessian_form_needs_a_solution(self):
         a = np.random.default_rng(4).standard_normal((5, 3))

@@ -305,7 +305,7 @@ class TestRun:
         )
         trace = run(problem, dist, params)
         w = expected_h(dist, problem.a).value
-        xstar = project_onto_solutions(np.zeros(3), problem.a, problem.b)
+        xstar, _ = project_onto_solutions(np.zeros(3), problem.a, problem.b)
         assert trace.cesaro_f[0] is None
         stacked = np.asarray(trace.snapshots)
         for j, k in enumerate(trace.ks):
@@ -395,7 +395,7 @@ class TestEnsemble:
         assert stats.cesaro_f_mean == [None] + [
             float(np.mean([t.cesaro_f[j] for t in traces])) for j in range(1, len(stats.ks))
         ]
-        xstar = project_onto_solutions(np.zeros(3), problem.a, problem.b)
+        xstar, _ = project_onto_solutions(np.zeros(3), problem.a, problem.b)
         l1_sq = []
         for j in range(len(stats.ks)):
             diff = np.mean([t.snapshots[j] - xstar for t in traces], axis=0)
@@ -437,7 +437,7 @@ def test_iterates_do_not_depend_on_blas_threads(tmp_path):
     specs = ["row", "block:5", "gaussian:3"]
     np.save(tmp_path / "a.npy", problem.a)
     np.save(tmp_path / "b.npy", problem.b)
-    np.save(tmp_path / "xstar.npy", project_onto_solutions(np.zeros(100), problem.a, problem.b))
+    np.save(tmp_path / "xstar.npy", project_onto_solutions(np.zeros(100), problem.a, problem.b)[0])
     for i, spec in enumerate(specs):
         np.save(tmp_path / f"w{i}.npy", expected_h(make_distribution(spec, problem.a), problem.a).value)
     src = str(Path(solver.__file__).parent.parent)
