@@ -4,12 +4,12 @@ These functions sit between the solver/theory layers and the CLI.  They
 take in-memory problems and distributions, produce plain dicts and rows
 ready for CSV/JSON serialization, and never print: analyze, solve and
 verify return the very JSON payloads the CLI writes.  analyze, solve and
-verify share one set-up (_set_up): the spectrum of W (with W itself),
-which bounds apply (theory.applicability), and x* with exactness, each
-built once and passed down; sweep builds W and x* once for all its pairs
-in the kernel.  Every run records the same series (l2 error, f and
-Cesaro f, and for an ensemble the squared distance of its mean iterate),
-so every table and report has all of its columns.
+verify share one set-up (_set_up): W, its spectrum, which bounds apply
+(theory.applicability), and x* with exactness, each built once and
+passed down; sweep builds W and x* once for all its pairs in the kernel.
+Every run records the same series (l2 error, f and Cesaro f, and for an
+ensemble the squared distance of its mean iterate), so every table and
+report has all of its columns.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from shb.linalg import project_onto_solutions
 from shb.problems import Problem
 from shb.sketch import (
     BlockRow,
+    ExpectedH,
     GaussianSketch,
     SketchDistribution,
     SpectrumInfo,
+    expected_h,
     f_value,
     row_sampling,
     spectrum,
@@ -88,6 +90,7 @@ def _iters_to_target(factor: float, target: float = REL_ERROR_TARGET) -> int | N
 class _SetUp(NamedTuple):
     """What a command computes once, before it iterates, for a start at the origin."""
 
+    eh: ExpectedH  # W and its Monte Carlo sample count
     spectrum: SpectrumInfo
     bounds: Applicability
     xstar: np.ndarray
@@ -97,17 +100,18 @@ class _SetUp(NamedTuple):
 
 
 def _set_up(problem: Problem, dist: SketchDistribution, omega: float, beta: float) -> _SetUp:
-    """The spectrum, the bounds that apply at (omega, beta), and x* with
-    its distance and objective from the origin.  x* and rank(A) come from
-    one least-squares SVD of A; W is built first, so a W over the budget
-    is refused before it."""
+    """W and its spectrum, the bounds that apply at (omega, beta), and x*
+    with its distance and objective from the origin.  x* and rank(A) come
+    from one least-squares SVD of A; W is built first, so a W over the
+    budget is refused before it."""
     a, b = problem.a, problem.b
-    spec = spectrum(a, dist)
+    eh = expected_h(dist, a)
+    spec = spectrum(eh.value)
     bounds = applicability(omega, beta, spec.lambda_min_plus, spec.lambda_max)
     x0 = np.zeros(a.shape[1])
     xstar, rank_a = project_onto_solutions(x0, a, b)
     diff = x0 - xstar  # the kernel's k = 0 record rounds ||x0 - x*||^2 as this dot does
-    return _SetUp(spec, bounds, xstar, spec.rank == rank_a, float(diff @ diff), f_value(a, b, x0, spec.expected_h, xstar))
+    return _SetUp(eh, spec, bounds, xstar, spec.rank == rank_a, float(diff @ diff), f_value(a, b, x0, eh.value, xstar))
 
 
 def analyze(
@@ -138,7 +142,7 @@ def analyze(
             "lambda_min_plus": s.lambda_min_plus,
             "rank": s.rank,
             "exact": setup.exact,
-            "expected_h_mc_samples": s.mc_samples,
+            "expected_h_mc_samples": setup.eh.mc_samples,
         },
         "l2": None if l2 is None else {
             **l2._asdict(), "predicted_iters_to_1e-6": _iters_to_target(l2.q) if l2.admissible else None
@@ -203,7 +207,7 @@ def solve(problem: Problem, dist: SketchDistribution, params: SolverParams) -> d
     by the run and its table.
     """
     setup = _set_up(problem, dist, params.omega, params.beta)
-    trace = run(problem, dist, params, eh=setup.spectrum.expected_h, xstar=setup.xstar)
+    trace = run(problem, dist, params, eh=setup.eh.value, xstar=setup.xstar)
     return build_trace_table(problem, trace, setup)
 
 
@@ -380,7 +384,7 @@ def verify(
 
     ens = run_ensemble(
         problem, dist, params, replications=replications,
-        eh=spec.expected_h, xstar=setup.xstar,
+        eh=setup.eh.value, xstar=setup.xstar,
     )
     slack = 1.0 + 3.0 / math.sqrt(replications)
     floor = MEASUREMENT_FLOOR * init_sq

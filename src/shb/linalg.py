@@ -18,6 +18,7 @@ from shb.errors import (
     Inconsistent,
     NoConvergence,
     NonSquare,
+    OutOfRange,
 )
 
 # Eigenvalues below REL_TOL * lambda_max are treated as zero everywhere
@@ -66,10 +67,20 @@ def check_symmetric(w: np.ndarray) -> None:
     asymmetry ||W - W^T||_F / max(1, ||W||_F) is over ASYM_TOL."""
     if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise NonSquare(f"expected a square matrix, got shape {w.shape}")
-    fro = np.linalg.norm(w, axis=(-2, -1))
-    rel_asym = (np.linalg.norm(w - w.swapaxes(-1, -2), axis=(-2, -1)) / np.maximum(1.0, fro)).max()
+    diff = w - w.swapaxes(-1, -2)  # the one n x n temporary: einsum squares without another
+    fro_sq, asym_sq = (np.einsum("...ij,...ij->...", v, v) for v in (w, diff))
+    rel_asym = (np.sqrt(asym_sq) / np.maximum(1.0, np.sqrt(fro_sq))).max()
     if rel_asym > ASYM_TOL:
         raise AsymmetryExceedsTolerance(f"relative asymmetry {rel_asym:.3e} exceeds {ASYM_TOL:.0e}")
+
+
+def lapack(routine, *args, **kwargs):
+    """routine(*args, **kwargs), a numpy.linalg call, with LAPACK's
+    non-convergence (LinAlgError) raised as NoConvergence."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -93,10 +104,7 @@ def sym_eig(w) -> SymEig:
     """
     w = np.asarray(w, dtype=np.float64)
     check_symmetric(w)
-    try:
-        vals, vecs = np.linalg.eigh(w)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    vals, vecs = lapack(np.linalg.eigh, w)
     vals = vals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()
     top = np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
@@ -156,36 +164,38 @@ def project_onto_solutions(x0, a, b) -> tuple[np.ndarray, int]:
     Both come from one least-squares SVD of A: x* = x0 - A^+ (A x0 - b),
     with singular values <= REL_TOL * sigma_max counted as zero, and
     rank(A) counts the others.  The displacement x0 - x* lies in the row
-    space of A.  Raises Inconsistent when the post-hoc residual check
-    fails, which signals that Ax = b has no solution.
+    space of A.  When the post-hoc residual check fails, raises OutOfRange
+    if keeping the cut singular values would solve the system, and
+    Inconsistent, for a system with no solution, otherwise.
     """
     a = as_matrix(a, "a")
     rows, cols = a.shape
     x0 = as_vector(x0, length=cols, name="x0")
     b = as_vector(b, length=rows, name="b")
-    try:
-        step, _, rank, _ = np.linalg.lstsq(a, a @ x0 - b, rcond=REL_TOL)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    r0 = a @ x0 - b
+    step, _, rank, sv = lapack(np.linalg.lstsq, a, r0, rcond=REL_TOL)
     xs = x0 - step
     resid = float(np.linalg.norm(a @ xs - b))
-    if resid > RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b))):
-        raise Inconsistent(
-            f"projection residual {resid:.3e} too large: system has no solution"
-        )
+    limit = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b)))
+    if resid > limit and sv[rank:].any():  # nonzero singular values were cut: would they solve it?
+        full, _, full_rank, _ = lapack(np.linalg.lstsq, a, r0, rcond=None)
+        if np.linalg.norm(a @ (x0 - full) - b) <= limit:
+            raise OutOfRange(
+                f"the system is solvable only with singular values at or below the rank cutoff "
+                f"{REL_TOL:.0e} * sigma_max: sigma_min / sigma_max = {sv[full_rank - 1] / sv[0]:.3e}"
+            )
+    if resid > limit:
+        raise Inconsistent(f"projection residual {resid:.3e} too large: system has no solution")
     return xs, int(rank)
 
 
 def nonzero_min(eigenvalues) -> float:
     """Smallest eigenvalue strictly above REL_TOL * lambda_max.
 
-    Expects a descending, nonnegative spectrum.  Raises AllZero when the
-    matrix is zero and no such eigenvalue exists.
+    Expects a descending spectrum.  Raises AllZero when the matrix is
+    zero and no such eigenvalue exists.
     """
     vals = np.asarray(eigenvalues, dtype=np.float64)
     if vals.size == 0 or float(vals[0]) <= 0.0:
         raise AllZero("spectrum has no nonzero eigenvalue")
-    above = vals[above_cutoff(vals)]
-    if above.size == 0:
-        raise AllZero("spectrum has no eigenvalue above the cutoff")
-    return float(above[-1])
+    return float(vals[above_cutoff(vals)][-1])  # vals[0] itself is above the cutoff

@@ -5,10 +5,11 @@ and the weighting matrix H = S (S^T A A^T S)^+ S^T, which is PSD and
 makes A^T H A an orthogonal projector; the Hessian W = A^T E[H] A of
 the expected objective so has its spectrum inside [0, 1].  No sketch
 forms the m x m E[H]: expected_h gives W in d x d, f_value the objective
-and spectrum its spectrum.  A draw (a row, a sorted row subset or S)
+and spectrum W's eigenvalues.  A draw (a row, a sorted row subset or S)
 comes from draw, or many from draw_batch in the same rng order;
-stoch_grad takes one, and sketch_rows gives draws' rows to expected_h
-(summed by _add_projections) and the solver.  The families:
+stoch_grad takes one, and sketch_rows gives block and Gaussian draws'
+rows to stoch_grad, expected_h (summed by _add_projections) and the
+solver, one rule for all three.  The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -30,7 +31,7 @@ import numpy as np
 import shb.linalg as linalg
 from shb.errors import DimensionMismatch, OutOfRange, ShbError, ZeroRow
 from shb.linalg import REL_TOL, as_matrix, as_vector, check_symmetric, nonzero_min, pinv_apply, pinv_eigenvalues
-from shb.linalg import row_dots, sym_eig
+from shb.linalg import lapack, row_dots, sym_eig
 from shb.theory import LMAX_SLACK
 
 PROB_SUM_TOL = 1e-12
@@ -259,15 +260,10 @@ def stoch_grad(a, b, x, dist: SketchDistribution, drawn) -> np.ndarray:
             raise ZeroRow(f"sampled zero row {drawn}: distribution is corrupt")
         resid = float(row @ x) - float(b[drawn])
         return (resid / nrm_sq) * row
-    if isinstance(dist, BlockRow):
-        sub = a[drawn]
-        r = sub @ x - b[drawn]
-        return sub.T @ pinv_apply(sub @ sub.T, r)
-    if isinstance(dist, GaussianSketch):
-        g = drawn.T @ a
-        t = drawn.T @ (a @ x - b)
-        return g.T @ pinv_apply(g @ g.T, t)
-    raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+    if not isinstance(dist, (BlockRow, GaussianSketch)):
+        raise OutOfRange(f"unknown sketch distribution {type(dist).__name__}")
+    g = sketch_rows(dist, a, drawn)
+    return g.T @ pinv_apply(g @ g.T, g @ x - sketch_rows(dist, b, drawn))
 
 
 def sketch_rows(dist: BlockRow | GaussianSketch, v: np.ndarray, drawn: np.ndarray) -> np.ndarray:
@@ -380,43 +376,30 @@ def expected_h(
 
 
 class SpectrumInfo(NamedTuple):
-    """Spectrum of W = A^T E[H] A and ExpectedH's fields."""
+    """Spectrum of the Hessian W = A^T E[H] A."""
 
     eigenvalues: np.ndarray
     lambda_max: float
     lambda_min_plus: float
     rank: int
-    expected_h: np.ndarray
-    mc_samples: int | None
 
 
-def spectrum(
-    a,
-    dist: SketchDistribution,
-    *,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    rng: np.random.Generator | None = None,
-) -> SpectrumInfo:
-    """The spectrum of W = A^T E[H] A from expected_h.
-
-    lambda_min_plus is the smallest eigenvalue above REL_TOL*lambda_max,
-    and rank counts the eigenvalues above that cutoff.  A spectrum
-    outside [0, 1 + LMAX_SLACK] is a ShbError.
-    """
-    eh = expected_h(dist, a, mc_samples=mc_samples, rng=rng)
-    vals = sym_eig(eh.value).eigenvalues
+def spectrum(w: np.ndarray) -> SpectrumInfo:
+    """W's eigenvalues, descending, with lambda_min_plus, the smallest above
+    REL_TOL*lambda_max, and rank, their count (W is ExpectedH.value).  An
+    eigenvalue below -REL_TOL*max(1, lambda_max) or above 1 + LMAX_SLACK is
+    a ShbError; a negative one above that floor is dust and reads as zero."""
+    check_symmetric(w)
+    vals = lapack(np.linalg.eigvalsh, w)[::-1]
     lam_min_plus = nonzero_min(vals)
-    if np.any(vals < 0.0) or np.any(vals > 1.0 + LMAX_SLACK):
+    if vals[-1] < -REL_TOL * max(1.0, vals[0]) or vals[0] > 1.0 + LMAX_SLACK:
         raise ShbError(f"spectrum escaped [0, 1 + {LMAX_SLACK!r}]")
-    if not (0.0 < lam_min_plus <= vals[0] <= 1.0 + LMAX_SLACK):
-        raise ShbError("lambda_min_plus / lambda_max out of order")
+    vals[vals < 0.0] = 0.0
     return SpectrumInfo(
         eigenvalues=vals,
         lambda_max=float(vals[0]),
         lambda_min_plus=lam_min_plus,
         rank=int(np.count_nonzero(linalg.above_cutoff(vals))),
-        expected_h=eh.value,
-        mc_samples=eh.mc_samples,
     )
 
 

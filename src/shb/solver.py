@@ -240,10 +240,9 @@ def _iterate(
     all; params gives the budget and record schedule.  A block or
     Gaussian chunk becomes sketched systems g x = c (sketch_rows: A_S x
     = b_S, or S^T A x = S^T b) with g g^T = V diag(lam) V^T and gradient
-    g^T V (lam^+ * V^T (g x - c)); row and block sampling so repeat the
-    arithmetic of draw -> stoch_grad(..., dist, drawn) -> shb_step,
-    while Gaussian sketches round their residual differently.  Every
-    sketch shares the update x - omega*grad + beta*(x - x_prev), in that
+    g^T V (lam^+ * V^T (g x - c)); every sketch so repeats the arithmetic
+    of draw -> stoch_grad(..., dist, drawn) -> shb_step bit for bit, and
+    shares the update x - omega*grad + beta*(x - x_prev), in that
     order, into three rotating buffers, with omega over beta held as one
     (2R, d) array that scales the gradient and the momentum in one
     product, so a step allocates nothing.  A record (_Block) takes

@@ -18,22 +18,6 @@ Tolerances, fixed from float64 rounding:
   rounding of Ax - b and of x - x*, which is about eps ||A|| ||x*|| per
   entry and so scales with f(x0) = (1/2) (x0-x*)^T W (x0-x*), not with
   f(x) as x approaches x*.
-* GAUSSIAN_X_RTOL bounds the kernel's Gaussian-sketch iterates against
-  the stoch_grad oracle: ||x_kernel - x_oracle|| <= GAUSSIAN_X_RTOL * s,
-  with s = max_k ||x_k|| + ||x*|| over the oracle's iterates.  The
-  kernel takes the residual as g x - c with g = S^T A and c = S^T b, the
-  oracle as S^T (A x - b): the same m d products summed in another
-  order, so each entry differs by at most about (m + d) u |S|^T (|A||x|
-  + |b|), u = 2^-53, which is <= 1.4e-15 ||S|| ||A|| s for the tests'
-  m <= 7, d <= 5.  The step applies g^T pinv(g g^T), of norm
-  1/sigma_min(g), so it moves by at most 1.4e-15 kappa s, with kappa =
-  ||S|| ||A|| / sigma_min(g) below 1e4 for all but rare draws.  Heavy
-  ball carries a perturbation on with gain at most 1/(1 - beta) = 2.5
-  (beta <= 0.6) and at most 40 steps add up, so the iterates differ by
-  at most 40 * 2.5 * 1.4e-15 * 1e4 s = 1.4e-9 s; 1e-8 leaves headroom.
-  l2, f and Cesaro f are quadratic in x - x*, with ||W|| <= 1, so they
-  differ by at most (2 + GAUSSIAN_X_RTOL) GAUSSIAN_X_RTOL s^2 <=
-  3 GAUSSIAN_X_RTOL s^2.
 """
 
 import math
@@ -47,7 +31,6 @@ from shb.sketch import DEFAULT_MC_SAMPLES, BlockRow, GaussianSketch, UnitCoordin
 BATCH_RTOL = 1e-13
 F_RTOL = 1e-12
 F_ATOL = 1e-13
-GAUSSIAN_X_RTOL = 1e-8
 
 
 def row_weights(dist, a):
@@ -106,16 +89,3 @@ def f_close(got, want, f0):
     """got is within the declared tolerance of the residual-form want."""
     return abs(got - want) <= F_RTOL * abs(want) + F_ATOL * f0
 
-
-def iterate_scale(iterates, xstar):
-    """s = max_k ||x_k|| + ||x*||, the scale of GAUSSIAN_X_RTOL."""
-    return max(float(np.linalg.norm(x)) for x in iterates) + float(np.linalg.norm(xstar))
-
-
-def gaussian_iterate_close(got, want, scale):
-    return float(np.linalg.norm(np.asarray(got) - want)) <= GAUSSIAN_X_RTOL * scale
-
-
-def gaussian_quadratic_close(got, want, scale):
-    """l2, f or Cesaro f of a Gaussian kernel iterate against the oracle's."""
-    return abs(got - want) <= 3.0 * GAUSSIAN_X_RTOL * scale**2

@@ -27,6 +27,7 @@ from shb.sketch import (
     GaussianSketch,
     derive_stream,
     draw,
+    expected_h,
     f_value,
     row_sampling,
     spectrum,
@@ -111,7 +112,7 @@ def gaussian_ensemble():
     """Shared 50x20 ensemble for the two statistical bound criteria."""
     problem = gen_problem(50, 20, seed=4)
     dist = row_sampling(problem.a)
-    spec = spectrum(problem.a, dist)
+    spec = spectrum(expected_h(dist, problem.a).value)
     beta = beta_upper_bound(1.0, spec.lambda_min_plus, spec.lambda_max) / 2.0
     params = SolverParams(
         omega=1.0,
@@ -154,7 +155,7 @@ def test_criterion_5_cesaro_bound_statistical(gaussian_ensemble):
     x0 = np.zeros(20)
     xstar, _ = project_onto_solutions(x0, problem.a, problem.b)
     init = float(np.sum((x0 - xstar) ** 2))
-    f0 = f_value(problem.a, problem.b, x0, spec.expected_h, xstar)
+    f0 = f_value(problem.a, problem.b, x0, expected_h(dist, problem.a).value, xstar)
     slack = 1.0 + 3.0 / math.sqrt(stats.replications)
     ok = True
     worst = 0.0
@@ -184,7 +185,7 @@ def test_criterion_6_accelerated_expected_iterate_slope():
     start = time.perf_counter()
     problem = spiked_problem()
     dist = row_sampling(problem.a)
-    spec = spectrum(problem.a, dist)
+    spec = spectrum(expected_h(dist, problem.a).value)
     p = l1_params("inv_lmax", spec.lambda_min_plus, spec.lambda_max)
     max_iter = 14
     params = SolverParams(
@@ -343,7 +344,7 @@ def test_criterion_8_structural_invariants():
         m, d = int(rng.integers(2, 8)), int(rng.integers(1, 8))
         a = rng.standard_normal((m, d))
         variant = (row_sampling(a), BlockRow(min(2, m)), GaussianSketch(min(2, m)))[i % 3]
-        spec = spectrum(a, variant, mc_samples=150, rng=np.random.default_rng(i))
+        spec = spectrum(expected_h(variant, a, mc_samples=150, rng=np.random.default_rng(i)).value)
         spectra_ok &= bool(np.all(spec.eigenvalues >= 0.0) and np.all(spec.eigenvalues <= 1.0 + 1e-8))
     ok &= spectra_ok
     detail.append(f"spectra {'ok' if spectra_ok else 'VIOLATED'}")

@@ -54,24 +54,28 @@ def run_python(*argv, stderr=subprocess.PIPE):
 
 def one_off_counts(args):
     """Run the CLI; how often it built W, the spectrum and the solution x*
-    (with rank(A)), and how many single (2-D) eigendecompositions it
-    made.  The stacked ones of the W estimate's and the kernel's block
-    and Gaussian chunks are left out."""
+    (with rank(A)), and how many single (2-D) eigendecompositions (eigh)
+    and eigenvalue-only decompositions (eigvalsh) it made.  The stacked
+    ones of the W estimate's and the kernel's block and Gaussian chunks
+    are left out."""
     eh_calls = mock.Mock(wraps=shb.sketch.expected_h)
     spectrum_calls = mock.Mock(wraps=shb.sketch.spectrum)
     xstar_calls = mock.Mock(wraps=shb.linalg.project_onto_solutions)
-    eig_calls = mock.Mock(wraps=shb.linalg.sym_eig)
-    with mock.patch.object(shb.sketch, "expected_h", eh_calls), \
+    eigh_calls = mock.Mock(wraps=np.linalg.eigh)
+    eigvalsh_calls = mock.Mock(wraps=np.linalg.eigvalsh)
+    with mock.patch.object(shb.experiments, "expected_h", eh_calls), \
             mock.patch.object(shb.solver, "expected_h", eh_calls), \
             mock.patch.object(shb.experiments, "spectrum", spectrum_calls), \
             mock.patch.object(shb.solver, "project_onto_solutions", xstar_calls), \
             mock.patch.object(shb.experiments, "project_onto_solutions", xstar_calls), \
-            mock.patch.object(shb.linalg, "sym_eig", eig_calls), \
-            mock.patch.object(shb.sketch, "sym_eig", eig_calls):
+            mock.patch.object(np.linalg, "eigh", eigh_calls), \
+            mock.patch.object(np.linalg, "eigvalsh", eigvalsh_calls):
         rc = main(args)
     assert rc == 0
-    single_eigs = sum(np.ndim(call.args[0]) == 2 for call in eig_calls.call_args_list)
-    return eh_calls.call_count, spectrum_calls.call_count, xstar_calls.call_count, single_eigs
+    eighs, eigvalshs = (
+        sum(np.ndim(call.args[0]) == 2 for call in calls.call_args_list) for calls in (eigh_calls, eigvalsh_calls)
+    )
+    return eh_calls.call_count, spectrum_calls.call_count, xstar_calls.call_count, eighs, eigvalshs
 
 
 class TestGen:
@@ -181,12 +185,13 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
-        """One W, one spectrum and one x*: W's is the only eigendecomposition,
-        and rank(A) comes with x* from one least-squares SVD of A."""
+        """One W, one spectrum and one x*: the spectrum takes W's eigenvalues
+        alone and no eigenvectors, and rank(A) comes with x* from one
+        least-squares SVD of A."""
         bundle = gen_bundle(tmp_path, rows=12, cols=4)
         assert one_off_counts([
             "analyze", "--input", str(bundle), "--sketch", sketch, "--out", str(tmp_path / "a.json"),
-        ]) == (1, 1, 1, 1)
+        ]) == (1, 1, 1, 0, 1)
 
     def test_ill_conditioned_system_is_solved_and_not_exact(self, tmp_path, capsys):
         """A = [D; D], D = diag(1, 1e-3, 1e-6), b = A 1: x* keeps A's
@@ -206,6 +211,25 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(off)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no solution" in err and "Traceback" not in err
+
+    def test_system_consistent_past_the_rank_cutoff_is_refused_by_name(self, tmp_path, capsys):
+        """A = diag(1, 1e-11), b = A (1, 1e4) is consistent, as its planted
+        solution shows, but only through a singular value below the rank
+        cutoff: analyze refuses it naming the cutoff and sigma_min /
+        sigma_max, not as a system with no solution.  Its twin with a zero
+        third row and b_3 = 1 has no solution and is refused as such."""
+        a = np.diag([1.0, 1e-11])
+        z = np.array([1.0, 1e4])
+        consistent, twin = tmp_path / "consistent.json", tmp_path / "twin.json"
+        write_bundle(Problem(a, a @ z, planted_solution=z, source="consistent"), consistent)
+        write_bundle(Problem(np.vstack([a, [0.0, 0.0]]), [*(a @ z), 1.0], source="twin"), twin)
+        assert main(["analyze", "--input", str(consistent)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err and "no solution" not in err
+        assert "rank cutoff 1e-10 * sigma_max" in err and "sigma_min / sigma_max = 1.000e-11" in err
+        assert main(["analyze", "--input", str(twin)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err and "no solution" in err
 
     @pytest.mark.parametrize("option,value", [("--beta", "nan"), ("--omega", "inf"), ("--omega", "-inf")])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, option, value):
@@ -520,7 +544,7 @@ class TestSolve:
         assert one_off_counts([
             "solve", "--input", str(bundle), "--sketch", sketch, "--iters", "40",
             "--record-every", "10", "--out", str(out),
-        ]) == (1, 1, 1, 1)
+        ]) == (1, 1, 1, 0, 1)
         assert out.exists()
 
     def test_divergence_exit_code(self, tmp_path, capsys):
@@ -607,12 +631,12 @@ class TestSweep:
     @pytest.mark.parametrize("sketch", ["row", "block:2", "gaussian:2"])
     def test_one_off_quantities_built_once(self, tmp_path, sketch):
         """One W and one x* for all pairs, and no spectrum: no single
-        eigendecomposition at all."""
+        eigendecomposition or eigenvalue decomposition at all."""
         bundle = gen_bundle(tmp_path, rows=12, cols=4)
         assert one_off_counts([
             "sweep", "--input", str(bundle), "--sketch", sketch, "--betas", "0,0.1",
             "--iters", "40", "--record-every", "10", "--out", str(tmp_path / "sw"),
-        ]) == (1, 0, 1, 0)
+        ]) == (1, 0, 1, 0, 0)
 
     def test_iterates_over_budget_exit_one(self, tmp_path, capsys):
         """3 pairs of 2 records fit 24 numbers of records, but with their
@@ -732,7 +756,7 @@ class TestVerify:
         assert one_off_counts([
             "verify", "--input", str(bundle), "--sketch", sketch, "--beta", "0.01",
             "--iters", "20", "--record-every", "5", "--reps", "100",
-        ]) == (1, 1, 1, 1)
+        ]) == (1, 1, 1, 0, 1)
 
     def test_too_few_reps(self, tmp_path):
         bundle = gen_bundle(tmp_path)

@@ -403,12 +403,12 @@ class TestVerify:
         and produces a finite fitted slope with the documented limit."""
         import math
 
-        from shb.sketch import spectrum
+        from shb.sketch import expected_h, spectrum
         from shb.theory import l1_params
 
         problem = gen_problem(12, 5, seed=14)
         dist = row_sampling(problem.a)
-        spec = spectrum(problem.a, dist)
+        spec = spectrum(expected_h(dist, problem.a).value)
         p = l1_params("inv_lmax", spec.lambda_min_plus, spec.lambda_max)
         params = SolverParams(
             omega=p.omega, beta=p.beta, max_iter=10, seed=0, record_every=1,

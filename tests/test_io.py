@@ -564,8 +564,8 @@ class TestProblem:
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(p.b))
 
     def test_generated_full_column_rank(self):
-        from shb.sketch import row_sampling, spectrum
+        from shb.sketch import expected_h, row_sampling, spectrum
 
         p = gen_problem(100, 50, seed=7)
-        spec = spectrum(p.a, row_sampling(p.a))
+        spec = spectrum(expected_h(row_sampling(p.a), p.a).value)
         assert spec.rank == 50

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shb.errors import AllZero, AsymmetryExceedsTolerance, DimensionMismatch, Inconsistent, NonSquare
+from shb.errors import AllZero, AsymmetryExceedsTolerance, DimensionMismatch, Inconsistent, NonSquare, OutOfRange
 from shb.linalg import (
     REL_TOL,
     nonzero_min,
@@ -198,6 +198,16 @@ class TestProjection:
         xs, rank = project_onto_solutions(np.zeros(2), dropped, [1.0, REL_TOL / 2])
         np.testing.assert_array_equal(xs, [1.0, 0.0])
         assert rank == 1
+
+    def test_consistent_only_past_the_cutoff_is_out_of_range(self):
+        """A system that only a singular value at or below the cutoff
+        solves is refused as OutOfRange naming sigma_min / sigma_max, not
+        as Inconsistent; with a row no solution satisfies it is Inconsistent."""
+        a = np.diag([1.0, 1e-11])
+        with pytest.raises(OutOfRange, match=r"sigma_min / sigma_max = 1\.000e-11"):
+            project_onto_solutions(np.zeros(2), a, [1.0, 1e-7])
+        with pytest.raises(Inconsistent):
+            project_onto_solutions(np.zeros(2), np.vstack([a, [0.0, 0.0]]), [1.0, 1e-7, 1.0])
 
     def test_tall_and_wide_routes_agree(self):
         """One route for every shape: zero columns appended to A make it

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shb.linalg as linalg
-from shb.errors import DimensionMismatch, OutOfRange, ZeroRow
-from shb.linalg import project_onto_solutions
+from shb.errors import AllZero, DimensionMismatch, OutOfRange, ShbError, ZeroRow
+from shb.linalg import REL_TOL, project_onto_solutions
+from shb.problems import gen_problem
 from shb.sketch import (
     BlockRow,
     GaussianSketch,
@@ -330,7 +332,7 @@ def is_exact(a, spec):
 class TestHessianSpectrum:
     def test_identity_row_sampling(self):
         a = np.eye(2)
-        spec = spectrum(a, row_sampling(a))
+        spec = spectrum(expected_h(row_sampling(a), a).value)
         assert spec.lambda_max == pytest.approx(0.5, abs=1e-14)
         assert spec.lambda_min_plus == pytest.approx(0.5, abs=1e-14)
         assert spec.rank == 2
@@ -338,7 +340,7 @@ class TestHessianSpectrum:
 
     def test_zero_row_excluded(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        spec = spectrum(a, row_sampling(a))
+        spec = spectrum(expected_h(row_sampling(a), a).value)
         np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.5], atol=1e-14)
         # E[H] has a zero diagonal entry, but Null(W) = Null(A): exact
         assert is_exact(a, spec)
@@ -348,23 +350,25 @@ class TestHessianSpectrum:
 
     def test_zero_row_under_block_sampling_is_exact(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-        spec = spectrum(a, BlockRow(2))
-        assert spec.mc_samples is None and spec.rank == 2
+        eh = expected_h(BlockRow(2), a)
+        spec = spectrum(eh.value)
+        assert eh.mc_samples is None and spec.rank == 2
         assert is_exact(a, spec)
 
     def test_full_block_on_tall_matrix_is_exact(self):
         """block:m on a tall matrix: W is the projector onto the row
         space, although E[H] = (A A^T)^+ is singular."""
         a = np.random.default_rng(5).standard_normal((6, 3))
-        spec = spectrum(a, BlockRow(6))
+        spec = spectrum(expected_h(BlockRow(6), a).value)
         np.testing.assert_allclose(spec.eigenvalues, np.ones(3), atol=1e-12)
         assert is_exact(a, spec)
 
     def test_one_small_block_draw_is_not_exact(self):
         """One draw of 2 rows spans 2 of 10 directions: rank(W) < rank(A)."""
         a = np.random.default_rng(6).standard_normal((200, 10))
-        spec = spectrum(a, BlockRow(2), mc_samples=1)
-        assert spec.mc_samples == 1 and spec.rank == 2
+        eh = expected_h(BlockRow(2), a, mc_samples=1)
+        spec = spectrum(eh.value)
+        assert eh.mc_samples == 1 and spec.rank == 2
         assert not is_exact(a, spec)
 
     def test_hessian_over_budget_refused_before_allocating(self):
@@ -374,21 +378,50 @@ class TestHessianSpectrum:
         dists = (row_sampling(a), BlockRow(2), GaussianSketch(2))
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 9):
             for dist in dists:
-                spec = spectrum(a, dist, mc_samples=20)
+                spec = spectrum(expected_h(dist, a, mc_samples=20).value)
                 assert spec.eigenvalues.shape == (3,)
         with mock.patch.object(linalg, "MAX_DENSE_ELEMENTS", 8), \
                 mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
             for dist in dists:
                 with pytest.raises(OutOfRange, match="over the limit"):
-                    spectrum(a, dist)
+                    spectrum(expected_h(dist, a).value)
             with pytest.raises(OutOfRange, match="over the limit"):
                 expected_h(BlockRow(2), a)
 
     def test_rank_deficient(self):
         a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-        spec = spectrum(a, row_sampling(a))
+        spec = spectrum(expected_h(row_sampling(a), a).value)
         assert spec.rank == 1
         assert spec.lambda_max == pytest.approx(1.0, abs=1e-12)
+
+    def test_holds_no_eigenvectors(self):
+        """The spectrum of a 1000 x 1000 row-sampling W allocates one d x d
+        array at most, the symmetry check's W - W^T: no eigenvectors."""
+        problem = gen_problem(10, 1000, seed=0)
+        w = expected_h(row_sampling(problem.a), problem.a).value
+        tracemalloc.start()
+        try:
+            spec = spectrum(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec.rank == 10
+        assert peak <= 1.05 * w.nbytes
+
+    def test_dust_reads_as_zero_and_the_rest_is_refused(self):
+        """An eigenvalue down to -REL_TOL * max(1, lambda_max) is rounding
+        dust and reads as zero; one below it, a lambda_max above 1 +
+        LMAX_SLACK and a W with no positive eigenvalue are refused."""
+        spec = spectrum(np.diag([0.5, -REL_TOL, 0.25]))
+        assert spec.eigenvalues.tolist() == [0.5, 0.25, 0.0]
+        assert (spec.lambda_max, spec.lambda_min_plus, spec.rank) == (0.5, 0.25, 2)
+        assert spectrum(np.diag([1.0 + 1e-8, 0.0])).lambda_max == 1.0 + 1e-8
+        for w in (np.diag([0.5, -1.01 * REL_TOL]), np.diag([1.0 + 1.01e-8, 0.0])):
+            with pytest.raises(ShbError, match="spectrum escaped"):
+                spectrum(w)
+        for w in (np.zeros((2, 2)), np.diag([-REL_TOL, -1.0])):
+            with pytest.raises(AllZero):
+                spectrum(w)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_spectrum_inside_unit_interval(self, seed):
@@ -401,7 +434,7 @@ class TestHessianSpectrum:
             BlockRow(min(2, m)),
             GaussianSketch(min(2, m)),
         ):
-            spec = spectrum(a, dist, mc_samples=200, rng=np.random.default_rng(seed))
+            spec = spectrum(expected_h(dist, a, mc_samples=200, rng=np.random.default_rng(seed)).value)
             assert np.all(spec.eigenvalues >= 0.0)
             assert np.all(spec.eigenvalues <= 1.0 + 1e-8)
 
