@@ -63,10 +63,17 @@ class SymEig(NamedTuple):
 
 
 def check_symmetric(w: np.ndarray) -> None:
-    """Refuse a matrix, or a stack (..., n, n) of them, whose relative
-    asymmetry ||W - W^T||_F / max(1, ||W||_F) is over ASYM_TOL."""
+    """Refuse a matrix, or a stack (..., n, n) of them, that has a
+    non-finite entry or whose relative asymmetry ||W - W^T||_F /
+    max(1, ||W||_F) is over ASYM_TOL."""
     if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise NonSquare(f"expected a square matrix, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        bad = np.argwhere(~np.isfinite(w))
+        raise OutOfRange(
+            f"matrix of shape {w.shape} has {len(bad)} non-finite entries, the first at index "
+            f"{tuple(bad[0].tolist())}: its inputs are too large for float64 or not finite"
+        )
     diff = w - w.swapaxes(-1, -2)  # the one n x n temporary: einsum squares without another
     fro_sq, asym_sq = (np.einsum("...ij,...ij->...", v, v) for v in (w, diff))
     rel_asym = (np.sqrt(asym_sq) / np.maximum(1.0, np.sqrt(fro_sq))).max()

@@ -9,7 +9,9 @@ and spectrum W's eigenvalues.  A draw (a row, a sorted row subset or S)
 comes from draw, or many from draw_batch in the same rng order;
 stoch_grad takes one, and sketch_rows gives block and Gaussian draws'
 rows to stoch_grad, expected_h (summed by _add_projections) and the
-solver, one rule for all three.  The families:
+solver, one rule for all three.  _add_projections factors a chunk's
+Grams together, batch-last (cholesky_inverses), not by a LAPACK call
+per draw.  The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -298,24 +300,54 @@ def gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig.eigenvectors, pinv_eigenvalues(eig.eigenvalues)
 
 
+def cholesky_inverses(gram: np.ndarray) -> np.ndarray:
+    """L_n^-1 for the Cholesky factor L_n of each G_n = L_n L_n^T in a
+    stack (n, tau, tau), as a stack of the same shape.
+
+    The stack is worked batch-last, as (tau, tau, n): step j makes column
+    j of every L_n and then row j of every L_n^-1, each one contraction
+    across the n draws, so a chunk costs about 2 tau numpy calls and no
+    LAPACK call.  A G_n with a pivot that is not positive comes back
+    non-finite from that pivot on, and raises no warning.  A stack of
+    fewer draws than tau takes one LAPACK call per draw instead, the
+    cheaper route there, and the steps only when some G_n has no factor.
+    """
+    n, tau = gram.shape[:2]
+    if n < tau:
+        try:
+            return np.linalg.inv(np.linalg.cholesky(gram))
+        except np.linalg.LinAlgError:
+            pass  # the steps below mark which draws have no factor
+    g = np.moveaxis(gram, 0, -1)
+    low = np.zeros(g.shape)
+    inv = np.zeros(g.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(tau):
+            col = g[j:, j] - np.einsum("ikn,kn->in", low[j:, :j], low[j, :j])
+            low[j:, j] = col / np.sqrt(col[0])
+            inv[j, j] = 1.0 / low[j, j]
+            inv[j, :j] = np.einsum("kn,kln->ln", low[j, :j], inv[:j, :j]) * -inv[j, j]
+    return np.ascontiguousarray(np.moveaxis(inv, -1, 0))
+
+
 def _add_projections(acc: np.ndarray, g: np.ndarray) -> None:
     """acc += g_n^T pinv(G_n) g_n, G_n = g_n g_n^T, for each sketched
     matrix g_n = g[n]; each term is F^T F, so draws add as one product.
 
     G_n = L L^T is certified when 1/||L^-1||_F^2 (at most lambda_min(G_n))
     is above CERTIFY_MARGIN * REL_TOL * tr(G_n) (at least that times
-    lambda_max): the pseudoinverse then cuts nothing, and F = L^-1 g_n.
-    Other draws, or the whole chunk when some G_n has no Cholesky factor,
-    take F = diag(lam)^{+1/2} V^T g_n from G_n = V diag(lam) V^T.
+    lambda_max): the pseudoinverse then cuts nothing, and F = L^-1 g_n,
+    with L^-1 from cholesky_inverses.  Each other draw, and only those
+    (a G_n with no factor comes back non-finite and fails the
+    certificate), takes F = diag(lam)^{+1/2} V^T g_n from
+    G_n = V diag(lam) V^T.
     """
-    gram = g @ g.swapaxes(1, 2)
+    with np.errstate(over="ignore"):  # an overflowed Gram is refused by check_symmetric, by name
+        gram = g @ g.swapaxes(1, 2)
     check_symmetric(gram)
-    try:
-        inv_low = np.linalg.inv(np.linalg.cholesky(gram))
-        bound = 1.0 / np.square(inv_low).sum(axis=(1, 2))
-        ok = np.isfinite(bound) & (bound > CERTIFY_MARGIN * REL_TOL * np.einsum("nii->n", gram))
-    except np.linalg.LinAlgError:
-        ok = np.zeros(len(g), dtype=bool)
+    inv_low = cholesky_inverses(gram)
+    bound = 1.0 / np.einsum("nij,nij->n", inv_low, inv_low)  # einsum: a huge L^-1 gives inf, no warning
+    ok = np.isfinite(bound) & (bound > CERTIFY_MARGIN * REL_TOL * np.einsum("nii->n", gram))
     if ok.any():
         f = (inv_low @ g if ok.all() else inv_low[ok] @ g[ok]).reshape(-1, g.shape[2])
         acc += f.T @ f

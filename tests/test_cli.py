@@ -231,6 +231,21 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err and "no solution" in err
 
+    @pytest.mark.parametrize("sketch", ["block:3", "gaussian:2"])
+    def test_overflowing_gram_is_refused_by_name(self, tmp_path, capsys, sketch):
+        """A consistent 20 x 6 Gaussian system scaled by 1e160 is finite, but
+        its sketched Grams overflow: analyze refuses them as non-finite
+        (exit 1, one error line), not as an eigensolver that did not
+        converge."""
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((20, 6)) * 1e160
+        bundle = tmp_path / "huge.json"
+        write_bundle(Problem(a, a @ rng.standard_normal(6), source="huge"), bundle)
+        assert main(["analyze", "--input", str(bundle), "--sketch", sketch]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "non-finite entries" in err
+        assert "Traceback" not in err and "did not converge" not in err
+
     @pytest.mark.parametrize("option,value", [("--beta", "nan"), ("--omega", "inf"), ("--omega", "-inf")])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, option, value):
         bundle = gen_bundle(tmp_path)

@@ -2,13 +2,17 @@
 
 Row sampling's W must equal A^T diag(h) A bit for bit, with h rounded as
 the kernel rounds the row norms.  Block and Gaussian sketches sum W in
-stacked chunks, certified draws through a Cholesky factor and the others
-through an eigendecomposition; W must agree with A^T E[H] A from a
-per-draw loop over pinv_psd up to BATCH_RTOL, and the package must never
-allocate anything m x m.
+stacked chunks, certified draws through the inverse Cholesky factors of
+cholesky_inverses and each other draw, alone, through an
+eigendecomposition; W must agree with A^T E[H] A from a per-draw loop
+over pinv_psd up to BATCH_RTOL.  cholesky_inverses must agree with
+numpy's inv(cholesky(G)) up to 1e-14 and mark a G with no factor as
+non-finite without a warning.  The package must never allocate anything
+m x m, and an estimate's memory must not grow with its sample count.
 """
 
 import tracemalloc
+import warnings
 from itertools import combinations
 from unittest import mock
 
@@ -25,6 +29,7 @@ from shb.sketch import (
     BlockRow,
     GaussianSketch,
     UnitCoordinate,
+    cholesky_inverses,
     expected_h,
     f_value,
     row_sampling,
@@ -268,3 +273,96 @@ def test_gaussian_wider_than_the_rank_falls_back(batch):
     assert sum(stacks) == 200
     ref = a.T @ per_draw_gaussian(a, 4, 200, np.random.default_rng(8)) @ a
     assert np.linalg.norm(eh.value - ref) <= BATCH_RTOL * np.linalg.norm(ref)
+
+
+def positive_definite_stack(n, tau, seed):
+    """n Grams of tau x 3 tau Gaussian matrices: condition numbers near 14."""
+    g = np.random.default_rng(seed).standard_normal((n, tau, 3 * tau))
+    return g @ g.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("n", [3, 70], ids=["3-draws", "70-draws"])
+@pytest.mark.parametrize("tau", [1, 2, 5, 20, 60])
+def test_cholesky_inverses_match_numpy(tau, n):
+    """Every member equals inv(cholesky(G_n)) within 1e-14 of its norm,
+    whichever route the stack's size picks (3 draws are fewer than tau
+    from tau = 5 on, 70 are more than every tau here)."""
+    gram = positive_definite_stack(n, tau, seed=tau)
+    got = cholesky_inverses(gram)
+    ref = np.linalg.inv(np.linalg.cholesky(gram))
+    assert got.shape == ref.shape
+    err = np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert err.max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 9], ids=["fewer-draws-than-tau", "more-draws-than-tau"])
+def test_cholesky_inverses_mark_draws_with_no_factor(n):
+    """A singular member (an exact zero pivot) and an indefinite one
+    (a negative pivot) come back non-finite, with no RuntimeWarning; the
+    other members equal inv(cholesky(G_n)) within 1e-14."""
+    gram = positive_definite_stack(n, 5, seed=n)
+    gram[1] = np.eye(5)
+    gram[1, :2, :2] = [[4.0, 2.0], [2.0, 1.0]]
+    gram[2] = np.eye(5)
+    gram[2, :2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cholesky_inverses(gram)
+    finite = np.isfinite(got).all(axis=(1, 2))
+    assert not finite[1] and not finite[2]
+    good = np.delete(np.arange(n), [1, 2])
+    ref = np.linalg.inv(np.linalg.cholesky(gram[good]))
+    err = np.linalg.norm(got[good] - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert err.max() <= 1e-14
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64, sketch.BATCH_ELEMENTS])
+def test_draw_with_no_cholesky_factor_falls_back_alone(batch):
+    """Row 3 repeats row 2 exactly, so the Gram of subset {2, 3} has no
+    Cholesky factor: that draw, and only it, goes through the
+    eigendecomposition, the other 20 stay certified in the same chunk,
+    and W matches the per-draw loop."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((7, 3))
+    a[3] = a[2]
+    subsets = [list(c) for c in combinations(range(7), 2)]
+    with mock.patch.object(sketch, "BATCH_ELEMENTS", batch):
+        stacks, eh = eig_stacks(lambda: expected_h(BlockRow(2), a))
+    assert sum(stacks) == 1
+    ref = a.T @ per_draw_block(a, subsets) @ a
+    assert np.linalg.norm(eh.value - ref) <= BATCH_RTOL * np.linalg.norm(ref)
+
+
+def test_block_estimate_makes_no_lapack_factorization():
+    """The 655-draw chunks of block:5 on 100 x 40 factor their Grams in
+    cholesky_inverses' steps: no np.linalg.cholesky and no np.linalg.inv
+    call, and no sym_eig call either."""
+    a = np.random.default_rng(0).standard_normal((100, 40))
+    inv_calls = mock.Mock(wraps=np.linalg.inv)
+    cholesky_calls = mock.Mock(wraps=np.linalg.cholesky)
+    with mock.patch.object(np.linalg, "inv", inv_calls), mock.patch.object(np.linalg, "cholesky", cholesky_calls):
+        stacks, _ = eig_stacks(lambda: expected_h(BlockRow(5), a))
+    assert (inv_calls.call_count, cholesky_calls.call_count, stacks) == (0, 0, [])
+
+
+# the estimate holds at most this many chunks of BATCH_ELEMENTS float64
+# numbers at once (the drawn S or rows, the sketched rows, their factors
+# and F), besides W and its accumulator
+PEAK_CHUNKS = 3
+
+
+@pytest.mark.parametrize("dist", [BlockRow(5), GaussianSketch(5)], ids=["block:5", "gaussian:5"])
+def test_estimate_memory_does_not_grow_with_the_sample_count(dist):
+    """On 100 x 40 the traced peak of expected_h is the same within 10% at
+    1000 and at 20000 draws, and below PEAK_CHUNKS chunks plus two W."""
+    a = np.random.default_rng(0).standard_normal((100, 40))
+    peaks = []
+    for samples in (1000, 20_000):
+        tracemalloc.start()
+        try:
+            expected_h(dist, a, mc_samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) < PEAK_CHUNKS * sketch.BATCH_ELEMENTS * 8 + 2 * a.shape[1] ** 2 * 8

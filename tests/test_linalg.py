@@ -64,6 +64,17 @@ class TestSymEig:
         with pytest.raises(AsymmetryExceedsTolerance):
             sym_eig(w)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        """A non-finite entry is refused by name, in a matrix or a stack,
+        though it leaves the asymmetry check nothing to compare (nan >
+        ASYM_TOL is false)."""
+        w = np.eye(3)
+        w[2, 1] = w[1, 2] = bad
+        for m, index in ((w, "(1, 2)"), (np.stack([np.eye(3), w]), "(1, 1, 2)")):
+            with pytest.raises(OutOfRange, match=rf"2 non-finite entries, the first at index \{index[:-1]}\)"):
+                sym_eig(m)
+
     @given(w=psd_matrices())
     def test_reconstruction_and_orthonormality(self, w):
         eig = sym_eig(w)
