@@ -308,16 +308,9 @@ def cholesky_inverses(gram: np.ndarray) -> np.ndarray:
     j of every L_n and then row j of every L_n^-1, each one contraction
     across the n draws, so a chunk costs about 2 tau numpy calls and no
     LAPACK call.  A G_n with a pivot that is not positive comes back
-    non-finite from that pivot on, and raises no warning.  A stack of
-    fewer draws than tau takes one LAPACK call per draw instead, the
-    cheaper route there, and the steps only when some G_n has no factor.
+    non-finite from that pivot on, and raises no warning.
     """
-    n, tau = gram.shape[:2]
-    if n < tau:
-        try:
-            return np.linalg.inv(np.linalg.cholesky(gram))
-        except np.linalg.LinAlgError:
-            pass  # the steps below mark which draws have no factor
+    tau = gram.shape[1]
     g = np.moveaxis(gram, 0, -1)
     low = np.zeros(g.shape)
     inv = np.zeros(g.shape)

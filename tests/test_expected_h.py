@@ -285,8 +285,8 @@ def positive_definite_stack(n, tau, seed):
 @pytest.mark.parametrize("tau", [1, 2, 5, 20, 60])
 def test_cholesky_inverses_match_numpy(tau, n):
     """Every member equals inv(cholesky(G_n)) within 1e-14 of its norm,
-    whichever route the stack's size picks (3 draws are fewer than tau
-    from tau = 5 on, 70 are more than every tau here)."""
+    in stacks of fewer draws than tau (3, from tau = 5 on) and of more
+    (70, more than every tau here)."""
     gram = positive_definite_stack(n, tau, seed=tau)
     got = cholesky_inverses(gram)
     ref = np.linalg.inv(np.linalg.cholesky(gram))
