@@ -33,6 +33,11 @@ ASYM_TOL = 1e-12
 RESIDUAL_RTOL = 1e-8
 # largest dense array an input may make the package allocate (1 GiB)
 MAX_DENSE_ELEMENTS = 1 << 27
+# work that grows with its input goes in blocks of about this many numbers:
+# the W estimate's and the solver's chunks of draws (sketch.chunk_steps) and
+# check_symmetric's rows of W - W^T, so memory grows with neither the sample
+# count nor max_iter, and an asymmetry check holds no second W
+BATCH_ELEMENTS = 1 << 17
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -65,7 +70,9 @@ class SymEig(NamedTuple):
 def check_symmetric(w: np.ndarray) -> None:
     """Refuse a matrix, or a stack (..., n, n) of them, that has a
     non-finite entry or whose relative asymmetry ||W - W^T||_F /
-    max(1, ||W||_F) is over ASYM_TOL."""
+    max(1, ||W||_F) is over ASYM_TOL.  W - W^T is formed a block of rows
+    at a time, at most BATCH_ELEMENTS numbers (one row of every matrix at
+    the least)."""
     if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise NonSquare(f"expected a square matrix, got shape {w.shape}")
     if not np.isfinite(w).all():
@@ -74,11 +81,19 @@ def check_symmetric(w: np.ndarray) -> None:
             f"matrix of shape {w.shape} has {len(bad)} non-finite entries, the first at index "
             f"{tuple(bad[0].tolist())}: its inputs are too large for float64 or not finite"
         )
-    diff = w - w.swapaxes(-1, -2)  # the one n x n temporary: einsum squares without another
-    fro_sq, asym_sq = (np.einsum("...ij,...ij->...", v, v) for v in (w, diff))
-    rel_asym = (np.sqrt(asym_sq) / np.maximum(1.0, np.sqrt(fro_sq))).max()
+    n = w.shape[-1]
+    step = max(1, BATCH_ELEMENTS * n // max(1, w.size))  # rows of every matrix per block
+    asym_sq = np.zeros(w.shape[:-2])
+    for r in range(0, n, step):  # one statement: a block is freed before the next is made
+        asym_sq += _fro_sq(w[..., r : r + step, :] - w[..., :, r : r + step].swapaxes(-1, -2))
+    rel_asym = (np.sqrt(asym_sq) / np.maximum(1.0, np.sqrt(_fro_sq(w)))).max()
     if rel_asym > ASYM_TOL:
         raise AsymmetryExceedsTolerance(f"relative asymmetry {rel_asym:.3e} exceeds {ASYM_TOL:.0e}")
+
+
+def _fro_sq(v: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of v (..., r, c), with no temporary."""
+    return np.einsum("...ij,...ij->...", v, v)
 
 
 def lapack(routine, *args, **kwargs):

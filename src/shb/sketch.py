@@ -11,7 +11,11 @@ stoch_grad takes one, and sketch_rows gives block and Gaussian draws'
 rows to stoch_grad, expected_h (summed by _add_projections) and the
 solver, one rule for all three.  _add_projections factors a chunk's
 Grams together, batch-last (cholesky_inverses), not by a LAPACK call
-per draw.  The families:
+per draw.  expected_h makes the arrays its chunks work in (the sketched
+rows, the Gram stack, L^-1 and its work stacks, F) once per call, sized
+for the first chunk, and every chunk writes into views of them: arrays
+made anew per chunk would have their pages faulted in again each time.
+The families:
 
 * UnitCoordinate -- S = e_i with probability p_i (single-row sampling;
   the default weights p_i = ||A_i||^2 / ||A||_F^2 give the classical
@@ -33,15 +37,11 @@ import numpy as np
 import shb.linalg as linalg
 from shb.errors import DimensionMismatch, OutOfRange, ShbError, ZeroRow
 from shb.linalg import REL_TOL, as_matrix, as_vector, check_symmetric, nonzero_min, pinv_apply, pinv_eigenvalues
-from shb.linalg import lapack, row_dots, sym_eig
+from shb.linalg import BATCH_ELEMENTS, lapack, row_dots, sym_eig
 from shb.theory import LMAX_SLACK
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_MC_SAMPLES = 10_000
-# the W estimate and the solver's pre-draw stack their draws in chunks
-# of about this many numbers (draw_size per draw), so memory grows with
-# neither mc_samples nor max_iter
-BATCH_ELEMENTS = 1 << 17
 # f_value and the kernel's records take W times rows as one gemm per block
 # of this many rows: OpenBLAS picks its kernels by a product's row count, so
 # a row's bits depend on the block size, not on its place or the other rows
@@ -115,8 +115,16 @@ def row_sampling(a) -> UnitCoordinate:
     matrix is rejected.
     """
     a = as_matrix(a, "a")
-    norms_sq = np.einsum("ij,ij->i", a, a)
-    total = float(norms_sq.sum())
+    with np.errstate(over="ignore"):  # an overflowed norm is refused below, by name
+        norms_sq = np.einsum("ij,ij->i", a, a)
+        total = float(norms_sq.sum())
+    if not math.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(norms_sq))
+        where = f"{bad.size} non-finite entries, the first at row {bad[0]}" if bad.size else "a non-finite sum"
+        raise OutOfRange(
+            f"squared row norms of the matrix of shape {a.shape} have {where}: "
+            "its inputs are too large for float64 or not finite"
+        )
     if total <= 0.0:
         raise ZeroRow("every row of the matrix is zero")
     p = norms_sq / total
@@ -268,9 +276,14 @@ def stoch_grad(a, b, x, dist: SketchDistribution, drawn) -> np.ndarray:
     return g.T @ pinv_apply(g @ g.T, g @ x - sketch_rows(dist, b, drawn))
 
 
-def sketch_rows(dist: BlockRow | GaussianSketch, v: np.ndarray, drawn: np.ndarray) -> np.ndarray:
-    """The sketched rows of v (A or b): v[drawn] for block subsets, S^T v for Gaussian S."""
-    return v[drawn] if isinstance(dist, BlockRow) else drawn.swapaxes(-1, -2) @ v
+def sketch_rows(
+    dist: BlockRow | GaussianSketch, v: np.ndarray, drawn: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The sketched rows of v (A or b): v[drawn] for block subsets, S^T v for
+    Gaussian S; written into out when it is given."""
+    if isinstance(dist, BlockRow):  # "clip" writes out in place, "raise" through a copy; draws are in range
+        return np.take(v, drawn, axis=0, out=out, mode="clip")
+    return np.matmul(drawn.swapaxes(-1, -2), v, out=out)
 
 
 class ExpectedH(NamedTuple):
@@ -300,7 +313,17 @@ def gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig.eigenvectors, pinv_eigenvalues(eig.eigenvalues)
 
 
-def cholesky_inverses(gram: np.ndarray) -> np.ndarray:
+def _carve(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of the flat buffer buf, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(buf[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
+def cholesky_inverses(gram: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """L_n^-1 for the Cholesky factor L_n of each G_n = L_n L_n^T in a
     stack (n, tau, tau), as a stack of the same shape.
 
@@ -308,22 +331,26 @@ def cholesky_inverses(gram: np.ndarray) -> np.ndarray:
     j of every L_n and then row j of every L_n^-1, each one contraction
     across the n draws, so a chunk costs about 2 tau numpy calls and no
     LAPACK call.  A G_n with a pivot that is not positive comes back
-    non-finite from that pivot on, and raises no warning.
+    non-finite from that pivot on, and raises no warning.  out, a flat
+    float64 buffer of at least 3 n tau^2 numbers, holds the result (a view
+    of its start) and the two work stacks; without it one is allocated.
     """
     tau = gram.shape[1]
     g = np.moveaxis(gram, 0, -1)
-    low = np.zeros(g.shape)
-    inv = np.zeros(g.shape)
+    out = np.empty(3 * gram.size) if out is None else out
+    result, low, inv = _carve(out, gram.shape, g.shape, g.shape)
+    inv.fill(0.0)  # L^-1 is lower triangular, and row j's contraction reads the zeros above it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(tau):
             col = g[j:, j] - np.einsum("ikn,kn->in", low[j:, :j], low[j, :j])
             low[j:, j] = col / np.sqrt(col[0])
             inv[j, j] = 1.0 / low[j, j]
             inv[j, :j] = np.einsum("kn,kln->ln", low[j, :j], inv[:j, :j]) * -inv[j, j]
-    return np.ascontiguousarray(np.moveaxis(inv, -1, 0))
+    np.copyto(result, np.moveaxis(inv, -1, 0))
+    return result
 
 
-def _add_projections(acc: np.ndarray, g: np.ndarray) -> None:
+def _add_projections(acc: np.ndarray, g: np.ndarray, work: np.ndarray) -> None:
     """acc += g_n^T pinv(G_n) g_n, G_n = g_n g_n^T, for each sketched
     matrix g_n = g[n]; each term is F^T F, so draws add as one product.
 
@@ -333,22 +360,30 @@ def _add_projections(acc: np.ndarray, g: np.ndarray) -> None:
     with L^-1 from cholesky_inverses.  Each other draw, and only those
     (a G_n with no factor comes back non-finite and fails the
     certificate), takes F = diag(lam)^{+1/2} V^T g_n from
-    G_n = V diag(lam) V^T.
+    G_n = V diag(lam) V^T.  work, a flat float64 buffer of at least
+    n tau (4 tau + d) numbers for g of shape (n, tau, d), holds the Gram
+    stack, L^-1 with cholesky_inverses' work stacks, and F.
     """
+    n, tau, d = g.shape
+    gram, chol, f = _carve(work, (n, tau, tau), (3 * n * tau * tau,), g.shape)
     with np.errstate(over="ignore"):  # an overflowed Gram is refused by check_symmetric, by name
-        gram = g @ g.swapaxes(1, 2)
+        np.matmul(g, g.swapaxes(1, 2), out=gram)
     check_symmetric(gram)
-    inv_low = cholesky_inverses(gram)
+    inv_low = cholesky_inverses(gram, chol)
     bound = 1.0 / np.einsum("nij,nij->n", inv_low, inv_low)  # einsum: a huge L^-1 gives inf, no warning
     ok = np.isfinite(bound) & (bound > CERTIFY_MARGIN * REL_TOL * np.einsum("nii->n", gram))
-    if ok.any():
-        f = (inv_low @ g if ok.all() else inv_low[ok] @ g[ok]).reshape(-1, g.shape[2])
-        acc += f.T @ f
-    if not ok.all():
-        rest = ~ok if ok.any() else slice(None)  # no copy when no draw is certified
+    certified = int(np.count_nonzero(ok))
+    if certified:
+        cert = ok if certified < n else slice(None)  # no copy when every draw is certified
+        f_ok = np.matmul(inv_low[cert], g[cert], out=f[:certified]).reshape(-1, d)
+        acc += f_ok.T @ f_ok
+    if certified < n:
+        rest = ~ok if certified else slice(None)  # no copy when no draw is certified
         vecs, inv = gram_factors(gram[rest])
-        f = (np.sqrt(inv)[:, :, None] * (vecs.swapaxes(1, 2) @ g[rest])).reshape(-1, g.shape[2])
-        acc += f.T @ f
+        f_rest = np.matmul(vecs.swapaxes(1, 2), g[rest], out=f[: n - certified])
+        f_rest *= np.sqrt(inv)[:, :, None]
+        f_rest = f_rest.reshape(-1, d)
+        acc += f_rest.T @ f_rest
 
 
 def expected_h(
@@ -368,7 +403,7 @@ def expected_h(
     GaussianSketch always is.  Estimates carry the sample count; exact
     values carry None.  The default estimator rng is seeded so repeat
     calls agree.  Draws are made in a fixed order and summed in chunks
-    (BATCH_ELEMENTS).
+    (BATCH_ELEMENTS), each in the same arrays, allocated once per call.
     """
     a = as_matrix(a, "a")
     m, d = a.shape
@@ -391,11 +426,14 @@ def expected_h(
         subsets = np.array(list(combinations(range(m), tau)))
         n, mc_samples = len(subsets), None
     acc = np.zeros((d, d))
-    chunk = chunk_steps(dist, m, d)
+    chunk = min(chunk_steps(dist, m, d), n)
+    # every chunk works in views of these, sized for the first chunk
+    rows = np.empty((chunk, tau, d))
+    work = np.empty(chunk * tau * (4 * tau + d))
     for start in range(0, n, chunk):
         size = min(chunk, n - start)
         drawn = subsets[start : start + size] if enumerated else draw_batch(dist, rng, m, size)
-        _add_projections(acc, sketch_rows(dist, a, drawn))
+        _add_projections(acc, sketch_rows(dist, a, drawn, out=rows[:size]), work)
     acc /= n
     return ExpectedH(np.add(acc, acc.T, out=acc) / 2.0, mc_samples)
 

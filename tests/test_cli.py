@@ -231,12 +231,12 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err and "no solution" in err
 
-    @pytest.mark.parametrize("sketch", ["block:3", "gaussian:2"])
+    @pytest.mark.parametrize("sketch", ["block:3", "gaussian:2", "row"])
     def test_overflowing_gram_is_refused_by_name(self, tmp_path, capsys, sketch):
         """A consistent 20 x 6 Gaussian system scaled by 1e160 is finite, but
-        its sketched Grams overflow: analyze refuses them as non-finite
-        (exit 1, one error line), not as an eigensolver that did not
-        converge."""
+        its sketched Grams, and its squared row norms, overflow: analyze
+        refuses them as non-finite (exit 1, one error line), not as an
+        eigensolver that did not converge nor as corrupt probabilities."""
         rng = np.random.default_rng(0)
         a = rng.standard_normal((20, 6)) * 1e160
         bundle = tmp_path / "huge.json"

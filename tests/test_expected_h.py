@@ -345,6 +345,38 @@ def test_block_estimate_makes_no_lapack_factorization():
     assert (inv_calls.call_count, cholesky_calls.call_count, stacks) == (0, 0, [])
 
 
+@pytest.mark.parametrize("dist", [BlockRow(5), GaussianSketch(5)], ids=["block:5", "gaussian:5"])
+def test_chunks_work_in_arrays_made_once_per_call(dist):
+    """On 100 x 40 (16 and 39 chunks) every chunk's sketched rows are a view
+    of one array that each call makes anew, and a chunk's projections
+    allocate less than half its rows' bytes: F (as large as the rows), the
+    Gram stack and L^-1 are views of arrays made once per call too."""
+    a = np.random.default_rng(0).standard_normal((100, 40))
+    add = sketch._add_projections
+    rows, grown = [], []
+
+    def spy(acc, g, *work):
+        rows.append(g)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        add(acc, g, *work)
+        grown.append(tracemalloc.get_traced_memory()[1] - held < g.nbytes / 2)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(sketch, "_add_projections", spy):
+            expected_h(dist, a)
+            first = rows[:]
+            expected_h(dist, a)
+    finally:
+        tracemalloc.stop()
+    calls = (first, rows[len(first) :])
+    assert len(first) >= 3 and all(g.base is not None for g in rows)
+    assert [len({id(g.base) for g in call}) for call in calls] == [1, 1]
+    assert first[0].base is not calls[1][0].base
+    assert all(grown)
+
+
 # the estimate holds at most this many chunks of BATCH_ELEMENTS float64
 # numbers at once (the drawn S or rows, the sketched rows, their factors
 # and F), besides W and its accumulator

@@ -1,11 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shb.errors import AllZero, AsymmetryExceedsTolerance, DimensionMismatch, Inconsistent, NonSquare, OutOfRange
+import shb.linalg as linalg
 from shb.linalg import (
     REL_TOL,
+    check_symmetric,
     nonzero_min,
     pinv_apply,
     pinv_eigenvalues,
@@ -90,6 +95,33 @@ class TestSymEig:
         w = np.array([[1.0, 0.0], [0.0, -1e-14]])
         eig = sym_eig(w)
         assert eig.eigenvalues[-1] == 0.0
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("row", [0, 4, 9])
+    def test_asymmetry_found_in_any_block_of_rows(self, row):
+        """With blocks of 7 numbers, one row of a 10 x 10 W or of a stack
+        of three, an asymmetric entry in any row is refused and the
+        symmetric twin passes."""
+        with mock.patch.object(linalg, "BATCH_ELEMENTS", 7):
+            for m in (np.eye(10), np.stack([np.eye(10)] * 3)):
+                check_symmetric(m)
+                m[..., row, (row + 3) % 10] = 1e-6
+                with pytest.raises(AsymmetryExceedsTolerance):
+                    check_symmetric(m)
+
+    def test_asymmetry_check_holds_no_second_matrix(self):
+        """The traced peak of check_symmetric on a symmetric 1000 x 1000 W
+        is under a quarter of W's bytes: W - W^T is formed by blocks of rows."""
+        b = np.random.default_rng(0).standard_normal((1000, 1000))
+        w = b + b.T
+        tracemalloc.start()
+        try:
+            check_symmetric(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.nbytes / 4
 
 
 class TestPinvApply:

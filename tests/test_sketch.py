@@ -73,6 +73,11 @@ class TestDistributions:
         with pytest.raises(ZeroRow):
             row_sampling(np.zeros((2, 2)))
 
+    def test_row_sampling_overflowing_sum_refused_by_name(self):
+        """Each squared row norm, 1e308, is finite; their sum is not."""
+        with pytest.raises(OutOfRange, match="have a non-finite sum: its inputs are too large for float64"):
+            row_sampling(np.full((2, 1), 1e154))
+
 
 class TestDraw:
     def test_degenerate_distribution(self):
