@@ -111,7 +111,7 @@ def _set_up(problem: Problem, dist: SketchDistribution, omega: float, beta: floa
     x0 = np.zeros(a.shape[1])
     xstar, rank_a = project_onto_solutions(x0, a, b)
     diff = x0 - xstar  # the kernel's k = 0 record rounds ||x0 - x*||^2 as this dot does
-    return _SetUp(eh, spec, bounds, xstar, spec.rank == rank_a, float(diff @ diff), f_value(a, b, x0, eh.value, xstar))
+    return _SetUp(eh, spec, bounds, xstar, spec.rank == rank_a, float(diff @ diff), f_value(x0, eh.value, xstar))
 
 
 def analyze(

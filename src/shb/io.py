@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from array import array
 from contextlib import contextmanager
@@ -80,6 +81,8 @@ def _parse_line(path, line_no: int, raw: str) -> list[tuple[int, float]]:
         try:
             idx = int(idx_s)
             val = float(val_s)
+            if not math.isfinite(val):
+                raise ValueError
         except ValueError:
             raise MalformedLine(
                 f"{path}:{line_no}: cannot parse token {tok!r}", line_no=line_no, token=tok
@@ -101,7 +104,7 @@ def _parse_line(path, line_no: int, raw: str) -> list[tuple[int, float]]:
 def _convert_block(lines: list[str], first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row numbers (from first), indices and values of every feature of
     lines, read by _parse_line's rules (a whitespace split, a float label,
-    one ':' per feature, int and float, indices checked as arrays).
+    one ':' per feature, int and finite float, indices checked as arrays).
     ValueError or OverflowError when a line breaks them or an index is past
     int64."""
     split = [line.split() or [""] for line in lines]  # a blank line's label is ""
@@ -119,9 +122,9 @@ def _convert_block(lines: list[str], first: int) -> tuple[np.ndarray, np.ndarray
     idx = np.fromiter(map(int, words[0::2]), dtype=np.int64, count=len(tokens))
     vals = np.fromiter(map(float, words[1::2]), dtype=np.float64, count=len(tokens))
     rows = np.repeat(np.arange(first, first + len(lines)), [len(t) - 1 for t in split])
-    # 1-based, and rising within each line
-    if idx.min(initial=1) < 1 or not np.all((np.diff(idx) > 0) | (np.diff(rows) != 0)):
-        raise ValueError("an index is not 1-based or not rising")
+    # 1-based, and rising within each line; values finite
+    if idx.min(initial=1) < 1 or not np.all((np.diff(idx) > 0) | (np.diff(rows) != 0)) or not np.isfinite(vals).all():
+        raise ValueError("an index is not 1-based or not rising, or a value is not finite")
     return rows, idx, vals
 
 
@@ -186,16 +189,21 @@ def parse_libsvm(path) -> np.ndarray:
 
 
 def read_csv_matrix(path) -> np.ndarray:
-    """Dense matrix from CSV; the first row is a header, whose width is the
-    column count.  Cells go into one flat float64 buffer, and a file is
-    refused at the row that takes it over linalg.MAX_DENSE_ELEMENTS entries."""
+    """Dense matrix from CSV: a header, whose width is the column count, then
+    rows, trailing blank ones ignored.  Cells go into one float64 buffer, and
+    a file is refused at the row that takes it over MAX_DENSE_ELEMENTS."""
     data = array("d")
-    rows = 0
+    rows = blank = 0  # blank: the line of the first blank row after the last data row
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             width = len(next(reader, []))
             for line_no, row in enumerate(reader, start=2):
+                if len(row) < 2 and not "".join(row).strip():
+                    blank = blank or line_no
+                    continue
+                if blank:
+                    raise MalformedLine(f"{path}:{blank}: blank row", line_no=blank)
                 rows += 1
                 if rows * width > linalg.MAX_DENSE_ELEMENTS:
                     raise MalformedLine(
@@ -213,6 +221,9 @@ def read_csv_matrix(path) -> np.ndarray:
                     raise MalformedLine(
                         f"{path}:{line_no}: non-numeric cell", line_no=line_no
                     ) from None
+                bad = [c for c, v in zip(row, data[len(data) - width :]) if not math.isfinite(v)]
+                if bad:
+                    raise MalformedLine(f"{path}:{line_no}: non-finite cell {bad[0]!r}", line_no=line_no, token=bad[0])
         except UnicodeDecodeError as exc:
             raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:

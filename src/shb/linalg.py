@@ -1,5 +1,6 @@
-"""Dense linear algebra: symmetric eigendecomposition, pseudoinverse
-application, and least-norm projection onto a solution set with rank(A).
+"""Dense linear algebra: symmetric eigendecomposition, pseudoinverses (all
+factored by pinv_factors: sym_eig, then pinv_eigenvalues' cutoff), and
+least-norm projection onto a solution set with rank(A).
 
 Everything here is a pure function of its inputs.  Matrices are plain
 float64 ndarrays and are never mutated.
@@ -135,18 +136,25 @@ def sym_eig(w) -> SymEig:
     return SymEig(vals, vecs)
 
 
+def pinv_factors(m) -> tuple[np.ndarray, np.ndarray]:
+    """V and inv with pinv(M) = V diag(inv) V^T for a symmetric PSD M, or
+    for each matrix of a stack (..., n, n): sym_eig's eigenvectors and the
+    pseudoinverse's eigenvalues (pinv_eigenvalues)."""
+    eig = sym_eig(m)
+    return eig.eigenvectors, pinv_eigenvalues(eig.eigenvalues)
+
+
 def pinv_apply(m, y) -> np.ndarray:
     """Apply the Moore-Penrose pseudoinverse of a symmetric PSD matrix to y.
 
     Eigenvalues <= REL_TOL * lambda_max count as zero, so components of y
     in the (numerical) null space of m are annihilated.
     """
-    eig = sym_eig(m)
-    y = as_vector(y, length=eig.eigenvalues.size, name="y")
-    inv = pinv_eigenvalues(eig.eigenvalues)
+    vecs, inv = pinv_factors(m)
+    y = as_vector(y, length=inv.size, name="y")
     if not inv.any():
         return np.zeros_like(y)
-    return eig.eigenvectors @ (inv * (eig.eigenvectors.T @ y))
+    return vecs @ (inv * (vecs.T @ y))
 
 
 def pinv_eigenvalues(vals) -> np.ndarray:
@@ -172,11 +180,10 @@ def above_cutoff(vals: np.ndarray) -> np.ndarray:
 def pinv_psd(m) -> np.ndarray:
     """Dense pseudoinverse of a symmetric PSD matrix (same cutoff as
     pinv_apply), or of each matrix of a stack (..., n, n)."""
-    eig = sym_eig(m)
-    inv = pinv_eigenvalues(eig.eigenvalues)
+    vecs, inv = pinv_factors(m)
     if not inv.any():
-        return np.zeros(eig.eigenvectors.shape)
-    return (eig.eigenvectors * inv[..., None, :]) @ eig.eigenvectors.swapaxes(-1, -2)
+        return np.zeros(vecs.shape)
+    return (vecs * inv[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 def project_onto_solutions(x0, a, b) -> tuple[np.ndarray, int]:

@@ -5,13 +5,13 @@ and the weighting matrix H = S (S^T A A^T S)^+ S^T, which is PSD and
 makes A^T H A an orthogonal projector; the Hessian W = A^T E[H] A of
 the expected objective so has its spectrum inside [0, 1].  No sketch
 forms the m x m E[H]: expected_h gives W in d x d, f_value the objective
-and spectrum W's eigenvalues.  A draw (a row, a sorted row subset or S)
-comes from draw, or many from draw_batch in the same rng order;
-stoch_grad takes one, and sketch_rows gives block and Gaussian draws'
-rows to stoch_grad, expected_h (summed by _add_projections) and the
-solver, one rule for all three.  _add_projections factors a chunk's
-Grams together, batch-last (cholesky_inverses), not by a LAPACK call
-per draw.  expected_h makes the arrays its chunks work in (the sketched
+from W and spectrum W's eigenvalues.  Every draw (a row, never one of
+probability zero; a sorted row subset; or S) comes from draw_batch, and
+draw is its first of one; stoch_grad takes one, and sketch_rows gives
+block and Gaussian draws' rows to stoch_grad, expected_h (summed by
+_add_projections) and the solver, one rule for all three.
+_add_projections factors a chunk's Grams together, batch-last
+(cholesky_inverses), not by a LAPACK call per draw.  expected_h makes the arrays its chunks work in (the sketched
 rows, the Gram stack, L^-1 and its work stacks, F) once per call, sized
 for the first chunk, and every chunk writes into views of them: arrays
 made anew per chunk would have their pages faulted in again each time.
@@ -36,8 +36,7 @@ import numpy as np
 
 import shb.linalg as linalg
 from shb.errors import DimensionMismatch, OutOfRange, ShbError, ZeroRow
-from shb.linalg import REL_TOL, as_matrix, as_vector, check_symmetric, nonzero_min, pinv_apply, pinv_eigenvalues
-from shb.linalg import BATCH_ELEMENTS, lapack, row_dots, sym_eig
+from shb.linalg import BATCH_ELEMENTS, REL_TOL, as_matrix, as_vector, check_symmetric, lapack, nonzero_min, pinv_apply, row_dots
 from shb.theory import LMAX_SLACK
 
 PROB_SUM_TOL = 1e-12
@@ -56,7 +55,7 @@ def derive_stream(seed: int, *key: int) -> np.random.Generator:
     distinct keys never overlap.
     """
     if seed < 0:
-        raise OutOfRange("seed must be a nonnegative 64-bit integer")
+        raise OutOfRange(f"seed must be a nonnegative integer, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -76,11 +75,12 @@ class UnitCoordinate:
         if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
             raise OutOfRange(f"probabilities sum to {float(p.sum())!r}, expected 1")
         object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "_cumulative", np.cumsum(p))
-        # draw()'s tail rule as a table: the last row at or before i with
-        # positive probability, or row 0 when there is none
-        positive_at = np.where(p > 0.0, np.arange(p.size), 0)
-        object.__setattr__(self, "_row_of", np.maximum.accumulate(positive_at))
+        # raised to 1 from the last row of positive probability on, a uniform
+        # in [0, 1) lands on no zero-probability row and not past the last row
+        cumulative = np.cumsum(p)
+        last = np.flatnonzero(p)[-1]
+        np.maximum(cumulative[last:], 1.0, out=cumulative[last:])
+        object.__setattr__(self, "_cumulative", cumulative)
 
 
 @dataclass(frozen=True)
@@ -131,40 +131,32 @@ def row_sampling(a) -> UnitCoordinate:
     return UnitCoordinate(p / p.sum())
 
 
-def draw(dist: SketchDistribution, rng: np.random.Generator, m: int | None = None) -> int | np.ndarray:
-    """Draw one sketch from the distribution: what draw_batch makes once.
+def draw(dist: SketchDistribution, rng: np.random.Generator, m: int | None = None) -> np.int64 | np.ndarray:
+    """Draw one sketch from the distribution: draw_batch's first of one.
 
-    UnitCoordinate gives a row index (inverse-CDF lookup over the
-    cumulative weights), BlockRow a sorted subset drawn uniformly without
-    replacement (_block_subsets), GaussianSketch the m-by-width S of
-    standard normals; BlockRow and GaussianSketch need the row count m.
+    UnitCoordinate gives a row index, BlockRow a sorted row subset,
+    GaussianSketch the m-by-width S; BlockRow and GaussianSketch need the
+    row count m.
     """
-    if isinstance(dist, UnitCoordinate):
-        p = dist.probabilities
-        u = rng.random()
-        i = int(np.searchsorted(dist._cumulative, u, side="right"))
-        if i >= p.size:
-            i = p.size - 1
-        while p[i] == 0.0 and i > 0:  # float tail beyond the cumulative mass
-            i -= 1
-        return i
-    if m is None:
-        raise DimensionMismatch("row count m is required for this distribution")
     return draw_batch(dist, rng, m, 1)[0]
 
 
-def draw_batch(dist: SketchDistribution, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """n block or Gaussian draws, consuming rng as n calls of draw() do.
+def draw_batch(dist: SketchDistribution, rng: np.random.Generator, m: int | None, n: int) -> np.ndarray:
+    """n draws, consuming rng as n calls of draw() do.
 
-    BlockRow gives the sorted row subsets as an (n, block_size) index
-    array, GaussianSketch the matrices S as an (n, m, width) array.
+    UnitCoordinate gives n row indices (row_indices of n uniforms),
+    BlockRow the sorted row subsets as an (n, block_size) index array
+    drawn uniformly without replacement (_block_subsets), GaussianSketch
+    the matrices S of standard normals as an (n, m, width) array.
     """
+    if isinstance(dist, UnitCoordinate):
+        return row_indices(dist, rng.random(n))
+    if m is None:
+        raise DimensionMismatch("row count m is required for this distribution")
     tau = sketch_size(dist, m)
     if isinstance(dist, BlockRow):
         return _block_subsets(rng, m, tau, n)
-    if isinstance(dist, GaussianSketch):
-        return rng.standard_normal((n, m, tau))
-    raise OutOfRange("row sampling draws one row at a time (draw)")
+    return rng.standard_normal((n, m, tau))
 
 
 def _block_subsets(rng: np.random.Generator, m: int, tau: int, n: int) -> np.ndarray:
@@ -238,15 +230,9 @@ def check_row_norms(dist: UnitCoordinate, norms_sq: np.ndarray) -> None:
 
 
 def row_indices(dist: UnitCoordinate, u) -> np.ndarray:
-    """The rows draw() picks for the uniforms u, elementwise.
-
-    One inverse-CDF lookup for the whole array, with draw()'s rules: an
-    index past the end is clamped to the last row, and a zero-probability
-    row steps back to the nearest earlier row of positive probability.
-    """
-    i = np.searchsorted(dist._cumulative, u, side="right")
-    np.minimum(i, dist.probabilities.size - 1, out=i)
-    return dist._row_of[i]
+    """The rows draw() picks for the uniforms u in [0, 1), elementwise:
+    one inverse-CDF lookup over the raised cumulative weights."""
+    return np.searchsorted(dist._cumulative, u, side="right")
 
 
 def stoch_grad(a, b, x, dist: SketchDistribution, drawn) -> np.ndarray:
@@ -301,16 +287,6 @@ def check_w_fits(d: int) -> None:
     """Refuse a d x d Hessian W over the dense-array budget."""
     if d * d > linalg.MAX_DENSE_ELEMENTS:
         raise OutOfRange(f"a {d}x{d} Hessian W is over the limit of {linalg.MAX_DENSE_ELEMENTS} entries")
-
-
-def gram_factors(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V and inv with pinv(G_n) = V_n diag(inv_n) V_n^T for a stack of
-    Gram matrices G_n = g_n g_n^T (..., tau, tau).
-
-    One stacked sym_eig; inv holds the pseudoinverse's eigenvalues.
-    """
-    eig = sym_eig(gram)
-    return eig.eigenvectors, pinv_eigenvalues(eig.eigenvalues)
 
 
 def _carve(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -379,7 +355,7 @@ def _add_projections(acc: np.ndarray, g: np.ndarray, work: np.ndarray) -> None:
         acc += f_ok.T @ f_ok
     if certified < n:
         rest = ~ok if certified else slice(None)  # no copy when no draw is certified
-        vecs, inv = gram_factors(gram[rest])
+        vecs, inv = linalg.pinv_factors(gram[rest])
         f_rest = np.matmul(vecs.swapaxes(1, 2), g[rest], out=f[: n - certified])
         f_rest *= np.sqrt(inv)[:, :, None]
         f_rest = f_rest.reshape(-1, d)
@@ -466,20 +442,17 @@ def spectrum(w: np.ndarray) -> SpectrumInfo:
     )
 
 
-def f_value(a, b, x, eh, xstar) -> float:
-    """Objective value f(x) = (1/2) (Ax-b)^T E[H] (Ax-b), clamped at zero.
+def f_value(x, w, xstar) -> float:
+    """Objective value f(x) = (1/2) (x-x*)^T W (x-x*), clamped at zero.
 
-    eh is ExpectedH.value, the Hessian W, and xstar a solution of the
-    consistent system Ax = b; f is then (1/2) (x-x*)^T W (x-x*), and
-    since Null(A) lies in Null(W), any solution gives the same f.  With
+    w is ExpectedH.value, the Hessian W = A^T E[H] A, and xstar a solution
+    of the consistent system Ax = b; f is then (1/2) (Ax-b)^T E[H] (Ax-b),
+    and since Null(A) lies in Null(W), any solution gives the same f.  With
     row sampling's default weights f is ||Ax - b||^2 / (2 ||A||_F^2).
     """
-    a = np.asarray(a, dtype=np.float64)
-    m, d = a.shape
-    as_vector(b, length=m, name="b")
-    x = as_vector(x, length=d, name="x")
-    w = np.asarray(eh, dtype=np.float64)
-    if w.shape != (d, d):
-        raise DimensionMismatch(f"expected_h has shape {w.shape}, expected ({d}, {d})")
-    e = x - as_vector(xstar, length=d, name="xstar")
+    x = as_vector(x, name="x")
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (x.size, x.size):
+        raise DimensionMismatch(f"w has shape {w.shape}, expected ({x.size}, {x.size})")
+    e = x - as_vector(xstar, length=x.size, name="xstar")
     return max(0.5 * float(e @ (np.tile(e, (W_BLOCK_ROWS, 1)) @ w)[0]), 0.0)

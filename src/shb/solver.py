@@ -23,7 +23,7 @@ import numpy as np
 import shb.linalg as linalg
 import shb.sketch as sketch
 from shb.errors import DimensionMismatch, OutOfRange
-from shb.linalg import as_vector, project_onto_solutions, row_dots
+from shb.linalg import as_vector, pinv_factors, project_onto_solutions, row_dots
 from shb.problems import Problem
 from shb.sketch import (
     SketchDistribution,
@@ -35,7 +35,6 @@ from shb.sketch import (
     draw_batch,
     draw_size,
     expected_h,
-    gram_factors,
     row_indices,
     sketch_rows,
     sketch_size,
@@ -74,7 +73,7 @@ class SolverParams:
         if self.record_every < 1:
             raise OutOfRange("record_every must be >= 1")
         if self.seed < 0:
-            raise OutOfRange("seed must be a nonnegative integer")
+            raise OutOfRange(f"seed must be a nonnegative integer, got {self.seed}")  # derive_stream's rule
 
     def record_count(self, start: int = 0) -> int:
         """How many recorded iterations are at or after start: the run
@@ -347,7 +346,7 @@ def _iterate(
                 draws = zip(a.take(at, 0)[:, :, None], b.take(at)[:, :, None, None], norms_sq.take(at)[:, :, None, None])
             else:
                 g, c = _sketched_systems(dist, a, b, streams, steps)
-                vecs, inv = gram_factors(g @ g.swapaxes(-1, -2))
+                vecs, inv = pinv_factors(g @ g.swapaxes(-1, -2))
                 draws = zip(g, c, vecs.swapaxes(-1, -2), inv[..., None], vecs, g.swapaxes(-1, -2))
             # outputs by position: on a step's few numbers, a call's fixed cost is most of its time
             for k, drawn in enumerate(draws, k + 1):

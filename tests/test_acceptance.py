@@ -155,7 +155,7 @@ def test_criterion_5_cesaro_bound_statistical(gaussian_ensemble):
     x0 = np.zeros(20)
     xstar, _ = project_onto_solutions(x0, problem.a, problem.b)
     init = float(np.sum((x0 - xstar) ** 2))
-    f0 = f_value(problem.a, problem.b, x0, expected_h(dist, problem.a).value, xstar)
+    f0 = f_value(x0, expected_h(dist, problem.a).value, xstar)
     slack = 1.0 + 3.0 / math.sqrt(stats.replications)
     ok = True
     worst = 0.0

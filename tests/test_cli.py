@@ -94,6 +94,19 @@ class TestGen:
         assert not out.exists()
 
 
+def test_negative_seed_gives_gen_and_solve_one_error(tmp_path, capsys):
+    """gen and solve refuse a negative seed with the same line, which gives
+    the value; a seed past 64 bits is taken by both."""
+    bundle = gen_bundle(tmp_path)
+    capsys.readouterr()
+    errs = []
+    for argv in (["gen", "--rows", "3", "--cols", "2"], ["solve", "--input", str(bundle), "--iters", "5"]):
+        assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "out.csv")]) == 1
+        errs.append(capsys.readouterr().err)
+        assert main([*argv, "--seed", str(2**200), "--out", str(tmp_path / "big.csv")]) == 0
+    assert errs == ["error: seed must be a nonnegative integer, got -1\n"] * 2
+    assert not (tmp_path / "out.csv").exists()
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--input="], ["analyze", "--input", "."], ["gen", "--rows", "2", "--cols", "2", "--out="],
 ], ids=["empty-input", "directory-input", "empty-out"])
@@ -165,6 +178,23 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.rstrip().endswith(":3: non-numeric cell")
         assert "Traceback" not in err
+
+    def test_csv_trailing_blank_lines_accepted(self, tmp_path):
+        data = tmp_path / "m.csv"
+        data.write_text("a,b\n1,2\n3,5\n\n")
+        assert main(["analyze", "--input", str(data), "--format", "csv", "--out", str(tmp_path / "a.json")]) == 0
+        assert read_strict_json(tmp_path / "a.json")["spectrum"]["rank"] == 2
+
+    @pytest.mark.parametrize("fmt,content,where", [
+        ("libsvm", "1 1:1\n1 1:nan\n", ":2: cannot parse token '1:nan'"),
+        ("libsvm", "1 1:1e400\n", ":1: cannot parse token '1:1e400'"),
+        ("csv", "c1,c2\n1,2\n3,inf\n", ":3: non-finite cell 'inf'"),
+    ])
+    def test_non_finite_value_exits_one_naming_its_line(self, tmp_path, capsys, fmt, content, where):
+        data = tmp_path / f"bad.{fmt}"
+        data.write_text(content)
+        assert main(["analyze", "--input", str(data), "--format", fmt]) == 1
+        assert capsys.readouterr().err == f"error: {data}{where}\n"
 
     @pytest.mark.parametrize("fmt,content", [("libsvm", b"1 1:\xff\n"), ("csv", b"c1,c2\n1.0,\xff\n")])
     def test_text_input_not_utf8_exits_one(self, tmp_path, capsys, fmt, content):

@@ -22,6 +22,7 @@ from dense_eh import BATCH_RTOL, dense_f, f_close, per_draw_block, per_draw_gaus
 from hypothesis import given
 from hypothesis import strategies as st
 
+import shb.linalg as linalg
 import shb.sketch as sketch
 from shb.errors import OutOfRange
 from shb.linalg import REL_TOL, project_onto_solutions
@@ -84,7 +85,7 @@ def test_row_sampling_w_equals_dense(instance):
     sv = np.linalg.svd(a, compute_uv=False)
     assert rank_a == int(np.count_nonzero(sv > REL_TOL * sv[0]))
     for point in (x0, xstar + 1e-3 * x):
-        assert f_close(f_value(a, b, point, eh.value, xstar), dense_f(a, b, point, dense), f0)
+        assert f_close(f_value(point, eh.value, xstar), dense_f(a, b, point, dense), f0)
 
     vals = np.linalg.eigvalsh(w)[::-1]
     if vals[0] <= 0.0:
@@ -114,7 +115,7 @@ def test_mushrooms_shape_row_sampling_memory(kind):
         eh = expected_h(dist, a)
         spec = spectrum(eh.value)
         xstar, rank_a = project_onto_solutions(x, a, b)
-        f0 = f_value(a, b, x, eh.value, xstar)
+        f0 = f_value(x, eh.value, xstar)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -199,10 +200,10 @@ def test_monte_carlo_needs_a_sample(dist):
 
 
 def eig_stacks(run):
-    """Run run() counting the sketch module's sym_eig calls; the stack
-    sizes of those calls, and run()'s result."""
-    counter = mock.Mock(wraps=sketch.sym_eig)
-    with mock.patch.object(sketch, "sym_eig", counter):
+    """Run run() counting the package's sym_eig calls; the stack sizes of
+    those calls, and run()'s result."""
+    counter = mock.Mock(wraps=linalg.sym_eig)
+    with mock.patch.object(linalg, "sym_eig", counter):
         result = run()
     return [len(call.args[0]) for call in counter.call_args_list], result
 
@@ -254,7 +255,7 @@ def test_certificate_threshold(cond, certified):
     stacks, eh = eig_stacks(lambda: expected_h(BlockRow(2), a))
     assert stacks == ([] if certified else [1])
     if not certified:
-        vecs, inv = sketch.gram_factors(gram[None])
+        vecs, inv = linalg.pinv_factors(gram[None])
         f = (np.sqrt(inv)[:, :, None] * (vecs.swapaxes(1, 2) @ a[None]))[0]
         w = f.T @ f
         np.testing.assert_array_equal(eh.value, (w + w.T) / 2.0)

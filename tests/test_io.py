@@ -99,6 +99,12 @@ class TestParseLibsvm:
             parse_libsvm(write(tmp_path, "a.txt", "1 1:x\n"))
         assert exc.value.line_no == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_reports_its_line_and_token(self, tmp_path, value):
+        with pytest.raises(MalformedLine, match=rf"a.txt:2: cannot parse token '1:{value}'") as exc:
+            parse_libsvm(write(tmp_path, "a.txt", f"1 1:1\n1 1:{value}\n1 1:1\n"))
+        assert (exc.value.line_no, exc.value.token) == (2, f"1:{value}")
+
     def test_zero_index_not_one_based(self, tmp_path):
         with pytest.raises(MalformedLine):
             parse_libsvm(write(tmp_path, "a.txt", "1 0:1\n"))
@@ -141,14 +147,16 @@ class TestParseLibsvm:
 
 
 # the spellings a LIBSVM file can hold: valid ones in every form int and
-# float take (signs, underscores, Unicode digits, inf, wide and padded
-# indices, tabs and other whitespace), and every malformed token kind
+# float take (signs, underscores, Unicode digits, wide and padded indices,
+# tabs and other whitespace), and every malformed token kind, a value that
+# is not finite (nan, inf, or past float64's range) among them
 GOOD_LABELS = ["1", "-1", "+1", "0.5", "2e3", "\u0663", " 1"]
 BAD_LABELS = ["abc", "1:2", "nan1", "\u0663x"]
-VALUES = ["0", "1", "-2.5", ".5", "5.", "1e5", "1E-3", "+2", "1_0", "inf", "-inf", "nan", "1e400", "\u0663.5"]
+VALUES = ["0", "1", "-2.5", ".5", "5.", "1e5", "1E-3", "+2", "1_0", "1e308", "\u0663.5"]
 BAD_TOKENS = [
     "7", "1:2:3", ":5", "4:", "0:1", "-3:1", "x:1", "1e3:1", "2:abc", "0x10:1",
     "99999999999999999999:1", "9223372036854775808:1", "9223372036854775807:1",
+    "2:inf", "2:-inf", "2:nan", "2:1e400",
 ]
 SEPARATORS = [" ", "  ", "\t", " \t", "\u3000", "\x0b"]
 
@@ -341,6 +349,37 @@ class TestCsvMatrix:
     def test_header_only_rejected(self, tmp_path):
         with pytest.raises(EmptyFile):
             read_csv_matrix(write(tmp_path, "m.csv", "c1,c2\n"))
+
+    def test_trailing_blank_rows_ignored(self, tmp_path):
+        for tail in ("\n", "\n\n", " \n\t\n", "\r\n  "):
+            p = write(tmp_path, "m.csv", "a,b\n1,2\n3,5\n" + tail)
+            np.testing.assert_array_equal(read_csv_matrix(p), [[1.0, 2.0], [3.0, 5.0]])
+
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_interior_blank_row_reports_its_line(self, tmp_path, blank):
+        p = write(tmp_path, "m.csv", f"a,b\n1,2\n{blank}\n\n3,5\n\n")
+        with pytest.raises(MalformedLine, match=r"m.csv:3: blank row") as err:
+            read_csv_matrix(p)
+        assert err.value.line_no == 3
+
+    def test_header_and_blank_rows_only_rejected(self, tmp_path):
+        with pytest.raises(EmptyFile):
+            read_csv_matrix(write(tmp_path, "m.csv", "c1,c2\n\n \n"))
+
+    def test_budget_stops_at_the_first_row_over_it_before_trailing_blank_rows(self, tmp_path):
+        path = write(tmp_path, "m.csv", "c1,c2\n1.0,2.0\n3.0,4.0\n\n\n")
+        with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 4):
+            np.testing.assert_array_equal(read_csv_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+        with mock.patch.object(shb.linalg, "MAX_DENSE_ELEMENTS", 3):
+            with pytest.raises(MalformedLine, match=r":3: 2 rows of 2 cells are over the limit of 3 entries"):
+                read_csv_matrix(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", " -Infinity"])
+    def test_non_finite_cell_reports_its_line_and_token(self, tmp_path, cell):
+        p = write(tmp_path, "m.csv", f"c1,c2\n1.0,2.0\n3.0,{cell}\n4.0,5.0\n")
+        with pytest.raises(MalformedLine, match=rf"m.csv:3: non-finite cell {cell!r}") as err:
+            read_csv_matrix(p)
+        assert (err.value.line_no, err.value.token) == (3, cell)
 
 
 class TestBundle:

@@ -70,6 +70,20 @@ def test_package_imports_form_no_cycle():
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
+def test_only_linalg_factors_pseudoinverses():
+    """Every pseudoinverse's eigen-factors come from linalg.pinv_factors: no
+    other module calls sym_eig or pinv_eigenvalues, by name or attribute."""
+    factoring = {"sym_eig", "pinv_eigenvalues"}
+    calls = [
+        (path.name, getattr(node.func, "id", getattr(node.func, "attr", None)))
+        for path in (ROOT / "src" / "shb").glob("*.py") if path.stem != "linalg"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)
+    ]
+    assert [call for call in calls if call[1] in factoring] == []
+    # the walk sees calls by attribute and by name: the W estimate's and the kernel's
+    assert {("sketch.py", "pinv_factors"), ("solver.py", "pinv_factors")} <= set(calls)
+
+
 NEW_TOP_LEVEL_MODULES = """
 import sys
 before = {name.partition(".")[0] for name in sys.modules}

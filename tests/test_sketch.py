@@ -21,6 +21,7 @@ from shb.sketch import (
     draw_size,
     expected_h,
     f_value,
+    row_indices,
     row_sampling,
     spectrum,
     stoch_grad,
@@ -124,6 +125,31 @@ class TestDraw:
         s = draw(GaussianSketch(2), derive_stream(1), m=5)
         assert isinstance(s, np.ndarray)
         assert s.shape == (5, 2)
+
+
+    @pytest.mark.parametrize("dist", [BlockRow(2), GaussianSketch(2)], ids=["block", "gaussian"])
+    def test_block_and_gaussian_need_the_row_count(self, dist):
+        with pytest.raises(DimensionMismatch, match="row count m is required"):
+            draw(dist, derive_stream(1))
+
+
+class TestRowDraw:
+    @pytest.mark.parametrize(
+        "weights", [[1.0], [0.0, 2.0, 0.0, 1.0, 0.0], [3.0, 1.0, 1.0], [0.0] * 5 + [1.0] * 295], ids=len
+    )
+    def test_batch_equals_chunks_and_single_draws(self, weights):
+        dist = UnitCoordinate(np.asarray(weights) / sum(weights))
+        n = 1000
+        whole = draw_batch(dist, derive_stream(5), None, n)
+        rng = derive_stream(5)
+        chunks = np.concatenate([draw_batch(dist, rng, None, size) for size in (1, 7, 300, n - 308)])
+        rng = derive_stream(5)
+        singles = np.stack([draw(dist, rng) for _ in range(n)])
+        assert whole.shape == (n,) and whole.dtype == np.int64
+        np.testing.assert_array_equal(chunks, whole)
+        np.testing.assert_array_equal(singles, whole)
+        np.testing.assert_array_equal(row_indices(dist, derive_stream(5).random(n)), whole)
+        assert np.all(dist.probabilities[whole] > 0.0)
 
 
 def floyd_subset(rng, m, tau):
@@ -454,12 +480,12 @@ class TestFValue:
         b = a @ x
         w = expected_h(row_sampling(a), a).value
         xstar, _ = project_onto_solutions(np.zeros(3), a, b)
-        assert f_value(a, b, x, w, xstar) == pytest.approx(0.0, abs=1e-20)
+        assert f_value(x, w, xstar) == pytest.approx(0.0, abs=1e-20)
 
     def test_identity_hand_value(self):
         a = np.eye(2)
         w = expected_h(row_sampling(a), a).value
-        assert f_value(a, np.zeros(2), [1.0, 1.0], w, np.zeros(2)) == pytest.approx(0.5, abs=1e-14)
+        assert f_value([1.0, 1.0], w, np.zeros(2)) == pytest.approx(0.5, abs=1e-14)
 
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(1)
@@ -468,9 +494,9 @@ class TestFValue:
         x = rng.standard_normal(3)
         w = expected_h(row_sampling(a), a).value
         xstar, _ = project_onto_solutions(np.zeros(3), a, b)
-        f1 = f_value(a, b, x, w, xstar)
+        f1 = f_value(x, w, xstar)
         # doubling the residual (here, the distance to x*) quadruples the objective
-        f_double = f_value(a, b, xstar + 2 * (x - xstar), w, xstar)
+        f_double = f_value(xstar + 2 * (x - xstar), w, xstar)
         assert f_double == pytest.approx(4 * f1, rel=1e-12)
 
     def test_matches_frobenius_form_for_default_weights(self):
@@ -481,7 +507,7 @@ class TestFValue:
         w = expected_h(row_sampling(a), a).value
         xstar, _ = project_onto_solutions(np.zeros(3), a, b)
         expected = float(np.sum((a @ x - b) ** 2)) / (2 * float((a * a).sum()))
-        assert f_value(a, b, x, w, xstar) == pytest.approx(expected, rel=1e-12)
+        assert f_value(x, w, xstar) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "dist", [BlockRow(2), BlockRow(3), GaussianSketch(2)], ids=["block:2", "block:3", "gaussian:2"]
@@ -499,13 +525,18 @@ class TestFValue:
         xstar, _ = project_onto_solutions(x0, a, b)
         f0 = dense_f(a, b, x0, dense)
         for x in (x0, rng.standard_normal(4), xstar + 1e-9 * rng.standard_normal(4)):
-            got = f_value(a, b, x, w, xstar)
+            got = f_value(x, w, xstar)
             assert f_close(got, dense_f(a, b, x, dense), f0)
             # another solution serves as well: the projection of x itself
-            assert f_close(f_value(a, b, x, w, project_onto_solutions(x, a, b)[0]), got, f0)
+            assert f_close(f_value(x, w, project_onto_solutions(x, a, b)[0]), got, f0)
 
     def test_hessian_form_needs_a_solution(self):
         a = np.random.default_rng(4).standard_normal((5, 3))
         w = expected_h(BlockRow(2), a).value
         with pytest.raises(DimensionMismatch):
-            f_value(a, np.zeros(5), np.ones(3), w, None)
+            f_value(np.ones(3), w, None)
+
+    def test_refuses_a_w_of_another_size(self):
+        w = expected_h(BlockRow(2), np.random.default_rng(4).standard_normal((5, 3))).value
+        with pytest.raises(DimensionMismatch, match=r"w has shape \(3, 3\), expected \(2, 2\)"):
+            f_value(np.ones(2), w, np.zeros(2))

@@ -312,7 +312,7 @@ class TestRun:
             if k == 0:
                 continue
             avg = stacked[1 : k + 1].sum(axis=0) / k
-            expected = f_value(problem.a, problem.b, avg, w, xstar)
+            expected = f_value(avg, w, xstar)
             assert trace.cesaro_f[j] == pytest.approx(expected, abs=1e-10)
 
     def test_bit_identical_reruns(self):
